@@ -25,6 +25,7 @@ by quadrature so the identity can be checked numerically.
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -38,6 +39,8 @@ _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
 _GL_NODES8, _GL_WEIGHTS8 = np.polynomial.legendre.leggauss(8)
 _EDGE_LEVELS = 48
 _GRID_HALF = 2048
+_GRID_CHUNK = 128  # upper limits per block in _half_integral_many
+_GRID_LOCK = threading.Lock()  # the first CDF query of a law builds its grid once
 
 
 def _edge_squares(t: float):
@@ -191,7 +194,10 @@ def _edge_panels8(u_max: float):
 
 @dataclass
 class LimitLaw:
-    """Per-z limiting law: support edges plus a cached CDF grid for fast queries."""
+    """Per-z limiting law: support edges plus a CDF grid for fast queries.
+
+    The grid is built on the first CDF or mass query; `log_moment` never needs it.
+    """
 
     z: complex
     x1: float
@@ -206,9 +212,7 @@ class LimitLaw:
         z = complex(z)
         x1, x2 = support_endpoints(z)
         t = z.real * z.real + z.imag * z.imag
-        law = cls(z, x1, x2, _t=t)
-        law._build_grid()
-        return law
+        return cls(z, x1, x2, _t=t)
 
     @property
     def lo(self) -> float:
@@ -229,11 +233,19 @@ class LimitLaw:
         return float(np.dot(weights, g))
 
     def _half_integral_many(self, edge: float, sign: float, u_values: np.ndarray) -> np.ndarray:
-        """Vectorized int_0^{u} g over many upper limits (panels scale with u)."""
-        nodes = u_values[:, None] * _GRID_NODES[None, :]
-        x = edge + sign * nodes * nodes
-        g = 2.0 * nodes * self.density(x.ravel()).reshape(nodes.shape)
-        return (u_values[:, None] * _GRID_WEIGHTS[None, :] * g).sum(axis=1)
+        """Vectorized int_0^{u} g over many upper limits (panels scale with u).
+
+        Rows are reduced independently, so blocking over u_values bounds the
+        temporaries without changing a bit of the result.
+        """
+        out = np.empty(len(u_values))
+        for start in range(0, len(u_values), _GRID_CHUNK):
+            u = u_values[start:start + _GRID_CHUNK, None]
+            nodes = u * _GRID_NODES[None, :]
+            x = edge + sign * nodes * nodes
+            g = 2.0 * nodes * self.density(x.ravel()).reshape(nodes.shape)
+            out[start:start + _GRID_CHUNK] = (u * _GRID_WEIGHTS[None, :] * g).sum(axis=1)
+        return out
 
     def _build_grid(self):
         lo, hi = self.lo, self.x1
@@ -257,8 +269,15 @@ class LimitLaw:
         self._grid_x = xs
         self._grid_f = fs
 
+    def _ensure_grid(self):
+        if self._grid_f is None:
+            with _GRID_LOCK:
+                if self._grid_f is None:
+                    self._build_grid()
+
     def cdf_positive(self, x):
         """Mass of the symmetrized law on [lo, x] (vectorized)."""
+        self._ensure_grid()
         return np.interp(np.asarray(x, dtype=np.float64), self._grid_x, self._grid_f,
                          left=0.0, right=self._mass_pos)
 
@@ -272,6 +291,7 @@ class LimitLaw:
 
     def total_mass(self) -> float:
         """Full-line mass of the symmetrized density (should be 1)."""
+        self._ensure_grid()
         return 2.0 * self._mass_pos
 
     def log_moment(self) -> float:

@@ -1,4 +1,5 @@
 import math
+import threading
 
 import numpy as np
 import pytest
@@ -19,7 +20,8 @@ from circulaw import (
     singular_values,
     support_endpoints,
 )
-from circulaw.limit_theory import export_tabulation, law_for_shift
+from circulaw import limit_theory
+from circulaw.limit_theory import LimitLaw, export_tabulation, law_for_shift
 
 
 def semicircle_density(x):
@@ -297,3 +299,40 @@ class TestExport:
         assert len(lines) == 8
         cdf_vals = [float(ln.split(",")[2]) for ln in lines[1:]]
         assert cdf_vals == sorted(cdf_vals)
+
+
+class TestLazyGrid:
+    SHIFTS = (0j, 0.5 + 0.5j, 1 + 0j, 1.5 + 0j, 2 + 0j)
+
+    def test_for_shift_and_potential_leave_the_grid_unbuilt(self, monkeypatch):
+        monkeypatch.setattr(limit_theory, "_LAW_CACHE", {})
+        for z in self.SHIFTS:
+            assert LimitLaw.for_shift(z)._grid_f is None
+            potential_from_law(z)
+            law = law_for_shift(z)
+            assert law._grid_x is None and law._grid_f is None
+
+    def test_first_cdf_query_matches_an_eager_unchunked_grid(self, monkeypatch):
+        for z in self.SHIFTS:
+            lazy = LimitLaw.for_shift(z)
+            lazy.cdf_squared(0.5)
+            with monkeypatch.context() as m:
+                m.setattr(limit_theory, "_GRID_CHUNK", 1 << 20)
+                eager = LimitLaw.for_shift(z)
+                eager._build_grid()
+            assert np.array_equal(lazy._grid_x, eager._grid_x)
+            assert np.array_equal(lazy._grid_f, eager._grid_f)
+            assert lazy._mass_pos == eager._mass_pos
+
+    def test_concurrent_first_queries_build_the_grid_once(self, monkeypatch):
+        builds = []
+        build = LimitLaw._build_grid
+        monkeypatch.setattr(LimitLaw, "_build_grid", lambda law: builds.append(build(law)))
+        law = LimitLaw.for_shift(0.5 + 0j)
+        readers = [threading.Thread(target=law.cdf_positive, args=(0.5,)) for _ in range(8)]
+        for thread in readers:
+            thread.start()
+        for thread in readers:
+            thread.join(timeout=60)
+        assert not any(thread.is_alive() for thread in readers)
+        assert len(builds) == 1
