@@ -1,0 +1,125 @@
+"""Byte fence: the sha256 of every text output the package writes, for tiny inputs.
+
+Covers the CSV and JSON report of each experiment kind, the CLI's stdout
+against its `--out` file, the `sample` and `esd` subcommands and the three
+table writers. A refactor of the text format or the runners must leave every
+digest unchanged; a change that moves output on purpose re-records the
+digests here and names the moved outputs in CHANGES.md.
+
+Digests were recorded with numpy 2.4.6 and its bundled OpenBLAS 0.3.31
+(scipy-openblas, DYNAMIC_ARCH) on x86-64. Another numpy or OpenBLAS build may
+round eigen- and singular values differently and then moves these digests.
+"""
+
+import hashlib
+
+import numpy as np
+import pytest
+
+from circulaw import EmpiricalCDF, EnsembleConfig, EntryDistribution
+from circulaw.cli import main
+from circulaw.experiments import ExperimentSpec, run_experiment, write_report
+from circulaw.invertibility import min_sv_tail
+from circulaw.limit_theory import export_tabulation
+
+GAUSS = EntryDistribution("RealGaussian")
+RADEMACHER = EntryDistribution("Rademacher")
+
+
+def _sha(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+SPECS = {
+    "CircularLaw": dict(ensemble=EnsembleConfig(12, 1.0, GAUSS, 1), trials=3),
+    "SvLaw": dict(ensemble=EnsembleConfig(12, 1.0, GAUSS, 2), trials=2,
+                  z_points=(0.5 + 0j, 1.5 + 0j), n_values=(8, 12)),
+    "Potential": dict(ensemble=EnsembleConfig(12, 0.5, GAUSS, 3), trials=3,
+                      z_points=(0.5 + 0.5j, 1.5 + 0j), r=0.1),
+    "MinSv": dict(ensemble=EnsembleConfig(12, 1.0, RADEMACHER, 4), trials=50,
+                  z_points=(0j, 0.5 + 0j), thresholds=(1e-3, 0.1, 1.0)),
+    "MaxSv": dict(ensemble=EnsembleConfig(12, 1.0, GAUSS, 5), trials=50, n_values=(8, 12)),
+    "TailIndex": dict(ensemble=EnsembleConfig(16, 1.0, GAUSS, 6), trials=5),
+}
+
+REPORT_DIGESTS = {
+    ("CircularLaw", "csv"): "58c86b17e533b110f79521b38ab7b2e91717bc93e99ea66144216a93dfa56694",
+    ("CircularLaw", "json"): "b72275ee0adff133703785a51820ca55488f3f1fe5d95bfe373ca5e4c044ef19",
+    ("SvLaw", "csv"): "9f229b40f443cd86da259917fb20833a42a31e3f6684aafea8aaadeb92b3e311",
+    ("SvLaw", "json"): "6aa2405b61c24b65dada841a1299b49da80ac61f676a30c6e31284f92dfe9a99",
+    ("Potential", "csv"): "9778c138bf6a92a84cab19b8daac92ab5f298e73e51ea98c3e05e6d217761310",
+    ("Potential", "json"): "c74d0d232704a174d0980d4b91b7770b6f33490a647a8a83ae7cc7d3e3dcc734",
+    ("MinSv", "csv"): "78176a080488a5c95f49dc51610fc700fb8cef711fa634b150938ef2369d736c",
+    ("MinSv", "json"): "f91f81468fcca0d5a872d20f3ec5566de27d5d341c9f35e8656bc96fb6da1507",
+    ("MaxSv", "csv"): "488a86f038eb62268da27902abb646de8e662aaf929c9b4bc0e75ea0489b6acd",
+    ("MaxSv", "json"): "f6c85063c7b38623131dfcfa7d984a57fe071aa30da00c69eccd500097ed338b",
+    ("TailIndex", "csv"): "d3b5aea11dcaefc3440cc0ec5cc0feaa56a7e4fc8a43c3dc5983fff86494a64c",
+    ("TailIndex", "json"): "b3b9ab4695586a760526ed6b97a31cd1d561a60c5284c2ada81b5f0d44387169",
+}
+
+CLI_ARGS = {
+    "svlaw": ["--n", "12", "--seed", "7", "--z", "0.5+0i", "--trials", "2"],
+    "potential": ["--n", "12", "--seed", "8", "--z", "0+0i,2+0i", "--trials", "3", "--r", "auto"],
+    "minsv": ["--n", "12", "--seed", "9", "--z", "0.25-0.5i", "--trials", "50",
+              "--thresholds", "1e-3,0.5", "--dist", "rademacher"],
+}
+
+CLI_DIGESTS = {
+    ("svlaw", "csv"): "64a4292094b19a4cf0fb94410516b22b7d366b9514a376951ffe3fdbebe45f6a",
+    ("svlaw", "json"): "63f4033437f42f9ee0e469ce57e545dd8a78d3a9c658ef59d7babadc2a5cfa88",
+    ("potential", "csv"): "4116e46663e34da248208c1819f3032e2ae5df6c05e2835a61b0fd1b3adda6a3",
+    ("potential", "json"): "db32cf64d3bb9f3aed246439524ae419d40a5dbe3a2f8947d16a6805fbe79b8d",
+    ("minsv", "csv"): "fd6b986d7050908be49bfe1895484ddabf307cfdd9c7ce30d6dbe7192812daa2",
+    ("minsv", "json"): "7bff36057f5888c4be1462c66545959be5ebff58cc8e43e51d0ce84fead43fc0",
+}
+
+TABLE_DIGESTS = {
+    "sample": "6e836dee3fb90d35a5864a3dfb7c37ad8cba0a3bcf82754f59a1f733bffbf40a",
+    "esd": "39256914567ce388d448a6774f2f89f8bb04015555ccce80e18fbdcf3c2a10da",
+    "empirical_cdf": "aaeb32b5bce8de8a962a62c482e78986c809985641332270c3a5ec4ac73c25f9",
+    "tail_table": "30d3feeb94af7c62ed9cbe7866425caa8e2eb651ad47a58c31ed5e76f9ec798f",
+    "tabulation": "2a2f4e279b2b8b8674e5f5de1623f124611f8c0d811a9744459f828d1c0120cf",
+}
+
+
+@pytest.mark.parametrize("kind,fmt", sorted(REPORT_DIGESTS))
+def test_report_bytes(kind, fmt, tmp_path):
+    spec = ExperimentSpec(kind=kind, **SPECS[kind])
+    path = tmp_path / f"report.{fmt}"
+    write_report(run_experiment(spec), path, fmt)
+    assert _sha(path.read_bytes()) == REPORT_DIGESTS[kind, fmt]
+
+
+@pytest.mark.parametrize("command,fmt", sorted(CLI_DIGESTS))
+def test_cli_stdout_equals_out_file(command, fmt, tmp_path, capsys):
+    argv = [command, *CLI_ARGS[command], "--format", fmt]
+    assert main(argv) == 0
+    stdout = capsys.readouterr().out.encode("utf-8")
+    out = tmp_path / f"out.{fmt}"
+    assert main([*argv, "--out", str(out)]) == 0
+    assert out.read_bytes() == stdout
+    assert _sha(stdout) == CLI_DIGESTS[command, fmt]
+
+
+def _table_bytes(name, tmp_path, capsys) -> bytes:
+    path = tmp_path / f"{name}.csv"
+    if name == "sample":
+        argv = ["sample", "--n", "5", "--seed", "10", "--dist", "cgaussian", "--p", "0.6"]
+        assert main(argv) == 0
+        return capsys.readouterr().out.encode("utf-8")
+    if name == "esd":
+        assert main(["esd", "--n", "16", "--seed", "11", "--trial", "2"]) == 0
+        return capsys.readouterr().out.encode("utf-8")
+    if name == "empirical_cdf":
+        EmpiricalCDF.from_values([0.1, 2.5, -1.0 / 3.0, 0.1, 7e-12]).to_csv(path)
+    elif name == "tail_table":
+        cfg = EnsembleConfig(10, 1.0, RADEMACHER, 12)
+        min_sv_tail(cfg, 0.5 - 0.25j, 50, [1e-2, 0.3]).to_csv(path)
+    else:
+        export_tabulation(0.5 + 0.5j, np.linspace(-1.5, 1.5, 13), path)
+    return path.read_bytes()
+
+
+@pytest.mark.parametrize("name", sorted(TABLE_DIGESTS))
+def test_table_bytes(name, tmp_path, capsys):
+    assert _sha(_table_bytes(name, tmp_path, capsys)) == TABLE_DIGESTS[name]
