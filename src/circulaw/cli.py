@@ -23,13 +23,14 @@ from .errors import (
 from .experiments import (
     ExperimentSpec,
     parse_complex,
+    render_report,
     run_experiment,
     run_minsv,
     run_potential,
     run_sv_law,
-    write_report,
 )
 from .linalg import eigenvalues
+from .textio import csv_text, write_text
 
 _DIST_NAMES = {
     "gaussian": "RealGaussian",
@@ -82,7 +83,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--z", type=str, default="0+0i")
     p.add_argument("--trials", type=int, required=True)
     p.add_argument("--thresholds", type=str, required=True, help="comma list")
-    p.add_argument("--B", type=float, default=3.0)
     p.add_argument("--out", default=None)
     p.add_argument("--format", choices=["csv", "json"], default="csv")
 
@@ -109,33 +109,24 @@ def _ensemble_from_args(args) -> EnsembleConfig:
 
 
 def _emit(text: str, out) -> None:
+    """`text` to stdout, or to the file `out`: the bytes are the same."""
     if out is None:
         sys.stdout.write(text)
     else:
-        with open(out, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+        write_text(out, text)
 
 
 def _cmd_sample(args) -> int:
-    cfg = _ensemble_from_args(args)
-    m = sample_matrix(cfg, args.trial)
-    lines = ["j,k,re,im"]
-    entries = np.asarray(m.entries, dtype=np.complex128)
-    for j in range(cfg.n):
-        for k in range(cfg.n):
-            v = entries[j, k]
-            lines.append(f"{j},{k},{v.real:.17g},{v.imag:.17g}")
-    _emit("\n".join(lines) + "\n", args.out)
+    entries = np.asarray(sample_matrix(_ensemble_from_args(args), args.trial).entries,
+                         dtype=np.complex128)
+    rows = ((j, k, v.real, v.imag) for (j, k), v in np.ndenumerate(entries))
+    _emit(csv_text(["j", "k", "re", "im"], rows), args.out)
     return 0
 
 
 def _cmd_esd(args) -> int:
-    cfg = _ensemble_from_args(args)
-    spectrum = eigenvalues(sample_matrix(cfg, args.trial))
-    lines = ["re,im"]
-    for v in spectrum.values:
-        lines.append(f"{v.real:.17g},{v.imag:.17g}")
-    _emit("\n".join(lines) + "\n", args.out)
+    spectrum = eigenvalues(sample_matrix(_ensemble_from_args(args), args.trial))
+    _emit(csv_text(["re", "im"], ((v.real, v.imag) for v in spectrum.values)), args.out)
     return 0
 
 
@@ -146,8 +137,7 @@ def _cmd_svlaw(args) -> int:
         trials=args.trials,
         z_points=(parse_complex(args.z),),
     )
-    report = run_sv_law(spec)
-    _write(report, args)
+    _write(run_sv_law(spec), args)
     return 0
 
 
@@ -161,8 +151,7 @@ def _cmd_potential(args) -> int:
         r=r,
         b_exponent=args.B,
     )
-    report = run_potential(spec)
-    _write(report, args)
+    _write(run_potential(spec), args)
     return 0
 
 
@@ -173,10 +162,8 @@ def _cmd_minsv(args) -> int:
         trials=args.trials,
         z_points=(parse_complex(args.z),),
         thresholds=tuple(float(t) for t in args.thresholds.split(",")),
-        b_exponent=args.B,
     )
-    report = run_minsv(spec)
-    _write(report, args)
+    _write(run_minsv(spec), args)
     return 0
 
 
@@ -187,32 +174,13 @@ def _cmd_report(args) -> int:
     except OSError as exc:
         raise OSError(f"cannot read spec {args.spec}: {exc}") from exc
     spec = ExperimentSpec.from_json(text)
-    report = run_experiment(spec)
-    if args.out is None and spec.out:
-        write_report(report, spec.out, args.format)
-    else:
-        _write(report, args)
+    out = args.out if args.out is not None else spec.out or None
+    _emit(render_report(run_experiment(spec), args.format), out)
     return 0
 
 
 def _write(report, args) -> None:
-    if args.out is None:
-        from .experiments import _fmt, _stable_dumps
-
-        if args.format == "csv":
-            lines = [",".join(report.columns)]
-            for row in report.rows:
-                lines.append(",".join(_fmt(row[c]) for c in report.columns))
-            sys.stdout.write("\n".join(lines) + "\n")
-        else:
-            payload = {
-                "meta": {k: v for k, v in report.meta.items() if k != "wall_time_s"},
-                "columns": list(report.columns),
-                "rows": [{c: row[c] for c in report.columns} for row in report.rows],
-            }
-            sys.stdout.write(_stable_dumps(payload) + "\n")
-    else:
-        write_report(report, args.out, args.format)
+    _emit(render_report(report, args.format), args.out)
 
 
 def _read_points_csv(path):
@@ -257,11 +225,7 @@ def plot_spectrum(csv_in, svg_out, overlay_unit_circle: bool = True) -> None:
         cy = center - scale * im
         parts.append(f'<circle cx="{cx:.6g}" cy="{cy:.6g}" r="2" fill="black"/>')
     parts.append("</svg>")
-    try:
-        with open(svg_out, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write("\n".join(parts) + "\n")
-    except OSError as exc:
-        raise OSError(f"cannot write {svg_out}: {exc}") from exc
+    write_text(svg_out, "\n".join(parts) + "\n")
 
 
 def _cmd_plot(args) -> int:

@@ -8,9 +8,11 @@ every row.
 
 from __future__ import annotations
 
+import cmath
 import hashlib
 import json
 import math
+import numbers
 import time
 from dataclasses import dataclass, field, replace
 from typing import List, Sequence
@@ -30,6 +32,7 @@ from .spectral_measures import (
     log_potential_empirical,
     radial_angular_cdfs,
 )
+from .textio import csv_text, format_value, stable_dumps, write_text
 
 KINDS = ("CircularLaw", "SvLaw", "Potential", "MinSv", "MaxSv", "TailIndex")
 
@@ -38,7 +41,7 @@ def format_complex(z: complex) -> str:
     """Shell-safe a+bi form with no spaces."""
     z = complex(z)
     sign = "+" if z.imag >= 0 else "-"
-    return f"{z.real:.17g}{sign}{abs(z.imag):.17g}i"
+    return f"{format_value(z.real)}{sign}{format_value(abs(z.imag))}i"
 
 
 def parse_complex(text: str) -> complex:
@@ -65,6 +68,15 @@ def parse_complex(text: str) -> complex:
         raise ConfigError(f"cannot parse complex literal {text!r}") from exc
 
 
+def _whole(name: str, value) -> int:
+    """`value` as an int; fractions, non-finite floats and non-numbers are errors."""
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ConfigError(f"{name} must be a whole number, got {value!r}")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class ExperimentSpec:
     """One experiment campaign: kind, ensemble, trial count, and kind-specific knobs."""
@@ -85,11 +97,22 @@ class ExperimentSpec:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ConfigError(f"unknown experiment kind {self.kind!r}")
+        object.__setattr__(self, "trials", _whole("trials", self.trials))
+        object.__setattr__(self, "n_values", tuple(_whole("n_values", n) for n in self.n_values))
         if self.trials < 1:
             raise ConfigError(f"trials must be >= 1, got {self.trials}")
+        for name, values in (
+            ("z_points", self.z_points), ("thresholds", self.thresholds),
+            ("b_exponent", (self.b_exponent,)), ("c_cut", (self.c_cut,)),
+            ("q", (self.q,)), ("R", (self.big_r,)),
+        ):
+            if not all(cmath.isfinite(v) for v in values):
+                raise ConfigError(f"{name} must be finite, got {values!r}")
         if self.kind in ("SvLaw", "Potential", "MinSv") and not self.z_points:
             raise ConfigError(f"{self.kind} requires at least one z point")
-        if self.r != "auto" and not (isinstance(self.r, (int, float)) and self.r >= 0):
+        if self.kind == "MinSv" and not self.thresholds:
+            raise ConfigError("MinSv requires thresholds")
+        if self.r != "auto" and not (isinstance(self.r, (int, float)) and 0 <= self.r < math.inf):
             raise ConfigError(f"r must be a nonnegative number or 'auto', got {self.r!r}")
         if self.kind == "TailIndex" and self.q <= 6:
             raise ConfigError(f"TailIndex requires q > 6, got {self.q}")
@@ -140,11 +163,11 @@ class ExperimentSpec:
         return cls(
             kind=d["kind"],
             ensemble=EnsembleConfig.from_json_dict(d["ensemble"]),
-            trials=int(d["trials"]),
+            trials=d["trials"],
             z_points=z_points,
             r=r,
             thresholds=tuple(float(t) for t in d.get("thresholds", [])),
-            n_values=tuple(int(n) for n in d.get("n_values", [])),
+            n_values=tuple(d.get("n_values", [])),
             b_exponent=float(d.get("b_exponent", 3.0)),
             c_cut=float(d.get("c_cut", 1.0)),
             q=float(d.get("q", 18.0)),
@@ -157,7 +180,7 @@ class ExperimentSpec:
         return cls.from_json_dict(json.loads(text))
 
     def hash(self) -> str:
-        canon = _stable_dumps(self.to_json_dict(), sort_keys=True)
+        canon = stable_dumps(self.to_json_dict(), sort_keys=True)
         return hashlib.sha256(canon.encode("utf-8")).hexdigest()[:16]
 
 
@@ -178,70 +201,22 @@ class ExperimentReport:
         return [row[name] for row in self.rows]
 
 
-def _new_report(spec: ExperimentSpec, columns: Sequence[str]) -> ExperimentReport:
-    cols = list(columns) + ["spec_hash"]
-    return ExperimentReport(
-        cols,
-        [],
-        {
-            "kind": spec.kind,
-            "spec_hash": spec.hash(),
-            "master_seed": spec.ensemble.master_seed,
-            "version": __version__,
-            "wall_time_s": 0.0,  # filled at end of run, excluded from serialization
-        },
-    )
-
-
-def _fmt(value) -> str:
-    if isinstance(value, bool):
-        return "1" if value else "0"
-    if isinstance(value, float):
-        return f"{value:.17g}"
-    return str(value)
-
-
-def _stable_dumps(obj, sort_keys=False, indent=0) -> str:
-    """JSON with a fixed 17-significant-digit float format."""
-    if isinstance(obj, dict):
-        keys = sorted(obj) if sort_keys else list(obj)
-        parts = [f"{json.dumps(str(k))}: {_stable_dumps(obj[k], sort_keys)}" for k in keys]
-        return "{" + ", ".join(parts) + "}"
-    if isinstance(obj, (list, tuple)):
-        return "[" + ", ".join(_stable_dumps(v, sort_keys) for v in obj) + "]"
-    if isinstance(obj, bool):
-        return "true" if obj else "false"
-    if isinstance(obj, float):
-        return f"{obj:.17g}"
-    if isinstance(obj, (int, str)) or obj is None:
-        return json.dumps(obj)
-    raise ConfigError(f"cannot serialize {type(obj).__name__}")
+def render_report(report: ExperimentReport, fmt: str = "csv") -> str:
+    """Bit-stable text of a report; wall time is deliberately not written."""
+    if fmt == "csv":
+        return csv_text(report.columns, ([row[c] for c in report.columns] for row in report.rows))
+    if fmt == "json":
+        payload = {
+            "meta": {k: v for k, v in report.meta.items() if k != "wall_time_s"},
+            "columns": list(report.columns),
+            "rows": [{c: row[c] for c in report.columns} for row in report.rows],
+        }
+        return stable_dumps(payload) + "\n"
+    raise ConfigError(f"unknown report format {fmt!r}")
 
 
 def write_report(report: ExperimentReport, path, fmt: str = "csv") -> None:
-    """Bit-stable serialization; wall time is deliberately not written."""
-    if fmt not in ("csv", "json"):
-        raise ConfigError(f"unknown report format {fmt!r}")
-    stable_meta = {k: v for k, v in report.meta.items() if k != "wall_time_s"}
-    try:
-        if fmt == "csv":
-            lines = [",".join(report.columns)]
-            for row in report.rows:
-                lines.append(",".join(_fmt(row[c]) for c in report.columns))
-            text = "\n".join(lines) + "\n"
-        else:
-            payload = {
-                "meta": stable_meta,
-                "columns": list(report.columns),
-                "rows": [
-                    {c: row[c] for c in report.columns} for row in report.rows
-                ],
-            }
-            text = _stable_dumps(payload) + "\n"
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
-    except OSError as exc:
-        raise OSError(f"cannot write report to {path}: {exc}") from exc
+    write_text(path, render_report(report, fmt))
 
 
 def read_report(path) -> dict:
@@ -249,15 +224,44 @@ def read_report(path) -> dict:
         return json.load(fh)
 
 
+_RUNNERS = {}
+
+
+def _runner(kind: str, columns: Sequence[str]):
+    """Register `body(spec, report)` as the campaign of `kind`, run as `run(spec)`:
+    it rejects other kinds, opens the report, lets the body append rows and times it."""
+
+    def register(body):
+        def run(spec: ExperimentSpec) -> ExperimentReport:
+            if spec.kind != kind:
+                raise ConfigError(f"expected {kind} spec, got {spec.kind}")
+            start = time.perf_counter()
+            report = ExperimentReport(list(columns) + ["spec_hash"], [], {
+                "kind": spec.kind,
+                "spec_hash": spec.hash(),
+                "master_seed": spec.ensemble.master_seed,
+                "version": __version__,
+                "wall_time_s": 0.0,  # filled at end of run, excluded from serialization
+            })
+            body(spec, report)
+            report.meta["wall_time_s"] = time.perf_counter() - start
+            return report
+
+        run.__name__, run.__qualname__, run.__doc__ = body.__name__, body.__qualname__, body.__doc__
+        _RUNNERS[kind] = run
+        return run
+
+    return register
+
+
 def _uniform01_cdf(x):
     return np.clip(np.asarray(x, dtype=np.float64), 0.0, 1.0)
 
 
-def run_circular_law(spec: ExperimentSpec) -> ExperimentReport:
+@_runner("CircularLaw", ["row", "trial", "ks_radial", "ks_angular",
+                         "frac_beyond_soft", "frac_beyond_1p15", "failed"])
+def run_circular_law(spec: ExperimentSpec, report: ExperimentReport) -> None:
     """Per-trial eigenvalue statistics against the uniform-disc law."""
-    if spec.kind != "CircularLaw":
-        raise ConfigError(f"expected CircularLaw spec, got {spec.kind}")
-    start = time.perf_counter()
     cfg = spec.ensemble
     soft_edge = 1.0 + 3.0 * cfg.n ** -0.25
 
@@ -276,10 +280,6 @@ def run_circular_law(spec: ExperimentSpec) -> ExperimentReport:
         )
 
     results = parallel_map(one_trial, range(spec.trials))
-    report = _new_report(
-        spec,
-        ["row", "trial", "ks_radial", "ks_angular", "frac_beyond_soft", "frac_beyond_1p15", "failed"],
-    )
     ok = [r for r in results if r is not None]
     for t, res in enumerate(results):
         if res is None:
@@ -303,8 +303,6 @@ def run_circular_law(spec: ExperimentSpec) -> ExperimentReport:
                 failed=False,
             )
     report.meta["failed_trials"] = len(results) - len(ok)
-    report.meta["wall_time_s"] = time.perf_counter() - start
-    return report
 
 
 def _pooled_sv_cdf(cfg: EnsembleConfig, z: complex, trials: int) -> EmpiricalCDF:
@@ -315,18 +313,15 @@ def _pooled_sv_cdf(cfg: EnsembleConfig, z: complex, trials: int) -> EmpiricalCDF
     return EmpiricalCDF.from_values(atoms)
 
 
-def run_sv_law(spec: ExperimentSpec) -> ExperimentReport:
+@_runner("SvLaw", ["row", "n", "z_re", "z_im", "trials", "delta", "slope"])
+def run_sv_law(spec: ExperimentSpec, report: ExperimentReport) -> None:
     """Trial-averaged squared-singular-value law against the limit CDF.
 
     With an n ladder, also reports the fitted slope of ln Delta_n over ln n
     as a decay diagnostic (the theoretical rate is only an upper bound, so the
     slope is informational).
     """
-    if spec.kind != "SvLaw":
-        raise ConfigError(f"expected SvLaw spec, got {spec.kind}")
-    start = time.perf_counter()
     ns = list(spec.n_values) or [spec.ensemble.n]
-    report = _new_report(spec, ["row", "n", "z_re", "z_im", "trials", "delta", "slope"])
     for z in spec.z_points:
         law = law_for_shift(z)
         deltas = []
@@ -345,22 +340,15 @@ def run_sv_law(spec: ExperimentSpec) -> ExperimentReport:
                 row="slope", n=-1, z_re=z.real, z_im=z.imag,
                 trials=spec.trials, delta="", slope=slope,
             )
-    report.meta["wall_time_s"] = time.perf_counter() - start
-    return report
 
 
-def run_potential(spec: ExperimentSpec) -> ExperimentReport:
+@_runner("Potential", ["row", "z_re", "z_im", "r", "trials", "included", "excluded",
+                       "u_empirical", "u_stderr", "u_disc", "u_law", "gap_disc", "gap_law",
+                       "flagged"])
+def run_potential(spec: ExperimentSpec, report: ExperimentReport) -> None:
     """Empirical truncated log-determinant average vs the two exact potentials."""
-    if spec.kind != "Potential":
-        raise ConfigError(f"expected Potential spec, got {spec.kind}")
-    start = time.perf_counter()
     cfg = spec.ensemble
     r = spec.resolve_r(cfg)
-    report = _new_report(
-        spec,
-        ["row", "z_re", "z_im", "r", "trials", "included", "excluded",
-         "u_empirical", "u_stderr", "u_disc", "u_law", "gap_disc", "gap_law", "flagged"],
-    )
 
     def one_trial_factory(z):
         def one_trial(t):
@@ -391,23 +379,13 @@ def run_potential(spec: ExperimentSpec) -> ExperimentReport:
             gap_disc=abs(est.value - u_disc), gap_law=abs(est.value - u_law),
             flagged=False,
         )
-    report.meta["wall_time_s"] = time.perf_counter() - start
-    return report
 
 
-def run_minsv(spec: ExperimentSpec) -> ExperimentReport:
+@_runner("MinSv", ["row", "n", "p_n", "z_re", "z_im", "threshold", "frequency", "trials",
+                   "s1_violation_freq"])
+def run_minsv(spec: ExperimentSpec, report: ExperimentReport) -> None:
     """min_sv_tail over an (n, z) grid."""
-    if spec.kind != "MinSv":
-        raise ConfigError(f"expected MinSv spec, got {spec.kind}")
-    if not spec.thresholds:
-        raise ConfigError("MinSv requires thresholds")
-    start = time.perf_counter()
-    ns = list(spec.n_values) or [spec.ensemble.n]
-    report = _new_report(
-        spec,
-        ["row", "n", "p_n", "z_re", "z_im", "threshold", "frequency", "trials", "s1_violation_freq"],
-    )
-    for n in ns:
+    for n in list(spec.n_values) or [spec.ensemble.n]:
         cfg = _resize(spec.ensemble, n)
         for z in spec.z_points:
             table = min_sv_tail(cfg, z, spec.trials, spec.thresholds)
@@ -417,23 +395,15 @@ def run_minsv(spec: ExperimentSpec) -> ExperimentReport:
                     threshold=float(t), frequency=float(f), trials=spec.trials,
                     s1_violation_freq=table.s1_violation_frequency,
                 )
-    report.meta["wall_time_s"] = time.perf_counter() - start
-    return report
 
 
-def run_maxsv(spec: ExperimentSpec) -> ExperimentReport:
+@_runner("MaxSv", ["row", "n", "p_n", "frequency", "trials"])
+def run_maxsv(spec: ExperimentSpec, report: ExperimentReport) -> None:
     """largest_sv_tail over an n grid."""
-    if spec.kind != "MaxSv":
-        raise ConfigError(f"expected MaxSv spec, got {spec.kind}")
-    start = time.perf_counter()
-    ns = list(spec.n_values) or [spec.ensemble.n]
-    report = _new_report(spec, ["row", "n", "p_n", "frequency", "trials"])
-    for n in ns:
+    for n in list(spec.n_values) or [spec.ensemble.n]:
         cfg = _resize(spec.ensemble, n)
         freq = largest_sv_tail(cfg, spec.trials)
         report.append(row="stat", n=n, p_n=cfg.p_n, frequency=freq, trials=spec.trials)
-    report.meta["wall_time_s"] = time.perf_counter() - start
-    return report
 
 
 def _resize(cfg: EnsembleConfig, n: int) -> EnsembleConfig:
@@ -452,50 +422,28 @@ def tail_eigenvalue_index(delta: float, n: int, q: float):
     return k1, k1_eff, clamped
 
 
-def tail_index_check(spec: ExperimentSpec, q: float = None, big_r: float = None) -> ExperimentReport:
+@_runner("TailIndex", ["row", "n", "delta", "k1", "k1_effective", "clamped", "R", "q",
+                       "frequency", "trials"])
+def tail_index_check(spec: ExperimentSpec, report: ExperimentReport) -> None:
     """Frequency of the k1-th largest eigenvalue modulus exceeding R, where
     k1 comes from tail_eigenvalue_index at the sv-law distance Delta_n
     measured at the reference shift z = 0."""
-    if spec.kind != "TailIndex":
-        raise ConfigError(f"expected TailIndex spec, got {spec.kind}")
-    q = spec.q if q is None else q
-    big_r = spec.big_r if big_r is None else big_r
-    if q <= 6:
-        raise ConfigError(f"q must exceed 6, got {q}")
-    if big_r <= 0:
-        raise ConfigError(f"R must be positive, got {big_r}")
-    start = time.perf_counter()
     cfg = spec.ensemble
     n = cfg.n
     law = law_for_shift(0j)
     pooled = _pooled_sv_cdf(cfg, 0j, spec.trials)
     delta = ks_distance(pooled, law.cdf_squared)
-    k1, k1_eff, clamped = tail_eigenvalue_index(delta, n, q)
+    k1, k1_eff, clamped = tail_eigenvalue_index(delta, n, spec.q)
 
     def one_trial(t):
         mods = np.sort(np.abs(eigenvalues(sample_matrix(cfg, t)).values))[::-1]
-        return float(mods[k1_eff - 1]) > big_r
+        return float(mods[k1_eff - 1]) > spec.big_r
 
     hits = parallel_map(one_trial, range(spec.trials))
-    report = _new_report(
-        spec, ["row", "n", "delta", "k1", "k1_effective", "clamped", "R", "q", "frequency", "trials"]
-    )
     report.append(
         row="stat", n=n, delta=delta, k1=k1, k1_effective=k1_eff, clamped=clamped,
-        R=big_r, q=q, frequency=float(np.mean(hits)), trials=spec.trials,
+        R=spec.big_r, q=spec.q, frequency=float(np.mean(hits)), trials=spec.trials,
     )
-    report.meta["wall_time_s"] = time.perf_counter() - start
-    return report
-
-
-_RUNNERS = {
-    "CircularLaw": run_circular_law,
-    "SvLaw": run_sv_law,
-    "Potential": run_potential,
-    "MinSv": run_minsv,
-    "MaxSv": run_maxsv,
-    "TailIndex": tail_index_check,
-}
 
 
 def run_experiment(spec: ExperimentSpec) -> ExperimentReport:

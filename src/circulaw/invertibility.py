@@ -21,6 +21,7 @@ from .ensemble import EnsembleConfig, EntryDistribution, _values_from_words, sam
 from .errors import DomainError, NumericError
 from .linalg import shift, singular_values
 from .parallel import parallel_map
+from .textio import csv_text, write_text
 
 
 @dataclass(frozen=True)
@@ -44,14 +45,10 @@ class TailTable:
     s1_violation_frequency: float
 
     def to_csv(self, path) -> None:
-        lines = ["threshold,frequency,trials,n,p_n,z_re,z_im"]
-        for t, f in zip(self.thresholds, self.frequencies):
-            lines.append(
-                f"{t:.17g},{f:.17g},{self.trials},{self.n},"
-                f"{self.p_n:.17g},{self.z.real:.17g},{self.z.imag:.17g}"
-            )
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write("\n".join(lines) + "\n")
+        header = ["threshold", "frequency", "trials", "n", "p_n", "z_re", "z_im"]
+        rest = (self.trials, self.n, self.p_n, self.z.real, self.z.imag)
+        rows = ((t, f, *rest) for t, f in zip(self.thresholds, self.frequencies))
+        write_text(path, csv_text(header, rows))
 
 
 def _tail_norm(x: np.ndarray, keep: int) -> float:
@@ -223,8 +220,8 @@ def min_sv_tail(
     if trials < 50:
         raise DomainError(f"need at least 50 trials, got {trials}")
     thresholds = np.sort(np.asarray(thresholds, dtype=np.float64))
-    if len(thresholds) == 0 or thresholds[0] <= 0:
-        raise DomainError("thresholds must be positive")
+    if len(thresholds) == 0 or not (thresholds[0] > 0 and np.isfinite(thresholds[-1])):
+        raise DomainError("thresholds must be positive and finite")
     ceiling = config.n * math.sqrt(config.p_n)
 
     def one_trial(t):

@@ -32,6 +32,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import DomainError, NumericError
+from .textio import csv_text, write_text
 
 _SQRT3 = math.sqrt(3.0)
 _T_SERIES = 1e-8  # below this |z|^2 the edge ratio uses its series value
@@ -184,14 +185,6 @@ _GRID_NODES = _UNIT_NODES16[: 24 * 16]
 _GRID_WEIGHTS = _UNIT_WEIGHTS16[: 24 * 16]
 
 
-def _edge_panels(u_max: float):
-    return u_max * _UNIT_NODES16, u_max * _UNIT_WEIGHTS16
-
-
-def _edge_panels8(u_max: float):
-    return u_max * _UNIT_NODES8, u_max * _UNIT_WEIGHTS8
-
-
 @dataclass
 class LimitLaw:
     """Per-z limiting law: support edges plus a CDF grid for fast queries.
@@ -225,7 +218,10 @@ class LimitLaw:
         """int over one half of the support under the substitution x = edge + sign*u^2."""
         if u_max <= 0:
             return 0.0
-        nodes, weights = _edge_panels(u_max) if order16 else _edge_panels8(u_max)
+        if order16:
+            nodes, weights = u_max * _UNIT_NODES16, u_max * _UNIT_WEIGHTS16
+        else:
+            nodes, weights = u_max * _UNIT_NODES8, u_max * _UNIT_WEIGHTS8
         x = edge + sign * nodes * nodes
         g = 2.0 * nodes * self.density(x)
         if weight_fn is not None:
@@ -355,22 +351,12 @@ def potential_from_law(z: complex) -> float:
     return law_for_shift(z).log_moment()
 
 
-def limit_cdf_symmetric(x, z: complex):
-    """CDF of the symmetrized law: (1 + sgn(x) F(x^2)) / 2."""
-    law = law_for_shift(z)
-    x = np.asarray(x, dtype=np.float64)
-    result = 0.5 * (1.0 + np.sign(x) * law.cdf_squared(x * x))
-    return float(result) if result.ndim == 0 else result
-
-
 def export_tabulation(z: complex, xs, path) -> None:
-    """CSV tabulation 'x,density,cdf' of the symmetrized density and CDF."""
+    """CSV tabulation 'x,density,cdf' of the symmetrized density and CDF.
+
+    The symmetrized CDF is (1 + sgn(x) F(x^2)) / 2, F the law of s^2.
+    """
     xs = np.asarray(xs, dtype=np.float64)
     law = law_for_shift(z)
-    dens = law.density(xs)
-    cdf = limit_cdf_symmetric(xs, z)
-    lines = ["x,density,cdf"]
-    for x, d, c in zip(xs, dens, cdf):
-        lines.append(f"{x:.17g},{d:.17g},{c:.17g}")
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    cdf = 0.5 * (1.0 + np.sign(xs) * law.cdf_squared(xs * xs))
+    write_text(path, csv_text(["x", "density", "cdf"], zip(xs, law.density(xs), cdf)))

@@ -16,6 +16,7 @@ import numpy as np
 
 from .errors import DomainError, EstimationError
 from .linalg import ComplexSpectrum, SingularSpectrum
+from .textio import csv_text, write_text
 
 
 @dataclass
@@ -68,11 +69,7 @@ class EmpiricalCDF:
         return float(np.dot(self.xs, self.ws))
 
     def to_csv(self, path) -> None:
-        lines = ["x,weight"]
-        for x, w in zip(self.xs, self.ws):
-            lines.append(f"{x:.17g},{w:.17g}")
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write("\n".join(lines) + "\n")
+        write_text(path, csv_text(["x", "weight"], zip(self.xs, self.ws)))
 
     @classmethod
     def from_csv(cls, path) -> "EmpiricalCDF":

@@ -220,3 +220,11 @@ class TestPlot:
             "</svg>\n"
         )
         assert svg.read_text() == expected
+
+
+class TestRemovedOptions:
+    def test_minsv_rejects_b(self, capsys):
+        code, captured = run_cli("minsv", "--n", "8", "--trials", "50", "--seed", "1",
+                                 "--thresholds", "0.1", "--B", "3", capsys=capsys)
+        assert code == 2
+        assert "--B" in captured.err

@@ -306,3 +306,54 @@ class TestReproducibility:
         spec = ExperimentSpec(kind="MaxSv", ensemble=small_ensemble(n=8), trials=50)
         report = run_experiment(spec)
         assert report.meta["kind"] == "MaxSv"
+
+
+def _spec_dict(kind, **fields):
+    d = {"kind": kind, "ensemble": small_ensemble(n=8).to_json_dict(), "trials": 50}
+    d.update(fields)
+    return d
+
+
+class TestSpecValidation:
+    """Inputs that used to run and write a silently wrong number are ConfigErrors."""
+
+    @pytest.mark.parametrize(
+        "d",
+        [
+            _spec_dict("TailIndex", R=math.nan),
+            _spec_dict("TailIndex", q=math.inf),
+            _spec_dict("MinSv", z_points=["0+0i"], thresholds=[math.nan]),
+            _spec_dict("MinSv", z_points=["0+0i"], thresholds=[1e-3, math.inf]),
+            _spec_dict("MinSv", z_points=["0+0i"]),
+            _spec_dict("Potential", z_points=["0.5+0i"], c_cut=math.nan),
+            _spec_dict("Potential", z_points=["0.5+0i"], b_exponent=math.nan),
+            _spec_dict("Potential", z_points=["0.5+0i"], r=math.inf),
+            _spec_dict("SvLaw", z_points=[math.nan]),
+            _spec_dict("SvLaw", z_points=["0.5+infi"]),
+            _spec_dict("SvLaw", z_points=["0.5+0i"], n_values=[8, 12.5]),
+            _spec_dict("MaxSv", trials=2.7),
+            _spec_dict("MaxSv", trials=math.nan),
+            _spec_dict("MaxSv", trials="50"),
+        ],
+        ids=[
+            "R-nan", "q-inf", "thresholds-nan", "thresholds-inf", "thresholds-missing",
+            "c_cut-nan", "b_exponent-nan", "r-inf", "z-nan", "z-inf", "n_values-fraction",
+            "trials-fraction", "trials-nan", "trials-string",
+        ],
+    )
+    def test_rejected(self, d):
+        with pytest.raises(ConfigError):
+            ExperimentSpec.from_json_dict(d)
+
+    def test_whole_float_trials_accepted(self):
+        spec = ExperimentSpec.from_json_dict(_spec_dict("MaxSv", trials=50.0))
+        assert spec.trials == 50 and isinstance(spec.trials, int)
+        assert spec.hash() == ExperimentSpec.from_json_dict(_spec_dict("MaxSv")).hash()
+
+    def test_cli_report_exits_2(self, tmp_path, capsys):
+        from circulaw.cli import main
+
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps(_spec_dict("TailIndex", R=math.nan)))
+        assert main(["report", "--spec", str(spec_path)]) == 2
+        assert "R must be finite" in capsys.readouterr().err

@@ -233,6 +233,12 @@ class TestMinSvTail:
         assert lines[0] == "threshold,frequency,trials,n,p_n,z_re,z_im"
         assert len(lines) == 3
 
+    @pytest.mark.parametrize("thresholds", [[math.nan], [1e-3, math.inf], [-math.inf, 1e-3]])
+    def test_rejects_non_finite_thresholds(self, thresholds):
+        cfg = EnsembleConfig(8, 1.0, GAUSS, 5)
+        with pytest.raises(DomainError):
+            min_sv_tail(cfg, 0j, trials=50, thresholds=thresholds)
+
 
 class TestLargestSvTail:
     def test_dense_gaussian_never_reaches_bound(self):
