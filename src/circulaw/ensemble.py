@@ -234,16 +234,18 @@ def draw_entry(dist: EntryDistribution, stream: rng.Stream):
     return complex(value) if dist.is_complex else float(value)
 
 
-def _value_grid(dist, master_seed, trial_index, nrows, ncols):
-    keys = rng.grid_keys(master_seed, rng.ROLE_VALUE, trial_index, nrows, ncols)
+def draw_grid(dist, seed, role, aux, nrows, ncols) -> np.ndarray:
+    """(nrows, ncols) draws from `dist`, entry (j, k) fed by the key (seed, role, aux, j, k)."""
+    keys = rng.grid_keys(seed, role, aux, nrows, ncols)
     words = np.stack(
         [rng.word_grid(keys, i) for i in range(dist.words_per_draw)], axis=-1
     )
     return _values_from_words(dist, words)
 
 
-def _mask_grid(master_seed, trial_index, nrows, ncols, p_n):
-    keys = rng.grid_keys(master_seed, rng.ROLE_MASK, trial_index, nrows, ncols)
+def mask_grid(seed, role, aux, nrows, ncols, p_n) -> np.ndarray:
+    """(nrows, ncols) Bernoulli(p_n) indicators from the first word of each key."""
+    keys = rng.grid_keys(seed, role, aux, nrows, ncols)
     return rng.uniform_from_words(rng.word_grid(keys, 0)) < p_n
 
 
@@ -256,9 +258,9 @@ def sample_matrix(config: EnsembleConfig, trial_index: int) -> MatrixSample:
     if not isinstance(config, EnsembleConfig):
         raise ConfigError("sample_matrix expects an EnsembleConfig")
     n = config.n
-    values = _value_grid(config.dist, config.master_seed, trial_index, n, n)
+    values = draw_grid(config.dist, config.master_seed, rng.ROLE_VALUE, trial_index, n, n)
     if config.p_n < 1.0:
-        mask = _mask_grid(config.master_seed, trial_index, n, n, config.p_n)
+        mask = mask_grid(config.master_seed, rng.ROLE_MASK, trial_index, n, n, config.p_n)
         entries = np.where(mask, values, 0.0) / math.sqrt(n * config.p_n)
     else:
         entries = values / math.sqrt(n)
@@ -328,9 +330,7 @@ def log_moment_estimate(
         vals, weights = atoms
         exact = float(np.sum(weights * np.abs(vals) ** 2 * log_moment_phi(vals, eta)))
         return LogMomentEstimate(exact, 0.0, 0)
-    keys = rng.grid_keys(seed, rng.ROLE_MOMENT, 0, m, 1)
-    words = np.stack([rng.word_grid(keys, i) for i in range(dist.words_per_draw)], axis=-1)
-    draws = _values_from_words(dist, words)[:, 0]
+    draws = draw_grid(dist, seed, rng.ROLE_MOMENT, 0, m, 1)[:, 0]
     y = np.abs(draws) ** 2 * log_moment_phi(draws, eta)
     value = float(np.mean(y))
     stderr = float(np.std(y, ddof=1) / math.sqrt(m))

@@ -101,6 +101,8 @@ class ExperimentSpec:
         object.__setattr__(self, "n_values", tuple(_whole("n_values", n) for n in self.n_values))
         if self.trials < 1:
             raise ConfigError(f"trials must be >= 1, got {self.trials}")
+        if len(set(self.n_values)) < len(self.n_values):
+            raise ConfigError(f"n_values must be distinct, got {list(self.n_values)}")
         for name, values in (
             ("z_points", self.z_points), ("thresholds", self.thresholds),
             ("b_exponent", (self.b_exponent,)), ("c_cut", (self.c_cut,)),

@@ -17,7 +17,7 @@ from typing import Sequence
 import numpy as np
 
 from . import rng
-from .ensemble import EnsembleConfig, EntryDistribution, _values_from_words, sample_matrix
+from .ensemble import EnsembleConfig, EntryDistribution, draw_grid, mask_grid, sample_matrix
 from .errors import DomainError, NumericError
 from .linalg import shift, singular_values
 from .parallel import parallel_map
@@ -134,9 +134,7 @@ def concentration_Q(
         return _discrete_concentration(*atoms, eta)
     if eta == 0.0:
         return 0.0
-    keys = rng.grid_keys(seed, rng.ROLE_CONCENTRATION, 0, budget, 1)
-    words = np.stack([rng.word_grid(keys, i) for i in range(dist.words_per_draw)], axis=-1)
-    draws = _values_from_words(dist, words)[:, 0]
+    draws = draw_grid(dist, seed, rng.ROLE_CONCENTRATION, 0, budget, 1)[:, 0]
     if dist.is_complex:
         return _max_ball_fraction_complex(draws, eta, pitch=eta / 4.0)
     draws = np.sort(draws.real)
@@ -192,13 +190,9 @@ def small_ball(
         raise DomainError(f"p_n must lie in (0, 1], got {p_n}")
     x = np.asarray(x)
     n = len(x)
-    keys = rng.grid_keys(seed, rng.ROLE_SMALL_BALL, 0, trials, n)
-    words = np.stack([rng.word_grid(keys, i) for i in range(dist.words_per_draw)], axis=-1)
-    draws = _values_from_words(dist, words)
+    draws = draw_grid(dist, seed, rng.ROLE_SMALL_BALL, 0, trials, n)
     if p_n < 1.0:
-        mask_keys = rng.grid_keys(seed, rng.ROLE_SMALL_BALL, 1, trials, n)
-        mask = rng.uniform_from_words(rng.word_grid(mask_keys, 0)) < p_n
-        draws = np.where(mask, draws, 0.0)
+        draws = np.where(mask_grid(seed, rng.ROLE_SMALL_BALL, 1, trials, n, p_n), draws, 0.0)
     sums = draws @ x
     if np.iscomplexobj(sums) and np.abs(sums.imag).max() > 0:
         return _max_ball_fraction_complex(sums, eta, pitch=eta / 2.0)

@@ -40,7 +40,6 @@ _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
 _GL_NODES8, _GL_WEIGHTS8 = np.polynomial.legendre.leggauss(8)
 _EDGE_LEVELS = 48
 _GRID_HALF = 2048
-_GRID_CHUNK = 128  # upper limits per block in _half_integral_many
 _GRID_LOCK = threading.Lock()  # the first CDF query of a law builds its grid once
 
 
@@ -65,14 +64,18 @@ def support_endpoints(z: complex):
     return x1, math.sqrt(x2_sq)
 
 
-def _polish_roots(coeffs: np.ndarray, roots: np.ndarray, steps: int = 2) -> np.ndarray:
+def _l_roots(x, t: float):
+    """(coefficients, roots) of L(y) for real or complex x: companion-matrix
+    eigenvalues plus three Newton steps."""
+    coeffs = np.array([1.0, -x, 1.0 - t, x * t])
     deriv = np.polyder(coeffs)
-    for _ in range(steps):
+    roots = np.roots(coeffs).astype(np.complex128)
+    for _ in range(3):
         fval = np.polyval(coeffs, roots)
         dval = np.polyval(deriv, roots)
         safe = np.abs(dval) > 0
         roots = np.where(safe, roots - fval / np.where(safe, dval, 1.0), roots)
-    return roots
+    return coeffs, roots
 
 
 def cubic_roots(x: float, z: complex) -> np.ndarray:
@@ -82,9 +85,7 @@ def cubic_roots(x: float, z: complex) -> np.ndarray:
     """
     z = complex(z)
     t = z.real * z.real + z.imag * z.imag
-    coeffs = np.array([1.0, -x, 1.0 - t, x * t])
-    roots = np.roots(coeffs).astype(np.complex128)
-    roots = _polish_roots(coeffs, roots)
+    coeffs, roots = _l_roots(x, t)
     scale = max(1.0, abs(x)) ** 3
     imag_tol = 1e-9 * max(1.0, abs(x))
     complex_mask = np.abs(roots.imag) > imag_tol
@@ -106,16 +107,16 @@ def cubic_roots(x: float, z: complex) -> np.ndarray:
 
 
 def limit_stieltjes(alpha: complex, z: complex) -> complex:
-    """The unique upper-half-plane solution S(alpha, z) of the self-consistent equation."""
+    """The unique upper-half-plane solution S(alpha, z) of the self-consistent equation.
+
+    S = y - alpha, where y is a root of L with x = alpha.
+    """
     alpha = complex(alpha)
     if alpha.imag <= 0:
         raise DomainError("alpha must lie in the upper half-plane")
     z = complex(z)
     t = z.real * z.real + z.imag * z.imag
-    coeffs = np.array(
-        [1.0, 2.0 * alpha, alpha * alpha + 1.0 - t, alpha], dtype=np.complex128
-    )
-    roots = _polish_roots(coeffs, np.roots(coeffs).astype(np.complex128), steps=3)
+    roots = _l_roots(alpha, t)[1] - alpha
     candidates = roots[roots.imag > 1e-12]
     if len(candidates) != 1:
         raise NumericError(
@@ -179,10 +180,6 @@ def _unit_panels(nodes_1d, weights_1d):
 
 _UNIT_NODES16, _UNIT_WEIGHTS16 = _unit_panels(_GL_NODES, _GL_WEIGHTS)
 _UNIT_NODES8, _UNIT_WEIGHTS8 = _unit_panels(_GL_NODES8, _GL_WEIGHTS8)
-# shallower grading for the cumulative grid: the neglected tail below
-# u_max * 2^-24 carries O(u^2) mass, far below the interpolation error
-_GRID_NODES = _UNIT_NODES16[: 24 * 16]
-_GRID_WEIGHTS = _UNIT_WEIGHTS16[: 24 * 16]
 
 
 @dataclass
@@ -214,55 +211,40 @@ class LimitLaw:
     def density(self, x):
         return _sym_density_array(np.asarray(x, dtype=np.float64), self._t)
 
-    def _half_integral(self, edge: float, sign: float, u_max: float, weight_fn=None, order16=True):
-        """int over one half of the support under the substitution x = edge + sign*u^2."""
-        if u_max <= 0:
-            return 0.0
+    def _halves(self):
+        """(edge, sign, u_max) of the lower and upper halves of [lo, x1], split at
+        the midpoint, under the substitution x = edge + sign*u^2."""
+        lo, hi = self.lo, self.x1
+        mid = 0.5 * (lo + hi)
+        return (lo, 1.0, math.sqrt(mid - lo)), (hi, -1.0, math.sqrt(hi - mid))
+
+    def _half_integral(self, edge: float, sign: float, u_max: float, order16=True):
+        """int ln(x) over one half of the support, on the edge-graded panels."""
         if order16:
             nodes, weights = u_max * _UNIT_NODES16, u_max * _UNIT_WEIGHTS16
         else:
             nodes, weights = u_max * _UNIT_NODES8, u_max * _UNIT_WEIGHTS8
         x = edge + sign * nodes * nodes
         g = 2.0 * nodes * self.density(x)
-        if weight_fn is not None:
-            g = g * weight_fn(x)
-        return float(np.dot(weights, g))
+        return float(np.dot(weights, g * np.log(x)))
 
-    def _half_integral_many(self, edge: float, sign: float, u_values: np.ndarray) -> np.ndarray:
-        """Vectorized int_0^{u} g over many upper limits (panels scale with u).
-
-        Rows are reduced independently, so blocking over u_values bounds the
-        temporaries without changing a bit of the result.
-        """
-        out = np.empty(len(u_values))
-        for start in range(0, len(u_values), _GRID_CHUNK):
-            u = u_values[start:start + _GRID_CHUNK, None]
-            nodes = u * _GRID_NODES[None, :]
-            x = edge + sign * nodes * nodes
-            g = 2.0 * nodes * self.density(x.ravel()).reshape(nodes.shape)
-            out[start:start + _GRID_CHUNK] = (u * _GRID_WEIGHTS[None, :] * g).sum(axis=1)
-        return out
+    def _panels(self, edge: float, sign: float, u: np.ndarray) -> np.ndarray:
+        """Mass between neighbouring x = edge + sign*u^2, one Gauss panel per step of u."""
+        half = 0.5 * np.diff(u)
+        nodes = (u[:-1] + half)[:, None] + half[:, None] * _GL_NODES[None, :]
+        g = 2.0 * nodes * self.density(edge + sign * nodes * nodes)
+        return sign * half * (g @ _GL_WEIGHTS)
 
     def _build_grid(self):
-        lo, hi = self.lo, self.x1
-        mid = 0.5 * (lo + hi)
-        u_lo = math.sqrt(mid - lo)
-        u_hi = math.sqrt(hi - mid)
-        mass_lower = self._half_integral(lo, +1.0, u_lo)
-        mass_upper = self._half_integral(hi, -1.0, u_hi)
-        self._mass_pos = mass_lower + mass_upper
-
-        m = _GRID_HALF
-        u1 = np.linspace(0.0, u_lo, m + 1)
-        x_lower = lo + u1 * u1
-        f_lower = self._half_integral_many(lo, +1.0, u1)
-        u2 = np.linspace(u_hi, 0.0, m + 1)
-        x_upper = hi - u2 * u2
-        f_upper = self._mass_pos - self._half_integral_many(hi, -1.0, u2)
-        xs = np.concatenate([x_lower, x_upper[1:]])
-        fs = np.concatenate([f_lower, f_upper[1:]])
-        fs = np.maximum.accumulate(fs)
-        self._grid_x = xs
+        """Cumulative mass at 2 * _GRID_HALF + 1 points of [lo, x1]: the u-steps of
+        each half are equal, so the points crowd towards the edges."""
+        (lo, _, u_lo), (hi, _, u_hi) = self._halves()
+        u_lower = np.linspace(0.0, u_lo, _GRID_HALF + 1)
+        u_upper = np.linspace(u_hi, 0.0, _GRID_HALF + 1)
+        panels = np.concatenate([self._panels(lo, 1.0, u_lower), self._panels(hi, -1.0, u_upper)])
+        fs = np.maximum.accumulate(np.concatenate([[0.0], np.cumsum(panels)]))
+        self._grid_x = np.concatenate([lo + u_lower * u_lower, hi - u_upper[1:] * u_upper[1:]])
+        self._mass_pos = float(fs[-1])
         self._grid_f = fs
 
     def _ensure_grid(self):
@@ -292,15 +274,10 @@ class LimitLaw:
 
     def log_moment(self) -> float:
         """-Int ln|x| d(symmetrized law), with an internal quadrature error estimate."""
-        lo, hi = self.lo, self.x1
-        mid = 0.5 * (lo + hi)
-        u_lo = math.sqrt(mid - lo)
-        u_hi = math.sqrt(hi - mid)
-        val16 = self._half_integral(lo, +1.0, u_lo, np.log) + self._half_integral(
-            hi, -1.0, u_hi, np.log
-        )
-        val8 = self._half_integral(lo, +1.0, u_lo, np.log, order16=False) + (
-            self._half_integral(hi, -1.0, u_hi, np.log, order16=False)
+        lower, upper = self._halves()
+        val16 = self._half_integral(*lower) + self._half_integral(*upper)
+        val8 = self._half_integral(*lower, order16=False) + self._half_integral(
+            *upper, order16=False
         )
         err = 2.0 * abs(val16 - val8)
         if err > 1e-4:

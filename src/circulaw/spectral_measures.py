@@ -110,20 +110,12 @@ def symmetrize(f: EmpiricalCDF) -> EmpiricalCDF:
     """Push forward to +-sqrt(x) with half weight on each sign (atom at 0 stays)."""
     if f.xs[0] < 0:
         raise DomainError("symmetrize requires support on [0, inf)")
-    xs, ws = [], []
     roots = np.sqrt(f.xs)
-    for root, w in zip(roots[::-1], f.ws[::-1]):
-        if root > 0:
-            xs.append(-root)
-            ws.append(0.5 * w)
-    for root, w in zip(roots, f.ws):
-        if root == 0.0:
-            xs.append(0.0)
-            ws.append(w)
-        else:
-            xs.append(root)
-            ws.append(0.5 * w)
-    return EmpiricalCDF(np.array(xs), np.array(ws))
+    pos = roots > 0
+    half = 0.5 * f.ws
+    xs = np.concatenate([-roots[pos][::-1], np.where(pos, roots, 0.0)])
+    ws = np.concatenate([half[pos][::-1], np.where(pos, half, f.ws)])
+    return EmpiricalCDF(xs, ws)
 
 
 def stieltjes_empirical(spectrum: SingularSpectrum, alpha: complex) -> complex:

@@ -331,6 +331,7 @@ class TestSpecValidation:
             _spec_dict("SvLaw", z_points=[math.nan]),
             _spec_dict("SvLaw", z_points=["0.5+infi"]),
             _spec_dict("SvLaw", z_points=["0.5+0i"], n_values=[8, 12.5]),
+            _spec_dict("SvLaw", z_points=["0.5+0i"], n_values=[8, 8]),
             _spec_dict("MaxSv", trials=2.7),
             _spec_dict("MaxSv", trials=math.nan),
             _spec_dict("MaxSv", trials="50"),
@@ -338,6 +339,7 @@ class TestSpecValidation:
         ids=[
             "R-nan", "q-inf", "thresholds-nan", "thresholds-inf", "thresholds-missing",
             "c_cut-nan", "b_exponent-nan", "r-inf", "z-nan", "z-inf", "n_values-fraction",
+            "n_values-repeated",
             "trials-fraction", "trials-nan", "trials-string",
         ],
     )

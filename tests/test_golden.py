@@ -45,16 +45,16 @@ SPECS = {
 REPORT_DIGESTS = {
     ("CircularLaw", "csv"): "58c86b17e533b110f79521b38ab7b2e91717bc93e99ea66144216a93dfa56694",
     ("CircularLaw", "json"): "b72275ee0adff133703785a51820ca55488f3f1fe5d95bfe373ca5e4c044ef19",
-    ("SvLaw", "csv"): "9f229b40f443cd86da259917fb20833a42a31e3f6684aafea8aaadeb92b3e311",
-    ("SvLaw", "json"): "6aa2405b61c24b65dada841a1299b49da80ac61f676a30c6e31284f92dfe9a99",
+    ("SvLaw", "csv"): "7e19cc7914ac0676d1390acad1f9da660e1655967f72bab4b50a7c4a4f2b876d",
+    ("SvLaw", "json"): "bd73fc941a6b9eff5f6a39475882c65a285895a6c18197578cdff8015404f6c2",
     ("Potential", "csv"): "9778c138bf6a92a84cab19b8daac92ab5f298e73e51ea98c3e05e6d217761310",
     ("Potential", "json"): "c74d0d232704a174d0980d4b91b7770b6f33490a647a8a83ae7cc7d3e3dcc734",
     ("MinSv", "csv"): "78176a080488a5c95f49dc51610fc700fb8cef711fa634b150938ef2369d736c",
     ("MinSv", "json"): "f91f81468fcca0d5a872d20f3ec5566de27d5d341c9f35e8656bc96fb6da1507",
     ("MaxSv", "csv"): "488a86f038eb62268da27902abb646de8e662aaf929c9b4bc0e75ea0489b6acd",
     ("MaxSv", "json"): "f6c85063c7b38623131dfcfa7d984a57fe071aa30da00c69eccd500097ed338b",
-    ("TailIndex", "csv"): "d3b5aea11dcaefc3440cc0ec5cc0feaa56a7e4fc8a43c3dc5983fff86494a64c",
-    ("TailIndex", "json"): "b3b9ab4695586a760526ed6b97a31cd1d561a60c5284c2ada81b5f0d44387169",
+    ("TailIndex", "csv"): "e6f7562b80eec4c1456ff8b5fac0abeb49a8a674caca51fe142d46dc19dd46a2",
+    ("TailIndex", "json"): "57d3826e83592f1c966d05762ef15908555e17a44c48fd40eaa8c18647443683",
 }
 
 CLI_ARGS = {
@@ -65,8 +65,8 @@ CLI_ARGS = {
 }
 
 CLI_DIGESTS = {
-    ("svlaw", "csv"): "64a4292094b19a4cf0fb94410516b22b7d366b9514a376951ffe3fdbebe45f6a",
-    ("svlaw", "json"): "63f4033437f42f9ee0e469ce57e545dd8a78d3a9c658ef59d7babadc2a5cfa88",
+    ("svlaw", "csv"): "00147bd664abc6e8fa1035cd82878cfb67375de36ddebff07f51401a9041f595",
+    ("svlaw", "json"): "111bc364529555a3b40bfa0360d51a54ed820fe249198c9ec309ea1f3e115ed9",
     ("potential", "csv"): "4116e46663e34da248208c1819f3032e2ae5df6c05e2835a61b0fd1b3adda6a3",
     ("potential", "json"): "db32cf64d3bb9f3aed246439524ae419d40a5dbe3a2f8947d16a6805fbe79b8d",
     ("minsv", "csv"): "fd6b986d7050908be49bfe1895484ddabf307cfdd9c7ce30d6dbe7192812daa2",
@@ -78,7 +78,7 @@ TABLE_DIGESTS = {
     "esd": "39256914567ce388d448a6774f2f89f8bb04015555ccce80e18fbdcf3c2a10da",
     "empirical_cdf": "aaeb32b5bce8de8a962a62c482e78986c809985641332270c3a5ec4ac73c25f9",
     "tail_table": "30d3feeb94af7c62ed9cbe7866425caa8e2eb651ad47a58c31ed5e76f9ec798f",
-    "tabulation": "2a2f4e279b2b8b8674e5f5de1623f124611f8c0d811a9744459f828d1c0120cf",
+    "tabulation": "361a113176272d0285f01d665b6eaaeaac973e9126d800177a63be157c359b20",
 }
 
 

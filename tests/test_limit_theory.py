@@ -223,6 +223,15 @@ class TestLimitCdf:
         assert abs(ours - oracle) <= 1e-4
         assert oracle == pytest.approx(0.65278, abs=2e-3)
 
+    def test_z0_grid_matches_closed_form_semicircle_cdf(self):
+        # mass of the radius-2 semicircle on [0, x]
+        law = LimitLaw.for_shift(0j)
+        law._build_grid()
+        x = law._grid_x
+        exact = (0.5 * x * np.sqrt(np.maximum(4.0 - x * x, 0.0))
+                 + 2.0 * np.arcsin(np.minimum(0.5 * x, 1.0))) / (2.0 * math.pi)
+        assert np.abs(law._grid_f - exact).max() <= 1e-11
+
     def test_normalization_across_shifts(self):
         for az in (0.0, 0.5, 1.0, 1.5, 3.0):
             law = law_for_shift(complex(az, 0))
@@ -312,14 +321,12 @@ class TestLazyGrid:
             law = law_for_shift(z)
             assert law._grid_x is None and law._grid_f is None
 
-    def test_first_cdf_query_matches_an_eager_unchunked_grid(self, monkeypatch):
+    def test_first_cdf_query_matches_an_eager_unchunked_grid(self):
         for z in self.SHIFTS:
             lazy = LimitLaw.for_shift(z)
             lazy.cdf_squared(0.5)
-            with monkeypatch.context() as m:
-                m.setattr(limit_theory, "_GRID_CHUNK", 1 << 20)
-                eager = LimitLaw.for_shift(z)
-                eager._build_grid()
+            eager = LimitLaw.for_shift(z)
+            eager._build_grid()
             assert np.array_equal(lazy._grid_x, eager._grid_x)
             assert np.array_equal(lazy._grid_f, eager._grid_f)
             assert lazy._mass_pos == eager._mass_pos
