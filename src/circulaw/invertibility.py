@@ -4,8 +4,9 @@ Unit vectors split into sparse / compressible / incompressible by their exact
 Euclidean distance to the set of delta*n-sparse vectors (the minimizing
 support is the top coordinates by magnitude, so the distance is just the tail
 norm). Incompressible vectors carry a spread set of moderate coordinates.
-Concentration functions are computed exactly for atomic laws and estimated by
-sliding-window scans for continuous ones.
+Concentration functions are exact for atomic laws. For samples they take the
+largest fraction in one closed ball: an exact sliding window on the line, and
+centers on a hexagonal lattice of pitch eta/4 in the plane.
 """
 
 from __future__ import annotations
@@ -124,55 +125,60 @@ def concentration_Q(
 ) -> float:
     """sup over centers u of P(|X - u| <= eta) for one entry law.
 
-    Atomic laws are exact; continuous laws use a Monte Carlo sample with a
-    center grid of pitch eta/4 across the sample range.
+    Atomic laws are exact; continuous laws apply `_max_ball_fraction` to a
+    Monte Carlo sample of `budget` draws.
     """
-    if eta < 0:
-        raise DomainError(f"eta must be >= 0, got {eta}")
+    if not 0.0 <= eta < math.inf:
+        raise DomainError(f"eta must be finite and >= 0, got {eta}")
+    if budget < 10_000:
+        raise DomainError(f"need a budget of at least 10^4 draws, got {budget}")
     atoms = dist.atoms()
     if atoms is not None:
         return _discrete_concentration(*atoms, eta)
     if eta == 0.0:
         return 0.0
     draws = draw_grid(dist, seed, rng.ROLE_CONCENTRATION, 0, budget, 1)[:, 0]
-    if dist.is_complex:
-        return _max_ball_fraction_complex(draws, eta, pitch=eta / 4.0)
-    draws = np.sort(draws.real)
-    centers = np.arange(draws[0], draws[-1] + eta / 4.0, eta / 4.0)
-    hi = np.searchsorted(draws, centers + eta, side="right")
-    lo = np.searchsorted(draws, centers - eta, side="left")
-    return float((hi - lo).max()) / budget
+    return _max_ball_fraction(draws, eta)
 
 
-def _max_ball_fraction_complex(samples: np.ndarray, eta: float, pitch: float) -> float:
-    """Max fraction of samples in a closed eta-ball centered on a pitch-spaced
-    hexagonal lattice, restricted to lattice points near at least one sample."""
+def _max_ball_fraction(samples: np.ndarray, eta: float) -> float:
+    """Largest fraction of the samples in one closed eta-ball.
+
+    Exact on the line: an optimal interval [x, x + 2 eta] slides right until it
+    starts at a sample. In the plane the centers are the hexagonal lattice of
+    pitch eta/4: each lattice point within eta of a sample is within 5 rows and
+    5 columns of its nearest one, and hits are counted per lattice point.
+    """
+    if not samples.imag.any():
+        x = np.sort(samples.real)
+        hi = np.searchsorted(x, x + 2.0 * eta, side="right")
+        return float((hi - np.arange(len(x))).max()) / len(x)
+    pitch = eta / 4.0
     dy = pitch * math.sqrt(3.0) / 2.0
     re, im = samples.real, samples.imag
-    reach = int(math.ceil((eta + pitch) / pitch))
-    cells = set()
-    rows = np.round(im / dy).astype(int)
+    reach = 5
+    nearest_row = np.round(im / dy).astype(np.int64)
+    row_lo = int(nearest_row.min()) - reach
+    col_lo = math.floor(re.min() / pitch) - reach - 1
+    width = math.ceil(re.max() / pitch) + reach + 2 - col_lo
+    if (int(nearest_row.max()) + reach + 1 - row_lo) * width >= 2**63:
+        raise DomainError(f"eta = {eta} is too small for samples spread this far")
+    keys, counts = np.empty(0, dtype=np.int64), np.empty(0)
     for drow in range(-reach, reach + 1):
-        row = rows + drow
-        offset = 0.5 * (np.abs(row) % 2)
-        cols = np.round(re / pitch - offset).astype(int)
+        row = nearest_row + drow
+        odd = np.abs(row) % 2
+        d_im = im - row * dy
+        nearest_col = np.round(re / pitch - 0.5 * odd).astype(np.int64)
+        found = [(keys, counts)]
         for dcol in range(-reach, reach + 1):
-            cells.update(zip(row.tolist(), (cols + dcol).tolist()))
-    order = np.argsort(re)
-    re_sorted, im_sorted = re[order], im[order]
-    best = 0
-    for row, col in cells:
-        cy = row * dy
-        cx = (col + 0.5 * (abs(row) % 2)) * pitch
-        lo = np.searchsorted(re_sorted, cx - eta, side="left")
-        hi = np.searchsorted(re_sorted, cx + eta, side="right")
-        if hi - lo <= best:
-            continue
-        slab_re = re_sorted[lo:hi] - cx
-        slab_im = im_sorted[lo:hi] - cy
-        count = int(np.sum(slab_re * slab_re + slab_im * slab_im <= eta * eta + 1e-300))
-        best = max(best, count)
-    return best / len(samples)
+            col = nearest_col + dcol
+            d_re = re - (col + 0.5 * odd) * pitch
+            inside = d_re * d_re + d_im * d_im <= eta * eta + 1e-300
+            hits = (row[inside] - row_lo) * width + (col[inside] - col_lo)
+            found.append(np.unique(hits, return_counts=True))
+        keys, inverse = np.unique(np.concatenate([k for k, _ in found]), return_inverse=True)
+        counts = np.bincount(inverse, np.concatenate([c for _, c in found]), len(keys))
+    return float(counts.max()) / len(samples)
 
 
 def small_ball(
@@ -188,20 +194,14 @@ def small_ball(
         raise DomainError(f"need at least 10^4 trials, got {trials}")
     if not (0.0 < p_n <= 1.0):
         raise DomainError(f"p_n must lie in (0, 1], got {p_n}")
+    if not 0.0 <= eta < math.inf:
+        raise DomainError(f"eta must be finite and >= 0, got {eta}")
     x = np.asarray(x)
     n = len(x)
     draws = draw_grid(dist, seed, rng.ROLE_SMALL_BALL, 0, trials, n)
     if p_n < 1.0:
         draws = np.where(mask_grid(seed, rng.ROLE_SMALL_BALL, 1, trials, n, p_n), draws, 0.0)
-    sums = draws @ x
-    if np.iscomplexobj(sums) and np.abs(sums.imag).max() > 0:
-        return _max_ball_fraction_complex(sums, eta, pitch=eta / 2.0)
-    sums = np.sort(sums.real)
-    if sums[-1] - sums[0] <= 2.0 * eta:
-        return 1.0
-    hi = np.searchsorted(sums, sums + 2.0 * eta, side="right")
-    best = int((hi - np.arange(trials)).max())
-    return best / trials
+    return _max_ball_fraction(draws @ x, eta)
 
 
 def min_sv_tail(

@@ -46,12 +46,8 @@ class EmpiricalCDF:
             weights = np.full(len(values), 1.0 / len(values))
         else:
             weights = np.asarray(weights, dtype=np.float64).ravel()
-        order = np.argsort(values, kind="stable")
-        xs, ws = values[order], weights[order]
-        uniq, inverse = np.unique(xs, return_inverse=True)
-        merged = np.zeros(len(uniq))
-        np.add.at(merged, inverse, ws)
-        return cls(uniq, merged)
+        uniq, inverse = np.unique(values, return_inverse=True)
+        return cls(uniq, np.bincount(inverse, weights, minlength=len(uniq)))
 
     def evaluate(self, x):
         """Right-continuous CDF value(s) P[X <= x]."""

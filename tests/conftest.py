@@ -3,6 +3,15 @@ import math
 import numpy as np
 import pytest
 
+try:
+    from hypothesis import settings
+except ImportError:
+    pass
+else:
+    # property tests draw the same examples on every run and keep no example database
+    settings.register_profile("circulaw", derandomize=True, database=None)
+    settings.load_profile("circulaw")
+
 
 def two_sample_ks(a, b) -> float:
     """Two-sample Kolmogorov statistic, evaluated over the pooled points."""

@@ -6,6 +6,7 @@ import pytest
 
 from circulaw import DomainError, EnsembleConfig, EntryDistribution
 from circulaw.invertibility import (
+    _max_ball_fraction,
     classify_vector,
     concentration_Q,
     largest_sv_tail,
@@ -153,6 +154,21 @@ class TestConcentrationQ:
         assert concentration_Q(d, 0.5) == 0.25  # atoms are sqrt(2) apart
         assert concentration_Q(d, 1.0) == 1.0  # origin covers all four
 
+    @pytest.mark.parametrize(
+        "dist,eta,budget",
+        [
+            (GAUSS, math.nan, 100_000),
+            (GAUSS, math.inf, 100_000),
+            (GAUSS, -0.1, 100_000),
+            (RADEMACHER, math.nan, 100_000),
+            (GAUSS, 0.5, 0),
+            (GAUSS, 0.5, 9_999),
+        ],
+    )
+    def test_invalid_eta_and_budget_rejected(self, dist, eta, budget):
+        with pytest.raises(DomainError):
+            concentration_Q(dist, eta, budget=budget)
+
 
 class TestSmallBall:
     def test_binomial_oracle(self):
@@ -194,6 +210,11 @@ class TestSmallBall:
         with pytest.raises(DomainError):
             small_ball(np.ones(4) / 2.0, GAUSS, 1.0, 0.1, trials=100)
 
+    @pytest.mark.parametrize("eta", [-0.1, math.nan, math.inf])
+    def test_invalid_eta_rejected(self, eta):
+        with pytest.raises(DomainError):
+            small_ball(np.ones(4) / 2.0, GAUSS, 1.0, eta, trials=10_000)
+
     @pytest.mark.parametrize("dist", SHIPPED, ids=lambda d: d.tag)
     def test_incompressible_vectors_spread_mass(self, oracle_rng, dist):
         # weighted sums over incompressible directions cannot concentrate:
@@ -204,6 +225,78 @@ class TestSmallBall:
         assert classify_vector(x, delta, rho).tag == "Incompressible"
         eta = eta0 * rho / math.sqrt(2 * n)
         assert small_ball(x, dist, 0.5, eta, trials=20_000) <= 0.95
+
+
+def lattice_oracle(samples, eta):
+    """Best closed eta-ball over every point of the pitch eta/4 hexagonal
+    lattice in the samples' bounding box, by broadcasting all distances."""
+    pitch = eta / 4.0
+    dy = pitch * math.sqrt(3.0) / 2.0
+    re, im = samples.real, samples.imag
+    rows = np.arange(math.floor((im.min() - eta) / dy) - 1, math.ceil((im.max() + eta) / dy) + 2)
+    cols = np.arange(math.floor((re.min() - eta) / pitch) - 2, math.ceil((re.max() + eta) / pitch) + 2)
+    row, col = np.meshgrid(rows, cols, indexing="ij")
+    cx = ((col + 0.5 * (np.abs(row) % 2)) * pitch).ravel()
+    cy = (row * dy).ravel()
+    d_re = re[None, :] - cx[:, None]
+    d_im = im[None, :] - cy[:, None]
+    inside = d_re * d_re + d_im * d_im <= eta * eta + 1e-300
+    return inside.sum(axis=1).max() / len(samples)
+
+
+def window_oracle(samples, eta):
+    """Best interval [x_i, x_i + 2 eta] anchored at a sample, O(N^2)."""
+    x = np.asarray(samples, dtype=np.float64)
+    inside = (x[None, :] >= x[:, None]) & (x[None, :] <= x[:, None] + 2.0 * eta)
+    return inside.sum(axis=1).max() / len(x)
+
+
+class TestMaxBallFraction:
+    def test_plane_matches_lattice_oracle(self, oracle_rng):
+        for trial in range(150):
+            m = int(oracle_rng.integers(1, 30))
+            eta = float(oracle_rng.choice([0.1, 0.3, 1.0]))
+            if trial % 3 == 0:
+                samples = 2.0 * eta * (oracle_rng.normal(size=m) + 1j * oracle_rng.normal(size=m))
+            elif trial % 3 == 1:
+                # samples on lattice points and exactly eta away from them: ties
+                pitch = eta / 4.0
+                r = oracle_rng.integers(-8, 8, m)
+                c = oracle_rng.integers(-8, 8, m)
+                samples = (c + 0.5 * (np.abs(r) % 2)) * pitch + 1j * r * pitch * math.sqrt(3.0) / 2.0
+                turn = oracle_rng.choice([0.0, 0.5 * math.pi, math.pi], m)
+                samples = samples + eta * np.exp(1j * turn) * oracle_rng.integers(0, 2, m)
+            else:
+                # heavy duplicates on a coarse grid
+                samples = (oracle_rng.integers(-3, 3, m) + 1j * oracle_rng.integers(-3, 3, m)) * eta
+                samples = samples + 0.5j * eta
+            samples = np.asarray(samples, dtype=complex)
+            assert _max_ball_fraction(samples, eta) == lattice_oracle(samples, eta)
+
+    def test_line_matches_window_oracle(self, oracle_rng):
+        for trial in range(300):
+            m = int(oracle_rng.integers(1, 60))
+            eta = float(oracle_rng.choice([0.01, 0.1, 0.5, 2.0]))
+            if trial % 2:
+                samples = oracle_rng.integers(-10, 10, m) * eta  # endpoints land on samples
+            else:
+                samples = oracle_rng.normal(size=m)
+            assert _max_ball_fraction(samples, eta) == window_oracle(samples, eta)
+            # complex input with a zero imaginary part takes the same path
+            assert _max_ball_fraction(samples + 0j, eta) == window_oracle(samples, eta)
+
+    def test_lattice_too_fine_for_the_spread_is_rejected(self):
+        # 4e13 columns by 5e13 rows: lattice keys would not fit in int64
+        with pytest.raises(DomainError):
+            _max_ball_fraction(np.array([0.0, 1e6 + 1e6j]), 1e-7)
+
+    def test_line_never_below_a_center_grid(self, oracle_rng):
+        x = np.sort(oracle_rng.normal(size=2_000))
+        for eta in (0.05, 0.2, 0.5):
+            centers = np.arange(x[0], x[-1] + eta / 4.0, eta / 4.0)
+            hi = np.searchsorted(x, centers + eta, side="right")
+            lo = np.searchsorted(x, centers - eta, side="left")
+            assert _max_ball_fraction(x, eta) >= (hi - lo).max() / len(x)
 
 
 class TestMinSvTail:
