@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Optional
 
@@ -33,6 +34,36 @@ _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 _TWO_PI = 2.0 * math.pi
 
 
+def _whole(name: str, value) -> int:
+    """`value` as an int; fractions, non-finite floats and non-numbers are errors."""
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ConfigError(f"{name} must be a whole number, got {value!r}")
+    return int(value)
+
+
+def _real(name: str, value) -> float:
+    """`value` as a finite float; bool, None, strings and NaN/inf are errors."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ConfigError(f"{name} must be a number, got {value!r}")
+    if not math.isfinite(value):
+        raise ConfigError(f"{name} must be finite, got {value!r}")
+    return float(value)
+
+
+def _json_object(what: str, d, required, optional=()):
+    """Raise unless `d` is a JSON object with every `required` key and no others but `optional`."""
+    if not isinstance(d, dict):
+        raise ConfigError(f"{what} must be a JSON object, got {d!r}")
+    unknown = set(d) - set(required) - set(optional)
+    if unknown:
+        raise ConfigError(f"unknown {what} fields: {sorted(unknown)}")
+    missing = set(required) - set(d)
+    if missing:
+        raise ConfigError(f"{what} missing fields: {sorted(missing)}")
+
+
 @dataclass(frozen=True)
 class EntryDistribution:
     """One mean-0, variance-1 entry law.
@@ -50,8 +81,8 @@ class EntryDistribution:
         if self.tag not in DIST_TAGS:
             raise ConfigError(f"unknown entry distribution tag {self.tag!r}")
         if self.tag == "TwoPoint":
-            if self.a is None or self.p is None:
-                raise ConfigError("TwoPoint requires parameters a and p")
+            object.__setattr__(self, "a", _real("TwoPoint parameter a", self.a))
+            object.__setattr__(self, "p", _real("TwoPoint parameter p", self.p))
             if not (0.0 < self.p < 1.0) or self.a <= 0.0:
                 raise ConfigError("TwoPoint requires a > 0 and 0 < p < 1")
             variance = self.a * self.a * self.p / (1.0 - self.p)
@@ -90,14 +121,10 @@ class EntryDistribution:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "EntryDistribution":
-        if not isinstance(d, dict) or set(d) - {"tag", "params"}:
-            raise ConfigError(f"invalid distribution object: {d!r}")
-        if "tag" not in d:
-            raise ConfigError("distribution object missing 'tag'")
-        params = d.get("params", {}) or {}
-        if set(params) - {"a", "p"}:
-            raise ConfigError(f"unknown distribution parameters: {sorted(params)}")
-        return cls(d["tag"], a=params.get("a"), p=params.get("p"))
+        _json_object("distribution object", d, ("tag",), ("params",))
+        params = d.get("params") or {}
+        _json_object("distribution params", params, (), ("a", "p"))
+        return cls(d["tag"], **params)
 
 
 @dataclass(frozen=True)
@@ -111,6 +138,11 @@ class EnsembleConfig:
     theta: Optional[float] = None
 
     def __post_init__(self):
+        object.__setattr__(self, "n", _whole("n", self.n))
+        object.__setattr__(self, "p_n", _real("p_n", self.p_n))
+        object.__setattr__(self, "master_seed", _whole("master_seed", self.master_seed))
+        if self.theta is not None:
+            object.__setattr__(self, "theta", _real("theta", self.theta))
         if self.n < 1:
             raise ConfigError(f"n must be >= 1, got {self.n}")
         if not (0.0 < self.p_n <= 1.0):
@@ -144,22 +176,8 @@ class EnsembleConfig:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "EnsembleConfig":
-        allowed = {"n", "p_n", "dist", "master_seed", "theta"}
-        if not isinstance(d, dict):
-            raise ConfigError("ensemble config must be a JSON object")
-        unknown = set(d) - allowed
-        if unknown:
-            raise ConfigError(f"unknown ensemble config fields: {sorted(unknown)}")
-        missing = {"n", "p_n", "dist", "master_seed"} - set(d)
-        if missing:
-            raise ConfigError(f"ensemble config missing fields: {sorted(missing)}")
-        return cls(
-            int(d["n"]),
-            float(d["p_n"]),
-            EntryDistribution.from_json_dict(d["dist"]),
-            int(d["master_seed"]),
-            theta=None if d.get("theta") is None else float(d["theta"]),
-        )
+        _json_object("ensemble config", d, ("n", "p_n", "dist", "master_seed"), ("theta",))
+        return cls(**dict(d, dist=EntryDistribution.from_json_dict(d["dist"])))
 
     def to_json(self) -> str:
         return json.dumps(self.to_json_dict(), sort_keys=True)

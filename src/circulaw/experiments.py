@@ -14,13 +14,14 @@ import json
 import math
 import numbers
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import MISSING, dataclass, field, fields, replace
 from typing import List, Sequence
 
 import numpy as np
 
 from . import __version__
 from .ensemble import EnsembleConfig, sample_matrix, smoothing_shift, smoothing_stream
+from .ensemble import _json_object, _real, _whole
 from .errors import ConfigError, EstimationError, NumericError
 from .invertibility import largest_sv_tail, min_sv_tail
 from .limit_theory import disc_potential, law_for_shift, potential_from_law
@@ -33,9 +34,6 @@ from .spectral_measures import (
     radial_angular_cdfs,
 )
 from .textio import csv_text, format_value, stable_dumps, write_text
-
-KINDS = ("CircularLaw", "SvLaw", "Potential", "MinSv", "MaxSv", "TailIndex")
-
 
 def format_complex(z: complex) -> str:
     """Shell-safe a+bi form with no spaces."""
@@ -68,13 +66,28 @@ def parse_complex(text: str) -> complex:
         raise ConfigError(f"cannot parse complex literal {text!r}") from exc
 
 
-def _whole(name: str, value) -> int:
-    """`value` as an int; fractions, non-finite floats and non-numbers are errors."""
-    if isinstance(value, float) and value.is_integer():
-        return int(value)
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise ConfigError(f"{name} must be a whole number, got {value!r}")
-    return int(value)
+def _point(name: str, z) -> complex:
+    """One z point: an 'a+bi' literal or a JSON number, finite."""
+    z = parse_complex(z) if isinstance(z, str) else z
+    if isinstance(z, bool) or not isinstance(z, numbers.Complex) or not cmath.isfinite(z):
+        raise ConfigError(f"{name} must be finite numbers or 'a+bi' literals, got {z!r}")
+    return complex(z)
+
+
+def _each(name: str, values, convert) -> tuple:
+    if not isinstance(values, (list, tuple)):
+        raise ConfigError(f"{name} must be a list, got {values!r}")
+    return tuple(convert(name, v) for v in values)
+
+
+_READS = {  # the optional fields each kind reads besides `out`; the rest keep their defaults
+    "CircularLaw": (), "SvLaw": ("z_points", "n_values"),
+    "Potential": ("z_points", "r", "b_exponent", "c_cut"),
+    "MinSv": ("z_points", "thresholds", "n_values"), "MaxSv": ("n_values",),
+    "TailIndex": ("q", "big_r"),
+}
+KINDS = tuple(_READS)
+_JSON_KEY = {"big_r": "R"}  # JSON key of a field, where it differs from the name
 
 
 @dataclass(frozen=True)
@@ -97,85 +110,56 @@ class ExperimentSpec:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ConfigError(f"unknown experiment kind {self.kind!r}")
-        object.__setattr__(self, "trials", _whole("trials", self.trials))
-        object.__setattr__(self, "n_values", tuple(_whole("n_values", n) for n in self.n_values))
+        for name, value in (
+            ("trials", _whole("trials", self.trials)),
+            ("z_points", _each("z_points", self.z_points, _point)),
+            ("thresholds", _each("thresholds", self.thresholds, _real)),
+            ("n_values", _each("n_values", self.n_values, _whole)),
+            ("r", self.r if self.r == "auto" else _real("r", self.r)),
+            ("b_exponent", _real("b_exponent", self.b_exponent)),
+            ("c_cut", _real("c_cut", self.c_cut)),
+            ("q", _real("q", self.q)),
+            ("big_r", _real("R", self.big_r)),
+        ):
+            object.__setattr__(self, name, value)
+        if not isinstance(self.out, str):
+            raise ConfigError(f"out must be a string, got {self.out!r}")
+        for f in fields(self):
+            unread = f.default is not MISSING and f.name not in _READS[self.kind] + ("out",)
+            if unread and getattr(self, f.name) != f.default:
+                raise ConfigError(f"{self.kind} does not read {_JSON_KEY.get(f.name, f.name)}")
         if self.trials < 1:
             raise ConfigError(f"trials must be >= 1, got {self.trials}")
         if len(set(self.n_values)) < len(self.n_values):
             raise ConfigError(f"n_values must be distinct, got {list(self.n_values)}")
-        for name, values in (
-            ("z_points", self.z_points), ("thresholds", self.thresholds),
-            ("b_exponent", (self.b_exponent,)), ("c_cut", (self.c_cut,)),
-            ("q", (self.q,)), ("R", (self.big_r,)),
-        ):
-            if not all(cmath.isfinite(v) for v in values):
-                raise ConfigError(f"{name} must be finite, got {values!r}")
-        if self.kind in ("SvLaw", "Potential", "MinSv") and not self.z_points:
+        if "z_points" in _READS[self.kind] and not self.z_points:
             raise ConfigError(f"{self.kind} requires at least one z point")
         if self.kind == "MinSv" and not self.thresholds:
             raise ConfigError("MinSv requires thresholds")
-        if self.r != "auto" and not (isinstance(self.r, (int, float)) and 0 <= self.r < math.inf):
+        if self.r != "auto" and self.r < 0:
             raise ConfigError(f"r must be a nonnegative number or 'auto', got {self.r!r}")
-        if self.kind == "TailIndex" and self.q <= 6:
+        if self.q <= 6:
             raise ConfigError(f"TailIndex requires q > 6, got {self.q}")
-        if self.kind == "TailIndex" and self.big_r <= 0:
+        if self.big_r <= 0:
             raise ConfigError(f"TailIndex requires R > 0, got {self.big_r}")
 
     def resolve_r(self, config: EnsembleConfig) -> float:
         if self.r == "auto":
             return 1.0 / math.sqrt(config.n * config.p_n)
-        return float(self.r)
+        return self.r
 
     def to_json_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "ensemble": self.ensemble.to_json_dict(),
-            "trials": self.trials,
-            "z_points": [format_complex(z) for z in self.z_points],
-            "r": self.r,
-            "thresholds": list(self.thresholds),
-            "n_values": list(self.n_values),
-            "b_exponent": self.b_exponent,
-            "c_cut": self.c_cut,
-            "q": self.q,
-            "R": self.big_r,
-            "out": self.out,
-        }
+        d = {_JSON_KEY.get(f.name, f.name): getattr(self, f.name) for f in fields(self)}
+        d.update(ensemble=self.ensemble.to_json_dict(), thresholds=list(self.thresholds),
+                 z_points=[format_complex(z) for z in self.z_points], n_values=list(self.n_values))
+        return d
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "ExperimentSpec":
-        allowed = {
-            "kind", "ensemble", "trials", "z_points", "r", "thresholds",
-            "n_values", "b_exponent", "c_cut", "q", "R", "out",
-        }
-        if not isinstance(d, dict):
-            raise ConfigError("experiment spec must be a JSON object")
-        unknown = set(d) - allowed
-        if unknown:
-            raise ConfigError(f"unknown experiment spec fields: {sorted(unknown)}")
-        if "kind" not in d or "ensemble" not in d or "trials" not in d:
-            raise ConfigError("experiment spec needs kind, ensemble and trials")
-        z_points = tuple(
-            parse_complex(z) if isinstance(z, str) else complex(z)
-            for z in d.get("z_points", [])
-        )
-        r = d.get("r", 0.0)
-        if isinstance(r, str) and r != "auto":
-            raise ConfigError(f"r must be a number or 'auto', got {r!r}")
-        return cls(
-            kind=d["kind"],
-            ensemble=EnsembleConfig.from_json_dict(d["ensemble"]),
-            trials=d["trials"],
-            z_points=z_points,
-            r=r,
-            thresholds=tuple(float(t) for t in d.get("thresholds", [])),
-            n_values=tuple(d.get("n_values", [])),
-            b_exponent=float(d.get("b_exponent", 3.0)),
-            c_cut=float(d.get("c_cut", 1.0)),
-            q=float(d.get("q", 18.0)),
-            big_r=float(d.get("R", 3.0)),
-            out=str(d.get("out", "")),
-        )
+        names = {_JSON_KEY.get(f.name, f.name): f.name for f in fields(cls)}
+        _json_object("experiment spec", d, ("kind", "ensemble", "trials"), names)
+        args = {names[key]: value for key, value in d.items()}
+        return cls(**dict(args, ensemble=EnsembleConfig.from_json_dict(d["ensemble"])))
 
     @classmethod
     def from_json(cls, text: str) -> "ExperimentSpec":
@@ -431,19 +415,19 @@ def tail_index_check(spec: ExperimentSpec, report: ExperimentReport) -> None:
     k1 comes from tail_eigenvalue_index at the sv-law distance Delta_n
     measured at the reference shift z = 0."""
     cfg = spec.ensemble
-    n = cfg.n
-    law = law_for_shift(0j)
-    pooled = _pooled_sv_cdf(cfg, 0j, spec.trials)
-    delta = ks_distance(pooled, law.cdf_squared)
-    k1, k1_eff, clamped = tail_eigenvalue_index(delta, n, spec.q)
 
     def one_trial(t):
-        mods = np.sort(np.abs(eigenvalues(sample_matrix(cfg, t)).values))[::-1]
-        return float(mods[k1_eff - 1]) > spec.big_r
+        sample = sample_matrix(cfg, t)
+        sv2 = np.asarray(singular_values(shift(sample, 0j)).values) ** 2
+        return sv2, np.sort(np.abs(eigenvalues(sample).values))[::-1]
 
-    hits = parallel_map(one_trial, range(spec.trials))
+    results = parallel_map(one_trial, range(spec.trials))
+    pooled = EmpiricalCDF.from_values(np.concatenate([sv2 for sv2, _ in results]))
+    delta = ks_distance(pooled, law_for_shift(0j).cdf_squared)
+    k1, k1_eff, clamped = tail_eigenvalue_index(delta, cfg.n, spec.q)
+    hits = [float(mods[k1_eff - 1]) > spec.big_r for _, mods in results]
     report.append(
-        row="stat", n=n, delta=delta, k1=k1, k1_effective=k1_eff, clamped=clamped,
+        row="stat", n=cfg.n, delta=delta, k1=k1, k1_effective=k1_eff, clamped=clamped,
         R=spec.big_r, q=spec.q, frequency=float(np.mean(hits)), trials=spec.trials,
     )
 

@@ -37,7 +37,7 @@ class EmpiricalCDF:
             raise DomainError("weights must be positive")
         if abs(float(self.ws.sum()) - 1.0) > 1e-12:
             raise DomainError("weights must sum to 1")
-        self._cum = np.cumsum(self.ws)
+        self._cum = np.concatenate(([0.0], np.cumsum(self.ws)))  # P[X < xs[i]] at i
 
     @classmethod
     def from_values(cls, values, weights=None) -> "EmpiricalCDF":
@@ -51,15 +51,11 @@ class EmpiricalCDF:
 
     def evaluate(self, x):
         """Right-continuous CDF value(s) P[X <= x]."""
-        idx = np.searchsorted(self.xs, x, side="right")
-        cum = np.concatenate(([0.0], self._cum))
-        return cum[idx]
+        return self._cum[np.searchsorted(self.xs, x, side="right")]
 
     def evaluate_left(self, x):
         """Left limit(s) P[X < x]."""
-        idx = np.searchsorted(self.xs, x, side="left")
-        cum = np.concatenate(([0.0], self._cum))
-        return cum[idx]
+        return self._cum[np.searchsorted(self.xs, x, side="left")]
 
     def mean(self) -> float:
         return float(np.dot(self.xs, self.ws))

@@ -1,12 +1,17 @@
+import dataclasses
 import json
 import math
 import os
+import pathlib
 
 import numpy as np
 import pytest
 
 from circulaw import ConfigError, EnsembleConfig, EntryDistribution
 from circulaw.experiments import (
+    _JSON_KEY,
+    _READS,
+    KINDS,
     ExperimentReport,
     ExperimentSpec,
     format_complex,
@@ -22,11 +27,20 @@ from circulaw.experiments import (
     write_report,
 )
 
+from test_golden import SPECS as GOLDEN_SPECS
+
 GAUSS = EntryDistribution("RealGaussian")
+README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
 
 
 def small_ensemble(n=32, seed=7):
     return EnsembleConfig(n, 1.0, GAUSS, seed)
+
+
+def _readme_schema() -> str:
+    """The README's "Experiment spec schema" section."""
+    text = README.read_text(encoding="utf-8")
+    return text.split("## Experiment spec schema (JSON)\n", 1)[1].split("\n## ", 1)[0]
 
 
 class TestComplexParsing:
@@ -52,13 +66,32 @@ class TestComplexParsing:
 
 class TestSpec:
     def test_json_roundtrip(self):
-        spec = ExperimentSpec(
-            kind="SvLaw", ensemble=small_ensemble(), trials=3,
+        specs = [ExperimentSpec(kind=kind, **fields) for kind, fields in GOLDEN_SPECS.items()]
+        specs.append(ExperimentSpec(
+            kind="SvLaw", ensemble=EnsembleConfig.from_theta(64, 0.5, GAUSS, 3), trials=3,
             z_points=(0.5 + 0j, 1j), n_values=(16, 32),
-        )
-        back = ExperimentSpec.from_json(json.dumps(spec.to_json_dict()))
-        assert back == spec
-        assert back.hash() == spec.hash()
+        ))
+        for spec in specs:
+            back = ExperimentSpec.from_json(json.dumps(spec.to_json_dict()))
+            assert back == spec == ExperimentSpec.from_json_dict(spec.to_json_dict())
+            assert back.hash() == spec.hash()
+
+    def test_readme_example_parses(self):
+        example = _readme_schema().split("```json\n", 1)[1].split("```", 1)[0]
+        spec = ExperimentSpec.from_json_dict(json.loads(example))
+        assert spec.kind == "Potential" and spec.r == "auto"
+
+    def test_readme_field_table_matches_spec(self):
+        fields = dataclasses.fields(ExperimentSpec)[3:]
+        optional = {_JSON_KEY.get(f.name, f.name): f for f in fields}
+        rows = [[cell.strip(" `") for cell in line.split("|")[1:4]]
+                for line in _readme_schema().splitlines() if line.startswith("| `")]
+        assert sorted(key for key, _, _ in rows) == sorted(optional)
+        for key, default, kinds in rows:
+            f = optional[key]
+            assert json.loads(default) == json.loads(json.dumps(f.default)), key
+            readers = ", ".join(k for k in KINDS if f.name in _READS[k])
+            assert kinds == ("every kind" if key == "out" else readers), key
 
     def test_unknown_fields_rejected(self):
         d = ExperimentSpec(kind="MaxSv", ensemble=small_ensemble(), trials=2).to_json_dict()
@@ -314,6 +347,48 @@ def _spec_dict(kind, **fields):
     return d
 
 
+def _with_ensemble(kind, **fields):
+    return _spec_dict(kind, ensemble=dict(small_ensemble(n=8).to_json_dict(), **fields))
+
+
+# One valid spec per kind, for the unread-field and newly rejected inputs below.
+VALID = {
+    "CircularLaw": _spec_dict("CircularLaw"),
+    "SvLaw": _spec_dict("SvLaw", z_points=["0.5+0i"], n_values=[8, 12]),
+    "Potential": _spec_dict("Potential", z_points=["0.5+0i"], r="auto", b_exponent=2.5),
+    "MinSv": _spec_dict("MinSv", z_points=["0+0i"], thresholds=[1e-3], n_values=[8]),
+    "MaxSv": _spec_dict("MaxSv", n_values=[8, 12]),
+    "TailIndex": _spec_dict("TailIndex", q=12.0, R=2.0),
+}
+
+# A field each kind never reads, set to a value it would silently ignore.
+UNREAD = [
+    ("CircularLaw", "n_values", [8, 16]),
+    ("SvLaw", "r", "auto"),
+    ("Potential", "n_values", [8, 16]),
+    ("MinSv", "R", 2.0),
+    ("MaxSv", "z_points", ["0.5+0i"]),
+    ("TailIndex", "z_points", ["0.5+0i"]),
+    ("TailIndex", "n_values", [8, 16]),
+]
+
+# Inputs that crashed with TypeError or ran as something other than they say.
+BAD_VALUES = {
+    "z_points-number": dict(VALID["SvLaw"], z_points=5),
+    "b_exponent-null": dict(VALID["Potential"], b_exponent=None),
+    "p_n-null": _with_ensemble("MaxSv", p_n=None),
+    "n-fraction": _with_ensemble("MaxSv", n=8.7),
+    "master_seed-fraction": _with_ensemble("MaxSv", master_seed=1.9),
+    "n-bool": _with_ensemble("MaxSv", n=True),
+    "b_exponent-bool": dict(VALID["Potential"], b_exponent=True),
+    "out-int": dict(VALID["MaxSv"], out=7),
+}
+NEWLY_REJECTED = dict(
+    BAD_VALUES,
+    **{f"{kind}-unread-{key}": dict(VALID[kind], **{key: value}) for kind, key, value in UNREAD},
+)
+
+
 class TestSpecValidation:
     """Inputs that used to run and write a silently wrong number are ConfigErrors."""
 
@@ -335,17 +410,39 @@ class TestSpecValidation:
             _spec_dict("MaxSv", trials=2.7),
             _spec_dict("MaxSv", trials=math.nan),
             _spec_dict("MaxSv", trials="50"),
+            *BAD_VALUES.values(),
         ],
         ids=[
             "R-nan", "q-inf", "thresholds-nan", "thresholds-inf", "thresholds-missing",
             "c_cut-nan", "b_exponent-nan", "r-inf", "z-nan", "z-inf", "n_values-fraction",
             "n_values-repeated",
             "trials-fraction", "trials-nan", "trials-string",
+            *BAD_VALUES,
         ],
     )
     def test_rejected(self, d):
         with pytest.raises(ConfigError):
             ExperimentSpec.from_json_dict(d)
+
+    @pytest.mark.parametrize("kind,key,value", UNREAD, ids=[f"{k}-{f}" for k, f, _ in UNREAD])
+    def test_unread_field_rejected(self, kind, key, value):
+        d = VALID[kind]
+        ExperimentSpec.from_json_dict(d)
+        with pytest.raises(ConfigError, match=f"{kind} does not read {key}"):
+            ExperimentSpec.from_json_dict(dict(d, **{key: value}))
+
+    @pytest.mark.parametrize("name", sorted(NEWLY_REJECTED))
+    def test_cli_report_rejects_before_any_trial(self, name, tmp_path, monkeypatch, capsys):
+        from circulaw import cli
+
+        def no_run(spec):
+            raise AssertionError("a rejected spec reached the runner")
+
+        monkeypatch.setattr(cli, "run_experiment", no_run)
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps(NEWLY_REJECTED[name]))
+        assert cli.main(["report", "--spec", str(spec_path)]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
 
     def test_whole_float_trials_accepted(self):
         spec = ExperimentSpec.from_json_dict(_spec_dict("MaxSv", trials=50.0))
