@@ -23,7 +23,7 @@ from . import __version__
 from .ensemble import EnsembleConfig, sample_matrix, smoothing_shift, smoothing_stream
 from .ensemble import _json_object, _real, _whole
 from .errors import ConfigError, EstimationError, NumericError
-from .invertibility import largest_sv_tail, min_sv_tail
+from .invertibility import MIN_TAIL_TRIALS, largest_sv_tail, min_sv_tail
 from .limit_theory import disc_potential, law_for_shift, potential_from_law
 from .linalg import eigenvalues, shift, singular_values
 from .parallel import parallel_map
@@ -134,10 +134,14 @@ class ExperimentSpec:
             raise ConfigError(f"n_values must be distinct, got {list(self.n_values)}")
         if "z_points" in _READS[self.kind] and not self.z_points:
             raise ConfigError(f"{self.kind} requires at least one z point")
-        if self.kind == "MinSv" and not self.thresholds:
-            raise ConfigError("MinSv requires thresholds")
+        if self.kind in ("MinSv", "MaxSv") and self.trials < MIN_TAIL_TRIALS:
+            raise ConfigError(f"{self.kind} needs trials >= {MIN_TAIL_TRIALS}, got {self.trials}")
+        if self.kind == "MinSv" and not (self.thresholds and min(self.thresholds) > 0):
+            raise ConfigError(f"MinSv requires thresholds, all > 0, got {list(self.thresholds)}")
         if self.r != "auto" and self.r < 0:
             raise ConfigError(f"r must be a nonnegative number or 'auto', got {self.r!r}")
+        if self.c_cut <= 0:
+            raise ConfigError(f"Potential requires c_cut > 0, got {self.c_cut}")
         if self.q <= 6:
             raise ConfigError(f"TailIndex requires q > 6, got {self.q}")
         if self.big_r <= 0:

@@ -24,6 +24,8 @@ from .linalg import shift, singular_values
 from .parallel import parallel_map
 from .textio import csv_text, write_text
 
+MIN_TAIL_TRIALS = 50  # fewest trials a MinSv or MaxSv tail frequency is taken over
+
 
 @dataclass(frozen=True)
 class VectorClass:
@@ -204,6 +206,19 @@ def small_ball(
     return _max_ball_fraction(draws @ x, eta)
 
 
+def _extremes(config: EnsembleConfig, z: complex, trials: int):
+    """Per-trial (s_n, s_1) of A - z as two arrays, and the ceiling n sqrt(p_n)."""
+    if trials < MIN_TAIL_TRIALS:
+        raise DomainError(f"need at least {MIN_TAIL_TRIALS} trials, got {trials}")
+
+    def one_trial(t):
+        s = singular_values(shift(sample_matrix(config, t), z)).values
+        return s[-1], s[0]
+
+    s_min, s_max = np.array(parallel_map(one_trial, range(trials))).T
+    return s_min, s_max, config.n * math.sqrt(config.p_n)
+
+
 def min_sv_tail(
     config: EnsembleConfig,
     z: complex,
@@ -211,42 +226,18 @@ def min_sv_tail(
     thresholds: Sequence[float],
 ) -> TailTable:
     """Empirical frequencies of {s_n(z) <= t and s_1(z) <= n sqrt(p_n)} per threshold."""
-    if trials < 50:
-        raise DomainError(f"need at least 50 trials, got {trials}")
     thresholds = np.sort(np.asarray(thresholds, dtype=np.float64))
     if len(thresholds) == 0 or not (thresholds[0] > 0 and np.isfinite(thresholds[-1])):
         raise DomainError("thresholds must be positive and finite")
-    ceiling = config.n * math.sqrt(config.p_n)
-
-    def one_trial(t):
-        s = singular_values(shift(sample_matrix(config, t), z)).values
-        return float(s[-1]), float(s[0])
-
-    extremes = parallel_map(one_trial, range(trials))
-    s_min = np.array([e[0] for e in extremes])
-    s_max = np.array([e[1] for e in extremes])
+    s_min, s_max, ceiling = _extremes(config, z, trials)
     ok = s_max <= ceiling
     freqs = np.array([float(np.mean((s_min <= t) & ok)) for t in thresholds])
     return TailTable(
-        thresholds,
-        freqs,
-        trials,
-        config.n,
-        config.p_n,
-        complex(z),
-        float(np.mean(~ok)),
+        thresholds, freqs, trials, config.n, config.p_n, complex(z), float(np.mean(~ok))
     )
 
 
 def largest_sv_tail(config: EnsembleConfig, trials: int) -> float:
     """Empirical frequency of s_1 >= n sqrt(p_n) (no shift)."""
-    if trials < 50:
-        raise DomainError(f"need at least 50 trials, got {trials}")
-    ceiling = config.n * math.sqrt(config.p_n)
-
-    def one_trial(t):
-        s = singular_values(sample_matrix(config, t)).values
-        return float(s[0]) >= ceiling
-
-    hits = parallel_map(one_trial, range(trials))
-    return float(np.mean(hits))
+    _, s_max, ceiling = _extremes(config, 0j, trials)
+    return float(np.mean(s_max >= ceiling))

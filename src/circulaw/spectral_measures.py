@@ -152,6 +152,8 @@ def log_potential_empirical(
     excluded is an error rather than a silent NaN. The standard error is the
     leave-one-out jackknife.
     """
+    if not c_cut > 0:
+        raise DomainError(f"c_cut must be > 0, got {c_cut}")
     spectra = list(spectra)
     if not spectra:
         raise DomainError("need at least one spectrum")

@@ -94,7 +94,7 @@ class TestSpec:
             assert kinds == ("every kind" if key == "out" else readers), key
 
     def test_unknown_fields_rejected(self):
-        d = ExperimentSpec(kind="MaxSv", ensemble=small_ensemble(), trials=2).to_json_dict()
+        d = ExperimentSpec(kind="MaxSv", ensemble=small_ensemble(), trials=50).to_json_dict()
         d["bogus"] = 1
         with pytest.raises(ConfigError):
             ExperimentSpec.from_json_dict(d)
@@ -109,8 +109,8 @@ class TestSpec:
         assert spec.resolve_r(spec.ensemble) == pytest.approx(1.0 / math.sqrt(64))
 
     def test_hash_depends_on_seed(self):
-        a = ExperimentSpec(kind="MaxSv", ensemble=small_ensemble(seed=1), trials=2)
-        b = ExperimentSpec(kind="MaxSv", ensemble=small_ensemble(seed=2), trials=2)
+        a = ExperimentSpec(kind="MaxSv", ensemble=small_ensemble(seed=1), trials=50)
+        b = ExperimentSpec(kind="MaxSv", ensemble=small_ensemble(seed=2), trials=50)
         assert a.hash() != b.hash()
 
 
@@ -131,7 +131,7 @@ class TestCircularLaw:
         assert mean["ks_angular"] < 0.2
 
     def test_kind_mismatch(self):
-        spec = ExperimentSpec(kind="MaxSv", ensemble=small_ensemble(), trials=2)
+        spec = ExperimentSpec(kind="MaxSv", ensemble=small_ensemble(), trials=50)
         with pytest.raises(ConfigError):
             run_circular_law(spec)
 
@@ -372,7 +372,7 @@ UNREAD = [
     ("TailIndex", "n_values", [8, 16]),
 ]
 
-# Inputs that crashed with TypeError or ran as something other than they say.
+# Inputs that crashed, failed only once trials ran, or ran as something other than they say.
 BAD_VALUES = {
     "z_points-number": dict(VALID["SvLaw"], z_points=5),
     "b_exponent-null": dict(VALID["Potential"], b_exponent=None),
@@ -382,6 +382,12 @@ BAD_VALUES = {
     "n-bool": _with_ensemble("MaxSv", n=True),
     "b_exponent-bool": dict(VALID["Potential"], b_exponent=True),
     "out-int": dict(VALID["MaxSv"], out=7),
+    "c_cut-zero": dict(VALID["Potential"], c_cut=0),
+    "c_cut-negative": dict(VALID["Potential"], c_cut=-1),
+    "MinSv-trials-49": dict(VALID["MinSv"], trials=49),
+    "MaxSv-trials-49": dict(VALID["MaxSv"], trials=49),
+    "thresholds-zero": dict(VALID["MinSv"], thresholds=[0.0, 1e-3]),
+    "thresholds-negative": dict(VALID["MinSv"], thresholds=[-1.0]),
 }
 NEWLY_REJECTED = dict(
     BAD_VALUES,

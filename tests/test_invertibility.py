@@ -333,6 +333,17 @@ class TestMinSvTail:
             min_sv_tail(cfg, 0j, trials=50, thresholds=thresholds)
 
 
+@pytest.mark.parametrize(
+    "tail",
+    [lambda cfg: min_sv_tail(cfg, 0j, trials=49, thresholds=[1e-3]),
+     lambda cfg: largest_sv_tail(cfg, trials=49)],
+    ids=["min_sv_tail", "largest_sv_tail"],
+)
+def test_tails_need_fifty_trials(tail):
+    with pytest.raises(DomainError, match="at least 50 trials"):
+        tail(EnsembleConfig(8, 1.0, GAUSS, 5))
+
+
 class TestLargestSvTail:
     def test_dense_gaussian_never_reaches_bound(self):
         cfg = EnsembleConfig(256, 1.0, GAUSS, 42)

@@ -1,7 +1,10 @@
+import importlib.util
 import math
+import pathlib
 
 import numpy as np
 import pytest
+from scipy import stats
 
 from circulaw import (
     EnsembleConfig,
@@ -18,7 +21,10 @@ from circulaw import (
     singular_values,
     smallest_singular_value,
 )
+from circulaw import linalg
 from circulaw.errors import DomainError
+
+from conftest import ks_one_sample_critical
 
 GAUSS = EntryDistribution("RealGaussian")
 CGAUSS = EntryDistribution("ComplexGaussian")
@@ -106,6 +112,26 @@ class TestSingularValues:
         with pytest.raises(NumericError):
             singular_values(from_array(a))
 
+    def test_constructed_bottom_within_eps_of_s1(self, oracle_rng):
+        # Gram squaring clips s^2 below eps s_1^2 to 0; the SVD fallback must not
+        n = 200
+        bottom = np.array([1e-8, 1e-10, 1e-12])
+        truth = np.concatenate([np.sort(oracle_rng.uniform(0.1, 2.0, n - 3))[::-1], bottom])
+        u, _ = np.linalg.qr(oracle_rng.normal(size=(n, n)))
+        v, _ = np.linalg.qr(oracle_rng.normal(size=(n, n)))
+        s = singular_values(from_array((u * truth) @ v.T)).values
+        eps = np.finfo(float).eps
+        assert np.all(np.abs(s[-3:] - bottom) <= 10 * eps * truth[0])
+        assert abs(np.sum(np.log(s)) - np.sum(np.log(truth))) <= 1e-3
+
+    def test_fallback_ratio_matches_bench_mirror(self):
+        # the benchmark's `refined` counter re-derives the fallback from this ratio
+        path = pathlib.Path(__file__).resolve().parents[1] / "bench" / "spans.py"
+        spec = importlib.util.spec_from_file_location("bench_spans", path)
+        spans = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(spans)
+        assert spans._REFINE_RATIO == linalg._REFINE_RATIO
+
     def test_records_shift_and_smoothing(self):
         cfg = EnsembleConfig(8, 1.0, GAUSS, 3)
         sv = singular_values(shift(sample_matrix(cfg, 0), 0.5 + 0.25j))
@@ -159,6 +185,23 @@ class TestSmallestSingularValue:
         got = smallest_singular_value(from_array(a))
         oracle = 1.0 / np.linalg.norm(np.linalg.inv(a), 2)
         assert got == pytest.approx(oracle, rel=1e-6)
+
+    @pytest.mark.parametrize(
+        "dist,cdf",
+        [
+            # Edelman (1988): n s_n(X)^2 is exactly Exp(1) for complex Gaussian X
+            (CGAUSS, lambda x: 1.0 - np.exp(-x)),
+            # and tends to this law for real Gaussian X
+            (GAUSS, lambda x: 1.0 - np.exp(-x / 2.0 - np.sqrt(x))),
+        ],
+        ids=["ComplexGaussian", "RealGaussian"],
+    )
+    def test_edelman_law(self, dist, cdf):
+        n, trials = 32, 400
+        cfg = EnsembleConfig(n, 1.0, dist, 1)
+        # sample_matrix scales X by 1/sqrt(n), so n s_n(X)^2 = n^2 s_n(A)^2
+        x = [n * n * smallest_singular_value(sample_matrix(cfg, t)) ** 2 for t in range(trials)]
+        assert stats.kstest(x, cdf).statistic <= ks_one_sample_critical(1e-3, trials)
 
     def test_agrees_with_full_spectrum(self, oracle_rng):
         a = oracle_rng.normal(size=(10, 10))

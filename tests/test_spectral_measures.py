@@ -227,6 +227,12 @@ class TestLogPotentialEmpirical:
         with pytest.raises(DomainError):
             log_potential_empirical([spectrum_of([1.0], z=0.0), spectrum_of([1.0], z=1.0)])
 
+    @pytest.mark.parametrize("c_cut", [0.0, -1.0, math.nan])
+    def test_nonpositive_c_cut_rejected(self, c_cut):
+        # a floor of c_cut / n^B <= 0 would admit s_n = 0 and average in log 0
+        with pytest.raises(DomainError):
+            log_potential_empirical([spectrum_of([1.0, 0.0])], c_cut=c_cut)
+
     def test_log_determinant_constant_at_desk_scale(self):
         cfg = EnsembleConfig(512, 1.0, EntryDistribution("RealGaussian"), 404)
         spectra = [singular_values(sample_matrix(cfg, t)) for t in range(20)]
