@@ -25,9 +25,6 @@ from .experiments import (
     parse_complex,
     render_report,
     run_experiment,
-    run_minsv,
-    run_potential,
-    run_sv_law,
 )
 from .linalg import eigenvalues
 from .textio import csv_text, write_text
@@ -130,40 +127,26 @@ def _cmd_esd(args) -> int:
     return 0
 
 
-def _cmd_svlaw(args) -> int:
-    spec = ExperimentSpec(
-        kind="SvLaw",
-        ensemble=_ensemble_from_args(args),
-        trials=args.trials,
-        z_points=(parse_complex(args.z),),
-    )
-    _write(run_sv_law(spec), args)
-    return 0
-
-
-def _cmd_potential(args) -> int:
-    r = args.r if args.r == "auto" else float(args.r)
-    spec = ExperimentSpec(
-        kind="Potential",
-        ensemble=_ensemble_from_args(args),
-        trials=args.trials,
+# Each campaign subcommand: (experiment kind, its spec fields from the flags).
+_CAMPAIGNS = {
+    "svlaw": ("SvLaw", lambda args: dict(z_points=(parse_complex(args.z),))),
+    "potential": ("Potential", lambda args: dict(
         z_points=tuple(parse_complex(s) for s in args.z.split(",")),
-        r=r,
+        r=args.r if args.r == "auto" else float(args.r),
         b_exponent=args.B,
-    )
-    _write(run_potential(spec), args)
-    return 0
-
-
-def _cmd_minsv(args) -> int:
-    spec = ExperimentSpec(
-        kind="MinSv",
-        ensemble=_ensemble_from_args(args),
-        trials=args.trials,
+    )),
+    "minsv": ("MinSv", lambda args: dict(
         z_points=(parse_complex(args.z),),
         thresholds=tuple(float(t) for t in args.thresholds.split(",")),
-    )
-    _write(run_minsv(spec), args)
+    )),
+}
+
+
+def _cmd_campaign(args) -> int:
+    kind, fields = _CAMPAIGNS[args.command]
+    spec = ExperimentSpec(kind=kind, ensemble=_ensemble_from_args(args), trials=args.trials,
+                          **fields(args))
+    _emit(render_report(run_experiment(spec), args.format), args.out)
     return 0
 
 
@@ -177,10 +160,6 @@ def _cmd_report(args) -> int:
     out = args.out if args.out is not None else spec.out or None
     _emit(render_report(run_experiment(spec), args.format), out)
     return 0
-
-
-def _write(report, args) -> None:
-    _emit(render_report(report, args.format), args.out)
 
 
 def _read_points_csv(path):
@@ -236,9 +215,9 @@ def _cmd_plot(args) -> int:
 _COMMANDS = {
     "sample": _cmd_sample,
     "esd": _cmd_esd,
-    "svlaw": _cmd_svlaw,
-    "potential": _cmd_potential,
-    "minsv": _cmd_minsv,
+    "svlaw": _cmd_campaign,
+    "potential": _cmd_campaign,
+    "minsv": _cmd_campaign,
     "report": _cmd_report,
     "plot": _cmd_plot,
 }

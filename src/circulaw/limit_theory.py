@@ -25,7 +25,6 @@ by quadrature so the identity can be checked numerically.
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -36,11 +35,20 @@ from .textio import csv_text, write_text
 
 _SQRT3 = math.sqrt(3.0)
 _T_SERIES = 1e-8  # below this |z|^2 the edge ratio uses its series value
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
-_GL_NODES8, _GL_WEIGHTS8 = np.polynomial.legendre.leggauss(8)
-_EDGE_LEVELS = 48
+_GL16 = np.polynomial.legendre.leggauss(16)
+_GL8 = np.polynomial.legendre.leggauss(8)
+_EDGE_U = 0.5 ** np.arange(48, -1, -1.0)  # log_moment's u-breakpoints, graded to 0
 _GRID_HALF = 2048
-_GRID_LOCK = threading.Lock()  # the first CDF query of a law builds its grid once
+_LAW_CACHE_MAX = 64
+
+
+def _shift(z: complex):
+    """(z, |z|^2) as (complex, float); DomainError unless |z|^2 is finite."""
+    z = complex(z)
+    t = z.real * z.real + z.imag * z.imag
+    if not math.isfinite(t):
+        raise DomainError(f"shift z={z} has no finite |z|^2")
+    return z, t
 
 
 def _edge_squares(t: float):
@@ -55,9 +63,7 @@ def _edge_squares(t: float):
 
 def support_endpoints(z: complex):
     """(x1, x2): outer edge always, inner edge for |z| > 1 (0.0 exactly at |z| = 1)."""
-    z = complex(z)
-    t = z.real * z.real + z.imag * z.imag
-    x1_sq, x2_sq = _edge_squares(t)
+    x1_sq, x2_sq = _edge_squares(_shift(z)[1])
     x1 = math.sqrt(x1_sq)
     if x2_sq is None or x2_sq < 0.0:
         return x1, None
@@ -83,8 +89,7 @@ def cubic_roots(x: float, z: complex) -> np.ndarray:
 
     Real coefficients get exact conjugate pairing enforced after polishing.
     """
-    z = complex(z)
-    t = z.real * z.real + z.imag * z.imag
+    z, t = _shift(z)
     coeffs, roots = _l_roots(x, t)
     scale = max(1.0, abs(x)) ** 3
     imag_tol = 1e-9 * max(1.0, abs(x))
@@ -114,8 +119,7 @@ def limit_stieltjes(alpha: complex, z: complex) -> complex:
     alpha = complex(alpha)
     if alpha.imag <= 0:
         raise DomainError("alpha must lie in the upper half-plane")
-    z = complex(z)
-    t = z.real * z.real + z.imag * z.imag
+    z, t = _shift(z)
     roots = _l_roots(alpha, t)[1] - alpha
     candidates = roots[roots.imag > 1e-12]
     if len(candidates) != 1:
@@ -160,49 +164,60 @@ def _sym_density_array(x: np.ndarray, t: float) -> np.ndarray:
 
 def limit_density(x: float, z: complex) -> float:
     """Density of the symmetrized law at x (even in x, zero off the support)."""
-    z = complex(z)
-    t = z.real * z.real + z.imag * z.imag
-    return float(_sym_density_array(np.array([x]), t)[0])
+    return float(_sym_density_array(np.array([x]), _shift(z)[1])[0])
 
 
-def _unit_panels(nodes_1d, weights_1d):
-    """Geometrically graded Gauss-Legendre rule for int_0^1 g(u) du; scales
-    linearly to any [0, u_max]."""
-    k = np.arange(_EDGE_LEVELS)
-    hi = 0.5**k
-    lo = 0.5 * hi
-    mid = 0.5 * (hi + lo)
-    half = 0.5 * (hi - lo)
-    nodes = mid[:, None] + half[:, None] * nodes_1d[None, :]
-    weights = half[:, None] * weights_1d[None, :]
-    return nodes.ravel(), weights.ravel()
+def _gauss_panels(t: float, edge: float, sign: float, u: np.ndarray, rule=_GL16,
+                  log_weight: bool = False) -> np.ndarray:
+    """Integral of the density (times ln x with `log_weight`) between neighbouring
+    x = edge + sign*u^2: one Gauss-Legendre panel, of the node set `rule`, per step of u."""
+    half = 0.5 * np.diff(u)
+    nodes = (u[:-1] + half)[:, None] + half[:, None] * rule[0][None, :]
+    x = edge + sign * nodes * nodes
+    g = 2.0 * nodes * _sym_density_array(x, t)
+    if log_weight:
+        g = g * np.log(x)
+    return sign * half * (g @ rule[1])
 
 
-_UNIT_NODES16, _UNIT_WEIGHTS16 = _unit_panels(_GL_NODES, _GL_WEIGHTS)
-_UNIT_NODES8, _UNIT_WEIGHTS8 = _unit_panels(_GL_NODES8, _GL_WEIGHTS8)
+def _half_widths(lo: float, hi: float):
+    """u-extents of the lower and upper halves of [lo, hi], split at the midpoint,
+    under the substitutions x = lo + u^2 and x = hi - u^2."""
+    mid = 0.5 * (lo + hi)
+    return math.sqrt(mid - lo), math.sqrt(hi - mid)
 
 
-@dataclass
+@dataclass(frozen=True)
 class LimitLaw:
-    """Per-z limiting law: support edges plus a CDF grid for fast queries.
+    """Per-z limiting law: support edges plus the CDF grid for fast queries.
 
-    The grid is built on the first CDF or mass query; `log_moment` never needs it.
+    `for_shift` builds the whole law, grid included; the object is immutable.
     """
 
     z: complex
     x1: float
     x2: Optional[float]
-    _t: float = field(repr=False, default=0.0)
-    _grid_x: np.ndarray = field(repr=False, default=None)
-    _grid_f: np.ndarray = field(repr=False, default=None)
-    _mass_pos: float = field(repr=False, default=0.0)
+    _t: float = field(repr=False)
+    _grid_x: np.ndarray = field(repr=False, compare=False)
+    _grid_f: np.ndarray = field(repr=False, compare=False)
 
     @classmethod
     def for_shift(cls, z: complex) -> "LimitLaw":
-        z = complex(z)
+        """The law of shift z, with the cumulative mass at 2 * _GRID_HALF + 1 points
+        of [lo, x1]: the u-steps of each half are equal, so the points crowd
+        towards the edges."""
+        z, t = _shift(z)
         x1, x2 = support_endpoints(z)
-        t = z.real * z.real + z.imag * z.imag
-        return cls(z, x1, x2, _t=t)
+        lo = 0.0 if x2 is None else x2
+        u_lo, u_hi = _half_widths(lo, x1)
+        u_lower = np.linspace(0.0, u_lo, _GRID_HALF + 1)
+        u_upper = np.linspace(u_hi, 0.0, _GRID_HALF + 1)
+        panels = np.concatenate([_gauss_panels(t, lo, 1.0, u_lower),
+                                 _gauss_panels(t, x1, -1.0, u_upper)])
+        grid_f = np.maximum.accumulate(np.concatenate([[0.0], np.cumsum(panels)]))
+        grid_x = np.concatenate([lo + u_lower * u_lower, x1 - u_upper[1:] * u_upper[1:]])
+        grid_x.flags.writeable = grid_f.flags.writeable = False
+        return cls(z, x1, x2, t, grid_x, grid_f)
 
     @property
     def lo(self) -> float:
@@ -211,53 +226,10 @@ class LimitLaw:
     def density(self, x):
         return _sym_density_array(np.asarray(x, dtype=np.float64), self._t)
 
-    def _halves(self):
-        """(edge, sign, u_max) of the lower and upper halves of [lo, x1], split at
-        the midpoint, under the substitution x = edge + sign*u^2."""
-        lo, hi = self.lo, self.x1
-        mid = 0.5 * (lo + hi)
-        return (lo, 1.0, math.sqrt(mid - lo)), (hi, -1.0, math.sqrt(hi - mid))
-
-    def _half_integral(self, edge: float, sign: float, u_max: float, order16=True):
-        """int ln(x) over one half of the support, on the edge-graded panels."""
-        if order16:
-            nodes, weights = u_max * _UNIT_NODES16, u_max * _UNIT_WEIGHTS16
-        else:
-            nodes, weights = u_max * _UNIT_NODES8, u_max * _UNIT_WEIGHTS8
-        x = edge + sign * nodes * nodes
-        g = 2.0 * nodes * self.density(x)
-        return float(np.dot(weights, g * np.log(x)))
-
-    def _panels(self, edge: float, sign: float, u: np.ndarray) -> np.ndarray:
-        """Mass between neighbouring x = edge + sign*u^2, one Gauss panel per step of u."""
-        half = 0.5 * np.diff(u)
-        nodes = (u[:-1] + half)[:, None] + half[:, None] * _GL_NODES[None, :]
-        g = 2.0 * nodes * self.density(edge + sign * nodes * nodes)
-        return sign * half * (g @ _GL_WEIGHTS)
-
-    def _build_grid(self):
-        """Cumulative mass at 2 * _GRID_HALF + 1 points of [lo, x1]: the u-steps of
-        each half are equal, so the points crowd towards the edges."""
-        (lo, _, u_lo), (hi, _, u_hi) = self._halves()
-        u_lower = np.linspace(0.0, u_lo, _GRID_HALF + 1)
-        u_upper = np.linspace(u_hi, 0.0, _GRID_HALF + 1)
-        panels = np.concatenate([self._panels(lo, 1.0, u_lower), self._panels(hi, -1.0, u_upper)])
-        fs = np.maximum.accumulate(np.concatenate([[0.0], np.cumsum(panels)]))
-        self._grid_x = np.concatenate([lo + u_lower * u_lower, hi - u_upper[1:] * u_upper[1:]])
-        self._mass_pos = float(fs[-1])
-        self._grid_f = fs
-
-    def _ensure_grid(self):
-        if self._grid_f is None:
-            with _GRID_LOCK:
-                if self._grid_f is None:
-                    self._build_grid()
-
     def cdf_positive(self, x):
         """Mass of the symmetrized law on [lo, x] (vectorized)."""
-        self._ensure_grid()
         return np.interp(np.asarray(x, dtype=np.float64), self._grid_x, self._grid_f,
-                         left=0.0, right=self._mass_pos)
+                         left=0.0, right=self._grid_f[-1])
 
     def cdf_squared(self, x):
         """CDF of the squared-coordinate law at x (vectorized)."""
@@ -269,17 +241,21 @@ class LimitLaw:
 
     def total_mass(self) -> float:
         """Full-line mass of the symmetrized density (should be 1)."""
-        self._ensure_grid()
-        return 2.0 * self._mass_pos
+        return 2.0 * float(self._grid_f[-1])
 
     def log_moment(self) -> float:
-        """-Int ln|x| d(symmetrized law), with an internal quadrature error estimate."""
-        lower, upper = self._halves()
-        val16 = self._half_integral(*lower) + self._half_integral(*upper)
-        val8 = self._half_integral(*lower, order16=False) + self._half_integral(
-            *upper, order16=False
-        )
-        err = 2.0 * abs(val16 - val8)
+        """-Int ln|x| d(symmetrized law), on panels graded geometrically towards
+        both edges, with the 8-point rule's difference as the error estimate."""
+        u_lo, u_hi = _half_widths(self.lo, self.x1)
+
+        def integral(rule):
+            lower = _gauss_panels(self._t, self.lo, 1.0, u_lo * _EDGE_U, rule, log_weight=True)
+            upper = _gauss_panels(self._t, self.x1, -1.0, u_hi * _EDGE_U[::-1], rule,
+                                  log_weight=True)
+            return float(lower.sum() + upper.sum())
+
+        val16 = integral(_GL16)
+        err = 2.0 * abs(val16 - integral(_GL8))
         if err > 1e-4:
             raise NumericError(f"potential quadrature error estimate {err:.3g} > 1e-4")
         return -2.0 * val16
@@ -289,12 +265,17 @@ _LAW_CACHE: dict = {}
 
 
 def law_for_shift(z: complex) -> LimitLaw:
-    """Cached LimitLaw; keyed on |z|^2, so phases of z share one law."""
-    z = complex(z)
-    t = z.real * z.real + z.imag * z.imag
+    """Cached LimitLaw; keyed on |z|^2, so phases of z share one law.
+
+    The cache is emptied when it holds _LAW_CACHE_MAX laws. It takes no lock:
+    concurrent misses on one shift may each build the law, and every build is
+    identical. A non-finite |z|^2 raises DomainError and is never cached."""
+    z, t = _shift(z)
     law = _LAW_CACHE.get(t)
     if law is None:
         law = LimitLaw.for_shift(z)
+        if len(_LAW_CACHE) >= _LAW_CACHE_MAX:
+            _LAW_CACHE.clear()
         _LAW_CACHE[t] = law
     return law
 
@@ -308,8 +289,7 @@ def limit_cdf(x, z: complex):
 
 def disc_potential(z: complex) -> float:
     """Logarithmic potential of the uniform unit-disc law."""
-    z = complex(z)
-    t = z.real * z.real + z.imag * z.imag
+    t = _shift(z)[1]
     if t <= 1.0:
         return 0.5 * (1.0 - t)
     return -0.5 * math.log(t)

@@ -158,7 +158,7 @@ class TestNumericExitCode:
         def boom(spec):
             raise errors.NumericError("synthetic failure")
 
-        monkeypatch.setattr(cli_module, "run_sv_law", boom)
+        monkeypatch.setattr(cli_module, "run_experiment", boom)
         code, captured = run_cli("svlaw", "--n", "8", "--z", "0+0i", "--trials", "2",
                                  "--seed", "1", capsys=capsys)
         assert code == 3

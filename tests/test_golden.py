@@ -1,10 +1,11 @@
 """Byte fence: the sha256 of every text output the package writes, for tiny inputs.
 
 Covers the CSV and JSON report of each experiment kind, the CLI's stdout
-against its `--out` file, the `sample` and `esd` subcommands and the three
-table writers. A refactor of the text format or the runners must leave every
-digest unchanged; a change that moves output on purpose re-records the
-digests here and names the moved outputs in CHANGES.md.
+against its `--out` file, the `sample` and `esd` subcommands, the three
+table writers and the limit laws' CDF and density arrays. A refactor of the
+text format or the runners must leave every digest unchanged; a change that
+moves output on purpose re-records the digests here and names the moved
+outputs in CHANGES.md.
 
 Digests were recorded with numpy 2.4.6 and its bundled OpenBLAS 0.3.31
 (scipy-openblas, DYNAMIC_ARCH) on x86-64. Another numpy or OpenBLAS build may
@@ -20,7 +21,7 @@ from circulaw import EmpiricalCDF, EnsembleConfig, EntryDistribution
 from circulaw.cli import main
 from circulaw.experiments import ExperimentSpec, run_experiment, write_report
 from circulaw.invertibility import min_sv_tail
-from circulaw.limit_theory import export_tabulation
+from circulaw.limit_theory import export_tabulation, law_for_shift
 
 GAUSS = EntryDistribution("RealGaussian")
 RADEMACHER = EntryDistribution("Rademacher")
@@ -47,8 +48,8 @@ REPORT_DIGESTS = {
     ("CircularLaw", "json"): "b72275ee0adff133703785a51820ca55488f3f1fe5d95bfe373ca5e4c044ef19",
     ("SvLaw", "csv"): "7e19cc7914ac0676d1390acad1f9da660e1655967f72bab4b50a7c4a4f2b876d",
     ("SvLaw", "json"): "bd73fc941a6b9eff5f6a39475882c65a285895a6c18197578cdff8015404f6c2",
-    ("Potential", "csv"): "9778c138bf6a92a84cab19b8daac92ab5f298e73e51ea98c3e05e6d217761310",
-    ("Potential", "json"): "c74d0d232704a174d0980d4b91b7770b6f33490a647a8a83ae7cc7d3e3dcc734",
+    ("Potential", "csv"): "6322e513b7381a9e327e764e50e3a7fad185f3fb6c45442f243847b600f8abf6",
+    ("Potential", "json"): "e02a3358ff29808148e0d042553849030e0cdd90201e9ee6443e5eba9261ad65",
     ("MinSv", "csv"): "78176a080488a5c95f49dc51610fc700fb8cef711fa634b150938ef2369d736c",
     ("MinSv", "json"): "f91f81468fcca0d5a872d20f3ec5566de27d5d341c9f35e8656bc96fb6da1507",
     ("MaxSv", "csv"): "488a86f038eb62268da27902abb646de8e662aaf929c9b4bc0e75ea0489b6acd",
@@ -67,8 +68,8 @@ CLI_ARGS = {
 CLI_DIGESTS = {
     ("svlaw", "csv"): "00147bd664abc6e8fa1035cd82878cfb67375de36ddebff07f51401a9041f595",
     ("svlaw", "json"): "111bc364529555a3b40bfa0360d51a54ed820fe249198c9ec309ea1f3e115ed9",
-    ("potential", "csv"): "4116e46663e34da248208c1819f3032e2ae5df6c05e2835a61b0fd1b3adda6a3",
-    ("potential", "json"): "db32cf64d3bb9f3aed246439524ae419d40a5dbe3a2f8947d16a6805fbe79b8d",
+    ("potential", "csv"): "ebfa6385c5389c14615642308e6da20551745d43630fb825eef70144af9fd1c8",
+    ("potential", "json"): "426df0d26073d541526f30c1624c10767328e8ea427da7b29bfdfdeff3ac7571",
     ("minsv", "csv"): "fd6b986d7050908be49bfe1895484ddabf307cfdd9c7ce30d6dbe7192812daa2",
     ("minsv", "json"): "7bff36057f5888c4be1462c66545959be5ebff58cc8e43e51d0ce84fead43fc0",
 }
@@ -123,3 +124,17 @@ def _table_bytes(name, tmp_path, capsys) -> bytes:
 @pytest.mark.parametrize("name", sorted(TABLE_DIGESTS))
 def test_table_bytes(name, tmp_path, capsys):
     assert _sha(_table_bytes(name, tmp_path, capsys)) == TABLE_DIGESTS[name]
+
+
+LIMIT_LAW_DIGEST = "49ad94d15d5d14a230c0b726f8778519811d37d66dfde1499d73880cf666ab93"
+
+
+def test_limit_law_bytes():
+    # the CDF grid and the density directly, not only through KS distances
+    digest = hashlib.sha256()
+    x = np.linspace(0.0, 12.0, 1201)
+    for z in (0j, 0.5 + 0.5j, 1 + 0j, 1.5 + 0j, 2 + 0j):
+        law = law_for_shift(z)
+        digest.update(law.cdf_squared(x).tobytes())
+        digest.update(law.density(x).tobytes())
+    assert digest.hexdigest() == LIMIT_LAW_DIGEST

@@ -1,4 +1,5 @@
 import math
+import sys
 import threading
 
 import numpy as np
@@ -226,7 +227,6 @@ class TestLimitCdf:
     def test_z0_grid_matches_closed_form_semicircle_cdf(self):
         # mass of the radius-2 semicircle on [0, x]
         law = LimitLaw.for_shift(0j)
-        law._build_grid()
         x = law._grid_x
         exact = (0.5 * x * np.sqrt(np.maximum(4.0 - x * x, 0.0))
                  + 2.0 * np.arcsin(np.minimum(0.5 * x, 1.0))) / (2.0 * math.pi)
@@ -287,6 +287,12 @@ class TestPotentialFromLaw:
                 disc_potential(complex(az, 0)), abs=2e-4
             )
 
+    @pytest.mark.parametrize("z", [0j, 0.3 + 0j, 0.5 + 0.5j, 0.99 + 0j, 0.999 + 0j, 1 + 0j,
+                                   1.001 + 0j, 1.01 + 0j, 1.5 + 0j, 2 + 0j, 3 + 0j, 100 + 0j])
+    def test_log_moment_accuracy_contract(self, z):
+        # the Hermitization identity, to the quadrature's accuracy, across the unit circle
+        assert abs(potential_from_law(z) - disc_potential(z)) <= 1e-9
+
     def test_radial_derivative_matches_g_field(self):
         h = 1e-3
         for s, t in [(0.2, 0.1), (0.5, 0.3), (-0.6, 0.2), (1.4, 0.5), (2.0, 0.0), (-1.8, 0.7)]:
@@ -310,36 +316,63 @@ class TestExport:
         assert cdf_vals == sorted(cdf_vals)
 
 
-class TestLazyGrid:
-    SHIFTS = (0j, 0.5 + 0.5j, 1 + 0j, 1.5 + 0j, 2 + 0j)
+class TestNonFiniteShift:
+    CALLS = {
+        "support_endpoints": support_endpoints,
+        "potential_from_law": potential_from_law,
+        "limit_cdf": lambda z: limit_cdf(1.0, z),
+        "limit_density": lambda z: limit_density(0.5, z),
+        "disc_potential": disc_potential,
+    }
 
-    def test_for_shift_and_potential_leave_the_grid_unbuilt(self, monkeypatch):
+    @pytest.mark.parametrize("z", [complex("nan"), complex("inf"), complex(1.0, math.nan), 1e200],
+                             ids=["nan", "inf", "1+nanj", "1e200"])
+    @pytest.mark.parametrize("name", sorted(CALLS))
+    def test_raises_domain_error_and_caches_nothing(self, name, z, monkeypatch):
         monkeypatch.setattr(limit_theory, "_LAW_CACHE", {})
-        for z in self.SHIFTS:
-            assert LimitLaw.for_shift(z)._grid_f is None
-            potential_from_law(z)
-            law = law_for_shift(z)
-            assert law._grid_x is None and law._grid_f is None
+        with pytest.raises(DomainError):
+            self.CALLS[name](z)
+        assert limit_theory._LAW_CACHE == {}
 
-    def test_first_cdf_query_matches_an_eager_unchunked_grid(self):
-        for z in self.SHIFTS:
-            lazy = LimitLaw.for_shift(z)
-            lazy.cdf_squared(0.5)
-            eager = LimitLaw.for_shift(z)
-            eager._build_grid()
-            assert np.array_equal(lazy._grid_x, eager._grid_x)
-            assert np.array_equal(lazy._grid_f, eager._grid_f)
-            assert lazy._mass_pos == eager._mass_pos
 
-    def test_concurrent_first_queries_build_the_grid_once(self, monkeypatch):
-        builds = []
-        build = LimitLaw._build_grid
-        monkeypatch.setattr(LimitLaw, "_build_grid", lambda law: builds.append(build(law)))
-        law = LimitLaw.for_shift(0.5 + 0j)
-        readers = [threading.Thread(target=law.cdf_positive, args=(0.5,)) for _ in range(8)]
-        for thread in readers:
-            thread.start()
-        for thread in readers:
-            thread.join(timeout=60)
+class TestLawCache:
+    def test_bounded_and_rebuilt_bit_for_bit(self, monkeypatch):
+        monkeypatch.setattr(limit_theory, "_LAW_CACHE", {})
+        cap = limit_theory._LAW_CACHE_MAX
+        first = law_for_shift(0.0)
+        for k in range(3 * cap):
+            law_for_shift(complex(0.01 * k, 0.0))
+            assert len(limit_theory._LAW_CACHE) <= cap
+        assert len(limit_theory._LAW_CACHE) == cap
+        again = law_for_shift(0.0)
+        assert again is not first
+        assert np.array_equal(again._grid_x, first._grid_x)
+        assert np.array_equal(again._grid_f, first._grid_f)
+
+    def test_concurrent_misses_return_complete_laws(self, monkeypatch):
+        monkeypatch.setattr(limit_theory, "_LAW_CACHE", {})
+        fresh = LimitLaw.for_shift(0.5 + 0.5j)
+        laws = []
+        readers = [threading.Thread(target=lambda: laws.append(law_for_shift(0.5 + 0.5j)))
+                   for _ in range(8)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in readers:
+                thread.start()
+            for thread in readers:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
         assert not any(thread.is_alive() for thread in readers)
-        assert len(builds) == 1
+        assert len(laws) == 8
+        for law in laws:
+            assert np.array_equal(law._grid_x, fresh._grid_x)
+            assert np.array_equal(law._grid_f, fresh._grid_f)
+
+    def test_law_is_frozen(self):
+        law = LimitLaw.for_shift(0.5)
+        with pytest.raises(AttributeError):
+            law.x1 = 3.0
+        with pytest.raises(ValueError):
+            law._grid_f[0] = 1.0
