@@ -10,7 +10,6 @@ from .ensemble import (
     draw_entry,
     log_moment_estimate,
     sample_matrix,
-    smoothing_shift,
 )
 from .errors import (
     CirculawError,
@@ -18,7 +17,6 @@ from .errors import (
     DomainError,
     EstimationError,
     NumericError,
-    UsageError,
 )
 from .limit_theory import (
     LimitLaw,
@@ -41,6 +39,7 @@ from .linalg import (
     shift,
     singular_values,
     smallest_singular_value,
+    smoothing_shift,
 )
 from .spectral_measures import (
     EmpiricalCDF,

@@ -13,13 +13,7 @@ import sys
 import numpy as np
 
 from .ensemble import EnsembleConfig, EntryDistribution, sample_matrix
-from .errors import (
-    ConfigError,
-    DomainError,
-    EstimationError,
-    NumericError,
-    UsageError,
-)
+from .errors import ConfigError, DomainError, EstimationError, NumericError
 from .experiments import (
     ExperimentSpec,
     parse_complex,
@@ -231,7 +225,7 @@ def main(argv=None) -> int:
         return int(exc.code) if exc.code is not None else 0
     try:
         return _COMMANDS[args.command](args)
-    except (ConfigError, UsageError, DomainError, ValueError) as exc:
+    except (ConfigError, DomainError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (NumericError, EstimationError) as exc:

@@ -9,7 +9,6 @@ scaling without consuming mask randomness.
 
 from __future__ import annotations
 
-import json
 import math
 import numbers
 from dataclasses import dataclass
@@ -18,7 +17,7 @@ from typing import Optional
 import numpy as np
 
 from . import rng
-from .errors import ConfigError, DomainError, UsageError
+from .errors import ConfigError, DomainError
 
 DIST_TAGS = (
     "ComplexGaussian",
@@ -179,36 +178,29 @@ class EnsembleConfig:
         _json_object("ensemble config", d, ("n", "p_n", "dist", "master_seed"), ("theta",))
         return cls(**dict(d, dist=EntryDistribution.from_json_dict(d["dist"])))
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str) -> "EnsembleConfig":
-        return cls.from_json_dict(json.loads(text))
-
 
 @dataclass
 class MatrixSample:
-    """One sampled matrix plus the provenance needed to regenerate it."""
+    """One n x n matrix: a sample, possibly shifted on its diagonal by `linalg`.
+
+    It holds only its entries; `sample_matrix(config, trial)` regenerates a
+    sample bit for bit, so no provenance is kept alongside.
+    """
 
     entries: np.ndarray
-    config: Optional[EnsembleConfig]
-    trial_index: int
-    applied_shift: Optional[complex] = None
-    applied_smoothing: Optional[tuple] = None  # (r, xi)
 
     @property
     def n(self) -> int:
         return self.entries.shape[0]
 
     @classmethod
-    def from_array(cls, a, config=None, trial_index=-1) -> "MatrixSample":
+    def from_array(cls, a) -> "MatrixSample":
         a = np.asarray(a)
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
             raise ConfigError(f"expected a square matrix, got shape {a.shape}")
         if not np.iscomplexobj(a):
             a = a.astype(np.float64)
-        return cls(a, config, trial_index)
+        return cls(a)
 
 
 def _values_from_words(dist: EntryDistribution, words: np.ndarray) -> np.ndarray:
@@ -282,7 +274,7 @@ def sample_matrix(config: EnsembleConfig, trial_index: int) -> MatrixSample:
         entries = np.where(mask, values, 0.0) / math.sqrt(n * config.p_n)
     else:
         entries = values / math.sqrt(n)
-    return MatrixSample(entries, config, trial_index)
+    return MatrixSample(entries)
 
 
 def smoothing_stream(config: EnsembleConfig, trial_index: int) -> rng.Stream:
@@ -295,28 +287,6 @@ def draw_unit_disc(stream: rng.Stream) -> complex:
     u = stream.uniform()
     theta = _TWO_PI * stream.uniform()
     return math.sqrt(u) * complex(math.cos(theta), math.sin(theta))
-
-
-def smoothing_shift(sample: MatrixSample, r: float, stream: rng.Stream) -> MatrixSample:
-    """Subtract r * xi * I with a single disc-uniform xi shared by the diagonal."""
-    if r < 0:
-        raise DomainError(f"smoothing radius must be >= 0, got {r}")
-    if sample.applied_smoothing is not None:
-        raise UsageError("sample already carries a smoothing shift")
-    xi = draw_unit_disc(stream)
-    if r == 0.0:
-        entries = sample.entries
-    else:
-        entries = sample.entries.astype(np.complex128, copy=True)
-        idx = np.arange(sample.n)
-        entries[idx, idx] -= r * xi
-    return MatrixSample(
-        entries,
-        sample.config,
-        sample.trial_index,
-        applied_shift=sample.applied_shift,
-        applied_smoothing=(r, xi),
-    )
 
 
 @dataclass(frozen=True)

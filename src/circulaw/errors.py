@@ -1,4 +1,9 @@
-"""Exception hierarchy shared by all modules."""
+"""Exception hierarchy shared by all modules.
+
+Bad input is a ConfigError (a configuration) or a DomainError (an argument
+of an operation); the CLI exits 2 on either. A computation that cannot meet
+its contract is a NumericError or an EstimationError; the CLI exits 3.
+"""
 
 
 class CirculawError(Exception):
@@ -7,10 +12,6 @@ class CirculawError(Exception):
 
 class ConfigError(CirculawError):
     """Invalid ensemble or experiment configuration."""
-
-
-class UsageError(CirculawError):
-    """API misuse, e.g. shifting a matrix twice."""
 
 
 class DomainError(CirculawError):

@@ -20,12 +20,12 @@ from typing import List, Sequence
 import numpy as np
 
 from . import __version__
-from .ensemble import EnsembleConfig, sample_matrix, smoothing_shift, smoothing_stream
+from .ensemble import EnsembleConfig, sample_matrix, smoothing_stream
 from .ensemble import _json_object, _real, _whole
 from .errors import ConfigError, EstimationError, NumericError
 from .invertibility import MIN_TAIL_TRIALS, largest_sv_tail, min_sv_tail
 from .limit_theory import disc_potential, law_for_shift, potential_from_law
-from .linalg import eigenvalues, shift, singular_values
+from .linalg import eigenvalues, shift, singular_values, smoothing_shift
 from .parallel import parallel_map
 from .spectral_measures import (
     EmpiricalCDF,
@@ -187,9 +187,6 @@ class ExperimentReport:
         row["spec_hash"] = self.meta.get("spec_hash", "")
         self.rows.append(row)
 
-    def column(self, name):
-        return [row[name] for row in self.rows]
-
 
 def render_report(report: ExperimentReport, fmt: str = "csv") -> str:
     """Bit-stable text of a report; wall time is deliberately not written."""
@@ -350,11 +347,11 @@ def run_potential(spec: ExperimentSpec, report: ExperimentReport) -> None:
         return one_trial
 
     for z in spec.z_points:
-        spectra = parallel_map(one_trial_factory(z), range(spec.trials))
         u_disc = disc_potential(z)
         u_law = potential_from_law(z)
+        spectra = parallel_map(one_trial_factory(z), range(spec.trials))
         try:
-            est = log_potential_empirical(spectra, spec.b_exponent, spec.c_cut)
+            est = log_potential_empirical(spectra, cfg.p_n, spec.b_exponent, spec.c_cut)
         except EstimationError:
             report.append(
                 row="stat", z_re=z.real, z_im=z.imag, r=r, trials=spec.trials,

@@ -37,18 +37,19 @@ _SQRT3 = math.sqrt(3.0)
 _T_SERIES = 1e-8  # below this |z|^2 the edge ratio uses its series value
 _GL16 = np.polynomial.legendre.leggauss(16)
 _GL8 = np.polynomial.legendre.leggauss(8)
-_EDGE_U = 0.5 ** np.arange(48, -1, -1.0)  # log_moment's u-breakpoints, graded to 0
+_EDGE_U = 0.5 ** np.arange(48, -1, -1.0)  # the potential's u-breakpoints, graded to 0
 _GRID_HALF = 2048
 _LAW_CACHE_MAX = 64
+_T_MAX = 1e10  # largest |z|^2 (|z| = 1e5); beyond it the edges lose the law's mass
 
 
-def _shift(z: complex):
-    """(z, |z|^2) as (complex, float); DomainError unless |z|^2 is finite."""
+def _shift(z: complex) -> float:
+    """|z|^2 of the shift z; DomainError unless |z| <= 1e5 (NaN and inf included)."""
     z = complex(z)
     t = z.real * z.real + z.imag * z.imag
-    if not math.isfinite(t):
-        raise DomainError(f"shift z={z} has no finite |z|^2")
-    return z, t
+    if not t <= _T_MAX:
+        raise DomainError(f"shift z={z} is outside |z| <= 1e5")
+    return t
 
 
 def _edge_squares(t: float):
@@ -63,7 +64,7 @@ def _edge_squares(t: float):
 
 def support_endpoints(z: complex):
     """(x1, x2): outer edge always, inner edge for |z| > 1 (0.0 exactly at |z| = 1)."""
-    x1_sq, x2_sq = _edge_squares(_shift(z)[1])
+    x1_sq, x2_sq = _edge_squares(_shift(z))
     x1 = math.sqrt(x1_sq)
     if x2_sq is None or x2_sq < 0.0:
         return x1, None
@@ -89,8 +90,7 @@ def cubic_roots(x: float, z: complex) -> np.ndarray:
 
     Real coefficients get exact conjugate pairing enforced after polishing.
     """
-    z, t = _shift(z)
-    coeffs, roots = _l_roots(x, t)
+    coeffs, roots = _l_roots(x, _shift(z))
     scale = max(1.0, abs(x)) ** 3
     imag_tol = 1e-9 * max(1.0, abs(x))
     complex_mask = np.abs(roots.imag) > imag_tol
@@ -119,7 +119,7 @@ def limit_stieltjes(alpha: complex, z: complex) -> complex:
     alpha = complex(alpha)
     if alpha.imag <= 0:
         raise DomainError("alpha must lie in the upper half-plane")
-    z, t = _shift(z)
+    t = _shift(z)
     roots = _l_roots(alpha, t)[1] - alpha
     candidates = roots[roots.imag > 1e-12]
     if len(candidates) != 1:
@@ -164,7 +164,7 @@ def _sym_density_array(x: np.ndarray, t: float) -> np.ndarray:
 
 def limit_density(x: float, z: complex) -> float:
     """Density of the symmetrized law at x (even in x, zero off the support)."""
-    return float(_sym_density_array(np.array([x]), _shift(z)[1])[0])
+    return float(_sym_density_array(np.array([x]), _shift(z))[0])
 
 
 def _gauss_panels(t: float, edge: float, sign: float, u: np.ndarray, rule=_GL16,
@@ -189,12 +189,12 @@ def _half_widths(lo: float, hi: float):
 
 @dataclass(frozen=True)
 class LimitLaw:
-    """Per-z limiting law: support edges plus the CDF grid for fast queries.
+    """Limiting law of every shift with one |z|^2: support edges plus the CDF
+    grid for fast queries.
 
     `for_shift` builds the whole law, grid included; the object is immutable.
     """
 
-    z: complex
     x1: float
     x2: Optional[float]
     _t: float = field(repr=False)
@@ -206,7 +206,7 @@ class LimitLaw:
         """The law of shift z, with the cumulative mass at 2 * _GRID_HALF + 1 points
         of [lo, x1]: the u-steps of each half are equal, so the points crowd
         towards the edges."""
-        z, t = _shift(z)
+        t = _shift(z)
         x1, x2 = support_endpoints(z)
         lo = 0.0 if x2 is None else x2
         u_lo, u_hi = _half_widths(lo, x1)
@@ -217,11 +217,7 @@ class LimitLaw:
         grid_f = np.maximum.accumulate(np.concatenate([[0.0], np.cumsum(panels)]))
         grid_x = np.concatenate([lo + u_lower * u_lower, x1 - u_upper[1:] * u_upper[1:]])
         grid_x.flags.writeable = grid_f.flags.writeable = False
-        return cls(z, x1, x2, t, grid_x, grid_f)
-
-    @property
-    def lo(self) -> float:
-        return self.x2 if self.x2 is not None else 0.0
+        return cls(x1, x2, t, grid_x, grid_f)
 
     def density(self, x):
         return _sym_density_array(np.asarray(x, dtype=np.float64), self._t)
@@ -243,23 +239,6 @@ class LimitLaw:
         """Full-line mass of the symmetrized density (should be 1)."""
         return 2.0 * float(self._grid_f[-1])
 
-    def log_moment(self) -> float:
-        """-Int ln|x| d(symmetrized law), on panels graded geometrically towards
-        both edges, with the 8-point rule's difference as the error estimate."""
-        u_lo, u_hi = _half_widths(self.lo, self.x1)
-
-        def integral(rule):
-            lower = _gauss_panels(self._t, self.lo, 1.0, u_lo * _EDGE_U, rule, log_weight=True)
-            upper = _gauss_panels(self._t, self.x1, -1.0, u_hi * _EDGE_U[::-1], rule,
-                                  log_weight=True)
-            return float(lower.sum() + upper.sum())
-
-        val16 = integral(_GL16)
-        err = 2.0 * abs(val16 - integral(_GL8))
-        if err > 1e-4:
-            raise NumericError(f"potential quadrature error estimate {err:.3g} > 1e-4")
-        return -2.0 * val16
-
 
 _LAW_CACHE: dict = {}
 
@@ -269,8 +248,8 @@ def law_for_shift(z: complex) -> LimitLaw:
 
     The cache is emptied when it holds _LAW_CACHE_MAX laws. It takes no lock:
     concurrent misses on one shift may each build the law, and every build is
-    identical. A non-finite |z|^2 raises DomainError and is never cached."""
-    z, t = _shift(z)
+    identical. A shift beyond |z| = 1e5 raises DomainError and is never cached."""
+    t = _shift(z)
     law = _LAW_CACHE.get(t)
     if law is None:
         law = LimitLaw.for_shift(z)
@@ -289,7 +268,7 @@ def limit_cdf(x, z: complex):
 
 def disc_potential(z: complex) -> float:
     """Logarithmic potential of the uniform unit-disc law."""
-    t = _shift(z)[1]
+    t = _shift(z)
     if t <= 1.0:
         return 0.5 * (1.0 - t)
     return -0.5 * math.log(t)
@@ -304,8 +283,25 @@ def g_field(s: float, t: float) -> float:
 
 
 def potential_from_law(z: complex) -> float:
-    """-Int ln|x| d(symmetrized law) by quadrature; agrees with disc_potential."""
-    return law_for_shift(z).log_moment()
+    """-Int ln|x| d(symmetrized law); agrees with disc_potential.
+
+    Gauss panels graded geometrically towards both support edges, with the
+    8-point rule's difference as the error estimate. No CDF grid is built."""
+    t = _shift(z)
+    x1, x2 = support_endpoints(z)
+    lo = 0.0 if x2 is None else x2
+    u_lo, u_hi = _half_widths(lo, x1)
+
+    def integral(rule):
+        lower = _gauss_panels(t, lo, 1.0, u_lo * _EDGE_U, rule, log_weight=True)
+        upper = _gauss_panels(t, x1, -1.0, u_hi * _EDGE_U[::-1], rule, log_weight=True)
+        return float(lower.sum() + upper.sum())
+
+    val16 = integral(_GL16)
+    err = 2.0 * abs(val16 - integral(_GL8))
+    if err > 1e-4:
+        raise NumericError(f"potential quadrature error estimate {err:.3g} > 1e-4")
+    return -2.0 * val16
 
 
 def export_tabulation(z: complex, xs, path) -> None:

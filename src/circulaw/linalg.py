@@ -1,4 +1,4 @@
-"""Dense numerical kernels: shifts, Hermitization, spectra, subspace distances.
+"""Dense numerical kernels: diagonal shifts, Hermitization, spectra, subspace distances.
 
 Singular values come from a Hermitian eigensolve of the n x n Gram matrix;
 the 2n x 2n Hermitization is exposed for cross-checks but is not the
@@ -12,23 +12,21 @@ SVD of the matrix itself instead, which gets every s_j to a few eps * s_1.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
-from .ensemble import EnsembleConfig, MatrixSample
-from .errors import DomainError, NumericError, UsageError
+from . import rng
+from .ensemble import MatrixSample, draw_unit_disc
+from .errors import DomainError, NumericError
 
 _REFINE_RATIO = 1e-6
 
 
 @dataclass
 class ComplexSpectrum:
-    """Eigenvalues sorted by (Re, Im) plus sample provenance."""
+    """Eigenvalues sorted by (Re, Im)."""
 
     values: np.ndarray
-    config: Optional[EnsembleConfig] = None
-    trial_index: int = -1
 
     @property
     def n(self) -> int:
@@ -37,13 +35,9 @@ class ComplexSpectrum:
 
 @dataclass
 class SingularSpectrum:
-    """Singular values sorted descending, tagged with the shift and smoothing."""
+    """Singular values sorted descending."""
 
     values: np.ndarray
-    z: complex
-    r: float
-    config: Optional[EnsembleConfig] = None
-    trial_index: int = -1
 
     @property
     def n(self) -> int:
@@ -51,24 +45,22 @@ class SingularSpectrum:
 
 
 def shift(sample: MatrixSample, z: complex) -> MatrixSample:
-    """Subtract z from the diagonal, recording the shift."""
-    if sample.applied_shift is not None:
-        raise UsageError("sample already carries a diagonal shift")
+    """A - z I, the one diagonal shift; z = 0 returns `sample` itself."""
     z = complex(z)
     if z == 0:
-        entries = sample.entries
-    else:
-        dtype = np.complex128 if (z.imag != 0 or np.iscomplexobj(sample.entries)) else np.float64
-        entries = sample.entries.astype(dtype, copy=True)
-        idx = np.arange(sample.n)
-        entries[idx, idx] -= z.real if dtype == np.float64 else z
-    return MatrixSample(
-        entries,
-        sample.config,
-        sample.trial_index,
-        applied_shift=z,
-        applied_smoothing=sample.applied_smoothing,
-    )
+        return sample
+    dtype = np.complex128 if (z.imag != 0 or np.iscomplexobj(sample.entries)) else np.float64
+    entries = sample.entries.astype(dtype, copy=True)
+    idx = np.arange(sample.n)
+    entries[idx, idx] -= z.real if dtype == np.float64 else z
+    return MatrixSample(entries)
+
+
+def smoothing_shift(sample: MatrixSample, r: float, stream: rng.Stream) -> MatrixSample:
+    """A - r xi I, with one disc-uniform xi drawn from `stream` for the whole diagonal."""
+    if r < 0:
+        raise DomainError(f"smoothing radius must be >= 0, got {r}")
+    return shift(sample, r * draw_unit_disc(stream))
 
 
 def hermitize(sample: MatrixSample) -> np.ndarray:
@@ -93,9 +85,7 @@ def singular_values(sample: MatrixSample) -> SingularSpectrum:
     fro_sq = float(np.sum(np.abs(a) ** 2))
     if fro_sq > 0 and abs(float(np.sum(s**2)) - fro_sq) > 1e-8 * fro_sq:
         raise NumericError("singular value computation inconsistent with Frobenius norm")
-    z = sample.applied_shift if sample.applied_shift is not None else 0.0
-    r = sample.applied_smoothing[0] if sample.applied_smoothing is not None else 0.0
-    return SingularSpectrum(s, complex(z), float(r), sample.config, sample.trial_index)
+    return SingularSpectrum(s)
 
 
 def eigenvalues(sample: MatrixSample) -> ComplexSpectrum:
@@ -111,7 +101,7 @@ def eigenvalues(sample: MatrixSample) -> ComplexSpectrum:
     trace = complex(np.trace(a))
     if abs(complex(vals.sum()) - trace) > 1e-6 * sample.n * max(1.0, abs(trace)):
         raise NumericError("eigenvalue sum inconsistent with trace")
-    return ComplexSpectrum(vals, sample.config, sample.trial_index)
+    return ComplexSpectrum(vals)
 
 
 def smallest_singular_value(sample: MatrixSample) -> float:

@@ -81,8 +81,6 @@ class EmpiricalCDF:
 class PotentialEstimate:
     """Truncated mean of -(1/n) sum log s_j across trials."""
 
-    z: complex
-    r: float
     value: float
     stderr: float
     trials: int
@@ -142,26 +140,27 @@ def ks_distance(f: EmpiricalCDF, g: CdfEvaluator) -> float:
 
 def log_potential_empirical(
     spectra: Sequence[SingularSpectrum],
+    p_n: float,
     b_exponent: float = 3.0,
     c_cut: float = 1.0,
 ) -> PotentialEstimate:
     """Mean of -(1/n) sum_j log s_j over the trials passing the truncation filter.
 
-    A trial enters only if s_n >= c_cut / n^b_exponent and s_1 <= n*sqrt(p_n);
-    the count of excluded trials is reported, and an estimate with every trial
-    excluded is an error rather than a silent NaN. The standard error is the
-    leave-one-out jackknife.
+    The spectra are those of one shifted ensemble, all of dimension n, and
+    p_n is that ensemble's sparsity. A trial enters only if
+    s_n >= c_cut / n^b_exponent and s_1 <= n*sqrt(p_n); the count of excluded
+    trials is reported, and an estimate with every trial excluded is an error
+    rather than a silent NaN. The standard error is the leave-one-out
+    jackknife.
     """
     if not c_cut > 0:
         raise DomainError(f"c_cut must be > 0, got {c_cut}")
     spectra = list(spectra)
     if not spectra:
         raise DomainError("need at least one spectrum")
-    z0, r0, n = spectra[0].z, spectra[0].r, spectra[0].n
-    for sp in spectra:
-        if sp.z != z0 or sp.r != r0 or sp.n != n:
-            raise DomainError("all spectra must share (z, r) and dimension")
-    p_n = spectra[0].config.p_n if spectra[0].config is not None else 1.0
+    n = spectra[0].n
+    if any(sp.n != n for sp in spectra):
+        raise DomainError("all spectra must share one dimension")
     floor = c_cut / float(n) ** b_exponent
     ceiling = n * math.sqrt(p_n)
     values = []
@@ -173,9 +172,7 @@ def log_potential_empirical(
         else:
             excluded += 1
     if not values:
-        raise EstimationError(
-            f"all {len(spectra)} trials excluded by the truncation filter at z={z0}"
-        )
+        raise EstimationError(f"all {len(spectra)} trials excluded by the truncation filter")
     values = np.array(values)
     mean = float(values.mean())
     m = len(values)
@@ -184,7 +181,7 @@ def log_potential_empirical(
         stderr = float(math.sqrt((m - 1) / m * np.sum((loo - loo.mean()) ** 2)))
     else:
         stderr = 0.0
-    return PotentialEstimate(z0, r0, mean, stderr, len(spectra), excluded)
+    return PotentialEstimate(mean, stderr, len(spectra), excluded)
 
 
 def radial_angular_cdfs(spectrum: ComplexSpectrum):

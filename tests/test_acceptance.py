@@ -126,7 +126,7 @@ def test_criterion_07_log_determinant_anchor():
     with criterion(7, "log-determinant anchor", 60.0):
         cfg = EnsembleConfig(512, 1.0, GAUSS, 404)
         spectra = [singular_values(sample_matrix(cfg, t)) for t in range(20)]
-        est = log_potential_empirical(spectra)
+        est = log_potential_empirical(spectra, 1.0)
         # est.value is -(1/n) sum log s_j averaged over trials
         assert abs(-est.value + 0.5) <= 0.05
         assert abs(est.value - disc_potential(0j)) <= 0.05

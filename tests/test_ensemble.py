@@ -1,3 +1,4 @@
+import json
 import math
 import statistics
 
@@ -9,15 +10,16 @@ from circulaw import (
     DomainError,
     EnsembleConfig,
     EntryDistribution,
-    UsageError,
     draw_entry,
     log_moment_estimate,
     sample_matrix,
+    shift,
     smoothing_shift,
 )
 from circulaw import rng
 from circulaw.ensemble import draw_unit_disc, smoothing_stream
 from circulaw.linalg import eigenvalues
+from circulaw.textio import stable_dumps
 
 from conftest import ks_two_sample_critical, two_sample_ks
 
@@ -107,7 +109,7 @@ class TestConfig:
 
     def test_json_roundtrip(self):
         cfg = EnsembleConfig(64, 0.25, EntryDistribution("TwoPoint", a=3.0, p=0.1), 99)
-        back = EnsembleConfig.from_json(cfg.to_json())
+        back = EnsembleConfig.from_json_dict(json.loads(stable_dumps(cfg.to_json_dict())))
         assert back == cfg
 
     def test_unknown_fields_rejected(self):
@@ -198,25 +200,29 @@ class TestSmoothing:
         m = sample_matrix(cfg, 0)
         out = smoothing_shift(m, 0.0, smoothing_stream(cfg, 0))
         assert np.array_equal(out.entries, m.entries)
-        assert out.applied_smoothing[0] == 0.0
-        assert abs(out.applied_smoothing[1]) <= 1.0
 
     def test_negative_radius_rejected(self):
         cfg = EnsembleConfig(4, 1.0, GAUSS, 7)
         with pytest.raises(DomainError):
             smoothing_shift(sample_matrix(cfg, 0), -0.1, smoothing_stream(cfg, 0))
 
-    def test_double_smoothing_rejected(self):
-        cfg = EnsembleConfig(4, 1.0, GAUSS, 7)
-        m = smoothing_shift(sample_matrix(cfg, 0), 0.1, smoothing_stream(cfg, 0))
-        with pytest.raises(UsageError):
-            smoothing_shift(m, 0.1, smoothing_stream(cfg, 0))
+    @pytest.mark.parametrize("dist", [GAUSS, CGAUSS], ids=["real", "complex"])
+    @pytest.mark.parametrize("r", [0.0, 0.5])
+    def test_is_the_diagonal_shift_by_r_xi(self, dist, r):
+        cfg = EnsembleConfig(6, 1.0, dist, 11)
+        for t in range(3):
+            m = sample_matrix(cfg, t)
+            got = smoothing_shift(m, r, smoothing_stream(cfg, t)).entries
+            want = shift(m, r * draw_unit_disc(smoothing_stream(cfg, t))).entries
+            assert got.dtype == want.dtype
+            assert got.tobytes() == want.tobytes()
 
     def test_eigenvalues_shift_by_r_xi(self):
         cfg = EnsembleConfig(48, 1.0, GAUSS, 21)
         m = sample_matrix(cfg, 0)
-        out = smoothing_shift(m, 0.5, smoothing_stream(cfg, 0))
-        r, xi = out.applied_smoothing
+        r = 0.5
+        out = smoothing_shift(m, r, smoothing_stream(cfg, 0))
+        xi = draw_unit_disc(smoothing_stream(cfg, 0))
         expected = eigenvalues(m).values - r * xi
         shifted = eigenvalues(out).values
         gaps = np.abs(expected[:, None] - shifted[None, :])

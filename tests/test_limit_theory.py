@@ -293,6 +293,11 @@ class TestPotentialFromLaw:
         # the Hermitization identity, to the quadrature's accuracy, across the unit circle
         assert abs(potential_from_law(z) - disc_potential(z)) <= 1e-9
 
+    def test_builds_no_grid(self, monkeypatch):
+        monkeypatch.setattr(limit_theory, "_LAW_CACHE", {})
+        potential_from_law(0.5 + 0.5j)
+        assert limit_theory._LAW_CACHE == {}
+
     def test_radial_derivative_matches_g_field(self):
         h = 1e-3
         for s, t in [(0.2, 0.1), (0.5, 0.3), (-0.6, 0.2), (1.4, 0.5), (2.0, 0.0), (-1.8, 0.7)]:
@@ -323,16 +328,27 @@ class TestNonFiniteShift:
         "limit_cdf": lambda z: limit_cdf(1.0, z),
         "limit_density": lambda z: limit_density(0.5, z),
         "disc_potential": disc_potential,
+        "cubic_roots": lambda z: cubic_roots(1.0, z),
+        "limit_stieltjes": lambda z: limit_stieltjes(1j, z),
+        "law_for_shift": law_for_shift,
     }
 
-    @pytest.mark.parametrize("z", [complex("nan"), complex("inf"), complex(1.0, math.nan), 1e200],
-                             ids=["nan", "inf", "1+nanj", "1e200"])
+    @pytest.mark.parametrize("z", [complex("nan"), complex("inf"), complex(1.0, math.nan), 1e200,
+                                   1e8, 1e17, 1e104],
+                             ids=["nan", "inf", "1+nanj", "1e200", "1e8", "1e17", "1e104"])
     @pytest.mark.parametrize("name", sorted(CALLS))
     def test_raises_domain_error_and_caches_nothing(self, name, z, monkeypatch):
         monkeypatch.setattr(limit_theory, "_LAW_CACHE", {})
         with pytest.raises(DomainError):
             self.CALLS[name](z)
         assert limit_theory._LAW_CACHE == {}
+
+    def test_largest_shift_accepted(self, monkeypatch):
+        # the bound: the mass is off by 6.7e-7 here, by 4.5e-5 at |z| = 1e6 and 0.64 at 1e8
+        monkeypatch.setattr(limit_theory, "_LAW_CACHE", {})
+        z = 1e5 + 0j
+        assert abs(law_for_shift(z).total_mass() - 1.0) <= 1e-6
+        assert abs(potential_from_law(z) - disc_potential(z)) <= 1e-5
 
 
 class TestLawCache:

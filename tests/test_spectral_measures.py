@@ -25,8 +25,8 @@ from circulaw.linalg import ComplexSpectrum, SingularSpectrum
 from conftest import ks_one_sample_critical
 
 
-def spectrum_of(values, z=0.0, r=0.0, config=None):
-    return SingularSpectrum(np.asarray(values, dtype=np.float64), complex(z), r, config)
+def spectrum_of(values):
+    return SingularSpectrum(np.asarray(values, dtype=np.float64))
 
 
 class TestEmpiricalCDF:
@@ -201,42 +201,50 @@ class TestKsDistance:
 class TestLogPotentialEmpirical:
     def test_identity_trials(self):
         spectra = [spectrum_of(np.ones(4)) for _ in range(3)]
-        est = log_potential_empirical(spectra)
+        est = log_potential_empirical(spectra, 1.0)
         assert est.value == 0.0 and est.stderr == 0.0 and est.truncation_count == 0
 
     def test_log_cancellation(self):
         # n=2 with s_1 = e would trip the s_1 <= n sqrt(p_n) filter (e > 2),
         # so the cancellation is exercised at n=3 and with a shrunken pair
-        est = log_potential_empirical([spectrum_of([math.e, 1.0, 1.0 / math.e])])
+        est = log_potential_empirical([spectrum_of([math.e, 1.0, 1.0 / math.e])], 1.0)
         assert abs(est.value) < 1e-15
-        est2 = log_potential_empirical([spectrum_of([math.sqrt(math.e), 1.0 / math.sqrt(math.e)])])
+        est2 = log_potential_empirical(
+            [spectrum_of([math.sqrt(math.e), 1.0 / math.sqrt(math.e)])], 1.0
+        )
         assert abs(est2.value) < 1e-15
 
     def test_all_excluded_raises(self):
         tiny = spectrum_of([1.0, 1e-30])
         with pytest.raises(EstimationError):
-            log_potential_empirical([tiny, tiny])
+            log_potential_empirical([tiny, tiny], 1.0)
 
     def test_exclusion_counted(self):
         good = spectrum_of([1.0, 0.5])
         bad = spectrum_of([1.0, 1e-30])
-        est = log_potential_empirical([good, bad])
+        est = log_potential_empirical([good, bad], 1.0)
         assert est.trials == 2 and est.truncation_count == 1
 
-    def test_mismatched_shift_rejected(self):
+    def test_ceiling_follows_p_n(self):
+        # n = 2: the ceiling n sqrt(p_n) is 1 at p_n = 1/4, so s_1 = 2 is cut, and 2 at p_n = 1
+        spectra = [spectrum_of([2.0, 0.5]), spectrum_of([1.0, 1.0])]
+        assert log_potential_empirical(spectra, 0.25).truncation_count == 1
+        assert log_potential_empirical(spectra, 1.0).truncation_count == 0
+
+    def test_mismatched_dimension_rejected(self):
         with pytest.raises(DomainError):
-            log_potential_empirical([spectrum_of([1.0], z=0.0), spectrum_of([1.0], z=1.0)])
+            log_potential_empirical([spectrum_of([1.0]), spectrum_of([1.0, 1.0])], 1.0)
 
     @pytest.mark.parametrize("c_cut", [0.0, -1.0, math.nan])
     def test_nonpositive_c_cut_rejected(self, c_cut):
         # a floor of c_cut / n^B <= 0 would admit s_n = 0 and average in log 0
         with pytest.raises(DomainError):
-            log_potential_empirical([spectrum_of([1.0, 0.0])], c_cut=c_cut)
+            log_potential_empirical([spectrum_of([1.0, 0.0])], 1.0, c_cut=c_cut)
 
     def test_log_determinant_constant_at_desk_scale(self):
         cfg = EnsembleConfig(512, 1.0, EntryDistribution("RealGaussian"), 404)
         spectra = [singular_values(sample_matrix(cfg, t)) for t in range(20)]
-        est = log_potential_empirical(spectra)
+        est = log_potential_empirical(spectra, 1.0)
         assert abs(est.value - 0.5) <= 0.05
         assert est.truncation_count == 0
 
