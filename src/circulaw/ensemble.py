@@ -244,13 +244,17 @@ def draw_entry(dist: EntryDistribution, stream: rng.Stream):
     return complex(value) if dist.is_complex else float(value)
 
 
-def draw_grid(dist, seed, role, aux, nrows, ncols) -> np.ndarray:
-    """(nrows, ncols) draws from `dist`, entry (j, k) fed by the key (seed, role, aux, j, k)."""
-    keys = rng.grid_keys(seed, role, aux, nrows, ncols)
+def _draws(dist: EntryDistribution, keys: np.ndarray) -> np.ndarray:
+    """One draw from `dist` per key, from the first words of that key's stream."""
     words = np.stack(
         [rng.word_grid(keys, i) for i in range(dist.words_per_draw)], axis=-1
     )
     return _values_from_words(dist, words)
+
+
+def draw_grid(dist, seed, role, aux, nrows, ncols) -> np.ndarray:
+    """(nrows, ncols) draws from `dist`, entry (j, k) fed by the key (seed, role, aux, j, k)."""
+    return _draws(dist, rng.grid_keys(seed, role, aux, nrows, ncols))
 
 
 def mask_grid(seed, role, aux, nrows, ncols, p_n) -> np.ndarray:
@@ -263,16 +267,21 @@ def sample_matrix(config: EnsembleConfig, trial_index: int) -> MatrixSample:
     """Draw the n x n matrix (eps_jk X_jk / sqrt(n p_n)) for one trial.
 
     Bit-identical across repeated calls and across processes for the same
-    (config, trial_index).
+    (config, trial_index). For p_n < 1 the values are drawn only where the
+    mask is set; keys are positional, so the entries equal those of the full
+    value grid masked afterwards.
     """
     if not isinstance(config, EnsembleConfig):
         raise ConfigError("sample_matrix expects an EnsembleConfig")
     n = config.n
-    values = draw_grid(config.dist, config.master_seed, rng.ROLE_VALUE, trial_index, n, n)
     if config.p_n < 1.0:
         mask = mask_grid(config.master_seed, rng.ROLE_MASK, trial_index, n, n, config.p_n)
-        entries = np.where(mask, values, 0.0) / math.sqrt(n * config.p_n)
+        rows, cols = np.nonzero(mask)
+        keys = rng.keys_at(config.master_seed, rng.ROLE_VALUE, trial_index, rows, cols, n, n)
+        entries = np.zeros((n, n), np.complex128 if config.dist.is_complex else np.float64)
+        entries[rows, cols] = _draws(config.dist, keys) / math.sqrt(n * config.p_n)
     else:
+        values = draw_grid(config.dist, config.master_seed, rng.ROLE_VALUE, trial_index, n, n)
         entries = values / math.sqrt(n)
     return MatrixSample(entries)
 

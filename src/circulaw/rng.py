@@ -76,8 +76,8 @@ def derive_key(*parts: int) -> int:
     return h
 
 
-def grid_keys(master_seed: int, role: int, aux: int, nrows: int, ncols: int) -> np.ndarray:
-    """(nrows, ncols) array of keys, keys[j, k] == derive_key(seed, role, aux, j, k)."""
+def _row_col_hashes(master_seed: int, role: int, aux: int, nrows: int, ncols: int):
+    """(hr, inner_c): derive_key(seed, role, aux, j, k) == mix64(hr[j] ^ inner_c[k])."""
     h0 = derive_key(master_seed, role, aux)
     inner_r = mix64_array((np.arange(nrows, dtype=np.uint64) + np.uint64(GOLDEN)))
     inner_c = (
@@ -85,8 +85,20 @@ def grid_keys(master_seed: int, role: int, aux: int, nrows: int, ncols: int) -> 
         if ncols == nrows
         else mix64_array((np.arange(ncols, dtype=np.uint64) + np.uint64(GOLDEN)))
     )
-    hr = mix64_array(np.uint64(h0) ^ inner_r)
+    return mix64_array(np.uint64(h0) ^ inner_r), inner_c
+
+
+def grid_keys(master_seed: int, role: int, aux: int, nrows: int, ncols: int) -> np.ndarray:
+    """(nrows, ncols) array of keys, keys[j, k] == derive_key(seed, role, aux, j, k)."""
+    hr, inner_c = _row_col_hashes(master_seed, role, aux, nrows, ncols)
     return mix64_array(hr[:, None] ^ inner_c[None, :])
+
+
+def keys_at(master_seed: int, role: int, aux: int, rows: np.ndarray, cols: np.ndarray,
+            nrows: int, ncols: int) -> np.ndarray:
+    """The keys of `grid_keys(seed, role, aux, nrows, ncols)` at (rows[i], cols[i]) only."""
+    hr, inner_c = _row_col_hashes(master_seed, role, aux, nrows, ncols)
+    return mix64_array(hr[rows] ^ inner_c[cols])
 
 
 def word_grid(keys: np.ndarray, index: int) -> np.ndarray:

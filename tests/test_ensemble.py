@@ -17,7 +17,7 @@ from circulaw import (
     smoothing_shift,
 )
 from circulaw import rng
-from circulaw.ensemble import draw_unit_disc, smoothing_stream
+from circulaw.ensemble import draw_grid, draw_unit_disc, mask_grid, smoothing_stream
 from circulaw.linalg import eigenvalues
 from circulaw.textio import stable_dumps
 
@@ -192,6 +192,20 @@ class TestSampleMatrix:
         assert sample_matrix(cfg, 0).entries.dtype == np.float64
         cfgc = EnsembleConfig(8, 1.0, CGAUSS, 7)
         assert sample_matrix(cfgc, 0).entries.dtype == np.complex128
+
+    # p_n = 1e-9 leaves the 16 x 16 mask empty, theta = 0.5 at n = 100 keeps ~10 %,
+    # and p_n = 1 - 1e-9 keeps every entry but takes the mask path
+    @pytest.mark.parametrize("n, p_n", [(16, 1e-9), (100, 100 ** -0.5), (37, 0.3), (33, 1 - 1e-9)])
+    @pytest.mark.parametrize("dist", ALL_DISTS, ids=lambda d: d.tag)
+    def test_sparse_sampler_is_the_masked_value_grid_bit_for_bit(self, dist, n, p_n):
+        cfg = EnsembleConfig(n, p_n, dist, 4242)
+        for t in (0, 5):
+            mask = mask_grid(cfg.master_seed, rng.ROLE_MASK, t, n, n, p_n)
+            values = draw_grid(dist, cfg.master_seed, rng.ROLE_VALUE, t, n, n)
+            expected = np.where(mask, values, 0.0) / math.sqrt(n * p_n)
+            got = sample_matrix(cfg, t).entries
+            assert got.dtype == expected.dtype
+            assert got.tobytes() == expected.tobytes()
 
 
 class TestSmoothing:

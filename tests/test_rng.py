@@ -17,6 +17,13 @@ class TestMixerLockstep:
             for k in (0, 3, 6):
                 assert int(keys[j, k]) == rng.derive_key(99, rng.ROLE_VALUE, 4, j, k)
 
+    def test_keys_at_match_the_grid(self):
+        grid = rng.grid_keys(99, rng.ROLE_VALUE, 4, 5, 7)
+        rows, cols = np.array([0, 4, 2, 4]), np.array([6, 0, 3, 6])
+        at = rng.keys_at(99, rng.ROLE_VALUE, 4, rows, cols, 5, 7)
+        assert at.tolist() == grid[rows, cols].tolist()
+        assert rng.keys_at(99, rng.ROLE_VALUE, 4, rows[:0], cols[:0], 5, 7).size == 0
+
     def test_word_grid_matches_stream(self):
         keys = rng.grid_keys(7, rng.ROLE_MASK, 0, 3, 3)
         stream = rng.Stream.from_labels(7, rng.ROLE_MASK, 0, 1, 2)
