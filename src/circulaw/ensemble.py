@@ -244,7 +244,7 @@ def draw_entry(dist: EntryDistribution, stream: rng.Stream):
     return complex(value) if dist.is_complex else float(value)
 
 
-def _draws(dist: EntryDistribution, keys: np.ndarray) -> np.ndarray:
+def draws_from_keys(dist: EntryDistribution, keys: np.ndarray) -> np.ndarray:
     """One draw from `dist` per key, from the first words of that key's stream."""
     words = np.stack(
         [rng.word_grid(keys, i) for i in range(dist.words_per_draw)], axis=-1
@@ -252,15 +252,19 @@ def _draws(dist: EntryDistribution, keys: np.ndarray) -> np.ndarray:
     return _values_from_words(dist, words)
 
 
+def mask_from_keys(keys: np.ndarray, p_n: float) -> np.ndarray:
+    """One Bernoulli(p_n) indicator per key, from the first word of its stream."""
+    return rng.uniform_from_words(rng.word_grid(keys, 0)) < p_n
+
+
 def draw_grid(dist, seed, role, aux, nrows, ncols) -> np.ndarray:
     """(nrows, ncols) draws from `dist`, entry (j, k) fed by the key (seed, role, aux, j, k)."""
-    return _draws(dist, rng.grid_keys(seed, role, aux, nrows, ncols))
+    return draws_from_keys(dist, rng.grid_keys(seed, role, aux, nrows, ncols))
 
 
 def mask_grid(seed, role, aux, nrows, ncols, p_n) -> np.ndarray:
     """(nrows, ncols) Bernoulli(p_n) indicators from the first word of each key."""
-    keys = rng.grid_keys(seed, role, aux, nrows, ncols)
-    return rng.uniform_from_words(rng.word_grid(keys, 0)) < p_n
+    return mask_from_keys(rng.grid_keys(seed, role, aux, nrows, ncols), p_n)
 
 
 def sample_matrix(config: EnsembleConfig, trial_index: int) -> MatrixSample:
@@ -279,7 +283,7 @@ def sample_matrix(config: EnsembleConfig, trial_index: int) -> MatrixSample:
         rows, cols = np.nonzero(mask)
         keys = rng.keys_at(config.master_seed, rng.ROLE_VALUE, trial_index, rows, cols, n, n)
         entries = np.zeros((n, n), np.complex128 if config.dist.is_complex else np.float64)
-        entries[rows, cols] = _draws(config.dist, keys) / math.sqrt(n * config.p_n)
+        entries[rows, cols] = draws_from_keys(config.dist, keys) / math.sqrt(n * config.p_n)
     else:
         values = draw_grid(config.dist, config.master_seed, rng.ROLE_VALUE, trial_index, n, n)
         entries = values / math.sqrt(n)

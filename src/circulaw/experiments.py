@@ -25,7 +25,14 @@ from .ensemble import _json_object, _real, _whole
 from .errors import ConfigError, EstimationError, NumericError
 from .invertibility import MIN_TAIL_TRIALS, largest_sv_tail, min_sv_tail
 from .limit_theory import disc_potential, law_for_shift, potential_from_law
-from .linalg import eigenvalues, shift, singular_values, smoothing_shift
+from .linalg import (
+    certified_log_det,
+    eigenvalues,
+    shift,
+    singular_values,
+    smoothing_shift,
+    truncation_window,
+)
 from .parallel import parallel_map
 from .spectral_measures import (
     EmpiricalCDF,
@@ -333,16 +340,24 @@ def run_sv_law(spec: ExperimentSpec, report: ExperimentReport) -> None:
                        "u_empirical", "u_stderr", "u_disc", "u_law", "gap_disc", "gap_law",
                        "flagged"])
 def run_potential(spec: ExperimentSpec, report: ExperimentReport) -> None:
-    """Empirical truncated log-determinant average vs the two exact potentials."""
+    """Empirical truncated log-determinant average vs the two exact potentials.
+
+    Each trial's log|det| comes from `certified_log_det`; a trial whose
+    certificate does not clear the truncation window takes its whole spectrum
+    instead, so the filter decides it exactly.
+    """
     cfg = spec.ensemble
     r = spec.resolve_r(cfg)
+    floor, ceiling = truncation_window(cfg.n, cfg.p_n, spec.b_exponent, spec.c_cut)
 
     def one_trial_factory(z):
         def one_trial(t):
             sample = sample_matrix(cfg, t)
             if r > 0:
                 sample = smoothing_shift(sample, r, smoothing_stream(cfg, t))
-            return singular_values(shift(sample, z))
+            shifted = shift(sample, z)
+            det = certified_log_det(shifted, floor, ceiling, cfg.master_seed, t)
+            return singular_values(shifted) if det is None else det
 
         return one_trial
 

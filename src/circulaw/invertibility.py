@@ -18,13 +18,21 @@ from typing import Sequence
 import numpy as np
 
 from . import rng
-from .ensemble import EnsembleConfig, EntryDistribution, draw_grid, mask_grid, sample_matrix
+from .ensemble import (
+    EnsembleConfig,
+    EntryDistribution,
+    draw_grid,
+    draws_from_keys,
+    mask_from_keys,
+    sample_matrix,
+)
 from .errors import DomainError, NumericError
-from .linalg import shift, singular_values
-from .parallel import parallel_map
+from .linalg import frobenius_norm, shift, singular_values, truncation_window
+from .parallel import parallel_map, single_threaded_blas
 from .textio import csv_text, write_text
 
 MIN_TAIL_TRIALS = 50  # fewest trials a MinSv or MaxSv tail frequency is taken over
+_SUM_DRAWS = 1 << 17  # draws per block of small_ball's sums
 
 
 @dataclass(frozen=True)
@@ -198,25 +206,38 @@ def small_ball(
         raise DomainError(f"p_n must lie in (0, 1], got {p_n}")
     if not 0.0 <= eta < math.inf:
         raise DomainError(f"eta must be finite and >= 0, got {eta}")
-    x = np.asarray(x)
+    return _max_ball_fraction(_ball_sums(np.asarray(x), dist, p_n, trials, seed), eta)
+
+
+def _ball_sums(x: np.ndarray, dist: EntryDistribution, p_n: float, trials: int, seed: int):
+    """sum_k x_k eps_k X_k per trial, built in blocks of about `_SUM_DRAWS` draws.
+
+    Each block starts at a multiple of 4 trials and has at least two rows,
+    and BLAS runs on one thread, so every sum has the bits of the whole
+    (trials, n) product on one thread: that product groups its rows by 4 and
+    treats a one-row product apart, and its threaded split differs.
+    """
     n = len(x)
-    draws = draw_grid(dist, seed, rng.ROLE_SMALL_BALL, 0, trials, n)
-    if p_n < 1.0:
-        draws = np.where(mask_grid(seed, rng.ROLE_SMALL_BALL, 1, trials, n, p_n), draws, 0.0)
-    return _max_ball_fraction(draws @ x, eta)
+    cols = np.arange(n)[None, :]
+    starts = range(0, trials - 1, max(4, _SUM_DRAWS // n // 4 * 4))
+    sums = []
+    with single_threaded_blas():
+        for start, stop in zip(starts, [*starts[1:], trials]):
+            rows = np.arange(start, stop)[:, None]
+            keys = rng.keys_at(seed, rng.ROLE_SMALL_BALL, 0, rows, cols, trials, n)
+            draws = draws_from_keys(dist, keys)
+            if p_n < 1.0:
+                keys = rng.keys_at(seed, rng.ROLE_SMALL_BALL, 1, rows, cols, trials, n)
+                draws = np.where(mask_from_keys(keys, p_n), draws, 0.0)
+            sums.append(draws @ x)
+    return np.concatenate(sums)
 
 
-def _extremes(config: EnsembleConfig, z: complex, trials: int):
-    """Per-trial (s_n, s_1) of A - z as two arrays, and the ceiling n sqrt(p_n)."""
+def _tail_ceiling(config: EnsembleConfig, trials: int) -> float:
+    """The ceiling n sqrt(p_n) of a tail count, after checking its trial count."""
     if trials < MIN_TAIL_TRIALS:
         raise DomainError(f"need at least {MIN_TAIL_TRIALS} trials, got {trials}")
-
-    def one_trial(t):
-        s = singular_values(shift(sample_matrix(config, t), z)).values
-        return s[-1], s[0]
-
-    s_min, s_max = np.array(parallel_map(one_trial, range(trials))).T
-    return s_min, s_max, config.n * math.sqrt(config.p_n)
+    return truncation_window(config.n, config.p_n)[1]
 
 
 def min_sv_tail(
@@ -229,7 +250,13 @@ def min_sv_tail(
     thresholds = np.sort(np.asarray(thresholds, dtype=np.float64))
     if len(thresholds) == 0 or not (thresholds[0] > 0 and np.isfinite(thresholds[-1])):
         raise DomainError("thresholds must be positive and finite")
-    s_min, s_max, ceiling = _extremes(config, z, trials)
+    ceiling = _tail_ceiling(config, trials)
+
+    def one_trial(t):
+        s = singular_values(shift(sample_matrix(config, t), z)).values
+        return s[-1], s[0]
+
+    s_min, s_max = np.array(parallel_map(one_trial, range(trials))).T
     ok = s_max <= ceiling
     freqs = np.array([float(np.mean((s_min <= t) & ok)) for t in thresholds])
     return TailTable(
@@ -238,6 +265,15 @@ def min_sv_tail(
 
 
 def largest_sv_tail(config: EnsembleConfig, trials: int) -> float:
-    """Empirical frequency of s_1 >= n sqrt(p_n) (no shift)."""
-    _, s_max, ceiling = _extremes(config, 0j, trials)
-    return float(np.mean(s_max >= ceiling))
+    """Empirical frequency of s_1 >= n sqrt(p_n) (no shift).
+
+    s_1 <= ||A||_F, so a trial with ||A||_F < n sqrt(p_n) misses without a
+    spectrum; only the others take `singular_values`.
+    """
+    ceiling = _tail_ceiling(config, trials)
+
+    def one_trial(t):
+        sample = sample_matrix(config, t)
+        return frobenius_norm(sample) >= ceiling and singular_values(sample).values[0] >= ceiling
+
+    return float(np.mean(parallel_map(one_trial, range(trials))))

@@ -7,19 +7,35 @@ spectrum: the Gram path gets each s_j^2 to about eps * s_1^2, so s_j to a
 relative error of about eps * (s_1 / s_j)^2 (2e-4 at s_j = 1e-6 s_1).
 Whenever s_n falls below 1e-6 times s_1, the whole spectrum is taken from an
 SVD of the matrix itself instead, which gets every s_j to a few eps * s_1.
+
+The log-potential needs only sum_j log s_j = log|det A| and the knowledge
+that s_n and s_1 lie in a truncation window. `certified_log_det` takes the
+first from an LU factorization (`slogdet`) and certifies the second without
+the spectrum: s_1 <= ||A||_F, and s_n from k = 10 keyed Gaussian probes and
+one solve (Dixon's bound), which is wrong with probability at most 10^-10.
+LU is backward stable: the value is log|det(A + dA)| with ||dA|| about
+n eps ||A||, so by Weyl it is off by about n^2 eps s_1 / s_n at most, which
+the certified bounds make explicit. When any check does not clear, the
+caller takes the exact path through `singular_values`.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
 from . import rng
-from .ensemble import MatrixSample, draw_unit_disc
+from .ensemble import EntryDistribution, MatrixSample, draw_grid, draw_unit_disc
 from .errors import DomainError, NumericError
 
 _REFINE_RATIO = 1e-6
+_PROBES = 10  # Gaussian probes per certificate: it fails with probability <= 10^-_PROBES
+_DIXON = 10.0 * math.sqrt(2.0 / math.pi)
+_EPS = float(np.finfo(np.float64).eps)
+_PROBE_LAW = {False: EntryDistribution("RealGaussian"), True: EntryDistribution("ComplexGaussian")}
 
 
 @dataclass
@@ -42,6 +58,70 @@ class SingularSpectrum:
     @property
     def n(self) -> int:
         return len(self.values)
+
+
+@dataclass
+class LogDeterminant:
+    """log|det A| of an n x n matrix, with certified bounds lower <= s_n and s_1 <= upper."""
+
+    value: float
+    lower: float
+    upper: float
+    n: int
+
+
+def truncation_window(n: int, p_n: float, b_exponent: float = 3.0, c_cut: float = 1.0):
+    """(floor, ceiling) = (c_cut / n^b_exponent, n sqrt(p_n)): a trial enters the
+    log-potential average only if floor <= s_n and s_1 <= ceiling."""
+    return c_cut / float(n) ** b_exponent, n * math.sqrt(p_n)
+
+
+def frobenius_norm(sample: MatrixSample) -> float:
+    """||A||_F, an upper bound on s_1; non-finite entries raise NumericError."""
+    fro = float(np.linalg.norm(sample.entries))
+    if not math.isfinite(fro):
+        raise NumericError("matrix has non-finite entries or an overflowing norm")
+    return fro
+
+
+def certified_log_det(
+    sample: MatrixSample, floor: float, ceiling: float, seed: int, trial_index: int
+) -> Optional[LogDeterminant]:
+    """log|det A| from `slogdet`, if floor <= s_n and s_1 <= ceiling are certified; else None.
+
+    Ceiling: s_1 <= ||A||_F. Floor: with k = 10 Gaussian probes w_i keyed by
+    (seed, ROLE_PROBE, trial_index) and X = solve(A, W),
+    ||A^-1|| <= 10 sqrt(2/pi) max_i ||A^-1 w_i|| except with probability
+    10^-k (Dixon 1983; Halko, Martinsson & Tropp 2011, Lemma 4.1). The probes
+    are N(0, 1) for real A. For complex A they are complex of unit variance,
+    i.e. a standard Gaussian of the real 2n-embedding divided by sqrt(2), so
+    the bound carries that sqrt(2). The solve residual R = W - A X, widened by
+    its own rounding, enters as ||A^-1 w_i|| <= ||x_i|| + ||A^-1|| ||r_i||;
+    a residual that costs more than half the bound returns None, as do
+    `slogdet` sign 0 and a bound that does not clear the window. Non-finite
+    entries raise NumericError. The value is accurate to about
+    n^2 eps upper / lower (module docstring).
+    """
+    a = sample.entries
+    n = sample.n
+    upper = frobenius_norm(sample)
+    if not upper <= ceiling:
+        return None
+    sign, value = np.linalg.slogdet(a)
+    if sign == 0:
+        return None
+    is_complex = np.iscomplexobj(a)
+    probes = draw_grid(_PROBE_LAW[is_complex], seed, rng.ROLE_PROBE, trial_index, n, _PROBES)
+    dixon = _DIXON * (math.sqrt(2.0) if is_complex else 1.0)
+    with np.errstate(all="ignore"):  # a non-finite x or residual fails the tests below
+        x = np.linalg.solve(a, probes)
+        x_norm = np.linalg.norm(x, axis=0)
+        slack = (n + 1) * _EPS * (np.linalg.norm(probes, axis=0) + upper * x_norm)
+        rho = dixon * float(np.max(np.linalg.norm(probes - a @ x, axis=0) + slack))
+        lower = (1.0 - rho) / (dixon * float(np.max(x_norm)))
+    if not (rho <= 0.5 and lower >= floor):
+        return None
+    return LogDeterminant(float(value), lower, upper, n)
 
 
 def shift(sample: MatrixSample, z: complex) -> MatrixSample:

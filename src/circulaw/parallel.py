@@ -72,7 +72,7 @@ def _openblas_threads():
 
 
 @contextmanager
-def _single_threaded_blas():
+def single_threaded_blas():
     """Hold OpenBLAS at one thread; the last of nested or concurrent holders restores it."""
     global _blas_depth, _blas_saved
     with _blas_lock:
@@ -95,7 +95,7 @@ def _single_threaded_blas():
 def parallel_map(fn, items):
     items = list(items)
     k = min(thread_count(), max(len(items), 1))
-    with _single_threaded_blas():
+    with single_threaded_blas():
         if k == 1:
             return [fn(item) for item in items]
         with ThreadPoolExecutor(max_workers=k) as pool:

@@ -14,6 +14,9 @@ absorbing integer labels into a splitmix-style finalizer:
 
 `role` separates independent sub-streams (entry values, sparsity mask,
 smoothing scalar, ...), so the dense path never consumes mask randomness.
+ROLE_PROBE feeds the Gaussian probes of `linalg.certified_log_det`, keyed by
+(seed, ROLE_PROBE, trial, j, i) for row j of probe i; they are independent of
+the matrix they probe, and reports that use them stay deterministic.
 Draws are pure functions of (key, counter): any matrix entry can be
 regenerated in isolation and generation order never matters, which makes
 parallel generation bitwise reproducible.
@@ -40,6 +43,7 @@ ROLE_XI = 3
 ROLE_MOMENT = 4
 ROLE_SMALL_BALL = 5
 ROLE_CONCENTRATION = 6
+ROLE_PROBE = 7
 
 _U53 = 2.0 ** -53
 

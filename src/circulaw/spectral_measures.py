@@ -15,7 +15,7 @@ from typing import Callable, Sequence, Union
 import numpy as np
 
 from .errors import DomainError, EstimationError
-from .linalg import ComplexSpectrum, SingularSpectrum
+from .linalg import ComplexSpectrum, LogDeterminant, SingularSpectrum, truncation_window
 from .textio import csv_text, write_text
 
 
@@ -139,19 +139,21 @@ def ks_distance(f: EmpiricalCDF, g: CdfEvaluator) -> float:
 
 
 def log_potential_empirical(
-    spectra: Sequence[SingularSpectrum],
+    spectra: Sequence[Union[SingularSpectrum, LogDeterminant]],
     p_n: float,
     b_exponent: float = 3.0,
     c_cut: float = 1.0,
 ) -> PotentialEstimate:
     """Mean of -(1/n) sum_j log s_j over the trials passing the truncation filter.
 
-    The spectra are those of one shifted ensemble, all of dimension n, and
+    The trials are those of one shifted ensemble, all of dimension n, and
     p_n is that ensemble's sparsity. A trial enters only if
-    s_n >= c_cut / n^b_exponent and s_1 <= n*sqrt(p_n); the count of excluded
-    trials is reported, and an estimate with every trial excluded is an error
-    rather than a silent NaN. The standard error is the leave-one-out
-    jackknife.
+    s_n >= c_cut / n^b_exponent and s_1 <= n*sqrt(p_n) (`truncation_window`);
+    the count of excluded trials is reported, and an estimate with every
+    trial excluded is an error rather than a silent NaN. The standard error is
+    the leave-one-out jackknife. A trial is a spectrum, filtered exactly, or a
+    `LogDeterminant` whose certified bounds must lie inside the window: such
+    bounds cannot exclude a trial, so one that misses the window is an error.
     """
     if not c_cut > 0:
         raise DomainError(f"c_cut must be > 0, got {c_cut}")
@@ -161,11 +163,15 @@ def log_potential_empirical(
     n = spectra[0].n
     if any(sp.n != n for sp in spectra):
         raise DomainError("all spectra must share one dimension")
-    floor = c_cut / float(n) ** b_exponent
-    ceiling = n * math.sqrt(p_n)
+    floor, ceiling = truncation_window(n, p_n, b_exponent, c_cut)
     values = []
     excluded = 0
     for sp in spectra:
+        if isinstance(sp, LogDeterminant):
+            if not (sp.lower >= floor and sp.upper <= ceiling):
+                raise DomainError("a certified log-determinant must clear the truncation window")
+            values.append(-sp.value / n)
+            continue
         s = np.asarray(sp.values)
         if s[-1] >= floor and s[0] <= ceiling:
             values.append(-float(np.sum(np.log(s))) / n)

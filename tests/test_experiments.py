@@ -7,7 +7,8 @@ import pathlib
 import numpy as np
 import pytest
 
-from circulaw import ConfigError, EnsembleConfig, EntryDistribution
+from circulaw import ConfigError, EnsembleConfig, EntryDistribution, experiments
+from circulaw.ensemble import sample_matrix, smoothing_stream
 from circulaw.experiments import (
     _JSON_KEY,
     _READS,
@@ -212,6 +213,76 @@ class TestPotential:
         assert abs(by_z[0.0]["u_empirical"] - 0.5) <= 0.05
         assert abs(by_z[3.0]["u_empirical"] - (-math.log(3.0))) <= 0.05
         assert not any(row["flagged"] for row in report.rows)
+
+
+def spectrum_path(spec, z, monkeypatch):
+    """(Potential row at z, spectrum-only estimate, singular_values calls of the run)."""
+    from circulaw.linalg import shift, singular_values, smoothing_shift
+    from circulaw.spectral_measures import log_potential_empirical
+
+    cfg, r = spec.ensemble, spec.resolve_r(spec.ensemble)
+    spectra = [
+        singular_values(shift(smoothing_shift(sample_matrix(cfg, t), r, smoothing_stream(cfg, t)), z))
+        for t in range(spec.trials)
+    ]
+    reference = log_potential_empirical(spectra, cfg.p_n, spec.b_exponent, spec.c_cut)
+    calls = []
+    monkeypatch.setattr(experiments, "singular_values",
+                        lambda a: calls.append(1) or singular_values(a))
+    row = run_potential(spec).rows[0]
+    return row, reference, len(calls)
+
+
+class TestPotentialCertificate:
+    def test_ceiling_fallback_matches_the_spectrum_path(self, monkeypatch):
+        # at z = 5, ||A - z||_F ~ 4 sqrt(26) > n = 16 while s_1 ~ 7: every trial takes
+        # the spectrum, and every trial is included
+        spec = ExperimentSpec(kind="Potential", ensemble=small_ensemble(n=16, seed=9),
+                              trials=4, z_points=(5 + 0j,), r="auto")
+        row, reference, calls = spectrum_path(spec, 5 + 0j, monkeypatch)
+        assert calls == spec.trials
+        assert (row["included"], row["excluded"]) == (spec.trials, 0) == (
+            reference.trials - reference.truncation_count, reference.truncation_count)
+        assert row["u_empirical"] == reference.value
+
+    def test_floor_fallback_matches_the_spectrum_path(self, monkeypatch):
+        # a floor between the trials' smallest singular values: the certificate can
+        # clear none of them, and the spectrum includes some and excludes others
+        base = ExperimentSpec(kind="Potential", ensemble=small_ensemble(n=16, seed=10),
+                              trials=6, z_points=(0j,), r=0.0)
+        from circulaw.linalg import singular_values
+
+        s_n = sorted(singular_values(sample_matrix(base.ensemble, t)).values[-1]
+                     for t in range(base.trials))
+        c_cut = math.sqrt(s_n[2] * s_n[3]) * 16**3
+        spec = dataclasses.replace(base, c_cut=c_cut)
+        row, reference, calls = spectrum_path(spec, 0j, monkeypatch)
+        assert calls == spec.trials
+        assert (row["included"], row["excluded"]) == (3, 3) == (
+            reference.trials - reference.truncation_count, reference.truncation_count)
+        assert row["u_empirical"] == reference.value
+
+    def test_certified_trials_agree_with_the_spectrum_path(self, monkeypatch):
+        spec = ExperimentSpec(kind="Potential", ensemble=small_ensemble(n=64, seed=11),
+                              trials=5, z_points=(0.5 + 0.5j,), r="auto")
+        row, reference, calls = spectrum_path(spec, 0.5 + 0.5j, monkeypatch)
+        assert calls == 0
+        assert row["included"] == spec.trials and reference.truncation_count == 0
+        assert abs(row["u_empirical"] - reference.value) <= 1e-12
+
+    def test_exactly_singular_trial_is_excluded(self, monkeypatch):
+        def singular_first(cfg, t):
+            sample = sample_matrix(cfg, t)
+            if t == 0:
+                sample.entries[:, 3] = 0.0
+            return sample
+
+        monkeypatch.setattr(experiments, "sample_matrix", singular_first)
+        spec = ExperimentSpec(kind="Potential", ensemble=small_ensemble(n=16, seed=12),
+                              trials=3, z_points=(0j,), r=0.0)
+        row = run_potential(spec).rows[0]
+        assert (row["included"], row["excluded"]) == (2, 1)
+        assert math.isfinite(row["u_empirical"]) and not row["flagged"]
 
 
 class TestMinMaxSv:

@@ -48,8 +48,8 @@ REPORT_DIGESTS = {
     ("CircularLaw", "json"): "b72275ee0adff133703785a51820ca55488f3f1fe5d95bfe373ca5e4c044ef19",
     ("SvLaw", "csv"): "7e19cc7914ac0676d1390acad1f9da660e1655967f72bab4b50a7c4a4f2b876d",
     ("SvLaw", "json"): "bd73fc941a6b9eff5f6a39475882c65a285895a6c18197578cdff8015404f6c2",
-    ("Potential", "csv"): "6322e513b7381a9e327e764e50e3a7fad185f3fb6c45442f243847b600f8abf6",
-    ("Potential", "json"): "e02a3358ff29808148e0d042553849030e0cdd90201e9ee6443e5eba9261ad65",
+    ("Potential", "csv"): "5f004c0b5af6e222b66f12793d36f3ec62d94cd69047e6610c2d89ed0896aaf4",
+    ("Potential", "json"): "4650448102ed8a6a19be549d88851eab9f381ca93de9bb19198defb128f57187",
     ("MinSv", "csv"): "78176a080488a5c95f49dc51610fc700fb8cef711fa634b150938ef2369d736c",
     ("MinSv", "json"): "f91f81468fcca0d5a872d20f3ec5566de27d5d341c9f35e8656bc96fb6da1507",
     ("MaxSv", "csv"): "488a86f038eb62268da27902abb646de8e662aaf929c9b4bc0e75ea0489b6acd",
@@ -68,8 +68,8 @@ CLI_ARGS = {
 CLI_DIGESTS = {
     ("svlaw", "csv"): "00147bd664abc6e8fa1035cd82878cfb67375de36ddebff07f51401a9041f595",
     ("svlaw", "json"): "111bc364529555a3b40bfa0360d51a54ed820fe249198c9ec309ea1f3e115ed9",
-    ("potential", "csv"): "ebfa6385c5389c14615642308e6da20551745d43630fb825eef70144af9fd1c8",
-    ("potential", "json"): "426df0d26073d541526f30c1624c10767328e8ea427da7b29bfdfdeff3ac7571",
+    ("potential", "csv"): "94e96f4ee99e65ead9da7941305cf7f682120a57ed56b4e5a85246a1ba7ddb66",
+    ("potential", "json"): "e1b392e00286e66e69859ab91a35632076793b7042c7ca2374132ab36f249fb8",
     ("minsv", "csv"): "fd6b986d7050908be49bfe1895484ddabf307cfdd9c7ce30d6dbe7192812daa2",
     ("minsv", "json"): "7bff36057f5888c4be1462c66545959be5ebff58cc8e43e51d0ce84fead43fc0",
 }

@@ -4,8 +4,12 @@ import math
 import numpy as np
 import pytest
 
-from circulaw import DomainError, EnsembleConfig, EntryDistribution
+from circulaw import DomainError, EnsembleConfig, EntryDistribution, rng
+from circulaw import invertibility
+from circulaw.ensemble import draw_grid, mask_grid
+from circulaw.parallel import single_threaded_blas
 from circulaw.invertibility import (
+    _ball_sums,
     _max_ball_fraction,
     classify_vector,
     concentration_Q,
@@ -215,6 +219,32 @@ class TestSmallBall:
         with pytest.raises(DomainError):
             small_ball(np.ones(4) / 2.0, GAUSS, 1.0, eta, trials=10_000)
 
+    # n = 100 takes blocks of 1308 trials: 3925 ends on a 1309-row block, 3926 on a
+    # 2-row block, and 20 000 on a block of 380 rows
+    @pytest.mark.parametrize("trials", [3925, 3926, 20_000])
+    @pytest.mark.parametrize("dist", [GAUSS, EntryDistribution("ComplexGaussian")],
+                             ids=lambda d: d.tag)
+    @pytest.mark.parametrize("complex_x", [False, True])
+    @pytest.mark.parametrize("p_n", [1.0, 0.5])
+    def test_block_sums_are_the_whole_product_bit_for_bit(
+        self, oracle_rng, dist, trials, complex_x, p_n
+    ):
+        n = 100
+        x = oracle_rng.normal(size=n) + (1j * oracle_rng.normal(size=n) if complex_x else 0.0)
+        draws = draw_grid(dist, 3, rng.ROLE_SMALL_BALL, 0, trials, n)
+        if p_n < 1.0:
+            draws = np.where(mask_grid(3, rng.ROLE_SMALL_BALL, 1, trials, n, p_n), draws, 0.0)
+        with single_threaded_blas():
+            whole = draws @ x
+        assert _ball_sums(x, dist, p_n, trials, 3).tobytes() == whole.tobytes()
+
+    def test_twenty_thousand_trial_value(self):
+        # 20 000 trials at n = 100 once peaked at 205 MB for 0.3 MB of sums;
+        # blocking the sums must not move the estimate
+        x = np.full(100, 0.1)
+        got = small_ball(x, EntryDistribution("ComplexGaussian"), 0.5, 0.1, trials=20_000)
+        assert got == 0.0207
+
     @pytest.mark.parametrize("dist", SHIPPED, ids=lambda d: d.tag)
     def test_incompressible_vectors_spread_mass(self, oracle_rng, dist):
         # weighted sums over incompressible directions cannot concentrate:
@@ -353,6 +383,19 @@ class TestLargestSvTail:
         # s1 = |X| = 1 >= 1 * sqrt(1) for every trial
         cfg = EnsembleConfig(1, 1.0, RADEMACHER, 9)
         assert largest_sv_tail(cfg, trials=50) == 1.0
+
+    def test_frobenius_shortcut_matches_the_spectrum_count(self, monkeypatch):
+        # p_n = 1/n puts ||A||_F near the ceiling sqrt(n): some trials need the spectrum
+        from circulaw import sample_matrix, singular_values
+
+        cfg = EnsembleConfig(16, 1.0 / 16, GAUSS, 21)
+        s1 = [singular_values(sample_matrix(cfg, t)).values[0] for t in range(60)]
+        calls = []
+        monkeypatch.setattr(invertibility, "singular_values",
+                            lambda a: calls.append(1) or singular_values(a))
+        got = largest_sv_tail(cfg, trials=60)
+        assert got == float(np.mean(np.array(s1) >= cfg.n * math.sqrt(cfg.p_n)))
+        assert 0.0 < got and 0 < len(calls) < 60
 
     def test_threshold_monotonicity_on_same_data(self):
         from circulaw import sample_matrix, singular_values

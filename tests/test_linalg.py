@@ -22,6 +22,7 @@ from circulaw import (
 )
 from circulaw import linalg
 from circulaw.errors import DomainError
+from circulaw.linalg import certified_log_det, truncation_window
 
 from conftest import ks_one_sample_critical
 
@@ -129,6 +130,74 @@ class TestSingularValues:
         cfg = EnsembleConfig(8, 1.0, GAUSS, 3)
         sv = singular_values(shift(sample_matrix(cfg, 0), 0.5 + 0.25j))
         assert sv.n == 8
+
+
+def constructed(oracle_rng, n, bottom, complex_=False):
+    """U diag(s) V^* with s_j uniform in [0.1, 2] above the given bottom values."""
+    truth = np.concatenate([np.sort(oracle_rng.uniform(0.1, 2.0, n - len(bottom)))[::-1], bottom])
+    draw = (lambda: oracle_rng.normal(size=(n, n)) + 1j * oracle_rng.normal(size=(n, n))) \
+        if complex_ else (lambda: oracle_rng.normal(size=(n, n)))
+    u, _ = np.linalg.qr(draw())
+    v, _ = np.linalg.qr(draw())
+    return from_array((u * truth) @ v.conj().T), truth
+
+
+class TestCertifiedLogDet:
+    def test_ill_conditioned_matrix_takes_the_exact_path(self, oracle_rng):
+        # s_n = 1e-12 lies below the floor 1/200^3, so the certificate cannot clear it;
+        # the exact path then gives log|det| to 1e-8 n of an SVD
+        n = 200
+        a, _ = constructed(oracle_rng, n, np.array([1e-8, 1e-10, 1e-12]))
+        floor, ceiling = truncation_window(n, 1.0)
+        assert certified_log_det(a, floor, ceiling, 1, 0) is None
+        exact = np.sum(np.log(singular_values(a).values))
+        oracle = np.sum(np.log(np.linalg.svd(a.entries, compute_uv=False)))
+        assert abs(exact - oracle) <= 1e-8 * n
+
+    @pytest.mark.parametrize("complex_", [False, True], ids=["real", "complex"])
+    def test_certificate_clears_and_bounds_hold(self, oracle_rng, complex_):
+        n = 200
+        a, truth = constructed(oracle_rng, n, np.array([1e-3, 1e-4]), complex_)
+        floor, ceiling = truncation_window(n, 1.0)
+        det = certified_log_det(a, floor, ceiling, 7, 3)
+        assert det is not None and det.n == n
+        s = np.linalg.svd(a.entries, compute_uv=False)
+        assert floor <= det.lower <= s[-1] and s[0] <= det.upper <= ceiling
+        assert abs(det.value - np.sum(np.log(s))) <= 1e-8 * n
+        again = certified_log_det(a, floor, ceiling, 7, 3)
+        assert (again.value, again.lower, again.upper) == (det.value, det.lower, det.upper)
+
+    def test_dixon_bound_holds_on_sampled_matrices(self):
+        for dist in (GAUSS, CGAUSS):
+            cfg = EnsembleConfig(64, 1.0, dist, 5)
+            for t in range(20):
+                a = sample_matrix(cfg, t)
+                det = certified_log_det(a, 0.0, math.inf, cfg.master_seed, t)
+                s = np.linalg.svd(a.entries, compute_uv=False)
+                assert det.lower <= s[-1] and s[0] <= det.upper
+
+    def test_ceiling_not_cleared(self, oracle_rng):
+        a = from_array(oracle_rng.normal(size=(8, 8)))
+        fro = np.linalg.norm(a.entries)
+        assert certified_log_det(a, 0.0, 0.99 * fro, 1, 0) is None
+        assert certified_log_det(a, 0.0, fro, 1, 0) is not None
+
+    def test_floor_not_cleared(self, oracle_rng):
+        a = from_array(oracle_rng.normal(size=(8, 8)))
+        s_n = np.linalg.svd(a.entries, compute_uv=False)[-1]
+        assert certified_log_det(a, s_n, math.inf, 1, 0) is None
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_nonfinite_rejected(self, bad):
+        a = np.eye(4, dtype=complex)
+        a[2, 1] = bad
+        with pytest.raises(NumericError):
+            certified_log_det(from_array(a), 0.0, math.inf, 1, 0)
+
+    def test_exactly_singular_is_not_certified(self):
+        a = np.arange(16.0).reshape(4, 4)  # rank 2
+        a[:, 0] = 0.0
+        assert certified_log_det(from_array(a), 0.0, math.inf, 1, 0) is None
 
 
 class TestEigenvalues:

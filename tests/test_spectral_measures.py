@@ -20,7 +20,7 @@ from circulaw import (
     sv_squared_cdf,
     symmetrize,
 )
-from circulaw.linalg import ComplexSpectrum, SingularSpectrum
+from circulaw.linalg import ComplexSpectrum, LogDeterminant, SingularSpectrum, truncation_window
 
 from conftest import ks_one_sample_critical
 
@@ -247,6 +247,24 @@ class TestLogPotentialEmpirical:
         est = log_potential_empirical(spectra, 1.0)
         assert abs(est.value - 0.5) <= 0.05
         assert est.truncation_count == 0
+
+
+class TestCertifiedTrials:
+    def test_certified_log_det_enters_the_average(self):
+        # n = 2, p_n = 1: the window is [1/8, 2]
+        det = LogDeterminant(value=-math.log(4.0), lower=0.5, upper=1.5, n=2)
+        est = log_potential_empirical([det, spectrum_of([1.0, 1.0])], 1.0)
+        assert est.truncation_count == 0
+        assert est.value == pytest.approx(0.5 * math.log(4.0) / 2.0)
+
+    @pytest.mark.parametrize("lower, upper", [(0.1, 1.5), (0.5, 2.5)])
+    def test_certificate_outside_the_window_is_an_error(self, lower, upper):
+        det = LogDeterminant(value=0.0, lower=lower, upper=upper, n=2)
+        with pytest.raises(DomainError):
+            log_potential_empirical([det], 1.0)
+
+    def test_window_is_the_filter_window(self):
+        assert truncation_window(4, 0.25, 2.0, 3.0) == (3.0 / 16.0, 2.0)
 
 
 class TestRadialAngular:
