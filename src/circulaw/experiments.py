@@ -25,14 +25,8 @@ from .ensemble import _json_object, _real, _whole
 from .errors import ConfigError, EstimationError, NumericError
 from .invertibility import MIN_TAIL_TRIALS, largest_sv_tail, min_sv_tail
 from .limit_theory import disc_potential, law_for_shift, potential_from_law
-from .linalg import (
-    certified_log_det,
-    eigenvalues,
-    shift,
-    singular_values,
-    smoothing_shift,
-    truncation_window,
-)
+from .linalg import certified_log_det, eigenvalues, shift, singular_values, smoothing_shift
+from .linalg import truncation_window
 from .parallel import parallel_map
 from .spectral_measures import (
     EmpiricalCDF,

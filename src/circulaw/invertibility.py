@@ -18,14 +18,8 @@ from typing import Sequence
 import numpy as np
 
 from . import rng
-from .ensemble import (
-    EnsembleConfig,
-    EntryDistribution,
-    draw_grid,
-    draws_from_keys,
-    mask_from_keys,
-    sample_matrix,
-)
+from .ensemble import EnsembleConfig, EntryDistribution, draw_grid, sample_matrix
+from .ensemble import draws_from_keys, mask_from_keys
 from .errors import DomainError, NumericError
 from .linalg import frobenius_norm, shift, singular_values, truncation_window
 from .parallel import parallel_map, single_threaded_blas

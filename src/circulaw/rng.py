@@ -100,7 +100,8 @@ def grid_keys(master_seed: int, role: int, aux: int, nrows: int, ncols: int) -> 
 
 def keys_at(master_seed: int, role: int, aux: int, rows: np.ndarray, cols: np.ndarray,
             nrows: int, ncols: int) -> np.ndarray:
-    """The keys of `grid_keys(seed, role, aux, nrows, ncols)` at (rows[i], cols[i]) only."""
+    """`grid_keys(seed, role, aux, nrows, ncols)[rows, cols]`, computing only those keys;
+    `rows` and `cols` broadcast together like numpy index arrays."""
     hr, inner_c = _row_col_hashes(master_seed, role, aux, nrows, ncols)
     return mix64_array(hr[rows] ^ inner_c[cols])
 
