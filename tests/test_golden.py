@@ -17,7 +17,7 @@ import hashlib
 import numpy as np
 import pytest
 
-from circulaw import EmpiricalCDF, EnsembleConfig, EntryDistribution
+from circulaw import EmpiricalCDF, EnsembleConfig, EntryDistribution, MatrixSample, experiments
 from circulaw.cli import main
 from circulaw.experiments import ExperimentSpec, run_experiment, write_report
 from circulaw.invertibility import min_sv_tail
@@ -89,6 +89,47 @@ def test_report_bytes(kind, fmt, tmp_path):
     path = tmp_path / f"report.{fmt}"
     write_report(run_experiment(spec), path, fmt)
     assert _sha(path.read_bytes()) == REPORT_DIGESTS[kind, fmt]
+
+
+# rows no digest above reaches: failed CircularLaw trials (NaN samples, on which
+# `eigenvalues` raises NumericError) and a Potential z with every trial excluded
+FAILURE_CASES = {
+    "CircularLaw_one_failed": ("CircularLaw", {}, {1}),
+    "CircularLaw_all_failed": ("CircularLaw", {}, {0, 1, 2}),
+    "Potential_flagged": ("Potential", {"c_cut": 1e12}, set()),
+}
+
+FAILURE_DIGESTS = {
+    ("CircularLaw_all_failed", "csv"): "130977066a3c7ff24031449047386050432b0de6656c6bfaa65037eaf4ba3369",
+    ("CircularLaw_all_failed", "json"): "e478c67aeeb9baba91d5f0cc97a3afa6d32a3fa55fbb8f01bef6b468ead4e2ac",
+    ("CircularLaw_one_failed", "csv"): "b77d6ddd41d57445c0f36835c65272883c01a04f6e03905ff2066c2432d4feca",
+    ("CircularLaw_one_failed", "json"): "04db7523edced01b205b5ccc6e38a9c761122dede1ad58deb89c4b129b928ed2",
+    ("Potential_flagged", "csv"): "ea18a86b237260c0956428f081eef0acd5c52f55d9f3468b7b1cb0bcfa167336",
+    ("Potential_flagged", "json"): "7c85dc239c4a4fe6d60152595a255c1a152676472cdb765f97cfde4225da1c0a",
+}
+
+
+@pytest.mark.parametrize("case,fmt", sorted(FAILURE_DIGESTS))
+def test_failure_row_bytes(case, fmt, tmp_path, monkeypatch):
+    kind, extra, nan_trials = FAILURE_CASES[case]
+    draw = experiments.sample_matrix
+
+    def sample_matrix(cfg, t):
+        sample = draw(cfg, t)
+        return MatrixSample(np.full_like(sample.entries, np.nan)) if t in nan_trials else sample
+
+    monkeypatch.setattr(experiments, "sample_matrix", sample_matrix)
+    spec = ExperimentSpec(kind=kind, **dict(SPECS[kind], **extra))
+    report = run_experiment(spec)
+    if kind == "CircularLaw":
+        assert report.meta["failed_trials"] == len(nan_trials)
+        rows = [row["row"] for row in report.rows]
+        assert rows.count("mean") == rows.count("stderr") == (len(nan_trials) < spec.trials)
+    else:
+        assert all(row["flagged"] is True for row in report.rows)
+    path = tmp_path / f"report.{fmt}"
+    write_report(report, path, fmt)
+    assert _sha(path.read_bytes()) == FAILURE_DIGESTS[case, fmt]
 
 
 @pytest.mark.parametrize("command,fmt", sorted(CLI_DIGESTS))
