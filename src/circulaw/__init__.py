@@ -30,8 +30,7 @@ from .limit_theory import (
     support_endpoints,
 )
 from .linalg import (
-    ComplexSpectrum,
-    SingularSpectrum,
+    Spectrum,
     distance_to_span,
     eigenvalues,
     hermitize,

@@ -246,8 +246,10 @@ def _uniform01_cdf(x):
     return np.clip(np.asarray(x, dtype=np.float64), 0.0, 1.0)
 
 
-@_runner("CircularLaw", ["row", "trial", "ks_radial", "ks_angular",
-                         "frac_beyond_soft", "frac_beyond_1p15", "failed"])
+_CIRCLAW_STATS = ("ks_radial", "ks_angular", "frac_beyond_soft", "frac_beyond_1p15")
+
+
+@_runner("CircularLaw", ["row", "trial", *_CIRCLAW_STATS, "failed"])
 def run_circular_law(spec: ExperimentSpec, report: ExperimentReport) -> None:
     """Per-trial eigenvalue statistics against the uniform-disc law."""
     cfg = spec.ensemble
@@ -270,26 +272,15 @@ def run_circular_law(spec: ExperimentSpec, report: ExperimentReport) -> None:
     results = parallel_map(one_trial, range(spec.trials))
     ok = [r for r in results if r is not None]
     for t, res in enumerate(results):
-        if res is None:
-            report.append(row="trial", trial=t, failed=True)
-        else:
-            report.append(
-                row="trial", trial=t, ks_radial=res[0], ks_angular=res[1],
-                frac_beyond_soft=res[2], frac_beyond_1p15=res[3], failed=False,
-            )
+        stats = dict(zip(_CIRCLAW_STATS, res or ()))
+        report.append(row="trial", trial=t, failed=res is None, **stats)
     if ok:
         arr = np.array(ok)
         means = arr.mean(axis=0)
-        if len(ok) > 1:
-            errs = arr.std(axis=0, ddof=1) / math.sqrt(len(ok))
-        else:
-            errs = np.zeros(4)
+        errs = arr.std(axis=0, ddof=1) / math.sqrt(len(ok)) if len(ok) > 1 else np.zeros_like(means)
         for name, vals in (("mean", means), ("stderr", errs)):
-            report.append(
-                row=name, trial=-1, ks_radial=float(vals[0]), ks_angular=float(vals[1]),
-                frac_beyond_soft=float(vals[2]), frac_beyond_1p15=float(vals[3]),
-                failed=False,
-            )
+            stats = dict(zip(_CIRCLAW_STATS, vals.tolist()))
+            report.append(row=name, trial=-1, failed=False, **stats)
     report.meta["failed_trials"] = len(results) - len(ok)
 
 
@@ -361,20 +352,16 @@ def run_potential(spec: ExperimentSpec, report: ExperimentReport) -> None:
         spectra = parallel_map(one_trial_factory(z), range(spec.trials))
         try:
             est = log_potential_empirical(spectra, cfg.p_n, spec.b_exponent, spec.c_cut)
-        except EstimationError:
-            report.append(
-                row="stat", z_re=z.real, z_im=z.imag, r=r, trials=spec.trials,
-                included=0, excluded=spec.trials, u_disc=u_disc, u_law=u_law,
-                flagged=True,
+        except EstimationError:  # every trial excluded: the row is flagged
+            stats = dict(included=0, excluded=spec.trials, flagged=True)
+        else:
+            stats = dict(
+                included=est.trials - est.truncation_count, excluded=est.truncation_count,
+                u_empirical=est.value, u_stderr=est.stderr, gap_disc=abs(est.value - u_disc),
+                gap_law=abs(est.value - u_law), flagged=False,
             )
-            continue
-        report.append(
-            row="stat", z_re=z.real, z_im=z.imag, r=r, trials=spec.trials,
-            included=est.trials - est.truncation_count, excluded=est.truncation_count,
-            u_empirical=est.value, u_stderr=est.stderr, u_disc=u_disc, u_law=u_law,
-            gap_disc=abs(est.value - u_disc), gap_law=abs(est.value - u_law),
-            flagged=False,
-        )
+        report.append(row="stat", z_re=z.real, z_im=z.imag, r=r, trials=spec.trials,
+                      u_disc=u_disc, u_law=u_law, **stats)
 
 
 @_runner("MinSv", ["row", "n", "p_n", "z_re", "z_im", "threshold", "frequency", "trials",
@@ -428,7 +415,7 @@ def tail_index_check(spec: ExperimentSpec, report: ExperimentReport) -> None:
 
     def one_trial(t):
         sample = sample_matrix(cfg, t)
-        sv2 = np.asarray(singular_values(shift(sample, 0j)).values) ** 2
+        sv2 = np.asarray(singular_values(sample).values) ** 2
         return sv2, np.sort(np.abs(eigenvalues(sample).values))[::-1]
 
     results = parallel_map(one_trial, range(spec.trials))

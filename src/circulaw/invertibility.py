@@ -194,13 +194,16 @@ def small_ball(
     seed: int = 0,
 ) -> float:
     """Monte Carlo estimate of sup_u P(|sum_k x_k eps_k X_k - u| <= eta)."""
+    x = np.asarray(x)
+    if x.size == 0 or not np.all(np.isfinite(x)):
+        raise DomainError("x must be a nonempty vector of finite numbers")
     if trials < 10_000:
         raise DomainError(f"need at least 10^4 trials, got {trials}")
     if not (0.0 < p_n <= 1.0):
         raise DomainError(f"p_n must lie in (0, 1], got {p_n}")
     if not 0.0 <= eta < math.inf:
         raise DomainError(f"eta must be finite and >= 0, got {eta}")
-    return _max_ball_fraction(_ball_sums(np.asarray(x), dist, p_n, trials, seed), eta)
+    return _max_ball_fraction(_ball_sums(x, dist, p_n, trials, seed), eta)
 
 
 def _ball_sums(x: np.ndarray, dist: EntryDistribution, p_n: float, trials: int, seed: int):

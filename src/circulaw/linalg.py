@@ -1,8 +1,9 @@
 """Dense numerical kernels: diagonal shifts, Hermitization, spectra, subspace distances.
 
-Singular values come from a Hermitian eigensolve of the n x n Gram matrix;
-the 2n x 2n Hermitization is exposed for cross-checks but is not the
-production path. Squaring loses half the digits at the bottom of the
+Eigenvalues and singular values both come back as a `Spectrum`: the values
+and their count n. Singular values come from a Hermitian eigensolve of the
+n x n Gram matrix; the 2n x 2n Hermitization is exposed for cross-checks but
+is not the production path. Squaring loses half the digits at the bottom of the
 spectrum: the Gram path gets each s_j^2 to about eps * s_1^2, so s_j to a
 relative error of about eps * (s_1 / s_j)^2 (2e-4 at s_j = 1e-6 s_1).
 Whenever s_n falls below 1e-6 times s_1, the whole spectrum is taken from an
@@ -39,19 +40,8 @@ _PROBE_LAW = {False: EntryDistribution("RealGaussian"), True: EntryDistribution(
 
 
 @dataclass
-class ComplexSpectrum:
-    """Eigenvalues sorted by (Re, Im)."""
-
-    values: np.ndarray
-
-    @property
-    def n(self) -> int:
-        return len(self.values)
-
-
-@dataclass
-class SingularSpectrum:
-    """Singular values sorted descending."""
+class Spectrum:
+    """Eigenvalues sorted by (Re, Im), or singular values sorted descending."""
 
     values: np.ndarray
 
@@ -77,8 +67,10 @@ def truncation_window(n: int, p_n: float, b_exponent: float = 3.0, c_cut: float 
 
 
 def frobenius_norm(sample: MatrixSample) -> float:
-    """||A||_F, an upper bound on s_1; non-finite entries raise NumericError."""
-    fro = float(np.linalg.norm(sample.entries))
+    """||A||_F, an upper bound on s_1; non-finite entries, or finite ones whose
+    norm overflows, raise NumericError."""
+    with np.errstate(over="ignore"):  # an overflowing norm is inf, rejected below
+        fro = float(np.linalg.norm(sample.entries))
     if not math.isfinite(fro):
         raise NumericError("matrix has non-finite entries or an overflowing norm")
     return fro
@@ -153,22 +145,23 @@ def hermitize(sample: MatrixSample) -> np.ndarray:
     return w
 
 
-def singular_values(sample: MatrixSample) -> SingularSpectrum:
+def singular_values(sample: MatrixSample) -> Spectrum:
     """All singular values, sorted descending, from the Gram eigensolve (relative
-    error ~eps (s_1/s_j)^2) or, when s_n < 1e-6 s_1, an SVD (error ~eps s_1)."""
+    error ~eps (s_1/s_j)^2) or, when s_n < 1e-6 s_1, an SVD (error ~eps s_1).
+    Non-finite entries, or finite ones whose norm overflows, raise NumericError,
+    as does a spectrum whose squares do not sum to ||A||_F^2."""
     a = sample.entries
-    if not np.all(np.isfinite(a.real)) or (np.iscomplexobj(a) and not np.all(np.isfinite(a.imag))):
-        raise NumericError("matrix has non-finite entries")
+    fro = frobenius_norm(sample)
+    fro_sq = fro * fro  # inf, not OverflowError, if ||A||_F^2 rounds past the float range
     s = np.sqrt(np.clip(np.linalg.eigvalsh(a @ a.conj().T)[::-1], 0.0, None))
     if s[-1] < _REFINE_RATIO * s[0]:
         s = np.linalg.svd(a, compute_uv=False)
-    fro_sq = float(np.sum(np.abs(a) ** 2))
     if fro_sq > 0 and abs(float(np.sum(s**2)) - fro_sq) > 1e-8 * fro_sq:
         raise NumericError("singular value computation inconsistent with Frobenius norm")
-    return SingularSpectrum(s)
+    return Spectrum(s)
 
 
-def eigenvalues(sample: MatrixSample) -> ComplexSpectrum:
+def eigenvalues(sample: MatrixSample) -> Spectrum:
     """All eigenvalues, sorted by (Re, Im) for reproducible reports."""
     a = sample.entries
     try:
@@ -181,7 +174,7 @@ def eigenvalues(sample: MatrixSample) -> ComplexSpectrum:
     trace = complex(np.trace(a))
     if abs(complex(vals.sum()) - trace) > 1e-6 * sample.n * max(1.0, abs(trace)):
         raise NumericError("eigenvalue sum inconsistent with trace")
-    return ComplexSpectrum(vals)
+    return Spectrum(vals)
 
 
 def smallest_singular_value(sample: MatrixSample) -> float:

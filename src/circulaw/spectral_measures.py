@@ -1,9 +1,11 @@
 """Empirical distribution objects and distances.
 
-EmpiricalCDF is a finite atomic measure on the line; the operations build
-the squared-singular-value law, its symmetrization on +-sqrt(x), the
-empirical Stieltjes transform of the symmetrized law, Kolmogorov distances
-against arbitrary CDF evaluators, and truncated log-determinant averages.
+EmpiricalCDF is a finite atomic measure on the line, with finite atoms.
+From a `linalg.Spectrum` the operations build the squared-singular-value
+law, its symmetrization on +-sqrt(x), the empirical Stieltjes transform of
+the symmetrized law, the radial and angular marginals of eigenvalues, and
+truncated log-determinant averages; Kolmogorov distances compare them with
+arbitrary CDF evaluators.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from typing import Callable, Sequence, Union
 import numpy as np
 
 from .errors import DomainError, EstimationError
-from .linalg import ComplexSpectrum, LogDeterminant, SingularSpectrum, truncation_window
+from .linalg import LogDeterminant, Spectrum, truncation_window
 from .textio import csv_text, write_text
 
 
@@ -31,9 +33,11 @@ class EmpiricalCDF:
         self.ws = np.asarray(self.ws, dtype=np.float64)
         if self.xs.ndim != 1 or self.xs.shape != self.ws.shape or len(self.xs) == 0:
             raise DomainError("need matching nonempty atom and weight vectors")
+        if not np.all(np.isfinite(self.xs)):
+            raise DomainError("atoms must be finite")
         if np.any(np.diff(self.xs) <= 0):
             raise DomainError("atoms must be strictly increasing")
-        if np.any(self.ws <= 0):
+        if not np.all(self.ws > 0):
             raise DomainError("weights must be positive")
         if abs(float(self.ws.sum()) - 1.0) > 1e-12:
             raise DomainError("weights must sum to 1")
@@ -42,6 +46,8 @@ class EmpiricalCDF:
     @classmethod
     def from_values(cls, values, weights=None) -> "EmpiricalCDF":
         values = np.asarray(values, dtype=np.float64).ravel()
+        if len(values) == 0:
+            raise DomainError("need at least one value")
         if weights is None:
             weights = np.full(len(values), 1.0 / len(values))
         else:
@@ -91,7 +97,7 @@ class PotentialEstimate:
             raise DomainError("inconsistent potential estimate fields")
 
 
-def sv_squared_cdf(spectrum: SingularSpectrum) -> EmpiricalCDF:
+def sv_squared_cdf(spectrum: Spectrum) -> EmpiricalCDF:
     """Law of the squared singular values, one atom of weight 1/n each."""
     return EmpiricalCDF.from_values(np.asarray(spectrum.values) ** 2)
 
@@ -108,7 +114,7 @@ def symmetrize(f: EmpiricalCDF) -> EmpiricalCDF:
     return EmpiricalCDF(xs, ws)
 
 
-def stieltjes_empirical(spectrum: SingularSpectrum, alpha: complex) -> complex:
+def stieltjes_empirical(spectrum: Spectrum, alpha: complex) -> complex:
     """(1/2n) sum_j [ 1/(s_j - a) + 1/(-s_j - a) ] for Im a > 0."""
     alpha = complex(alpha)
     if alpha.imag <= 0:
@@ -139,7 +145,7 @@ def ks_distance(f: EmpiricalCDF, g: CdfEvaluator) -> float:
 
 
 def log_potential_empirical(
-    spectra: Sequence[Union[SingularSpectrum, LogDeterminant]],
+    spectra: Sequence[Union[Spectrum, LogDeterminant]],
     p_n: float,
     b_exponent: float = 3.0,
     c_cut: float = 1.0,
@@ -190,7 +196,7 @@ def log_potential_empirical(
     return PotentialEstimate(mean, stderr, len(spectra), excluded)
 
 
-def radial_angular_cdfs(spectrum: ComplexSpectrum):
+def radial_angular_cdfs(spectrum: Spectrum):
     """(CDF of |lambda|^2, CDF of arg(lambda)/2pi with arg in [0, 2pi))."""
     vals = np.asarray(spectrum.values)
     radial = EmpiricalCDF.from_values(np.abs(vals) ** 2)

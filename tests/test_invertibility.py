@@ -214,10 +214,14 @@ class TestSmallBall:
         with pytest.raises(DomainError):
             small_ball(np.ones(4) / 2.0, GAUSS, 1.0, 0.1, trials=100)
 
-    @pytest.mark.parametrize("eta", [-0.1, math.nan, math.inf])
-    def test_invalid_eta_rejected(self, eta):
+    @pytest.mark.parametrize("x, eta", [
+        ([0.5] * 4, -0.1), ([0.5] * 4, math.nan), ([0.5] * 4, math.inf),
+        ([math.nan, 1.0], 0.1), ([1.0, math.inf], 0.1), ([0.5, complex(0, math.nan)], 0.1),
+        ([], 0.1),
+    ])
+    def test_invalid_input_rejected(self, x, eta):
         with pytest.raises(DomainError):
-            small_ball(np.ones(4) / 2.0, GAUSS, 1.0, eta, trials=10_000)
+            small_ball(x, GAUSS, 1.0, eta, trials=10_000)
 
     # n = 100 takes blocks of 1308 trials: 3925 ends on a 1309-row block, 3926 on a
     # 2-row block, and 20 000 on a block of 380 rows

@@ -106,6 +106,13 @@ class TestSingularValues:
         with pytest.raises(NumericError):
             singular_values(from_array(a))
 
+    @pytest.mark.parametrize("kernel", [singular_values, linalg.frobenius_norm])
+    @pytest.mark.parametrize("entry", [1e160, 1e160 + 1e160j])
+    def test_overflowing_norm_rejected(self, kernel, entry):
+        a = np.full((4, 4), entry)  # finite entries whose squares overflow
+        with pytest.raises(NumericError):
+            kernel(from_array(a))
+
     def test_constructed_bottom_within_eps_of_s1(self, oracle_rng):
         # Gram squaring clips s^2 below eps s_1^2 to 0; the SVD fallback must not
         n = 200

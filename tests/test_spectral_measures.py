@@ -20,13 +20,13 @@ from circulaw import (
     sv_squared_cdf,
     symmetrize,
 )
-from circulaw.linalg import ComplexSpectrum, LogDeterminant, SingularSpectrum, truncation_window
+from circulaw.linalg import LogDeterminant, Spectrum, truncation_window
 
 from conftest import ks_one_sample_critical
 
 
 def spectrum_of(values):
-    return SingularSpectrum(np.asarray(values, dtype=np.float64))
+    return Spectrum(np.asarray(values, dtype=np.float64))
 
 
 class TestEmpiricalCDF:
@@ -45,6 +45,11 @@ class TestEmpiricalCDF:
             EmpiricalCDF(np.array([1.0, 1.0]), np.array([0.5, 0.5]))
         with pytest.raises(DomainError):
             EmpiricalCDF(np.array([1.0, 2.0]), np.array([0.5, 0.6]))
+        with pytest.raises(DomainError):
+            EmpiricalCDF(np.array([1.0, 2.0]), np.array([math.nan, 1.0]))
+        for values in ([0.1, math.nan], [math.inf], []):
+            with pytest.raises(DomainError):
+                EmpiricalCDF.from_values(values)
 
     def test_csv_roundtrip(self, tmp_path):
         f = EmpiricalCDF.from_values([0.25, 1.0, math.pi])
@@ -269,13 +274,13 @@ class TestCertifiedTrials:
 
 class TestRadialAngular:
     def test_fourth_roots(self):
-        spec = ComplexSpectrum(np.array([1.0 + 0j, 1j, -1.0 + 0j, -1j]))
+        spec = Spectrum(np.array([1.0 + 0j, 1j, -1.0 + 0j, -1j]))
         radial, angular = radial_angular_cdfs(spec)
         assert list(radial.xs) == [1.0] and list(radial.ws) == [1.0]
         assert np.allclose(angular.xs, [0.0, 0.25, 0.5, 0.75])
 
     def test_single_point(self):
-        radial, angular = radial_angular_cdfs(ComplexSpectrum(np.array([0.5 + 0.5j])))
+        radial, angular = radial_angular_cdfs(Spectrum(np.array([0.5 + 0.5j])))
         assert len(radial.xs) == 1 and len(angular.xs) == 1
 
     def test_uniform_disc_sample_ks(self, oracle_rng):
@@ -283,7 +288,7 @@ class TestRadialAngular:
         u = oracle_rng.uniform(size=n)
         theta = oracle_rng.uniform(0.0, 2 * math.pi, size=n)
         points = np.sqrt(u) * np.exp(1j * theta)
-        radial, angular = radial_angular_cdfs(ComplexSpectrum(points))
+        radial, angular = radial_angular_cdfs(Spectrum(points))
         critical = ks_one_sample_critical(1e-3, n)
         assert critical == pytest.approx(1.95 / math.sqrt(n), abs=2e-3)
         uniform = lambda x: np.clip(x, 0.0, 1.0)
