@@ -2,7 +2,8 @@
 
 Covers the CSV and JSON report of each experiment kind, the CLI's stdout
 against its `--out` file, the `sample` and `esd` subcommands, the three
-table writers and the limit laws' CDF and density arrays. A refactor of the
+table writers, the limit laws' CDF and density arrays, and the sampler's
+matrices and draw grids at sizes that span several key blocks. A refactor of the
 text format or the runners must leave every digest unchanged; a change that
 moves output on purpose re-records the digests here and names the moved
 outputs in CHANGES.md.
@@ -18,7 +19,9 @@ import numpy as np
 import pytest
 
 from circulaw import EmpiricalCDF, EnsembleConfig, EntryDistribution, MatrixSample, experiments
+from circulaw import rng, sample_matrix
 from circulaw.cli import main
+from circulaw.ensemble import draw_grid
 from circulaw.experiments import ExperimentSpec, run_experiment, write_report
 from circulaw.invertibility import min_sv_tail
 from circulaw.limit_theory import export_tabulation, law_for_shift
@@ -179,3 +182,58 @@ def test_limit_law_bytes():
         digest.update(law.cdf_squared(x).tobytes())
         digest.update(law.density(x).tobytes())
     assert digest.hexdigest() == LIMIT_LAW_DIGEST
+
+
+# The sampler's own bytes at sizes the specs above never reach: n = 512 spans
+# several row blocks of the key grid, and the (100 001, 1) grid ends in a
+# partial block.
+SAMPLER_LAWS = {
+    "RealGaussian": GAUSS,
+    "ComplexGaussian": EntryDistribution("ComplexGaussian"),
+    "Rademacher": RADEMACHER,
+    "ComplexRademacher": EntryDistribution("ComplexRademacher"),
+    "UniformSymmetric": EntryDistribution("UniformSymmetric"),
+    "TwoPoint": EntryDistribution("TwoPoint", a=3.0, p=0.1),
+}
+
+SAMPLER_DIGESTS = {
+    ("sample_matrix", "RealGaussian", "dense"): "fa3292f10fe8167c09f3d5938ae1f3d5b739d9cb997b159a52423bcb1f9d767e",
+    ("sample_matrix", "RealGaussian", "theta=0.5"): "0c7a0d41c570280378c9d091a85f206508dc7e542fc83dc52f85c29a67d3e106",
+    ("sample_matrix", "ComplexGaussian", "dense"): "f7809114486e2f64f89753f5bc01939376fe5ff910e7870a54104a501f847459",
+    ("sample_matrix", "ComplexGaussian", "theta=0.5"): "a1be0e6e867b592350b487267e35f8200713ccde55e9108b095f4082129920aa",
+    ("sample_matrix", "Rademacher", "dense"): "6f7a1f8e86cd28315ed643e9b2207ac7422a5ad4450bb5b30634e299ffc7ce63",
+    ("sample_matrix", "Rademacher", "theta=0.5"): "08b02b0ebc26575c4f9548eafcf6b1e19524e60b5f93b679700fa87276196320",
+    ("sample_matrix", "ComplexRademacher", "dense"): "57318d76f33e8f7de89d44f68ed6d710ae520029fe50dfedf12871605881c3cc",
+    ("sample_matrix", "ComplexRademacher", "theta=0.5"): "9664591387c0d1d23ca51cd385e4766898dc05c7d0e4c3f74ddb62629f72edc8",
+    ("sample_matrix", "UniformSymmetric", "dense"): "0ecfb9ec1783ca784d40c5041a9fe9d8e3ad149e1dec0c7e8482bd04a34ab80e",
+    ("sample_matrix", "UniformSymmetric", "theta=0.5"): "d09cf84a315307c925a374fcce462a057ec9071e9f7f17430efeefbbc7dc73f8",
+    ("sample_matrix", "TwoPoint", "dense"): "72c0b861de6a9849d6faad2d1b50eabdca73744816aae492926e346735782106",
+    ("sample_matrix", "TwoPoint", "theta=0.5"): "13396af5445ec9cf7c7965efb5e2d4dc2cde0199e09d13b18de0029a58adb578",
+    ("draw_grid", "RealGaussian", "100001x1"): "ece657360dbd9fd9e3bdd24926b4fefa65316021f79822e809a364c4793e1c37",
+    ("draw_grid", "RealGaussian", "512x10"): "4226075a46d6ffd7f929520757e898ae13ab2dba35a42ac68dc07b9bdf15056f",
+    ("draw_grid", "ComplexGaussian", "100001x1"): "71409c75ab648b85ed76935f987b765baae7dfd826e570ad0a17235391879522",
+    ("draw_grid", "ComplexGaussian", "512x10"): "04e7700d69494aa42ef2a034c65fffb6870e73e6e7ca9b8dccceefe9428db575",
+    ("draw_grid", "Rademacher", "100001x1"): "fde261e9e10d47accb984747cdc2fcf589fd773178b20df58a934ee89b4ddb5d",
+    ("draw_grid", "Rademacher", "512x10"): "57db7533ef0c3fe78e665ce221a0b7239734c6f6a2f9ae74d0654efa129ae87d",
+    ("draw_grid", "ComplexRademacher", "100001x1"): "65c98258b398db07584f718eeddd9c05941d6edf584a20475fb674dd6fd2c482",
+    ("draw_grid", "ComplexRademacher", "512x10"): "5dbc8c73186af90efc991ef70eea6e7212519db8e768fa469b7652925b9affc3",
+    ("draw_grid", "UniformSymmetric", "100001x1"): "8cd5cf32ddc5f8b58349affd912a24feefc64622252783ddd3c31c3ae481ade2",
+    ("draw_grid", "UniformSymmetric", "512x10"): "949d229d7412a64077d5a358c4f83649630e19b5d4a89437cdfe4bbf45181a7e",
+    ("draw_grid", "TwoPoint", "100001x1"): "177af1665f93943f4f3214c5ba5a41d08b2ecf1a6926dd46561ebc5c69ee93ab",
+    ("draw_grid", "TwoPoint", "512x10"): "bf569ee860e11da57530cb7e6876a8c287d58dc0fb337426bac2e89e8d3b3294",
+}
+
+
+def _sampler_bytes(what, tag, case) -> bytes:
+    law = SAMPLER_LAWS[tag]
+    if what == "sample_matrix":
+        cfg = (EnsembleConfig(512, 1.0, law, 13) if case == "dense"
+               else EnsembleConfig.from_theta(512, 0.5, law, 13))
+        return sample_matrix(cfg, 0).entries.tobytes()
+    nrows, ncols = map(int, case.split("x"))
+    return draw_grid(law, 13, rng.ROLE_PROBE, 2, nrows, ncols).tobytes()
+
+
+@pytest.mark.parametrize("what,tag,case", sorted(SAMPLER_DIGESTS))
+def test_sampler_bytes(what, tag, case):
+    assert _sha(_sampler_bytes(what, tag, case)) == SAMPLER_DIGESTS[what, tag, case]
