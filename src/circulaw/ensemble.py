@@ -31,6 +31,7 @@ DIST_TAGS = (
 _SQRT3 = math.sqrt(3.0)
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 _TWO_PI = 2.0 * math.pi
+_TOP_BIT = np.uint64(1 << 63)  # a Rademacher sign is + iff its word's top bit is clear
 
 
 def _whole(name: str, value) -> int:
@@ -203,32 +204,50 @@ class MatrixSample:
         return cls(a)
 
 
+def _polar(words: np.ndarray):
+    """Box-Muller radius sqrt(-2 ln u1) and angle 2 pi u2 from words 0 and 1."""
+    radius = rng.uniform_from_words(words[..., 0])
+    np.log(radius, out=radius)
+    radius *= -2.0
+    np.sqrt(radius, out=radius)
+    angle = rng.uniform_from_words(words[..., 1])
+    angle *= _TWO_PI
+    return radius, angle
+
+
 def _values_from_words(dist: EntryDistribution, words: np.ndarray) -> np.ndarray:
     """Map word arrays of shape (..., words_per_draw) to entry values.
 
     The formulas here are the single source of truth for both the scalar
-    and the vectorized sampling paths.
+    and the vectorized sampling paths. They work in place on their own
+    temporaries, which the row-blocked kernel keeps to a block's size.
     """
     if dist.tag == "RealGaussian":
-        u1 = rng.uniform_from_words(words[..., 0])
-        u2 = rng.uniform_from_words(words[..., 1])
-        return np.sqrt(-2.0 * np.log(u1)) * np.cos(_TWO_PI * u2)
+        radius, angle = _polar(words)
+        radius *= np.cos(angle, out=angle)
+        return radius
     if dist.tag == "ComplexGaussian":
-        u1 = rng.uniform_from_words(words[..., 0])
-        u2 = rng.uniform_from_words(words[..., 1])
-        radius = np.sqrt(-2.0 * np.log(u1))
-        z0 = radius * np.cos(_TWO_PI * u2)
-        z1 = radius * np.sin(_TWO_PI * u2)
-        return (z0 + 1j * z1) * _INV_SQRT2
+        radius, angle = _polar(words)
+        z0 = np.cos(angle)
+        z0 *= radius
+        z1 = np.sin(angle, out=angle)
+        z1 *= radius
+        z = np.multiply(1j, z1)
+        z += z0
+        z *= _INV_SQRT2
+        return z
     if dist.tag == "Rademacher":
-        return np.where(words[..., 0] >> np.uint64(63) == 0, 1.0, -1.0)
+        return np.where(words[..., 0] < _TOP_BIT, 1.0, -1.0)
     if dist.tag == "ComplexRademacher":
-        re = np.where(words[..., 0] >> np.uint64(63) == 0, 1.0, -1.0)
+        re = np.where(words[..., 0] < _TOP_BIT, 1.0, -1.0)
         im = np.where((words[..., 0] >> np.uint64(62)) & np.uint64(1) == 0, 1.0, -1.0)
         return (re + 1j * im) * _INV_SQRT2
     if dist.tag == "UniformSymmetric":
         u = rng.uniform_from_words(words[..., 0])
-        return (2.0 * u - 1.0) * _SQRT3
+        u *= 2.0
+        u -= 1.0
+        u *= _SQRT3
+        return u
     # TwoPoint
     u = rng.uniform_from_words(words[..., 0])
     b = -dist.a * dist.p / (1.0 - dist.p)
@@ -244,49 +263,88 @@ def draw_entry(dist: EntryDistribution, stream: rng.Stream):
     return complex(value) if dist.is_complex else float(value)
 
 
+def _draws(dist: EntryDistribution, keys: np.ndarray, words: np.ndarray, scratch: np.ndarray):
+    """One draw per key; `words` (shape (words_per_draw, *keys.shape)) and
+    `scratch` (keys' shape) are uint64 buffers the call overwrites."""
+    for i in range(dist.words_per_draw):
+        rng.word_into(keys, i, words[i], scratch)
+    return _values_from_words(dist, np.moveaxis(words, 0, -1))
+
+
 def draws_from_keys(dist: EntryDistribution, keys: np.ndarray) -> np.ndarray:
     """One draw from `dist` per key, from the first words of that key's stream."""
-    words = np.stack(
-        [rng.word_grid(keys, i) for i in range(dist.words_per_draw)], axis=-1
-    )
-    return _values_from_words(dist, words)
+    words = np.empty((dist.words_per_draw, *np.shape(keys)), np.uint64)
+    return _draws(dist, keys, words, np.empty(np.shape(keys), np.uint64))
 
 
 def mask_from_keys(keys: np.ndarray, p_n: float) -> np.ndarray:
     """One Bernoulli(p_n) indicator per key, from the first word of its stream."""
-    return rng.uniform_from_words(rng.word_grid(keys, 0)) < p_n
+    return rng.uniform_below(rng.word_grid(keys, 0), p_n)
+
+
+def _value_blocks(dist: EntryDistribution, seed, role, aux, rows: range, ncols):
+    """Yield (block, values) by the row blocks of `rng.key_blocks`: values[i, k]
+    is the draw keyed by (seed, role, aux, block[i], k)."""
+    words = None
+    for block, keys, scratch in rng.key_blocks(seed, role, aux, rows, ncols):
+        if words is None:  # the first block is the tallest
+            words = np.empty((dist.words_per_draw, *keys.shape), np.uint64)
+        yield block, _draws(dist, keys, words[:, : len(block)], scratch)
+
+
+def draw_rows(dist, seed, role, aux, rows: range, ncols) -> np.ndarray:
+    """Rows `rows` of `draw_grid(dist, seed, role, aux, nrows, ncols)`, for any nrows."""
+    out = np.empty((len(rows), ncols), np.complex128 if dist.is_complex else np.float64)
+    for block, values in _value_blocks(dist, seed, role, aux, rows, ncols):
+        out[block.start - rows.start : block.stop - rows.start] = values
+    return out
+
+
+def mask_rows(seed, role, aux, rows: range, ncols, p_n) -> np.ndarray:
+    """Rows `rows` of `mask_grid(seed, role, aux, nrows, ncols, p_n)`, for any nrows."""
+    out = np.empty((len(rows), ncols), bool)
+    for block, keys, scratch in rng.key_blocks(seed, role, aux, rows, ncols):
+        words = rng.word_into(keys, 0, keys, scratch)
+        rng.uniform_below(words, p_n, out=out[block.start - rows.start : block.stop - rows.start])
+    return out
 
 
 def draw_grid(dist, seed, role, aux, nrows, ncols) -> np.ndarray:
     """(nrows, ncols) draws from `dist`, entry (j, k) fed by the key (seed, role, aux, j, k)."""
-    return draws_from_keys(dist, rng.grid_keys(seed, role, aux, nrows, ncols))
+    return draw_rows(dist, seed, role, aux, range(nrows), ncols)
 
 
 def mask_grid(seed, role, aux, nrows, ncols, p_n) -> np.ndarray:
     """(nrows, ncols) Bernoulli(p_n) indicators from the first word of each key."""
-    return mask_from_keys(rng.grid_keys(seed, role, aux, nrows, ncols), p_n)
+    return mask_rows(seed, role, aux, range(nrows), ncols, p_n)
 
 
 def sample_matrix(config: EnsembleConfig, trial_index: int) -> MatrixSample:
     """Draw the n x n matrix (eps_jk X_jk / sqrt(n p_n)) for one trial.
 
     Bit-identical across repeated calls and across processes for the same
-    (config, trial_index). For p_n < 1 the values are drawn only where the
-    mask is set; keys are positional, so the entries equal those of the full
+    (config, trial_index). A dense matrix is built by the row blocks of
+    `rng.key_blocks`, each written straight into its rows. For p_n < 1 the
+    values are drawn only where the mask is set, BLOCK_KEYS kept entries at
+    a time; keys are positional, so the entries equal those of the full
     value grid masked afterwards.
     """
     if not isinstance(config, EnsembleConfig):
         raise ConfigError("sample_matrix expects an EnsembleConfig")
-    n = config.n
-    if config.p_n < 1.0:
-        mask = mask_grid(config.master_seed, rng.ROLE_MASK, trial_index, n, n, config.p_n)
-        rows, cols = np.nonzero(mask)
-        keys = rng.keys_at(config.master_seed, rng.ROLE_VALUE, trial_index, rows, cols, n, n)
-        entries = np.zeros((n, n), np.complex128 if config.dist.is_complex else np.float64)
-        entries[rows, cols] = draws_from_keys(config.dist, keys) / math.sqrt(n * config.p_n)
-    else:
-        values = draw_grid(config.dist, config.master_seed, rng.ROLE_VALUE, trial_index, n, n)
-        entries = values / math.sqrt(n)
+    n, seed, dist = config.n, config.master_seed, config.dist
+    dtype = np.complex128 if dist.is_complex else np.float64
+    if config.p_n == 1.0:
+        entries = np.empty((n, n), dtype)
+        for block, values in _value_blocks(dist, seed, rng.ROLE_VALUE, trial_index, range(n), n):
+            np.divide(values, math.sqrt(n), out=entries[block.start : block.stop])
+        return MatrixSample(entries)
+    scale = math.sqrt(n * config.p_n)
+    entries = np.zeros((n, n), dtype)
+    kept = np.flatnonzero(mask_grid(seed, rng.ROLE_MASK, trial_index, n, n, config.p_n))
+    for start in range(0, len(kept), rng.BLOCK_KEYS):
+        at = kept[start : start + rng.BLOCK_KEYS]
+        keys = rng.keys_at(seed, rng.ROLE_VALUE, trial_index, at // n, at % n, n, n)
+        entries.flat[at] = draws_from_keys(dist, keys) / scale
     return MatrixSample(entries)
 
 

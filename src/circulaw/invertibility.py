@@ -18,8 +18,8 @@ from typing import Sequence
 import numpy as np
 
 from . import rng
-from .ensemble import EnsembleConfig, EntryDistribution, draw_grid, sample_matrix
-from .ensemble import draws_from_keys, mask_from_keys
+from .ensemble import EnsembleConfig, EntryDistribution, sample_matrix
+from .ensemble import draw_grid, draw_rows, mask_rows
 from .errors import DomainError, NumericError
 from .linalg import frobenius_norm, shift, singular_values, truncation_window
 from .parallel import parallel_map, single_threaded_blas
@@ -215,17 +215,14 @@ def _ball_sums(x: np.ndarray, dist: EntryDistribution, p_n: float, trials: int, 
     treats a one-row product apart, and its threaded split differs.
     """
     n = len(x)
-    cols = np.arange(n)[None, :]
     starts = range(0, trials - 1, max(4, _SUM_DRAWS // n // 4 * 4))
     sums = []
     with single_threaded_blas():
         for start, stop in zip(starts, [*starts[1:], trials]):
-            rows = np.arange(start, stop)[:, None]
-            keys = rng.keys_at(seed, rng.ROLE_SMALL_BALL, 0, rows, cols, trials, n)
-            draws = draws_from_keys(dist, keys)
+            rows = range(start, stop)
+            draws = draw_rows(dist, seed, rng.ROLE_SMALL_BALL, 0, rows, n)
             if p_n < 1.0:
-                keys = rng.keys_at(seed, rng.ROLE_SMALL_BALL, 1, rows, cols, trials, n)
-                draws = np.where(mask_from_keys(keys, p_n), draws, 0.0)
+                draws = np.where(mask_rows(seed, rng.ROLE_SMALL_BALL, 1, rows, n, p_n), draws, 0.0)
             sums.append(draws @ x)
     return np.concatenate(sums)
 

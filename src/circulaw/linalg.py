@@ -203,6 +203,8 @@ def distance_to_span(columns, k: int) -> float:
         raise DomainError("need at least two columns")
     if not 0 <= k < n:
         raise DomainError(f"column index {k} out of range")
+    if not np.all(np.isfinite(mat)):
+        raise NumericError("columns have non-finite entries")
     x = mat[:, k]
     others = np.delete(mat, k, axis=1)
     u, s, _ = np.linalg.svd(others, full_matrices=False)

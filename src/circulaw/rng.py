@@ -23,10 +23,18 @@ parallel generation bitwise reproducible.
 
 Two implementations are kept in lockstep: a Python-int path (scalar draws)
 and a vectorized numpy uint64 path (whole matrices); the test suite checks
-they agree bit for bit.
+they agree bit for bit. The array path walks a key grid in row blocks of at
+most BLOCK_KEYS keys (`key_blocks`) and runs every mix64 pass in place on
+buffers reused from block to block, so a sample of n^2 entries needs
+O(BLOCK_KEYS) scratch memory beside its output. Keys are positional, so the
+blocking never changes a bit. The buffers belong to one call, never to the
+module, so several threads may sample at once. `uniform_below` tests
+`uniform < p` as one integer compare on the words.
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 
@@ -47,6 +55,13 @@ ROLE_PROBE = 7
 
 _U53 = 2.0 ** -53
 
+BLOCK_KEYS = 1 << 15  # keys per row block of the array path
+
+_GOLDEN_64 = np.uint64(GOLDEN)
+_M1_64 = np.uint64(_M1)
+_M2_64 = np.uint64(_M2)
+_S11, _S27, _S30, _S31 = (np.uint64(s) for s in (11, 27, 30, 31))
+
 
 def mix64(x: int) -> int:
     x &= MASK64
@@ -58,15 +73,21 @@ def mix64(x: int) -> int:
     return x
 
 
+def _mix64_inplace(x: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+    """mix64 on the uint64 array `x` in place; `scratch` (same shape) holds each shift."""
+    for shift, mult in ((_S30, _M1_64), (_S27, _M2_64)):
+        np.right_shift(x, shift, out=scratch)
+        x ^= scratch
+        x *= mult
+    np.right_shift(x, _S31, out=scratch)
+    x ^= scratch
+    return x
+
+
 def mix64_array(x: np.ndarray) -> np.ndarray:
     """Vectorized mix64 on a uint64 array (returns a new array)."""
     x = x.astype(np.uint64, copy=True)
-    x ^= x >> np.uint64(30)
-    x *= np.uint64(_M1)
-    x ^= x >> np.uint64(27)
-    x *= np.uint64(_M2)
-    x ^= x >> np.uint64(31)
-    return x
+    return _mix64_inplace(x, np.empty_like(x))
 
 
 def absorb(h: int, part: int) -> int:
@@ -80,22 +101,55 @@ def derive_key(*parts: int) -> int:
     return h
 
 
+def _inner(parts: np.ndarray) -> np.ndarray:
+    """mix64(p + GOLDEN) for each p of the uint64 array `parts`, in a new array."""
+    x = parts + _GOLDEN_64
+    return _mix64_inplace(x, np.empty_like(x))
+
+
+def _absorbed(h: int, parts: np.ndarray) -> np.ndarray:
+    """absorb(h, p) for each p of the uint64 array `parts`, in a new array."""
+    x = _inner(parts)
+    x ^= np.uint64(h)
+    return _mix64_inplace(x, np.empty_like(x))
+
+
 def _row_col_hashes(master_seed: int, role: int, aux: int, nrows: int, ncols: int):
     """(hr, inner_c): derive_key(seed, role, aux, j, k) == mix64(hr[j] ^ inner_c[k])."""
     h0 = derive_key(master_seed, role, aux)
-    inner_r = mix64_array((np.arange(nrows, dtype=np.uint64) + np.uint64(GOLDEN)))
-    inner_c = (
-        inner_r
-        if ncols == nrows
-        else mix64_array((np.arange(ncols, dtype=np.uint64) + np.uint64(GOLDEN)))
-    )
-    return mix64_array(np.uint64(h0) ^ inner_r), inner_c
+    hr = _absorbed(h0, np.arange(nrows, dtype=np.uint64))
+    return hr, _inner(np.arange(ncols, dtype=np.uint64))
+
+
+def key_blocks(master_seed: int, role: int, aux: int, rows: range, ncols: int):
+    """Walk the keys derive_key(seed, role, aux, j, k), j in `rows`, 0 <= k < ncols, by row blocks.
+
+    Yields (block, keys, scratch) for blocks of at most BLOCK_KEYS keys (one
+    row when a row is longer): `block` is the range of j it covers,
+    keys[i, k] is the key of (block[i], k), and `scratch` is a uint64 array
+    of the same shape the caller may overwrite. Both are views of buffers
+    that every block reuses, so use them before the next step. A key does
+    not depend on the grid's size, so any row range gives the grid's bits.
+    """
+    h0 = derive_key(master_seed, role, aux)
+    inner_c = _inner(np.arange(ncols, dtype=np.uint64))
+    height = max(1, min(len(rows), BLOCK_KEYS // max(ncols, 1)))
+    keys_buf = np.empty((height, ncols), np.uint64)
+    scratch_buf = np.empty_like(keys_buf)
+    for start in range(rows.start, rows.stop, height):
+        block = range(start, min(start + height, rows.stop))
+        keys, scratch = keys_buf[: len(block)], scratch_buf[: len(block)]
+        hr = _absorbed(h0, np.arange(block.start, block.stop, dtype=np.uint64))
+        np.bitwise_xor(hr[:, None], inner_c, out=keys)
+        yield block, _mix64_inplace(keys, scratch), scratch
 
 
 def grid_keys(master_seed: int, role: int, aux: int, nrows: int, ncols: int) -> np.ndarray:
     """(nrows, ncols) array of keys, keys[j, k] == derive_key(seed, role, aux, j, k)."""
-    hr, inner_c = _row_col_hashes(master_seed, role, aux, nrows, ncols)
-    return mix64_array(hr[:, None] ^ inner_c[None, :])
+    out = np.empty((nrows, ncols), np.uint64)
+    for block, keys, _ in key_blocks(master_seed, role, aux, range(nrows), ncols):
+        out[block.start : block.stop] = keys
+    return out
 
 
 def keys_at(master_seed: int, role: int, aux: int, rows: np.ndarray, cols: np.ndarray,
@@ -103,18 +157,55 @@ def keys_at(master_seed: int, role: int, aux: int, rows: np.ndarray, cols: np.nd
     """`grid_keys(seed, role, aux, nrows, ncols)[rows, cols]`, computing only those keys;
     `rows` and `cols` broadcast together like numpy index arrays."""
     hr, inner_c = _row_col_hashes(master_seed, role, aux, nrows, ncols)
-    return mix64_array(hr[rows] ^ inner_c[cols])
+    keys = hr[rows] ^ inner_c[cols]
+    return _mix64_inplace(keys, np.empty_like(keys))
+
+
+def word_into(keys: np.ndarray, index: int, out: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+    """`word_grid(keys, index)` written to `out` (which may be `keys`), with
+    `scratch` (same shape) as the mix64 buffer."""
+    np.add(keys, np.uint64(((index + 1) * GOLDEN) & MASK64), out=out)
+    return _mix64_inplace(out, scratch)
 
 
 def word_grid(keys: np.ndarray, index: int) -> np.ndarray:
     """index-th 64-bit word of each key's stream."""
-    step = np.uint64(((index + 1) * GOLDEN) & MASK64)
-    return mix64_array(keys + step)
+    words = np.empty(np.shape(keys), np.uint64)
+    return word_into(keys, index, words, np.empty_like(words))
 
 
 def uniform_from_words(words: np.ndarray) -> np.ndarray:
     """Map 64-bit words to doubles in the open interval (0, 1)."""
-    return ((words >> np.uint64(11)).astype(np.float64) + 0.5) * _U53
+    # w >> 11 < 2^53 converts to float64 exactly, straight into the result
+    u = np.right_shift(words, _S11, out=np.empty(np.shape(words)), casting="unsafe")
+    u += 0.5
+    u *= _U53
+    return u
+
+
+@functools.lru_cache(maxsize=64)
+def _uniform_count(p: float) -> int:
+    """How many m in [0, 2^53) have (m + 0.5) * 2^-53 < p, with the rounding of
+    `uniform_from_words`. That expression is monotone in m, so these m are a
+    prefix and bisection finds its end. From m = 2^52 on, m + 0.5 rounds, so a
+    closed form like ceil(p 2^53 - 0.5) is not exact for every p."""
+    lo, hi = 0, 1 << 53
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if (float(mid) + 0.5) * _U53 < p:
+            lo = mid + 1
+        else:
+            hi = mid
+    return lo
+
+
+def uniform_below(words: np.ndarray, p: float, out: np.ndarray = None) -> np.ndarray:
+    """`uniform_from_words(words) < p`, bit for bit, as one compare on the words:
+    the uniform of w is below p iff w >> 11 < T, i.e. w < T << 11."""
+    count = _uniform_count(float(p))
+    if count == 1 << 53:  # p exceeds every uniform
+        return np.less_equal(words, np.uint64(MASK64), out=out)
+    return np.less(words, np.uint64(count << 11), out=out)
 
 
 class Stream:

@@ -120,6 +120,8 @@ def stieltjes_empirical(spectrum: Spectrum, alpha: complex) -> complex:
     if alpha.imag <= 0:
         raise DomainError("alpha must lie in the upper half-plane")
     s = np.asarray(spectrum.values)
+    if s.size == 0:
+        raise DomainError("the spectrum is empty")
     total = np.sum(1.0 / (s - alpha) + 1.0 / (-s - alpha))
     return complex(total / (2.0 * len(s)))
 

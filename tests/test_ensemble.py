@@ -1,6 +1,8 @@
 import json
 import math
 import statistics
+import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -17,7 +19,7 @@ from circulaw import (
     smoothing_shift,
 )
 from circulaw import rng
-from circulaw.ensemble import draw_grid, draw_unit_disc, mask_grid, smoothing_stream
+from circulaw.ensemble import draw_grid, draw_unit_disc, mask_from_keys, mask_grid, smoothing_stream
 from circulaw.linalg import eigenvalues
 from circulaw.textio import stable_dumps
 
@@ -206,6 +208,63 @@ class TestSampleMatrix:
             got = sample_matrix(cfg, t).entries
             assert got.dtype == expected.dtype
             assert got.tobytes() == expected.tobytes()
+
+
+# the workloads' p_n, the extremes, and p_n = 0.5 + 2^-40, whose threshold lies
+# where m + 0.5 rounds (m >= 2^52)
+THRESHOLD_P = [512 ** -0.5, 32 ** -0.5, 1e-9, 0.3, 0.5 + 2.0 ** -40, 1 - 1e-9]
+
+
+class TestMaskThreshold:
+    @pytest.mark.parametrize("p_n", THRESHOLD_P)
+    def test_boundary_words_match_the_float_compare(self, p_n):
+        count = rng._uniform_count(p_n)
+        words = np.array(
+            [(count - 1) << 11, (count << 11) - 1, count << 11], dtype=np.uint64
+        )
+        expected = rng.uniform_from_words(words) < p_n
+        assert expected.tolist() == [True, True, False]
+        assert rng.uniform_below(words, p_n).tolist() == expected.tolist()
+
+    @pytest.mark.parametrize("p_n", THRESHOLD_P)
+    def test_keyed_words_match_the_float_compare(self, p_n):
+        keys = rng.grid_keys(5, rng.ROLE_MASK, 0, 100_000, 1)
+        expected = rng.uniform_from_words(rng.word_grid(keys, 0)) < p_n
+        assert np.array_equal(mask_from_keys(keys, p_n), expected)
+        assert np.array_equal(mask_grid(5, rng.ROLE_MASK, 0, 100_000, 1, p_n), expected)
+
+    def test_extreme_p(self):
+        words = np.array([0, 1 << 63, rng.MASK64], dtype=np.uint64)
+        assert rng.uniform_below(words, 2.0).all()
+        assert not rng.uniform_below(words, 0.0).any()
+        assert not rng.uniform_below(words, math.nan).any()
+
+
+class TestSamplerKernel:
+    @pytest.mark.parametrize("theta", [None, 0.5], ids=["dense", "theta=0.5"])
+    def test_scratch_memory_is_bounded(self, theta):
+        # row blocks keep the sampler's scratch near 2^15 keys' worth of buffers
+        n = 512
+        cfg = (EnsembleConfig(n, 1.0, GAUSS, 3) if theta is None
+               else EnsembleConfig.from_theta(n, theta, GAUSS, 3))
+        started = not tracemalloc.is_tracing()
+        tracemalloc.start()
+        tracemalloc.reset_peak()
+        try:
+            entries = sample_matrix(cfg, 0).entries
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            if started:
+                tracemalloc.stop()
+        assert peak <= entries.nbytes + 2 * 2**20
+
+    def test_threads_sample_independently(self):
+        cfgs = [EnsembleConfig(300, 1.0, CGAUSS, 8), EnsembleConfig.from_theta(300, 0.5, GAUSS, 8)]
+        jobs = [(cfg, t) for cfg in cfgs for t in range(4)]
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            threaded = list(pool.map(lambda job: sample_matrix(*job).entries, jobs))
+        for job, got in zip(jobs, threaded):
+            assert got.tobytes() == sample_matrix(*job).entries.tobytes()
 
 
 class TestSmoothing:

@@ -317,6 +317,12 @@ class TestDistanceToSpan:
         with pytest.raises(DomainError):
             distance_to_span(np.ones((3, 1)), 0)
 
+    def test_non_finite_columns(self):
+        # numpy's SVD would raise LinAlgError, a ValueError the CLI reports as a usage error
+        for bad in (np.nan, np.inf):
+            with pytest.raises(NumericError):
+                distance_to_span(np.array([[1.0, bad], [0.0, 1.0]]), 0)
+
 
 class TestInvariants:
     def test_weyl_shift_bound(self, oracle_rng):

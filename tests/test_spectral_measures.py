@@ -174,6 +174,10 @@ class TestStieltjesEmpirical:
         with pytest.raises(DomainError):
             stieltjes_empirical(spectrum_of([1.0]), 1.0 - 0.5j)
 
+    def test_empty_spectrum(self):
+        with pytest.raises(DomainError):
+            stieltjes_empirical(spectrum_of([]), 1j)
+
 
 class TestKsDistance:
     def test_self_distance_zero(self, oracle_rng):
