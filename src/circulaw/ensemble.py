@@ -31,7 +31,6 @@ DIST_TAGS = (
 _SQRT3 = math.sqrt(3.0)
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 _TWO_PI = 2.0 * math.pi
-_TOP_BIT = np.uint64(1 << 63)  # a Rademacher sign is + iff its word's top bit is clear
 
 
 def _whole(name: str, value) -> int:
@@ -205,7 +204,8 @@ class MatrixSample:
 
 
 def _polar(words: np.ndarray):
-    """Box-Muller radius sqrt(-2 ln u1) and angle 2 pi u2 from words 0 and 1."""
+    """Box-Muller radius sqrt(-2 ln u1) and angle 2 pi u2 from words 0 and 1,
+    formed in place to keep a row block's temporaries few."""
     radius = rng.uniform_from_words(words[..., 0])
     np.log(radius, out=radius)
     radius *= -2.0
@@ -219,8 +219,7 @@ def _values_from_words(dist: EntryDistribution, words: np.ndarray) -> np.ndarray
     """Map word arrays of shape (..., words_per_draw) to entry values.
 
     The formulas here are the single source of truth for both the scalar
-    and the vectorized sampling paths. They work in place on their own
-    temporaries, which the row-blocked kernel keeps to a block's size.
+    and the vectorized sampling paths.
     """
     if dist.tag == "RealGaussian":
         radius, angle = _polar(words)
@@ -228,26 +227,18 @@ def _values_from_words(dist: EntryDistribution, words: np.ndarray) -> np.ndarray
         return radius
     if dist.tag == "ComplexGaussian":
         radius, angle = _polar(words)
-        z0 = np.cos(angle)
-        z0 *= radius
-        z1 = np.sin(angle, out=angle)
-        z1 *= radius
-        z = np.multiply(1j, z1)
-        z += z0
-        z *= _INV_SQRT2
-        return z
+        z0 = radius * np.cos(angle)
+        z1 = radius * np.sin(angle)
+        return (z0 + 1j * z1) * _INV_SQRT2
     if dist.tag == "Rademacher":
-        return np.where(words[..., 0] < _TOP_BIT, 1.0, -1.0)
+        return np.where(words[..., 0] >> np.uint64(63) == 0, 1.0, -1.0)
     if dist.tag == "ComplexRademacher":
-        re = np.where(words[..., 0] < _TOP_BIT, 1.0, -1.0)
+        re = np.where(words[..., 0] >> np.uint64(63) == 0, 1.0, -1.0)
         im = np.where((words[..., 0] >> np.uint64(62)) & np.uint64(1) == 0, 1.0, -1.0)
         return (re + 1j * im) * _INV_SQRT2
     if dist.tag == "UniformSymmetric":
         u = rng.uniform_from_words(words[..., 0])
-        u *= 2.0
-        u -= 1.0
-        u *= _SQRT3
-        return u
+        return (2.0 * u - 1.0) * _SQRT3
     # TwoPoint
     u = rng.uniform_from_words(words[..., 0])
     b = -dist.a * dist.p / (1.0 - dist.p)
@@ -305,7 +296,7 @@ def mask_rows(seed, role, aux, rows: range, ncols, p_n) -> np.ndarray:
     out = np.empty((len(rows), ncols), bool)
     for block, keys, scratch in rng.key_blocks(seed, role, aux, rows, ncols):
         words = rng.word_into(keys, 0, keys, scratch)
-        rng.uniform_below(words, p_n, out=out[block.start - rows.start : block.stop - rows.start])
+        out[block.start - rows.start : block.stop - rows.start] = rng.uniform_below(words, p_n)
     return out
 
 
@@ -323,11 +314,11 @@ def sample_matrix(config: EnsembleConfig, trial_index: int) -> MatrixSample:
     """Draw the n x n matrix (eps_jk X_jk / sqrt(n p_n)) for one trial.
 
     Bit-identical across repeated calls and across processes for the same
-    (config, trial_index). A dense matrix is built by the row blocks of
-    `rng.key_blocks`, each written straight into its rows. For p_n < 1 the
-    values are drawn only where the mask is set, BLOCK_KEYS kept entries at
-    a time; keys are positional, so the entries equal those of the full
-    value grid masked afterwards.
+    (config, trial_index). The grids come from the row-blocked kernel
+    (`rng.key_blocks`), which writes each block straight into its rows. For
+    p_n < 1 the values are drawn only where the mask is set, BLOCK_KEYS kept
+    entries at a time; keys are positional, so the entries equal those of
+    the full value grid masked afterwards.
     """
     if not isinstance(config, EnsembleConfig):
         raise ConfigError("sample_matrix expects an EnsembleConfig")
@@ -338,13 +329,12 @@ def sample_matrix(config: EnsembleConfig, trial_index: int) -> MatrixSample:
         for block, values in _value_blocks(dist, seed, rng.ROLE_VALUE, trial_index, range(n), n):
             np.divide(values, math.sqrt(n), out=entries[block.start : block.stop])
         return MatrixSample(entries)
-    scale = math.sqrt(n * config.p_n)
     entries = np.zeros((n, n), dtype)
     kept = np.flatnonzero(mask_grid(seed, rng.ROLE_MASK, trial_index, n, n, config.p_n))
     for start in range(0, len(kept), rng.BLOCK_KEYS):
         at = kept[start : start + rng.BLOCK_KEYS]
         keys = rng.keys_at(seed, rng.ROLE_VALUE, trial_index, at // n, at % n, n, n)
-        entries.flat[at] = draws_from_keys(dist, keys) / scale
+        entries.flat[at] = draws_from_keys(dist, keys) / math.sqrt(n * config.p_n)
     return MatrixSample(entries)
 
 

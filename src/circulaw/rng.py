@@ -199,13 +199,13 @@ def _uniform_count(p: float) -> int:
     return lo
 
 
-def uniform_below(words: np.ndarray, p: float, out: np.ndarray = None) -> np.ndarray:
+def uniform_below(words: np.ndarray, p: float) -> np.ndarray:
     """`uniform_from_words(words) < p`, bit for bit, as one compare on the words:
     the uniform of w is below p iff w >> 11 < T, i.e. w < T << 11."""
     count = _uniform_count(float(p))
     if count == 1 << 53:  # p exceeds every uniform
-        return np.less_equal(words, np.uint64(MASK64), out=out)
-    return np.less(words, np.uint64(count << 11), out=out)
+        return np.ones(np.shape(words), bool)
+    return words < np.uint64(count << 11)
 
 
 class Stream:
