@@ -195,12 +195,12 @@ class MatrixSample:
 
     @classmethod
     def from_array(cls, a) -> "MatrixSample":
+        """A copy of a nonempty square array in double precision (float64 or
+        complex128), the precision every kernel's contract assumes."""
         a = np.asarray(a)
-        if a.ndim != 2 or a.shape[0] != a.shape[1]:
-            raise ConfigError(f"expected a square matrix, got shape {a.shape}")
-        if not np.iscomplexobj(a):
-            a = a.astype(np.float64)
-        return cls(a)
+        if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] == 0:
+            raise ConfigError(f"expected a nonempty square matrix, got shape {a.shape}")
+        return cls(a.astype(np.complex128 if np.iscomplexobj(a) else np.float64))
 
 
 def _polar(words: np.ndarray):

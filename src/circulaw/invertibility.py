@@ -27,6 +27,7 @@ from .textio import csv_text, write_text
 
 MIN_TAIL_TRIALS = 50  # fewest trials a MinSv or MaxSv tail frequency is taken over
 _SUM_DRAWS = 1 << 17  # draws per block of small_ball's sums
+_BAND_SAMPLES = 1 << 12  # samples per band of rows in the plane lattice
 
 
 @dataclass(frozen=True)
@@ -151,7 +152,9 @@ def _max_ball_fraction(samples: np.ndarray, eta: float) -> float:
     Exact on the line: an optimal interval [x, x + 2 eta] slides right until it
     starts at a sample. In the plane the centers are the hexagonal lattice of
     pitch eta/4: each lattice point within eta of a sample is within 5 rows and
-    5 columns of its nearest one, and hits are counted per lattice point.
+    5 columns of its nearest one, and hits are counted per lattice point. The
+    lattice is counted in bands of rows holding about `_BAND_SAMPLES` samples'
+    nearest rows, so only one band's hits are held at a time.
     """
     if not samples.imag.any():
         x = np.sort(samples.real)
@@ -163,26 +166,34 @@ def _max_ball_fraction(samples: np.ndarray, eta: float) -> float:
     reach = 5
     nearest_row = np.round(im / dy).astype(np.int64)
     row_lo = int(nearest_row.min()) - reach
+    row_hi = int(nearest_row.max()) + reach + 1
     col_lo = math.floor(re.min() / pitch) - reach - 1
     width = math.ceil(re.max() / pitch) + reach + 2 - col_lo
-    if (int(nearest_row.max()) + reach + 1 - row_lo) * width >= 2**63:
+    if (row_hi - row_lo) * width >= 2**63:
         raise DomainError(f"eta = {eta} is too small for samples spread this far")
-    keys, counts = np.empty(0, dtype=np.int64), np.empty(0)
-    for drow in range(-reach, reach + 1):
-        row = nearest_row + drow
-        odd = np.abs(row) % 2
-        d_im = im - row * dy
-        nearest_col = np.round(re / pitch - 0.5 * odd).astype(np.int64)
-        found = [(keys, counts)]
-        for dcol in range(-reach, reach + 1):
-            col = nearest_col + dcol
-            d_re = re - (col + 0.5 * odd) * pitch
-            inside = d_re * d_re + d_im * d_im <= eta * eta + 1e-300
-            hits = (row[inside] - row_lo) * width + (col[inside] - col_lo)
-            found.append(np.unique(hits, return_counts=True))
-        keys, inverse = np.unique(np.concatenate([k for k, _ in found]), return_inverse=True)
-        counts = np.bincount(inverse, np.concatenate([c for _, c in found]), len(keys))
-    return float(counts.max()) / len(samples)
+    order = np.argsort(nearest_row, kind="stable")
+    sorted_rows = nearest_row[order]
+    starts = sorted_rows[_BAND_SAMPLES::_BAND_SAMPLES]
+    edges = np.unique(np.concatenate(([row_lo], starts, [row_hi])))
+    best = 0
+    for lo, hi in zip(edges[:-1], edges[1:]):
+        found = []
+        for drow in range(-reach, reach + 1):
+            # the samples whose row nearest_row + drow lies in [lo, hi)
+            start, stop = np.searchsorted(sorted_rows, (lo - drow, hi - drow))
+            take = order[start:stop]
+            row = sorted_rows[start:stop] + drow
+            odd = np.abs(row) % 2
+            d_im = im[take] - row * dy
+            x = re[take]
+            nearest_col = np.round(x / pitch - 0.5 * odd).astype(np.int64)
+            for dcol in range(-reach, reach + 1):
+                col = nearest_col + dcol
+                d_re = x - (col + 0.5 * odd) * pitch
+                inside = d_re * d_re + d_im * d_im <= eta * eta + 1e-300
+                found.append((row[inside] - row_lo) * width + (col[inside] - col_lo))
+        best = max(best, int(np.unique(np.concatenate(found), return_counts=True)[1].max()))
+    return float(best) / len(samples)
 
 
 def small_ball(

@@ -10,10 +10,13 @@ Whenever s_n falls below 1e-6 times s_1, the whole spectrum is taken from an
 SVD of the matrix itself instead, which gets every s_j to a few eps * s_1.
 
 The log-potential needs only sum_j log s_j = log|det A| and the knowledge
-that s_n and s_1 lie in a truncation window. `certified_log_det` takes the
-first from an LU factorization (`slogdet`) and certifies the second without
-the spectrum: s_1 <= ||A||_F, and s_n from k = 10 keyed Gaussian probes and
-one solve (Dixon's bound), which is wrong with probability at most 10^-10.
+that s_n and s_1 lie in a truncation window. `certified_log_det` factors A
+once (LAPACK getrf from numpy's bundled OpenBLAS, `parallel.openblas`) and
+takes both from that LU: the first as sum_i log|u_ii|, and the second without
+the spectrum: s_1 <= ||A||_F, and s_n from k = 10 keyed Gaussian probes solved
+on the same factors (getrs; Dixon's bound), which is wrong with probability at
+most 10^-10. The bits are those of `slogdet` and `solve` on one BLAS thread;
+those two, at one LU each, are only the fallback when no library is found.
 LU is backward stable: the value is log|det(A + dA)| with ||dA|| about
 n eps ||A||, so by Weyl it is off by about n^2 eps s_1 / s_n at most, which
 the certified bounds make explicit. When any check does not clear, the
@@ -22,6 +25,7 @@ caller takes the exact path through `singular_values`.
 
 from __future__ import annotations
 
+import ctypes
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -79,18 +83,18 @@ def frobenius_norm(sample: MatrixSample) -> float:
 def certified_log_det(
     sample: MatrixSample, floor: float, ceiling: float, seed: int, trial_index: int
 ) -> Optional[LogDeterminant]:
-    """log|det A| from `slogdet`, if floor <= s_n and s_1 <= ceiling are certified; else None.
+    """log|det A| from one LU of A, if floor <= s_n and s_1 <= ceiling are certified; else None.
 
     Ceiling: s_1 <= ||A||_F. Floor: with k = 10 Gaussian probes w_i keyed by
-    (seed, ROLE_PROBE, trial_index) and X = solve(A, W),
+    (seed, ROLE_PROBE, trial_index) and X = A^-1 W, solved on the same LU,
     ||A^-1|| <= 10 sqrt(2/pi) max_i ||A^-1 w_i|| except with probability
     10^-k (Dixon 1983; Halko, Martinsson & Tropp 2011, Lemma 4.1). The probes
     are N(0, 1) for real A. For complex A they are complex of unit variance,
     i.e. a standard Gaussian of the real 2n-embedding divided by sqrt(2), so
     the bound carries that sqrt(2). The solve residual R = W - A X, widened by
     its own rounding, enters as ||A^-1 w_i|| <= ||x_i|| + ||A^-1|| ||r_i||;
-    a residual that costs more than half the bound returns None, as do
-    `slogdet` sign 0 and a bound that does not clear the window. Non-finite
+    a residual that costs more than half the bound returns None, as do an
+    exactly singular U and a bound that does not clear the window. Non-finite
     entries raise NumericError. The value is accurate to about
     n^2 eps upper / lower (module docstring).
     """
@@ -99,21 +103,58 @@ def certified_log_det(
     upper = frobenius_norm(sample)
     if not upper <= ceiling:
         return None
-    sign, value = np.linalg.slogdet(a)
-    if sign == 0:
-        return None
     is_complex = np.iscomplexobj(a)
     probes = draw_grid(_PROBE_LAW[is_complex], seed, rng.ROLE_PROBE, trial_index, n, _PROBES)
+    factored = _log_det_and_solve(a, probes)
+    if factored is None:
+        return None
+    value, x = factored
     dixon = _DIXON * (math.sqrt(2.0) if is_complex else 1.0)
     with np.errstate(all="ignore"):  # a non-finite x or residual fails the tests below
-        x = np.linalg.solve(a, probes)
         x_norm = np.linalg.norm(x, axis=0)
         slack = (n + 1) * _EPS * (np.linalg.norm(probes, axis=0) + upper * x_norm)
         rho = dixon * float(np.max(np.linalg.norm(probes - a @ x, axis=0) + slack))
         lower = (1.0 - rho) / (dixon * float(np.max(x_norm)))
     if not (rho <= 0.5 and lower >= floor):
         return None
-    return LogDeterminant(float(value), lower, upper, n)
+    return LogDeterminant(value, lower, upper, n)
+
+
+def _log_det_and_solve(a: np.ndarray, b: np.ndarray):
+    """(log|det A|, A^-1 B) from one LU of A, or None if A is exactly singular.
+
+    getrf and getrs run on OpenBLAS's serial kernels over a column-major copy
+    of A, the buffer numpy hands LAPACK, and the log sums log|u_ii| in
+    diagonal order as `slogdet` does; so both results have the bits of
+    `slogdet` and `solve` on one BLAS thread. Without the library, those two
+    run instead, at two LUs.
+    """
+    # imported on use: importing it with `linalg` raised the package's import-time peak RSS ~0.5 MB
+    from . import parallel
+
+    is_complex = np.iscomplexobj(a)
+    lu = parallel.openblas().get("complex_lu" if is_complex else "real_lu")
+    if lu is None:
+        sign, value = np.linalg.slogdet(a)
+        if sign == 0:
+            return None
+        with np.errstate(all="ignore"):
+            return float(value), np.linalg.solve(a, b)
+    getrf, getrs = lu
+    dtype = np.complex128 if is_complex else np.float64
+    factors = np.array(a, dtype=dtype, order="F")
+    x = np.array(b, dtype=dtype, order="F")
+    pivots = np.empty(len(a), dtype=np.int64)
+    n, nrhs, info = ctypes.c_int64(len(a)), ctypes.c_int64(x.shape[1]), ctypes.c_int64()
+    with parallel.single_threaded_blas():
+        getrf(n, n, factors.ctypes.data, n, pivots.ctypes.data, info)
+        if info.value > 0:
+            return None
+        getrs(b"N", n, nrhs, factors.ctypes.data, n, pivots.ctypes.data, x.ctypes.data, n, info)
+    value = 0.0
+    for u in factors.diagonal().tolist():
+        value += math.log(abs(u))
+    return value, np.ascontiguousarray(x)
 
 
 def shift(sample: MatrixSample, z: complex) -> MatrixSample:

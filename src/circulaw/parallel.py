@@ -11,6 +11,10 @@ cores; and OpenBLAS's threaded kernels round differently from its serial
 ones, so reports would depend on OPENBLAS_NUM_THREADS. The caller's BLAS
 thread count is restored when the outermost `parallel_map` returns or raises.
 If no OpenBLAS library is found, BLAS threading is left alone.
+
+`openblas()` is the one binding of that library: the thread count here, and
+the LU factorization and solve (`?getrf`, `?getrs`) behind
+`linalg.certified_log_det`.
 """
 
 from __future__ import annotations
@@ -25,11 +29,27 @@ from pathlib import Path
 
 from .errors import ConfigError
 
-# (get, set) symbol pairs, newest naming first
-_BLAS_SYMBOLS = (
-    ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
-    ("openblas_get_num_threads64_", "openblas_set_num_threads64_"),
-)
+_INT = ctypes.POINTER(ctypes.c_int64)  # LAPACK's 64-bit integers, passed by reference
+_PTR = ctypes.c_void_p
+_GETRF = ([_INT, _INT, _PTR, _INT, _PTR, _INT], None)  # m n a lda ipiv info
+# trans n nrhs a lda ipiv b ldb info
+_GETRS = ([ctypes.c_char_p, _INT, _INT, _PTR, _INT, _PTR, _PTR, _INT, _INT], None)
+
+# role -> ((argtypes, restype) of each function, then one symbol tuple per naming,
+# newest first); a role is bound from the first naming the library exports whole
+_BLAS_SYMBOLS = {
+    "threads": (
+        (([], ctypes.c_int), ([ctypes.c_int], None)),
+        ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
+        ("openblas_get_num_threads64_", "openblas_set_num_threads64_"),
+    ),
+    "real_lu": (
+        (_GETRF, _GETRS), ("scipy_dgetrf_64_", "scipy_dgetrs_64_"), ("dgetrf_64_", "dgetrs_64_")
+    ),
+    "complex_lu": (
+        (_GETRF, _GETRS), ("scipy_zgetrf_64_", "scipy_zgetrs_64_"), ("zgetrf_64_", "zgetrs_64_")
+    ),
+}
 
 # OpenBLAS's thread count is process-wide, so the hold on it is too
 _blas_lock = threading.Lock()
@@ -51,8 +71,10 @@ def thread_count() -> int:
 
 
 @functools.lru_cache(maxsize=None)
-def _openblas_threads():
-    """(get_num_threads, set_num_threads) of numpy's bundled OpenBLAS, or None."""
+def openblas() -> dict:
+    """{role: functions} bound from numpy's bundled OpenBLAS for each role of
+    `_BLAS_SYMBOLS` it exports; empty when no such library loads. The library
+    is opened once per process, on first use."""
     import numpy
 
     libs = Path(numpy.__file__).resolve().parent.parent / "numpy.libs"
@@ -61,14 +83,17 @@ def _openblas_threads():
             lib = ctypes.CDLL(str(path))
         except OSError:
             continue
-        for get_name, set_name in _BLAS_SYMBOLS:
-            get_fn = getattr(lib, get_name, None)
-            set_fn = getattr(lib, set_name, None)
-            if get_fn is not None and set_fn is not None:
-                get_fn.argtypes, get_fn.restype = [], ctypes.c_int
-                set_fn.argtypes, set_fn.restype = [ctypes.c_int], None
-                return get_fn, set_fn
-    return None
+        bound = {}
+        for role, (signatures, *namings) in _BLAS_SYMBOLS.items():
+            for names in namings:
+                functions = tuple(getattr(lib, name, None) for name in names)
+                if None not in functions:
+                    for fn, (argtypes, restype) in zip(functions, signatures):
+                        fn.argtypes, fn.restype = argtypes, restype
+                    bound[role] = functions
+                    break
+        return bound
+    return {}
 
 
 @contextmanager
@@ -76,7 +101,7 @@ def single_threaded_blas():
     """Hold OpenBLAS at one thread; the last of nested or concurrent holders restores it."""
     global _blas_depth, _blas_saved
     with _blas_lock:
-        api = _openblas_threads()
+        api = openblas().get("threads")
         if api is not None:
             if _blas_depth == 0:
                 _blas_saved = api[0]()

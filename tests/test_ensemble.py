@@ -12,6 +12,7 @@ from circulaw import (
     DomainError,
     EnsembleConfig,
     EntryDistribution,
+    MatrixSample,
     draw_entry,
     log_moment_estimate,
     sample_matrix,
@@ -20,7 +21,7 @@ from circulaw import (
 )
 from circulaw import rng
 from circulaw.ensemble import draw_grid, draw_unit_disc, mask_from_keys, mask_grid, smoothing_stream
-from circulaw.linalg import eigenvalues
+from circulaw.linalg import eigenvalues, singular_values
 from circulaw.textio import stable_dumps
 
 from conftest import ks_two_sample_critical, two_sample_ks
@@ -357,3 +358,25 @@ class TestLogMoment:
     def test_minimum_sample_size_enforced(self):
         with pytest.raises(DomainError):
             log_moment_estimate(GAUSS, 100, eta=1.0)
+
+
+class TestFromArray:
+    @pytest.mark.parametrize("dtype, expected", [
+        (np.complex64, np.complex128), (np.float32, np.float64), (np.int64, np.float64),
+        (np.complex128, np.complex128)])
+    def test_entries_are_double_precision(self, dtype, expected):
+        a = (np.arange(9).reshape(3, 3) + (1j if np.dtype(dtype).kind == "c" else 0)).astype(dtype)
+        entries = MatrixSample.from_array(a).entries
+        assert entries.dtype == expected and np.array_equal(entries, a)
+
+    def test_single_precision_input_gets_double_precision_spectra(self):
+        rng_ = np.random.default_rng(4)
+        a = (rng_.normal(size=(64, 64)) + 1j * rng_.normal(size=(64, 64))).astype(np.complex64)
+        got = singular_values(MatrixSample.from_array(a)).values
+        oracle = np.linalg.svd(a.astype(np.complex128), compute_uv=False)
+        assert np.max(np.abs(got - oracle)) <= 1e-12 * oracle[0]
+
+    @pytest.mark.parametrize("shape", [(0, 0), (2, 3), (4,), (2, 2, 2)])
+    def test_empty_or_non_square_is_rejected(self, shape):
+        with pytest.raises(ConfigError):
+            MatrixSample.from_array(np.zeros(shape))

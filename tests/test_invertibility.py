@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -306,6 +307,35 @@ class TestMaxBallFraction:
                 samples = samples + 0.5j * eta
             samples = np.asarray(samples, dtype=complex)
             assert _max_ball_fraction(samples, eta) == lattice_oracle(samples, eta)
+
+    @pytest.mark.parametrize("band", [1, 2, 7])
+    def test_plane_bands_match_lattice_oracle(self, oracle_rng, monkeypatch, band):
+        # bands of a few samples' rows: most samples reach two or more bands
+        monkeypatch.setattr(invertibility, "_BAND_SAMPLES", band)
+        for _ in range(40):
+            m = int(oracle_rng.integers(1, 40))
+            eta = float(oracle_rng.choice([0.1, 0.3, 1.0]))
+            samples = eta * (oracle_rng.normal(size=m) + 1j * oracle_rng.normal(size=m))
+            if m > 3:
+                samples[: m // 3] = samples[0]  # one lattice row heavier than a band
+            assert _max_ball_fraction(samples, eta) == lattice_oracle(samples, eta)
+
+    def test_plane_holds_one_band_of_hits(self):
+        # 10^5 samples at eta = 0.05 hit ~5.8 million lattice points; holding them
+        # all peaked at 42 MB, one band of ~4096 samples' hits takes a few MB
+        draws = draw_grid(EntryDistribution("ComplexGaussian"), 0, rng.ROLE_CONCENTRATION, 0,
+                          100_000, 1)[:, 0]
+        started = not tracemalloc.is_tracing()
+        tracemalloc.start()
+        tracemalloc.reset_peak()
+        try:
+            got = _max_ball_fraction(draws, 0.05)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            if started:
+                tracemalloc.stop()
+        assert got == 0.00303
+        assert peak <= 16 * 2**20
 
     def test_line_matches_window_oracle(self, oracle_rng):
         for trial in range(300):

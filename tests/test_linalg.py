@@ -20,7 +20,7 @@ from circulaw import (
     singular_values,
     smallest_singular_value,
 )
-from circulaw import linalg
+from circulaw import linalg, parallel
 from circulaw.errors import DomainError
 from circulaw.linalg import certified_log_det, truncation_window
 
@@ -205,6 +205,47 @@ class TestCertifiedLogDet:
         a = np.arange(16.0).reshape(4, 4)  # rank 2
         a[:, 0] = 0.0
         assert certified_log_det(from_array(a), 0.0, math.inf, 1, 0) is None
+
+
+def draw_matrix(oracle_rng, shape, complex_):
+    a = oracle_rng.normal(size=shape)
+    return a + 1j * oracle_rng.normal(size=shape) if complex_ else a
+
+
+class TestOneLU:
+    @pytest.mark.parametrize("complex_", [False, True], ids=["real", "complex"])
+    @pytest.mark.parametrize("n", [1, 2, 3, 37, 128, 512])
+    def test_bits_equal_slogdet_and_solve(self, oracle_rng, n, complex_):
+        a = draw_matrix(oracle_rng, (n, n), complex_)
+        probes = draw_matrix(oracle_rng, (n, 10), complex_)
+        with parallel.single_threaded_blas():
+            value, x = linalg._log_det_and_solve(a, probes)
+            _, oracle = np.linalg.slogdet(a)
+            solved = np.linalg.solve(a, probes)
+        assert value == oracle
+        assert np.array_equal(x, solved) and x.flags.c_contiguous
+
+    @pytest.mark.parametrize("complex_", [False, True], ids=["real", "complex"])
+    def test_exactly_singular_returns_none(self, oracle_rng, complex_):
+        # a zero column stays exactly zero under elimination, so U has u_33 = 0
+        a = draw_matrix(oracle_rng, (6, 6), complex_)
+        a[:, 2] = 0.0
+        assert linalg._log_det_and_solve(a, draw_matrix(oracle_rng, (6, 10), complex_)) is None
+
+    def test_fallback_without_the_library_returns_the_same_certificate(self, monkeypatch):
+        # n * n < 10^4 keeps OpenBLAS on its serial kernels even without the thread hold
+        samples = [(sample_matrix(EnsembleConfig(n, 1.0, dist, 9), t), t)
+                   for n in (1, 2, 3, 37, 64) for dist in (GAUSS, CGAUSS) for t in range(3)]
+        one_lu = [certified_log_det(a, 0.0, math.inf, 9, t) for a, t in samples]
+        monkeypatch.setattr(parallel, "openblas", lambda: {})
+        fallback = [certified_log_det(a, 0.0, math.inf, 9, t) for a, t in samples]
+        assert fallback == one_lu and None not in one_lu
+
+    def test_binding_resolves_when_numpy_bundles_openblas(self):
+        libs = pathlib.Path(np.__file__).resolve().parent.parent / "numpy.libs"
+        if not any(libs.glob("lib*openblas*")):
+            pytest.skip("numpy does not bundle an OpenBLAS library")
+        assert set(parallel.openblas()) == {"threads", "real_lu", "complex_lu"}
 
 
 class TestEigenvalues:

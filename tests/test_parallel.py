@@ -51,7 +51,7 @@ def test_report_bytes_do_not_depend_on_workers_or_blas_threads(tmp_path):
 @pytest.fixture
 def blas():
     """(get, set) of the bundled OpenBLAS, held at 3 threads; restored afterwards."""
-    api = parallel._openblas_threads()
+    api = parallel.openblas().get("threads")
     if api is None:
         pytest.skip("numpy does not bundle an OpenBLAS library")
     get_threads, set_threads = api
@@ -96,7 +96,7 @@ def test_nested_pools_restore_only_when_the_outermost_returns(blas, monkeypatch)
 
 def test_pool_leaves_blas_alone_without_an_openblas_library(blas, monkeypatch):
     get_threads = blas[0]
-    monkeypatch.setattr(parallel, "_openblas_threads", lambda: None)
+    monkeypatch.setattr(parallel, "openblas", lambda: {})
     monkeypatch.setenv("CIRCULAW_THREADS", "2")
     assert parallel.parallel_map(lambda i: (i, get_threads()), range(3)) == [
         (0, 3), (1, 3), (2, 3)]
