@@ -337,10 +337,7 @@ def run_potential(spec: ExperimentSpec, report: ExperimentReport) -> None:
 
     def one_trial_factory(z):
         def one_trial(t):
-            sample = sample_matrix(cfg, t)
-            if r > 0:
-                sample = smoothing_shift(sample, r, smoothing_stream(cfg, t))
-            shifted = shift(sample, z)
+            shifted = smoothing_shift(sample_matrix(cfg, t), r, smoothing_stream(cfg, t), z)
             det = certified_log_det(shifted, floor, ceiling, cfg.master_seed, t)
             return singular_values(shifted) if det is None else det
 

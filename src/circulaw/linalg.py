@@ -3,11 +3,15 @@
 Eigenvalues and singular values both come back as a `Spectrum`: the values
 and their count n. Singular values come from a Hermitian eigensolve of the
 n x n Gram matrix; the 2n x 2n Hermitization is exposed for cross-checks but
-is not the production path. Squaring loses half the digits at the bottom of the
-spectrum: the Gram path gets each s_j^2 to about eps * s_1^2, so s_j to a
-relative error of about eps * (s_1 / s_j)^2 (2e-4 at s_j = 1e-6 s_1).
-Whenever s_n falls below 1e-6 times s_1, the whole spectrum is taken from an
-SVD of the matrix itself instead, which gets every s_j to a few eps * s_1.
+is not the production path. That eigensolve is LAPACK syevd/heevd from numpy's
+bundled OpenBLAS (`parallel.openblas`), the routine `eigvalsh` calls, with its
+bits on one BLAS thread; unlike `eigvalsh`, which keeps the GIL for a single
+matrix of n <= 500, the call drops the GIL, so small trials run in parallel.
+Squaring loses half the digits at the bottom of the spectrum: the Gram path
+gets each s_j^2 to about eps * s_1^2, so s_j to a relative error of about
+eps * (s_1 / s_j)^2 (2e-4 at s_j = 1e-6 s_1). Whenever s_n falls below
+1e-6 times s_1, the whole spectrum is taken from an SVD of the matrix itself
+instead, which gets every s_j to a few eps * s_1.
 
 The log-potential needs only sum_j log s_j = log|det A| and the knowledge
 that s_n and s_1 lie in a truncation window. `certified_log_det` factors A
@@ -157,23 +161,28 @@ def _log_det_and_solve(a: np.ndarray, b: np.ndarray):
     return value, np.ascontiguousarray(x)
 
 
-def shift(sample: MatrixSample, z: complex) -> MatrixSample:
-    """A - z I, the one diagonal shift; z = 0 returns `sample` itself."""
-    z = complex(z)
-    if z == 0:
+def shift(sample: MatrixSample, *shifts: complex) -> MatrixSample:
+    """A - z_1 I - z_2 I - ..., the one diagonal shift: each nonzero z_i is
+    subtracted from the diagonal in turn, on one copy, with the bits of one
+    shift after another; if every z_i is 0, `sample` itself comes back."""
+    shifts = [z for z in map(complex, shifts) if z != 0]
+    if not shifts:
         return sample
-    dtype = np.complex128 if (z.imag != 0 or np.iscomplexobj(sample.entries)) else np.float64
-    entries = sample.entries.astype(dtype, copy=True)
+    is_complex = np.iscomplexobj(sample.entries) or any(z.imag != 0 for z in shifts)
+    entries = sample.entries.astype(np.complex128 if is_complex else np.float64, copy=True)
     idx = np.arange(sample.n)
-    entries[idx, idx] -= z.real if dtype == np.float64 else z
+    for z in shifts:
+        entries[idx, idx] -= z if is_complex else z.real
     return MatrixSample(entries)
 
 
-def smoothing_shift(sample: MatrixSample, r: float, stream: rng.Stream) -> MatrixSample:
-    """A - r xi I, with one disc-uniform xi drawn from `stream` for the whole diagonal."""
+def smoothing_shift(
+    sample: MatrixSample, r: float, stream: rng.Stream, z: complex = 0
+) -> MatrixSample:
+    """A - r xi I - z I, with one disc-uniform xi drawn from `stream` for the whole diagonal."""
     if r < 0:
         raise DomainError(f"smoothing radius must be >= 0, got {r}")
-    return shift(sample, r * draw_unit_disc(stream))
+    return shift(sample, r * draw_unit_disc(stream), z)
 
 
 def hermitize(sample: MatrixSample) -> np.ndarray:
@@ -190,16 +199,59 @@ def singular_values(sample: MatrixSample) -> Spectrum:
     """All singular values, sorted descending, from the Gram eigensolve (relative
     error ~eps (s_1/s_j)^2) or, when s_n < 1e-6 s_1, an SVD (error ~eps s_1).
     Non-finite entries, or finite ones whose norm overflows, raise NumericError,
-    as does a spectrum whose squares do not sum to ||A||_F^2."""
+    as do an eigensolve or SVD that does not converge and a spectrum whose
+    squares do not sum to ||A||_F^2."""
     a = sample.entries
     fro = frobenius_norm(sample)
     fro_sq = fro * fro  # inf, not OverflowError, if ||A||_F^2 rounds past the float range
-    s = np.sqrt(np.clip(np.linalg.eigvalsh(a @ a.conj().T)[::-1], 0.0, None))
+    s = np.sqrt(np.clip(_eigvalsh(a @ a.conj().T)[::-1], 0.0, None))
     if s[-1] < _REFINE_RATIO * s[0]:
-        s = np.linalg.svd(a, compute_uv=False)
+        try:
+            s = np.linalg.svd(a, compute_uv=False)
+        except np.linalg.LinAlgError as exc:
+            raise NumericError(f"SVD failed: {exc}") from exc
     if fro_sq > 0 and abs(float(np.sum(s**2)) - fro_sq) > 1e-8 * fro_sq:
         raise NumericError("singular value computation inconsistent with Frobenius norm")
     return Spectrum(s)
+
+
+def _eigvalsh(g: np.ndarray) -> np.ndarray:
+    """Eigenvalues, ascending, of the Hermitian g from its lower triangle.
+
+    syevd/heevd (jobz 'N') run on OpenBLAS's serial kernels over a
+    column-major copy of g, at the workspace size LAPACK asks for, as numpy's
+    `eigvalsh` calls them; so the result has `eigvalsh`'s bits on one BLAS
+    thread, and the GIL is free while it runs. Without the library, `eigvalsh`
+    runs instead. An eigensolve that does not converge raises NumericError.
+    """
+    # imported on use, as in `_log_det_and_solve`
+    from . import parallel
+
+    is_complex = np.iscomplexobj(g)
+    evd = parallel.openblas().get("complex_evd" if is_complex else "real_evd")
+    if evd is None:
+        try:
+            return np.linalg.eigvalsh(g)
+        except np.linalg.LinAlgError as exc:
+            raise NumericError(f"Gram eigensolve failed: {exc}") from exc
+    (syevd,) = evd
+    a = np.array(g, dtype=np.complex128 if is_complex else np.float64, order="F")
+    w = np.empty(len(a))
+    n, info = ctypes.c_int64(len(a)), ctypes.c_int64()
+
+    def solve(buffers, sizes):  # work, [rwork,] iwork, each followed by its length
+        pairs = [arg for b, k in zip(buffers, sizes) for arg in (b.ctypes.data, ctypes.c_int64(k))]
+        syevd(b"N", b"L", n, a.ctypes.data, n, w.ctypes.data, *pairs, info)
+
+    kinds = (a.dtype, np.float64, np.int64) if is_complex else (a.dtype, np.int64)
+    query = [np.zeros(1, kind) for kind in kinds]
+    with parallel.single_threaded_blas():
+        solve(query, [-1] * len(kinds))
+        work = [np.empty(int(q[0].real), kind) for q, kind in zip(query, kinds)]
+        solve(work, [len(b) for b in work])
+    if info.value > 0:
+        raise NumericError(f"Gram eigensolve did not converge (LAPACK info {info.value})")
+    return w
 
 
 def eigenvalues(sample: MatrixSample) -> Spectrum:

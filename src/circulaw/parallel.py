@@ -12,9 +12,13 @@ ones, so reports would depend on OPENBLAS_NUM_THREADS. The caller's BLAS
 thread count is restored when the outermost `parallel_map` returns or raises.
 If no OpenBLAS library is found, BLAS threading is left alone.
 
-`openblas()` is the one binding of that library: the thread count here, and
-the LU factorization and solve (`?getrf`, `?getrs`) behind
-`linalg.certified_log_det`.
+`openblas()` is the one binding of that library: the thread count here, the
+LU factorization and solve (`?getrf`, `?getrs`) behind
+`linalg.certified_log_det`, and the Hermitian eigensolve (`?syevd`,
+`?heevd`) behind `linalg.singular_values`. A ctypes call drops the GIL for
+its whole length, where numpy's linalg keeps it for a single matrix of
+n <= 500; so only through this binding do pool workers factor small
+matrices at the same time.
 """
 
 from __future__ import annotations
@@ -34,6 +38,9 @@ _PTR = ctypes.c_void_p
 _GETRF = ([_INT, _INT, _PTR, _INT, _PTR, _INT], None)  # m n a lda ipiv info
 # trans n nrhs a lda ipiv b ldb info
 _GETRS = ([ctypes.c_char_p, _INT, _INT, _PTR, _INT, _PTR, _PTR, _INT, _INT], None)
+# jobz uplo n a lda w, then (work, lwork) [(rwork, lrwork)] (iwork, liwork), info
+_SYEVD = ([ctypes.c_char_p, ctypes.c_char_p, _INT, _PTR, _INT, _PTR] + [_PTR, _INT] * 2 + [_INT], None)
+_HEEVD = ([ctypes.c_char_p, ctypes.c_char_p, _INT, _PTR, _INT, _PTR] + [_PTR, _INT] * 3 + [_INT], None)
 
 # role -> ((argtypes, restype) of each function, then one symbol tuple per naming,
 # newest first); a role is bound from the first naming the library exports whole
@@ -49,6 +56,8 @@ _BLAS_SYMBOLS = {
     "complex_lu": (
         (_GETRF, _GETRS), ("scipy_zgetrf_64_", "scipy_zgetrs_64_"), ("zgetrf_64_", "zgetrs_64_")
     ),
+    "real_evd": ((_SYEVD,), ("scipy_dsyevd_64_",), ("dsyevd_64_",)),
+    "complex_evd": ((_HEEVD,), ("scipy_zheevd_64_",), ("zheevd_64_",)),
 }
 
 # OpenBLAS's thread count is process-wide, so the hold on it is too

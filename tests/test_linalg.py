@@ -1,6 +1,9 @@
 import importlib.util
 import math
 import pathlib
+import sys
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -34,6 +37,18 @@ def from_array(a):
     return MatrixSample.from_array(np.asarray(a))
 
 
+def draw_matrix(oracle_rng, shape, complex_):
+    a = oracle_rng.normal(size=shape)
+    return a + 1j * oracle_rng.normal(size=shape) if complex_ else a
+
+
+def bundled_openblas():
+    libs = pathlib.Path(np.__file__).resolve().parent.parent / "numpy.libs"
+    if not any(libs.glob("lib*openblas*")):
+        pytest.skip("numpy does not bundle an OpenBLAS library")
+    return parallel.openblas()
+
+
 class TestShift:
     def test_zero_shift_is_identity(self):
         m = from_array(np.arange(9.0).reshape(3, 3))
@@ -49,6 +64,30 @@ class TestShift:
         m = from_array(np.full((4, 4), 0.5))
         out = shift(m, 0.25)
         assert np.trace(out.entries) == np.trace(m.entries) - 4 * 0.25
+
+    @pytest.mark.parametrize("complex_", [False, True], ids=["real", "complex"])
+    @pytest.mark.parametrize("x", [0, 0.3, -0.7 + 0.1j], ids=["x0", "x_real", "x_complex"])
+    @pytest.mark.parametrize("z", [0, 1.1, 0.5 - 0.3j], ids=["z0", "z_real", "z_complex"])
+    def test_shifts_in_turn_equal_shift_after_shift(self, oracle_rng, complex_, x, z):
+        m = from_array(draw_matrix(oracle_rng, (7, 7), complex_))
+        once, twice = shift(m, x, z).entries, shift(shift(m, x), z).entries
+        assert once.dtype == twice.dtype and once.tobytes() == twice.tobytes()
+
+    def test_all_zero_shifts_return_the_sample(self):
+        m = from_array(np.arange(9.0).reshape(3, 3))
+        assert shift(m) is m and shift(m, 0, 0j, -0.0) is m
+
+    @pytest.mark.parametrize("r", [0.0, 0.25])
+    def test_smoothing_then_shift_in_one_copy(self, r):
+        from circulaw import smoothing_shift
+        from circulaw.ensemble import smoothing_stream
+
+        cfg = EnsembleConfig(16, 0.25, GAUSS, 4, theta=0.5)
+        m = sample_matrix(cfg, 2)
+        z = 0.5 + 0.5j
+        two_step = shift(smoothing_shift(m, r, smoothing_stream(cfg, 2)), z).entries
+        one_step = smoothing_shift(m, r, smoothing_stream(cfg, 2), z).entries
+        assert one_step.dtype == two_step.dtype and one_step.tobytes() == two_step.tobytes()
 
 
 class TestHermitize:
@@ -124,6 +163,30 @@ class TestSingularValues:
         eps = np.finfo(float).eps
         assert np.all(np.abs(s[-3:] - bottom) <= 10 * eps * truth[0])
         assert abs(np.sum(np.log(s)) - np.sum(np.log(truth))) <= 1e-3
+
+    def test_lapack_failure_raises_numeric_error(self, monkeypatch, oracle_rng):
+        roles = bundled_openblas()
+        (syevd,) = roles["real_evd"]
+
+        def unconverged(*args):
+            syevd(*args)
+            args[-1].value = 1  # info > 0: the tridiagonal QR did not converge
+
+        monkeypatch.setattr(parallel, "openblas", lambda: {**roles, "real_evd": (unconverged,)})
+        with pytest.raises(NumericError):
+            singular_values(from_array(oracle_rng.normal(size=(8, 8))))
+
+    @pytest.mark.parametrize("kernel", ["svd", "eigvalsh"])
+    def test_numpy_failure_raises_numeric_error(self, monkeypatch, kernel):
+        # numpy's LinAlgError is a ValueError, which the CLI reports as a usage error
+        def unconverged(*args, **kwargs):
+            raise np.linalg.LinAlgError(f"{kernel} did not converge")
+
+        monkeypatch.setattr(np.linalg, kernel, unconverged)
+        monkeypatch.setattr(parallel, "openblas", lambda: {})
+        a = np.diag([1.0, 0.0]) if kernel == "svd" else np.eye(3)  # s_n = 0 takes the SVD
+        with pytest.raises(NumericError):
+            singular_values(from_array(a))
 
     def test_fallback_ratio_matches_bench_mirror(self):
         # the benchmark's `refined` counter re-derives the fallback from this ratio
@@ -207,11 +270,6 @@ class TestCertifiedLogDet:
         assert certified_log_det(from_array(a), 0.0, math.inf, 1, 0) is None
 
 
-def draw_matrix(oracle_rng, shape, complex_):
-    a = oracle_rng.normal(size=shape)
-    return a + 1j * oracle_rng.normal(size=shape) if complex_ else a
-
-
 class TestOneLU:
     @pytest.mark.parametrize("complex_", [False, True], ids=["real", "complex"])
     @pytest.mark.parametrize("n", [1, 2, 3, 37, 128, 512])
@@ -242,10 +300,59 @@ class TestOneLU:
         assert fallback == one_lu and None not in one_lu
 
     def test_binding_resolves_when_numpy_bundles_openblas(self):
-        libs = pathlib.Path(np.__file__).resolve().parent.parent / "numpy.libs"
-        if not any(libs.glob("lib*openblas*")):
-            pytest.skip("numpy does not bundle an OpenBLAS library")
-        assert set(parallel.openblas()) == {"threads", "real_lu", "complex_lu"}
+        roles = {"threads", "real_lu", "complex_lu", "real_evd", "complex_evd"}
+        assert set(bundled_openblas()) == roles
+
+
+class TestGramEigensolve:
+    @pytest.mark.parametrize("complex_", [False, True], ids=["real", "complex"])
+    @pytest.mark.parametrize("n", [1, 2, 3, 37, 128, 512])
+    def test_bits_equal_eigvalsh(self, oracle_rng, n, complex_):
+        a = draw_matrix(oracle_rng, (n, n), complex_)
+        g = a @ a.conj().T
+        with parallel.single_threaded_blas():
+            got = linalg._eigvalsh(g)
+            oracle = np.linalg.eigvalsh(g)
+        assert got.tobytes() == oracle.tobytes()
+
+    def test_fallback_without_the_library_returns_the_same_values(self, monkeypatch):
+        # n * n < 10^4 keeps OpenBLAS on its serial kernels even without the thread hold
+        samples = [sample_matrix(EnsembleConfig(n, 1.0, dist, 9), t)
+                   for n in (1, 2, 3, 37, 64) for dist in (GAUSS, CGAUSS) for t in range(3)]
+        binding = [singular_values(a).values.tobytes() for a in samples]
+        monkeypatch.setattr(parallel, "openblas", lambda: {})
+        assert [singular_values(a).values.tobytes() for a in samples] == binding
+
+    def test_eigensolve_releases_the_gil(self, oracle_rng):
+        # numpy's eigvalsh keeps the GIL for one matrix of n <= 500: the counter
+        # would make no step at all between `before` and `after`
+        a = oracle_rng.normal(size=(400, 400))
+        g = a @ a.T
+        steps, ready, stop = [0], threading.Event(), threading.Event()
+
+        def count():
+            ready.set()
+            while not stop.is_set():
+                steps[0] += 1
+                if steps[0] % 64 == 0:
+                    time.sleep(0)  # hand the GIL back to a waiting thread
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(10.0)  # no forced switch: only a released GIL lets the counter run
+        counter = threading.Thread(target=count)
+        try:
+            counter.start()
+            assert ready.wait(timeout=60)
+            with parallel.single_threaded_blas():
+                before = steps[0]
+                linalg._eigvalsh(g)
+                after = steps[0]
+        finally:
+            stop.set()
+            counter.join(timeout=60)
+            sys.setswitchinterval(interval)
+        assert not counter.is_alive()
+        assert after - before > 100
 
 
 class TestEigenvalues:

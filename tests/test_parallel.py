@@ -125,3 +125,12 @@ def test_concurrent_callers_share_one_hold_on_the_blas_count(blas, monkeypatch):
     assert not any(thread.is_alive() for thread in callers)
     assert seen == [1] * (6 * 20 * 8)
     assert get_threads() == 3
+
+
+def test_import_binds_no_library():
+    # opening OpenBLAS at import time would count in every campaign's setup time
+    env = dict(os.environ, PYTHONPATH=str(Path(circulaw.__file__).resolve().parents[1]))
+    code = "import circulaw\nfrom circulaw import parallel\nprint(parallel.openblas.cache_info().currsize)"
+    done = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120, check=True)
+    assert done.stdout.strip() == "0"
