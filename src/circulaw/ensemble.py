@@ -372,7 +372,7 @@ def log_moment_estimate(
     """
     if m < 10_000:
         raise DomainError(f"need at least 10^4 samples, got {m}")
-    if eta <= 0:
+    if not eta > 0:
         raise DomainError(f"eta must be positive, got {eta}")
     atoms = dist.atoms()
     if atoms is not None:

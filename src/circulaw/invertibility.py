@@ -21,8 +21,8 @@ from . import rng
 from .ensemble import EnsembleConfig, EntryDistribution, sample_matrix
 from .ensemble import draw_grid, draw_rows, mask_rows
 from .errors import DomainError, NumericError
-from .linalg import frobenius_norm, shift, singular_values, truncation_window
-from .parallel import parallel_map, single_threaded_blas
+from .linalg import frobenius_norm, shift, single_threaded_blas, singular_values, truncation_window
+from .parallel import parallel_map
 from .textio import csv_text, write_text
 
 MIN_TAIL_TRIALS = 50  # fewest trials a MinSv or MaxSv tail frequency is taken over
@@ -72,7 +72,7 @@ def classify_vector(x, delta: float, rho: float) -> VectorClass:
     if not (0.0 < rho < 1.0):
         raise DomainError(f"rho must lie in (0, 1), got {rho}")
     norm = float(np.linalg.norm(x))
-    if abs(norm - 1.0) > 1e-10:
+    if not abs(norm - 1.0) <= 1e-10:
         raise DomainError(f"expected a unit vector, got norm {norm!r}")
     keep = int(math.floor(delta * len(x)))
     residual = _tail_norm(x, keep)
@@ -160,17 +160,23 @@ def _max_ball_fraction(samples: np.ndarray, eta: float) -> float:
         x = np.sort(samples.real)
         hi = np.searchsorted(x, x + 2.0 * eta, side="right")
         return float((hi - np.arange(len(x))).max()) / len(x)
+    if eta == 0.0:  # a closed 0-ball holds the copies of one sample
+        return float(np.unique(samples, return_counts=True)[1].max()) / len(samples)
     pitch = eta / 4.0
     dy = pitch * math.sqrt(3.0) / 2.0
     re, im = samples.real, samples.imag
     reach = 5
-    nearest_row = np.round(im / dy).astype(np.int64)
+    with np.errstate(all="ignore"):  # an index past the float range is inf or nan, rejected below
+        nearest_row = np.round(im / dy)
+        extent = (2 * np.abs(nearest_row).max() + 2 * reach + 1) * (
+            2 * np.abs(re).max() / pitch + 2 * reach + 5)
+    if not extent < 2.0**62:  # bounds rows x columns, in floats, before any index is cast to int64
+        raise DomainError(f"eta = {eta} is too small for samples spread this far")
+    nearest_row = nearest_row.astype(np.int64)
     row_lo = int(nearest_row.min()) - reach
     row_hi = int(nearest_row.max()) + reach + 1
     col_lo = math.floor(re.min() / pitch) - reach - 1
     width = math.ceil(re.max() / pitch) + reach + 2 - col_lo
-    if (row_hi - row_lo) * width >= 2**63:
-        raise DomainError(f"eta = {eta} is too small for samples spread this far")
     order = np.argsort(nearest_row, kind="stable")
     sorted_rows = nearest_row[order]
     starts = sorted_rows[_BAND_SAMPLES::_BAND_SAMPLES]

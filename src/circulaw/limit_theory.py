@@ -117,8 +117,8 @@ def limit_stieltjes(alpha: complex, z: complex) -> complex:
     S = y - alpha, where y is a root of L with x = alpha.
     """
     alpha = complex(alpha)
-    if alpha.imag <= 0:
-        raise DomainError("alpha must lie in the upper half-plane")
+    if not (math.isfinite(alpha.real) and 0 < alpha.imag < math.inf):
+        raise DomainError(f"alpha must be finite and lie in the upper half-plane, got {alpha}")
     t = _shift(z)
     roots = _l_roots(alpha, t)[1] - alpha
     candidates = roots[roots.imag > 1e-12]

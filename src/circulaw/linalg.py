@@ -4,7 +4,7 @@ Eigenvalues and singular values both come back as a `Spectrum`: the values
 and their count n. Singular values come from a Hermitian eigensolve of the
 n x n Gram matrix; the 2n x 2n Hermitization is exposed for cross-checks but
 is not the production path. That eigensolve is LAPACK syevd/heevd from numpy's
-bundled OpenBLAS (`parallel.openblas`), the routine `eigvalsh` calls, with its
+bundled OpenBLAS (`openblas`), the routine `eigvalsh` calls, with its
 bits on one BLAS thread; unlike `eigvalsh`, which keeps the GIL for a single
 matrix of n <= 500, the call drops the GIL, so small trials run in parallel.
 Squaring loses half the digits at the bottom of the spectrum: the Gram path
@@ -15,7 +15,7 @@ instead, which gets every s_j to a few eps * s_1.
 
 The log-potential needs only sum_j log s_j = log|det A| and the knowledge
 that s_n and s_1 lie in a truncation window. `certified_log_det` factors A
-once (LAPACK getrf from numpy's bundled OpenBLAS, `parallel.openblas`) and
+once (LAPACK getrf from numpy's bundled OpenBLAS, `openblas`) and
 takes both from that LU: the first as sum_i log|u_ii|, and the second without
 the spectrum: s_1 <= ||A||_F, and s_n from k = 10 keyed Gaussian probes solved
 on the same factors (getrs; Dixon's bound), which is wrong with probability at
@@ -25,13 +25,25 @@ LU is backward stable: the value is log|det(A + dA)| with ||dA|| about
 n eps ||A||, so by Weyl it is off by about n^2 eps s_1 / s_n at most, which
 the certified bounds make explicit. When any check does not clear, the
 caller takes the exact path through `singular_values`.
+
+This module is circulaw's one binding of numpy's bundled OpenBLAS. `openblas`
+opens the library once, on first use; a symbol is `scipy_<name>` (numpy >= 2)
+or `<name>` (numpy 1.26). `single_threaded_blas` holds its thread count at
+one, and `_lapack_call` is the one way a LAPACK routine is called: an illegal
+argument (info < 0) raises NumericError, and info > 0 goes back to the caller.
+Where numpy ships no OpenBLAS of its own (wheels on Accelerate, conda and
+distro builds), numpy's `eigvalsh`, `slogdet` and `solve` run instead.
 """
 
 from __future__ import annotations
 
 import ctypes
+import functools
 import math
+import threading
+from contextlib import contextmanager
 from dataclasses import dataclass
+from pathlib import Path
 from typing import Optional
 
 import numpy as np
@@ -45,6 +57,80 @@ _PROBES = 10  # Gaussian probes per certificate: it fails with probability <= 10
 _DIXON = 10.0 * math.sqrt(2.0 / math.pi)
 _EPS = float(np.finfo(np.float64).eps)
 _PROBE_LAW = {False: EntryDistribution("RealGaussian"), True: EntryDistribution("ComplexGaussian")}
+
+_CHAR, _INT, _PTR = ctypes.c_char_p, ctypes.POINTER(ctypes.c_int64), ctypes.c_void_p
+# argument types of each LAPACK routine called, without the trailing info
+_ARGTYPES = {
+    "getrf": [_INT, _INT, _PTR, _INT, _PTR],  # m n a lda ipiv
+    "getrs": [_CHAR, _INT, _INT, _PTR, _INT, _PTR, _PTR, _INT],  # trans n nrhs a lda ipiv b ldb
+    # jobz uplo n a lda w, then (work, lwork) [(rwork, lrwork)] (iwork, liwork)
+    "syevd": [_CHAR, _CHAR, _INT, _PTR, _INT, _PTR] + [_PTR, _INT] * 2,
+    "heevd": [_CHAR, _CHAR, _INT, _PTR, _INT, _PTR] + [_PTR, _INT] * 3,
+}
+
+# OpenBLAS's thread count is process-wide, so the hold on it is too
+_blas_lock = threading.Lock()
+_blas_depth = 0
+_blas_saved = 0
+
+
+@functools.lru_cache(maxsize=None)
+def openblas() -> Optional[ctypes.CDLL]:
+    """numpy's bundled OpenBLAS, opened once per process on first use; None if numpy ships none."""
+    libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
+    for path in sorted(libs.glob("lib*openblas*")):
+        try:
+            return ctypes.CDLL(str(path))
+        except OSError:
+            continue
+    return None
+
+
+def _symbol(name: str):
+    """OpenBLAS's `scipy_<name>`, else its `<name>`; None if neither or no library is found."""
+    lib = openblas()
+    return getattr(lib, "scipy_" + name, None) or getattr(lib, name, None)
+
+
+def _lapack(routine: str):
+    """LAPACK `routine` ('dgetrf', 'zheevd', ...) of 64-bit integers, typed; None if not found."""
+    fn = _symbol(routine + "_64_")
+    if fn is not None and fn.argtypes is None:  # typed on first use
+        fn.argtypes, fn.restype = _ARGTYPES[routine[1:]] + [_INT], None
+    return fn
+
+
+def _lapack_call(fn, *args) -> int:
+    """fn(*args, info), each int passed as LAPACK's 64-bit integer and each array by
+    address. info < 0 (an illegal argument) raises NumericError; any other info is returned."""
+    info = ctypes.c_int64()
+    as_c = (a.ctypes.data if isinstance(a, np.ndarray) else ctypes.c_int64(a) if isinstance(a, int)
+            else a for a in args)
+    fn(*as_c, info)
+    if info.value < 0:
+        raise NumericError(f"LAPACK {fn.__name__} rejected argument {-info.value}")
+    return info.value
+
+
+@contextmanager
+def single_threaded_blas():
+    """Hold OpenBLAS at one thread; the last of nested or concurrent holders restores it."""
+    global _blas_depth, _blas_saved
+    with _blas_lock:
+        api = _symbol("openblas_get_num_threads64_"), _symbol("openblas_set_num_threads64_")
+        if None not in api:
+            if _blas_depth == 0:
+                _blas_saved = api[0]()
+                api[1](1)
+            _blas_depth += 1
+    try:
+        yield
+    finally:
+        if None not in api:
+            with _blas_lock:
+                _blas_depth -= 1
+                if _blas_depth == 0:
+                    api[1](_blas_saved)
 
 
 @dataclass
@@ -133,28 +219,24 @@ def _log_det_and_solve(a: np.ndarray, b: np.ndarray):
     `slogdet` and `solve` on one BLAS thread. Without the library, those two
     run instead, at two LUs.
     """
-    # imported on use: importing it with `linalg` raised the package's import-time peak RSS ~0.5 MB
-    from . import parallel
-
     is_complex = np.iscomplexobj(a)
-    lu = parallel.openblas().get("complex_lu" if is_complex else "real_lu")
-    if lu is None:
+    kind = "z" if is_complex else "d"
+    getrf, getrs = _lapack(kind + "getrf"), _lapack(kind + "getrs")
+    if getrf is None or getrs is None:
         sign, value = np.linalg.slogdet(a)
         if sign == 0:
             return None
         with np.errstate(all="ignore"):
             return float(value), np.linalg.solve(a, b)
-    getrf, getrs = lu
+    n = len(a)
     dtype = np.complex128 if is_complex else np.float64
     factors = np.array(a, dtype=dtype, order="F")
     x = np.array(b, dtype=dtype, order="F")
-    pivots = np.empty(len(a), dtype=np.int64)
-    n, nrhs, info = ctypes.c_int64(len(a)), ctypes.c_int64(x.shape[1]), ctypes.c_int64()
-    with parallel.single_threaded_blas():
-        getrf(n, n, factors.ctypes.data, n, pivots.ctypes.data, info)
-        if info.value > 0:
+    pivots = np.empty(n, dtype=np.int64)
+    with single_threaded_blas():
+        if _lapack_call(getrf, n, n, factors, n, pivots) > 0:
             return None
-        getrs(b"N", n, nrhs, factors.ctypes.data, n, pivots.ctypes.data, x.ctypes.data, n, info)
+        _lapack_call(getrs, b"N", n, x.shape[1], factors, n, pivots, x, n)
     value = 0.0
     for u in factors.diagonal().tolist():
         value += math.log(abs(u))
@@ -180,8 +262,8 @@ def smoothing_shift(
     sample: MatrixSample, r: float, stream: rng.Stream, z: complex = 0
 ) -> MatrixSample:
     """A - r xi I - z I, with one disc-uniform xi drawn from `stream` for the whole diagonal."""
-    if r < 0:
-        raise DomainError(f"smoothing radius must be >= 0, got {r}")
+    if not 0.0 <= r < math.inf:
+        raise DomainError(f"smoothing radius must be finite and >= 0, got {r}")
     return shift(sample, r * draw_unit_disc(stream), z)
 
 
@@ -224,33 +306,28 @@ def _eigvalsh(g: np.ndarray) -> np.ndarray:
     thread, and the GIL is free while it runs. Without the library, `eigvalsh`
     runs instead. An eigensolve that does not converge raises NumericError.
     """
-    # imported on use, as in `_log_det_and_solve`
-    from . import parallel
-
     is_complex = np.iscomplexobj(g)
-    evd = parallel.openblas().get("complex_evd" if is_complex else "real_evd")
+    evd = _lapack("zheevd" if is_complex else "dsyevd")
     if evd is None:
         try:
             return np.linalg.eigvalsh(g)
         except np.linalg.LinAlgError as exc:
             raise NumericError(f"Gram eigensolve failed: {exc}") from exc
-    (syevd,) = evd
     a = np.array(g, dtype=np.complex128 if is_complex else np.float64, order="F")
     w = np.empty(len(a))
-    n, info = ctypes.c_int64(len(a)), ctypes.c_int64()
 
     def solve(buffers, sizes):  # work, [rwork,] iwork, each followed by its length
-        pairs = [arg for b, k in zip(buffers, sizes) for arg in (b.ctypes.data, ctypes.c_int64(k))]
-        syevd(b"N", b"L", n, a.ctypes.data, n, w.ctypes.data, *pairs, info)
+        pairs = (arg for b, k in zip(buffers, sizes) for arg in (b, k))
+        return _lapack_call(evd, b"N", b"L", len(a), a, len(a), w, *pairs)
 
     kinds = (a.dtype, np.float64, np.int64) if is_complex else (a.dtype, np.int64)
     query = [np.zeros(1, kind) for kind in kinds]
-    with parallel.single_threaded_blas():
+    with single_threaded_blas():
         solve(query, [-1] * len(kinds))
         work = [np.empty(int(q[0].real), kind) for q, kind in zip(query, kinds)]
-        solve(work, [len(b) for b in work])
-    if info.value > 0:
-        raise NumericError(f"Gram eigensolve did not converge (LAPACK info {info.value})")
+        info = solve(work, map(len, work))
+    if info > 0:
+        raise NumericError(f"Gram eigensolve did not converge (LAPACK info {info})")
     return w
 
 
@@ -301,10 +378,7 @@ def distance_to_span(columns, k: int) -> float:
     x = mat[:, k]
     others = np.delete(mat, k, axis=1)
     u, s, _ = np.linalg.svd(others, full_matrices=False)
-    if s.size and s[0] > 0:
-        rank = int(np.sum(s > s[0] * max(others.shape) * np.finfo(float).eps))
-    else:
-        rank = 0
+    rank = int(np.sum(s > s[0] * max(others.shape) * _EPS)) if s.size else 0
     basis = u[:, :rank]
     residual = x - basis @ (basis.conj().T @ x)
     return float(np.linalg.norm(residual))

@@ -117,8 +117,8 @@ def symmetrize(f: EmpiricalCDF) -> EmpiricalCDF:
 def stieltjes_empirical(spectrum: Spectrum, alpha: complex) -> complex:
     """(1/2n) sum_j [ 1/(s_j - a) + 1/(-s_j - a) ] for Im a > 0."""
     alpha = complex(alpha)
-    if alpha.imag <= 0:
-        raise DomainError("alpha must lie in the upper half-plane")
+    if not (math.isfinite(alpha.real) and 0 < alpha.imag < math.inf):
+        raise DomainError(f"alpha must be finite and lie in the upper half-plane, got {alpha}")
     s = np.asarray(spectrum.values)
     if s.size == 0:
         raise DomainError("the spectrum is empty")

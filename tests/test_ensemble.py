@@ -280,6 +280,13 @@ class TestSmoothing:
         with pytest.raises(DomainError):
             smoothing_shift(sample_matrix(cfg, 0), -0.1, smoothing_stream(cfg, 0))
 
+    @pytest.mark.parametrize("r", [math.nan, math.inf])
+    def test_nonfinite_radius_rejected(self, r):
+        # a NaN or infinite radius would write a non-finite diagonal
+        cfg = EnsembleConfig(4, 1.0, GAUSS, 7)
+        with pytest.raises(DomainError):
+            smoothing_shift(sample_matrix(cfg, 0), r, smoothing_stream(cfg, 0))
+
     @pytest.mark.parametrize("dist", [GAUSS, CGAUSS], ids=["real", "complex"])
     @pytest.mark.parametrize("r", [0.0, 0.5])
     def test_is_the_diagonal_shift_by_r_xi(self, dist, r):
@@ -358,6 +365,11 @@ class TestLogMoment:
     def test_minimum_sample_size_enforced(self):
         with pytest.raises(DomainError):
             log_moment_estimate(GAUSS, 100, eta=1.0)
+
+    @pytest.mark.parametrize("eta", [0.0, -1.0, math.nan])
+    def test_eta_must_be_positive(self, eta):  # NaN fails `eta <= 0` as well as `eta > 0`
+        with pytest.raises(DomainError):
+            log_moment_estimate(GAUSS, 10_000, eta=eta)
 
 
 class TestFromArray:

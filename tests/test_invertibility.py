@@ -1,6 +1,7 @@
 import itertools
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -8,7 +9,6 @@ import pytest
 from circulaw import DomainError, EnsembleConfig, EntryDistribution, rng
 from circulaw import invertibility
 from circulaw.ensemble import draw_grid, mask_grid
-from circulaw.parallel import single_threaded_blas
 from circulaw.invertibility import (
     _ball_sums,
     _max_ball_fraction,
@@ -19,6 +19,7 @@ from circulaw.invertibility import (
     small_ball,
     spread_set,
 )
+from circulaw.linalg import single_threaded_blas
 
 GAUSS = EntryDistribution("RealGaussian")
 RADEMACHER = EntryDistribution("Rademacher")
@@ -76,6 +77,12 @@ class TestClassifyVector:
     def test_non_unit_rejected(self):
         with pytest.raises(DomainError):
             classify_vector(np.ones(4), delta=0.5, rho=0.1)
+
+    @pytest.mark.parametrize("x", [[math.nan, 0.0, 0.0], [1.0, math.nan]])
+    def test_nan_entry_rejected(self, x):
+        # NaN fails every comparison, so a tolerance test written as `> tol` lets it through
+        with pytest.raises(DomainError):
+            classify_vector(x, delta=0.5, rho=0.5)
 
     def test_bad_parameters_rejected(self):
         e1 = np.zeros(4)
@@ -214,6 +221,21 @@ class TestSmallBall:
     def test_minimum_trials_enforced(self):
         with pytest.raises(DomainError):
             small_ball(np.ones(4) / 2.0, GAUSS, 1.0, 0.1, trials=100)
+
+    def test_plane_at_eta_zero_is_the_tie_share(self):
+        # the lattice has no pitch at eta = 0; a 0-ball holds the copies of one sum
+        x = np.full(4, 0.5)
+        dist = EntryDistribution("ComplexRademacher")
+        sums = _ball_sums(x, dist, 1.0, 10_000, 0)
+        ties = np.unique(sums, return_counts=True)[1].max() / 10_000
+        assert small_ball(x, dist, 1.0, 0.0, trials=10_000) == ties > 0
+
+    def test_plane_lattice_too_fine_is_a_domain_error_before_any_cast(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match="too small"):
+                small_ball(np.full(4, 0.5), EntryDistribution("ComplexRademacher"), 1.0, 1e-30,
+                           trials=10_000)
 
     @pytest.mark.parametrize("x, eta", [
         ([0.5] * 4, -0.1), ([0.5] * 4, math.nan), ([0.5] * 4, math.inf),

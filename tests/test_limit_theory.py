@@ -125,6 +125,12 @@ class TestLimitStieltjes:
         with pytest.raises(DomainError):
             limit_stieltjes(1.0 - 0.1j, 0j)
 
+    @pytest.mark.parametrize("alpha", [math.nan * 1j, complex(math.nan, 1), complex(0, math.inf)])
+    def test_nonfinite_alpha_rejected(self, alpha):
+        # NaN would reach the root solver, whose LinAlgError the CLI reads as a usage error
+        with pytest.raises(DomainError):
+            limit_stieltjes(alpha, 0j)
+
     def test_bounds_on_grid(self):
         for az in (0.0, 0.5, 1.0, 1.5):
             z = complex(az, 0.0)

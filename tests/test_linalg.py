@@ -1,3 +1,4 @@
+import ctypes
 import importlib.util
 import math
 import pathlib
@@ -23,7 +24,7 @@ from circulaw import (
     singular_values,
     smallest_singular_value,
 )
-from circulaw import linalg, parallel
+from circulaw import linalg
 from circulaw.errors import DomainError
 from circulaw.linalg import certified_log_det, truncation_window
 
@@ -46,7 +47,26 @@ def bundled_openblas():
     libs = pathlib.Path(np.__file__).resolve().parent.parent / "numpy.libs"
     if not any(libs.glob("lib*openblas*")):
         pytest.skip("numpy does not bundle an OpenBLAS library")
-    return parallel.openblas()
+    return linalg.openblas()
+
+
+def inject_info(monkeypatch, routine, value):
+    """Make LAPACK `routine` report `value` in info after it has run."""
+    bundled_openblas()
+    lapack = linalg._lapack
+
+    def injecting(name):
+        fn = lapack(name)
+        if name != routine:
+            return fn
+
+        def failing(*args):
+            fn(*args)
+            args[-1].value = value
+
+        return failing
+
+    monkeypatch.setattr(linalg, "_lapack", injecting)
 
 
 class TestShift:
@@ -165,15 +185,8 @@ class TestSingularValues:
         assert abs(np.sum(np.log(s)) - np.sum(np.log(truth))) <= 1e-3
 
     def test_lapack_failure_raises_numeric_error(self, monkeypatch, oracle_rng):
-        roles = bundled_openblas()
-        (syevd,) = roles["real_evd"]
-
-        def unconverged(*args):
-            syevd(*args)
-            args[-1].value = 1  # info > 0: the tridiagonal QR did not converge
-
-        monkeypatch.setattr(parallel, "openblas", lambda: {**roles, "real_evd": (unconverged,)})
-        with pytest.raises(NumericError):
+        inject_info(monkeypatch, "dsyevd", 1)  # info > 0: the tridiagonal QR did not converge
+        with pytest.raises(NumericError, match="did not converge"):
             singular_values(from_array(oracle_rng.normal(size=(8, 8))))
 
     @pytest.mark.parametrize("kernel", ["svd", "eigvalsh"])
@@ -183,7 +196,7 @@ class TestSingularValues:
             raise np.linalg.LinAlgError(f"{kernel} did not converge")
 
         monkeypatch.setattr(np.linalg, kernel, unconverged)
-        monkeypatch.setattr(parallel, "openblas", lambda: {})
+        monkeypatch.setattr(linalg, "openblas", lambda: None)
         a = np.diag([1.0, 0.0]) if kernel == "svd" else np.eye(3)  # s_n = 0 takes the SVD
         with pytest.raises(NumericError):
             singular_values(from_array(a))
@@ -276,7 +289,7 @@ class TestOneLU:
     def test_bits_equal_slogdet_and_solve(self, oracle_rng, n, complex_):
         a = draw_matrix(oracle_rng, (n, n), complex_)
         probes = draw_matrix(oracle_rng, (n, 10), complex_)
-        with parallel.single_threaded_blas():
+        with linalg.single_threaded_blas():
             value, x = linalg._log_det_and_solve(a, probes)
             _, oracle = np.linalg.slogdet(a)
             solved = np.linalg.solve(a, probes)
@@ -295,13 +308,45 @@ class TestOneLU:
         samples = [(sample_matrix(EnsembleConfig(n, 1.0, dist, 9), t), t)
                    for n in (1, 2, 3, 37, 64) for dist in (GAUSS, CGAUSS) for t in range(3)]
         one_lu = [certified_log_det(a, 0.0, math.inf, 9, t) for a, t in samples]
-        monkeypatch.setattr(parallel, "openblas", lambda: {})
+        monkeypatch.setattr(linalg, "openblas", lambda: None)
         fallback = [certified_log_det(a, 0.0, math.inf, 9, t) for a, t in samples]
         assert fallback == one_lu and None not in one_lu
 
     def test_binding_resolves_when_numpy_bundles_openblas(self):
-        roles = {"threads", "real_lu", "complex_lu", "real_evd", "complex_evd"}
-        assert set(bundled_openblas()) == roles
+        bundled_openblas()
+        for routine in ("dgetrf", "zgetrf", "dgetrs", "zgetrs", "dsyevd", "zheevd"):
+            assert linalg._lapack(routine) is not None, routine
+        for name in ("openblas_get_num_threads64_", "openblas_set_num_threads64_"):
+            assert linalg._symbol(name) is not None, name
+
+
+class TestLapackCall:
+    def test_ints_go_as_64_bit_integers_and_arrays_by_address(self):
+        seen = []
+
+        def routine(*args):
+            seen.extend(args)
+            args[-1].value = 2
+
+        a = np.zeros(3)
+        assert linalg._lapack_call(routine, b"N", 7, a) == 2
+        trans, n, address, info = seen
+        assert trans == b"N" and address == a.ctypes.data
+        assert isinstance(n, ctypes.c_int64) and n.value == 7 and isinstance(info, ctypes.c_int64)
+
+    # LAPACK flags an illegal i-th argument with info = -i and computes nothing, so
+    # without the check the caller would go on with its buffers as they were
+    def test_illegal_argument_in_the_eigensolve_raises(self, monkeypatch, oracle_rng):
+        inject_info(monkeypatch, "dsyevd", -8)
+        a = oracle_rng.normal(size=(8, 8))
+        with pytest.raises(NumericError, match="argument 8"):
+            linalg._eigvalsh(a @ a.T)
+
+    def test_illegal_argument_in_the_solve_raises(self, monkeypatch, oracle_rng):
+        inject_info(monkeypatch, "zgetrs", -3)
+        a = draw_matrix(oracle_rng, (8, 8), True)
+        with pytest.raises(NumericError, match="argument 3"):
+            linalg._log_det_and_solve(a, draw_matrix(oracle_rng, (8, 10), True))
 
 
 class TestGramEigensolve:
@@ -310,7 +355,7 @@ class TestGramEigensolve:
     def test_bits_equal_eigvalsh(self, oracle_rng, n, complex_):
         a = draw_matrix(oracle_rng, (n, n), complex_)
         g = a @ a.conj().T
-        with parallel.single_threaded_blas():
+        with linalg.single_threaded_blas():
             got = linalg._eigvalsh(g)
             oracle = np.linalg.eigvalsh(g)
         assert got.tobytes() == oracle.tobytes()
@@ -320,7 +365,7 @@ class TestGramEigensolve:
         samples = [sample_matrix(EnsembleConfig(n, 1.0, dist, 9), t)
                    for n in (1, 2, 3, 37, 64) for dist in (GAUSS, CGAUSS) for t in range(3)]
         binding = [singular_values(a).values.tobytes() for a in samples]
-        monkeypatch.setattr(parallel, "openblas", lambda: {})
+        monkeypatch.setattr(linalg, "openblas", lambda: None)
         assert [singular_values(a).values.tobytes() for a in samples] == binding
 
     def test_eigensolve_releases_the_gil(self, oracle_rng):
@@ -343,7 +388,7 @@ class TestGramEigensolve:
         try:
             counter.start()
             assert ready.wait(timeout=60)
-            with parallel.single_threaded_blas():
+            with linalg.single_threaded_blas():
                 before = steps[0]
                 linalg._eigvalsh(g)
                 after = steps[0]

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import circulaw
-from circulaw import parallel
+from circulaw import linalg, parallel
 
 # OpenBLAS's threaded and serial kernels round differently; with this spec
 # (the smallest n found where they do) the report bytes changed with
@@ -51,8 +51,8 @@ def test_report_bytes_do_not_depend_on_workers_or_blas_threads(tmp_path):
 @pytest.fixture
 def blas():
     """(get, set) of the bundled OpenBLAS, held at 3 threads; restored afterwards."""
-    api = parallel.openblas().get("threads")
-    if api is None:
+    api = tuple(linalg._symbol(f"openblas_{op}_num_threads64_") for op in ("get", "set"))
+    if None in api:
         pytest.skip("numpy does not bundle an OpenBLAS library")
     get_threads, set_threads = api
     before = get_threads()
@@ -96,7 +96,7 @@ def test_nested_pools_restore_only_when_the_outermost_returns(blas, monkeypatch)
 
 def test_pool_leaves_blas_alone_without_an_openblas_library(blas, monkeypatch):
     get_threads = blas[0]
-    monkeypatch.setattr(parallel, "openblas", lambda: {})
+    monkeypatch.setattr(linalg, "openblas", lambda: None)
     monkeypatch.setenv("CIRCULAW_THREADS", "2")
     assert parallel.parallel_map(lambda i: (i, get_threads()), range(3)) == [
         (0, 3), (1, 3), (2, 3)]
@@ -130,7 +130,8 @@ def test_concurrent_callers_share_one_hold_on_the_blas_count(blas, monkeypatch):
 def test_import_binds_no_library():
     # opening OpenBLAS at import time would count in every campaign's setup time
     env = dict(os.environ, PYTHONPATH=str(Path(circulaw.__file__).resolve().parents[1]))
-    code = "import circulaw\nfrom circulaw import parallel\nprint(parallel.openblas.cache_info().currsize)"
+    code = ("import circulaw, circulaw.experiments\nfrom circulaw import linalg\n"
+            "print(linalg.openblas.cache_info().currsize)")
     done = subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True, timeout=120, check=True)
     assert done.stdout.strip() == "0"

@@ -174,6 +174,11 @@ class TestStieltjesEmpirical:
         with pytest.raises(DomainError):
             stieltjes_empirical(spectrum_of([1.0]), 1.0 - 0.5j)
 
+    @pytest.mark.parametrize("alpha", [math.nan * 1j, complex(math.nan, 1), complex(0, math.inf)])
+    def test_nonfinite_alpha_rejected(self, alpha):  # NaN would come back as nan+nanj
+        with pytest.raises(DomainError):
+            stieltjes_empirical(spectrum_of([1.0]), alpha)
+
     def test_empty_spectrum(self):
         with pytest.raises(DomainError):
             stieltjes_empirical(spectrum_of([]), 1j)
