@@ -21,7 +21,7 @@ from .experiments import (
     run_experiment,
 )
 from .linalg import eigenvalues
-from .textio import csv_text, write_text
+from .textio import csv_text, read_text, write_text
 
 _DIST_NAMES = {
     "gaussian": "RealGaussian",
@@ -145,28 +145,20 @@ def _cmd_campaign(args) -> int:
 
 
 def _cmd_report(args) -> int:
-    try:
-        with open(args.spec, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    except OSError as exc:
-        raise OSError(f"cannot read spec {args.spec}: {exc}") from exc
-    spec = ExperimentSpec.from_json(text)
+    spec = ExperimentSpec.from_json(read_text(args.spec))
     out = args.out if args.out is not None else spec.out or None
     _emit(render_report(run_experiment(spec), args.format), out)
     return 0
 
 
 def _read_points_csv(path):
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            lines = [ln.rstrip("\n") for ln in fh]
-    except OSError as exc:
-        raise OSError(f"cannot read {path}: {exc}") from exc
-    lines = [ln for ln in lines if ln.strip()]
-    if not lines or lines[0].strip().lower() != "re,im":
-        raise OSError(f"{path}: line 1: expected header 're,im'")
+    """The (re, im) rows of a 're,im' CSV; blank lines are skipped but keep their numbers."""
+    lines = [(lineno, ln) for lineno, ln in enumerate(read_text(path).split("\n"), start=1)
+             if ln.strip()]
+    if not lines or lines[0][1].strip().lower() != "re,im":
+        raise OSError(f"{path}: line {lines[0][0] if lines else 1}: expected header 're,im'")
     points = []
-    for lineno, ln in enumerate(lines[1:], start=2):
+    for lineno, ln in lines[1:]:
         parts = ln.split(",")
         if len(parts) != 2:
             raise OSError(f"{path}: line {lineno}: expected two comma-separated fields")

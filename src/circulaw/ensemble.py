@@ -268,11 +268,6 @@ def draws_from_keys(dist: EntryDistribution, keys: np.ndarray) -> np.ndarray:
     return _draws(dist, keys, words, np.empty(np.shape(keys), np.uint64))
 
 
-def mask_from_keys(keys: np.ndarray, p_n: float) -> np.ndarray:
-    """One Bernoulli(p_n) indicator per key, from the first word of its stream."""
-    return rng.uniform_below(rng.word_grid(keys, 0), p_n)
-
-
 def _value_blocks(dist: EntryDistribution, seed, role, aux, rows: range, ncols):
     """Yield (block, values) by the row blocks of `rng.key_blocks`: values[i, k]
     is the draw keyed by (seed, role, aux, block[i], k)."""

@@ -207,11 +207,6 @@ def write_report(report: ExperimentReport, path, fmt: str = "csv") -> None:
     write_text(path, render_report(report, fmt))
 
 
-def read_report(path) -> dict:
-    with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
-
-
 _RUNNERS = {}
 
 

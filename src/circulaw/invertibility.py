@@ -21,7 +21,7 @@ from . import rng
 from .ensemble import EnsembleConfig, EntryDistribution, sample_matrix
 from .ensemble import draw_grid, draw_rows, mask_rows
 from .errors import DomainError, NumericError
-from .linalg import frobenius_norm, shift, single_threaded_blas, singular_values, truncation_window
+from .linalg import frobenius_norm, shift, singular_values, truncation_window
 from .parallel import parallel_map
 from .textio import csv_text, write_text
 
@@ -226,21 +226,18 @@ def small_ball(
 def _ball_sums(x: np.ndarray, dist: EntryDistribution, p_n: float, trials: int, seed: int):
     """sum_k x_k eps_k X_k per trial, built in blocks of about `_SUM_DRAWS` draws.
 
-    Each block starts at a multiple of 4 trials and has at least two rows,
-    and BLAS runs on one thread, so every sum has the bits of the whole
-    (trials, n) product on one thread: that product groups its rows by 4 and
-    treats a one-row product apart, and its threaded split differs.
+    Each row is reduced on its own by numpy's sum, not by a BLAS product, so
+    a sum has the same bits whatever block holds its row.
     """
     n = len(x)
-    starts = range(0, trials - 1, max(4, _SUM_DRAWS // n // 4 * 4))
+    height = max(1, _SUM_DRAWS // n)
     sums = []
-    with single_threaded_blas():
-        for start, stop in zip(starts, [*starts[1:], trials]):
-            rows = range(start, stop)
-            draws = draw_rows(dist, seed, rng.ROLE_SMALL_BALL, 0, rows, n)
-            if p_n < 1.0:
-                draws = np.where(mask_rows(seed, rng.ROLE_SMALL_BALL, 1, rows, n, p_n), draws, 0.0)
-            sums.append(draws @ x)
+    for start in range(0, trials, height):
+        rows = range(start, min(start + height, trials))
+        draws = draw_rows(dist, seed, rng.ROLE_SMALL_BALL, 0, rows, n)
+        if p_n < 1.0:
+            draws = np.where(mask_rows(seed, rng.ROLE_SMALL_BALL, 1, rows, n, p_n), draws, 0.0)
+        sums.append(np.sum(draws * x, axis=1))
     return np.concatenate(sums)
 
 

@@ -180,11 +180,16 @@ def _gauss_panels(t: float, edge: float, sign: float, u: np.ndarray, rule=_GL16,
     return sign * half * (g @ rule[1])
 
 
-def _half_widths(lo: float, hi: float):
-    """u-extents of the lower and upper halves of [lo, hi], split at the midpoint,
-    under the substitutions x = lo + u^2 and x = hi - u^2."""
-    mid = 0.5 * (lo + hi)
-    return math.sqrt(mid - lo), math.sqrt(hi - mid)
+def _halves(z: complex):
+    """(t, x2, lo, x1, u_lo, u_hi) of shift z: t = |z|^2, the support edges, the
+    support's lower end lo (x2, or 0 without an inner edge), and the u-extents of
+    the lower and upper halves of [lo, x1], split at the midpoint, under the
+    substitutions x = lo + u^2 and x = x1 - u^2."""
+    t = _shift(z)
+    x1, x2 = support_endpoints(z)
+    lo = 0.0 if x2 is None else x2
+    mid = 0.5 * (lo + x1)
+    return t, x2, lo, x1, math.sqrt(mid - lo), math.sqrt(x1 - mid)
 
 
 @dataclass(frozen=True)
@@ -206,10 +211,7 @@ class LimitLaw:
         """The law of shift z, with the cumulative mass at 2 * _GRID_HALF + 1 points
         of [lo, x1]: the u-steps of each half are equal, so the points crowd
         towards the edges."""
-        t = _shift(z)
-        x1, x2 = support_endpoints(z)
-        lo = 0.0 if x2 is None else x2
-        u_lo, u_hi = _half_widths(lo, x1)
+        t, x2, lo, x1, u_lo, u_hi = _halves(z)
         u_lower = np.linspace(0.0, u_lo, _GRID_HALF + 1)
         u_upper = np.linspace(u_hi, 0.0, _GRID_HALF + 1)
         panels = np.concatenate([_gauss_panels(t, lo, 1.0, u_lower),
@@ -287,10 +289,7 @@ def potential_from_law(z: complex) -> float:
 
     Gauss panels graded geometrically towards both support edges, with the
     8-point rule's difference as the error estimate. No CDF grid is built."""
-    t = _shift(z)
-    x1, x2 = support_endpoints(z)
-    lo = 0.0 if x2 is None else x2
-    u_lo, u_hi = _half_widths(lo, x1)
+    t, _, lo, x1, u_lo, u_hi = _halves(z)
 
     def integral(rule):
         lower = _gauss_panels(t, lo, 1.0, u_lo * _EDGE_U, rule, log_weight=True)

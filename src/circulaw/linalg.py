@@ -332,10 +332,12 @@ def _eigvalsh(g: np.ndarray) -> np.ndarray:
 
 
 def eigenvalues(sample: MatrixSample) -> Spectrum:
-    """All eigenvalues, sorted by (Re, Im) for reproducible reports."""
+    """All eigenvalues, sorted by (Re, Im) for reproducible reports. `eigvals` runs
+    on one BLAS thread, so the values do not depend on OPENBLAS_NUM_THREADS."""
     a = sample.entries
     try:
-        vals = np.linalg.eigvals(a)
+        with single_threaded_blas():
+            vals = np.linalg.eigvals(a)
     except np.linalg.LinAlgError as exc:
         raise NumericError(f"eigenvalue iteration failed: {exc}") from exc
     vals = vals.astype(np.complex128)

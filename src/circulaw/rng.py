@@ -21,13 +21,15 @@ Draws are pure functions of (key, counter): any matrix entry can be
 regenerated in isolation and generation order never matters, which makes
 parallel generation bitwise reproducible.
 
-Two implementations are kept in lockstep: a Python-int path (scalar draws)
-and a vectorized numpy uint64 path (whole matrices); the test suite checks
-they agree bit for bit. The array path walks a key grid in row blocks of at
-most BLOCK_KEYS keys (`key_blocks`) and runs every mix64 pass in place on
-buffers reused from block to block, so a sample of n^2 entries needs
-O(BLOCK_KEYS) scratch memory beside its output. Keys are positional, so the
-blocking never changes a bit. The buffers belong to one call, never to the
+Two implementations are kept in lockstep: a Python-int path (`mix64`,
+`derive_key`, `Stream`; scalar draws) and a numpy uint64 path, whose one
+mixer `_mix64_inplace` runs every pass in place; the test suite checks they
+agree bit for bit. The array path derives keys two ways: `key_blocks` walks
+rows in blocks of at most BLOCK_KEYS keys on buffers reused from block to
+block, so a sample of n^2 entries needs O(BLOCK_KEYS) scratch memory beside
+its output, and `keys_at` takes the keys at given (row, column) pairs, the
+whole grid included (`grid_keys`). Keys are positional, so the blocking
+never changes a bit. The buffers belong to one call, never to the
 module, so several threads may sample at once. `uniform_below` tests
 `uniform < p` as one integer compare on the words.
 """
@@ -82,12 +84,6 @@ def _mix64_inplace(x: np.ndarray, scratch: np.ndarray) -> np.ndarray:
     np.right_shift(x, _S31, out=scratch)
     x ^= scratch
     return x
-
-
-def mix64_array(x: np.ndarray) -> np.ndarray:
-    """Vectorized mix64 on a uint64 array (returns a new array)."""
-    x = x.astype(np.uint64, copy=True)
-    return _mix64_inplace(x, np.empty_like(x))
 
 
 def absorb(h: int, part: int) -> int:
@@ -146,16 +142,15 @@ def key_blocks(master_seed: int, role: int, aux: int, rows: range, ncols: int):
 
 def grid_keys(master_seed: int, role: int, aux: int, nrows: int, ncols: int) -> np.ndarray:
     """(nrows, ncols) array of keys, keys[j, k] == derive_key(seed, role, aux, j, k)."""
-    out = np.empty((nrows, ncols), np.uint64)
-    for block, keys, _ in key_blocks(master_seed, role, aux, range(nrows), ncols):
-        out[block.start : block.stop] = keys
-    return out
+    rows, cols = np.arange(nrows)[:, None], np.arange(ncols)
+    return keys_at(master_seed, role, aux, rows, cols, nrows, ncols)
 
 
 def keys_at(master_seed: int, role: int, aux: int, rows: np.ndarray, cols: np.ndarray,
             nrows: int, ncols: int) -> np.ndarray:
-    """`grid_keys(seed, role, aux, nrows, ncols)[rows, cols]`, computing only those keys;
-    `rows` and `cols` broadcast together like numpy index arrays."""
+    """derive_key(seed, role, aux, j, k) for the index pairs (j, k) of `rows` and
+    `cols`, which broadcast together like numpy index arrays into an nrows x ncols
+    grid; the row and column hashes are taken for the whole grid."""
     hr, inner_c = _row_col_hashes(master_seed, role, aux, nrows, ncols)
     keys = hr[rows] ^ inner_c[cols]
     return _mix64_inplace(keys, np.empty_like(keys))

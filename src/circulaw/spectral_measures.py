@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import DomainError, EstimationError
 from .linalg import LogDeterminant, Spectrum, truncation_window
-from .textio import csv_text, write_text
+from .textio import csv_text, read_text, write_text
 
 
 @dataclass
@@ -71,8 +71,7 @@ class EmpiricalCDF:
 
     @classmethod
     def from_csv(cls, path) -> "EmpiricalCDF":
-        with open(path, "r", encoding="utf-8") as fh:
-            lines = [ln.strip() for ln in fh if ln.strip()]
+        lines = [ln.strip() for ln in read_text(path).split("\n") if ln.strip()]
         if not lines or lines[0] != "x,weight":
             raise DomainError(f"{path}: expected header 'x,weight'")
         xs, ws = [], []

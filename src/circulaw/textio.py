@@ -1,4 +1,5 @@
-"""The one text format of every report, table and stream the package writes.
+"""The one text format of every report, table and stream the package writes,
+and the one place the package opens a file.
 
 Floats carry 17 significant digits, so every double reads back exactly.
 Booleans are 1/0 in CSV and true/false in JSON. Lines end in LF, and a CSV
@@ -52,3 +53,12 @@ def write_text(path, text: str) -> None:
             fh.write(text)
     except OSError as exc:
         raise OSError(f"cannot write {path}: {exc}") from exc
+
+
+def read_text(path) -> str:
+    """The UTF-8 text of `path`, with universal newlines; an OSError names the path."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except OSError as exc:
+        raise OSError(f"cannot read {path}: {exc}") from exc

@@ -190,11 +190,11 @@ class TestPlot:
 
     def test_malformed_csv_exits_4_with_line(self, tmp_path, capsys):
         csv = tmp_path / "bad.csv"
-        csv.write_text("re,im\n1,0\nnot-a-number,3\n")
+        csv.write_text("re,im\n\n1,0\n\nnot-a-number,3\n")
         code, captured = run_cli("plot", "--in", str(csv), "--out",
                                  str(tmp_path / "x.svg"), capsys=capsys)
         assert code == 4
-        assert "line 3" in captured.err
+        assert "line 5" in captured.err
 
     def test_missing_header_exits_4(self, tmp_path, capsys):
         csv = tmp_path / "bad.csv"

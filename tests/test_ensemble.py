@@ -20,7 +20,7 @@ from circulaw import (
     smoothing_shift,
 )
 from circulaw import rng
-from circulaw.ensemble import draw_grid, draw_unit_disc, mask_from_keys, mask_grid, smoothing_stream
+from circulaw.ensemble import draw_grid, draw_unit_disc, mask_grid, smoothing_stream
 from circulaw.linalg import eigenvalues, singular_values
 from circulaw.textio import stable_dumps
 
@@ -231,7 +231,6 @@ class TestMaskThreshold:
     def test_keyed_words_match_the_float_compare(self, p_n):
         keys = rng.grid_keys(5, rng.ROLE_MASK, 0, 100_000, 1)
         expected = rng.uniform_from_words(rng.word_grid(keys, 0)) < p_n
-        assert np.array_equal(mask_from_keys(keys, p_n), expected)
         assert np.array_equal(mask_grid(5, rng.ROLE_MASK, 0, 100_000, 1, p_n), expected)
 
     def test_extreme_p(self):

@@ -17,7 +17,6 @@ from circulaw.experiments import (
     ExperimentSpec,
     format_complex,
     parse_complex,
-    read_report,
     run_circular_law,
     run_experiment,
     run_maxsv,
@@ -341,7 +340,7 @@ class TestReports:
         report = run_maxsv(spec)
         path = tmp_path / "r.json"
         write_report(report, path, "json")
-        data = read_report(path)
+        data = json.loads(path.read_text())
         assert data["meta"]["spec_hash"] == spec.hash()
         assert "wall_time_s" not in data["meta"]
         assert data["rows"][0]["frequency"] == report.rows[0]["frequency"]
@@ -367,7 +366,7 @@ class TestReports:
         report = run_sv_law(spec)
         path = tmp_path / "golden.json"
         write_report(report, path, "json")
-        data = read_report(path)
+        data = json.loads(path.read_text())
         assert set(data) == {"meta", "columns", "rows"}
         assert set(data["meta"]) == {"kind", "spec_hash", "master_seed", "version"}
         assert data["columns"] == ["row", "n", "z_re", "z_im", "trials", "delta", "slope", "spec_hash"]

@@ -19,7 +19,6 @@ from circulaw.invertibility import (
     small_ball,
     spread_set,
 )
-from circulaw.linalg import single_threaded_blas
 
 GAUSS = EntryDistribution("RealGaussian")
 RADEMACHER = EntryDistribution("Rademacher")
@@ -246,9 +245,9 @@ class TestSmallBall:
         with pytest.raises(DomainError):
             small_ball(x, GAUSS, 1.0, eta, trials=10_000)
 
-    # n = 100 takes blocks of 1308 trials: 3925 ends on a 1309-row block, 3926 on a
-    # 2-row block, and 20 000 on a block of 380 rows
-    @pytest.mark.parametrize("trials", [3925, 3926, 20_000])
+    # n = 100 takes blocks of 1310 trials: 3925, 3926 and 20 000 end on blocks of
+    # 1305, 1306 and 350 rows, and 3931 on a one-row block
+    @pytest.mark.parametrize("trials", [3925, 3926, 3931, 20_000])
     @pytest.mark.parametrize("dist", [GAUSS, EntryDistribution("ComplexGaussian")],
                              ids=lambda d: d.tag)
     @pytest.mark.parametrize("complex_x", [False, True])
@@ -261,8 +260,7 @@ class TestSmallBall:
         draws = draw_grid(dist, 3, rng.ROLE_SMALL_BALL, 0, trials, n)
         if p_n < 1.0:
             draws = np.where(mask_grid(3, rng.ROLE_SMALL_BALL, 1, trials, n, p_n), draws, 0.0)
-        with single_threaded_blas():
-            whole = draws @ x
+        whole = np.sum(draws * x, axis=1)
         assert _ball_sums(x, dist, p_n, trials, 3).tobytes() == whole.tobytes()
 
     def test_twenty_thousand_trial_value(self):

@@ -184,6 +184,29 @@ class TestSingularValues:
         assert np.all(np.abs(s[-3:] - bottom) <= 10 * eps * truth[0])
         assert abs(np.sum(np.log(s)) - np.sum(np.log(truth))) <= 1e-3
 
+    @staticmethod
+    def spread_with_bottom(oracle_rng, ratio, n=200):
+        """U diag(s) V^T with s_1..s_{n-1} on linspace(2, 1) and s_n = ratio * s_1."""
+        truth = np.append(np.linspace(2.0, 1.0, n - 1), 2.0 * ratio)
+        u, _ = np.linalg.qr(oracle_rng.normal(size=(n, n)))
+        v, _ = np.linalg.qr(oracle_rng.normal(size=(n, n)))
+        return from_array((u * truth) @ v.T), truth
+
+    def test_bottom_just_above_the_cutoff_keeps_the_gram_contract(self, oracle_rng):
+        # the Gram path gets s_n to a relative error of about eps (s_1/s_n)^2 (5.5x at most
+        # over 20 draws), 1.8e-3 at s_n = 2e-6 s_1 with the factor 32
+        eps = np.finfo(float).eps
+        for _ in range(5):
+            sample, truth = self.spread_with_bottom(oracle_rng, 2e-6)
+            s = singular_values(sample).values
+            assert s[-1] >= linalg._REFINE_RATIO * s[0]  # no SVD fallback
+            assert abs(s[-1] - truth[-1]) <= 32 * eps * (truth[0] / truth[-1]) ** 2 * truth[-1]
+
+    def test_bottom_below_the_cutoff_takes_the_svd_bits(self, oracle_rng):
+        sample, _ = self.spread_with_bottom(oracle_rng, 5e-7)
+        s = singular_values(sample).values
+        assert s.tobytes() == np.linalg.svd(sample.entries, compute_uv=False).tobytes()
+
     def test_lapack_failure_raises_numeric_error(self, monkeypatch, oracle_rng):
         inject_info(monkeypatch, "dsyevd", 1)  # info > 0: the tridiagonal QR did not converge
         with pytest.raises(NumericError, match="did not converge"):

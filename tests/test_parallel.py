@@ -48,6 +48,20 @@ def test_report_bytes_do_not_depend_on_workers_or_blas_threads(tmp_path):
     assert len(set(digests.values())) == 1, digests
 
 
+def _esd_bytes(blas_threads):
+    env = dict(os.environ, OPENBLAS_NUM_THREADS=blas_threads,
+               PYTHONPATH=str(Path(circulaw.__file__).resolve().parents[1]))
+    done = subprocess.run([sys.executable, "-m", "circulaw.cli", "esd", "--n", "256", "--seed", "3"],
+                          env=env, capture_output=True, timeout=120, check=True)
+    return done.stdout
+
+
+def test_esd_bytes_do_not_depend_on_blas_threads():
+    # eigvals ran outside the pool, on OpenBLAS's threaded kernels when allowed
+    # two threads; their rounding moved the CSV's bytes
+    assert _esd_bytes("1") == _esd_bytes("2")
+
+
 @pytest.fixture
 def blas():
     """(get, set) of the bundled OpenBLAS, held at 3 threads; restored afterwards."""
