@@ -313,10 +313,14 @@ def sample_matrix(config: EnsembleConfig, trial_index: int) -> MatrixSample:
     (`rng.key_blocks`), which writes each block straight into its rows. For
     p_n < 1 the values are drawn only where the mask is set, BLOCK_KEYS kept
     entries at a time; keys are positional, so the entries equal those of
-    the full value grid masked afterwards.
+    the full value grid masked afterwards. A trial index outside [0, 2^64)
+    raises ConfigError: keys keep 64 bits of each label, so it would alias
+    another trial.
     """
     if not isinstance(config, EnsembleConfig):
         raise ConfigError("sample_matrix expects an EnsembleConfig")
+    if not 0 <= _whole("trial_index", trial_index) <= rng.MASK64:
+        raise ConfigError(f"trial index must be a 64-bit unsigned integer, got {trial_index}")
     n, seed, dist = config.n, config.master_seed, config.dist
     dtype = np.complex128 if dist.is_complex else np.float64
     if config.p_n == 1.0:

@@ -11,7 +11,9 @@ start threads of its own and oversubscribe the cores; and OpenBLAS's threaded
 kernels round differently from its serial ones, so reports would depend on
 OPENBLAS_NUM_THREADS. The caller's BLAS thread count is restored when the
 outermost `parallel_map` returns or raises. If no OpenBLAS library is found,
-BLAS threading is left alone.
+BLAS threading is left alone. Because the hold spans the pool, each worker
+keeps one LU scratch buffer (`linalg`) for all of its trials, and the buffers
+go when the pool's hold ends.
 """
 
 from __future__ import annotations

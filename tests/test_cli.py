@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from circulaw.cli import main, plot_spectrum
 
 
@@ -49,6 +51,15 @@ class TestSample:
         lines = out1.read_text().strip().split("\n")
         assert lines[0] == "j,k,re,im"
         assert len(lines) == 17
+
+
+    @pytest.mark.parametrize("command", ["sample", "esd"])
+    @pytest.mark.parametrize("trial", ["-1", str(2**64)])
+    def test_trial_index_outside_64_bits_exits_2(self, capsys, command, trial):
+        code, captured = run_cli(command, "--n", "2", "--seed", "1", "--trial", trial,
+                                 capsys=capsys)
+        assert code == 2
+        assert "trial index" in captured.err and captured.out == ""
 
 
 class TestEsd:

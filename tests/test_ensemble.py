@@ -139,6 +139,18 @@ class TestSampleMatrix:
         cfg = EnsembleConfig(16, 1.0, GAUSS, 7)
         assert not np.array_equal(sample_matrix(cfg, 0).entries, sample_matrix(cfg, 1).entries)
 
+    # keys keep 64 bits of each label: trial -1 was the matrix of trial 2^64 - 1
+    @pytest.mark.parametrize("trial", [-1, 2**64])
+    @pytest.mark.parametrize("p_n", [1.0, 0.5], ids=["dense", "sparse"])
+    def test_trial_index_outside_64_bits_is_rejected(self, trial, p_n):
+        with pytest.raises(ConfigError, match="trial index"):
+            sample_matrix(EnsembleConfig(2, p_n, GAUSS, 1), trial)
+
+    def test_largest_trial_index_is_its_own_trial(self):
+        cfg = EnsembleConfig(2, 1.0, GAUSS, 1)
+        last = sample_matrix(cfg, 2**64 - 1).entries
+        assert np.isfinite(last).all() and not np.array_equal(last, sample_matrix(cfg, 0).entries)
+
     def test_sparse_zero_fraction_in_binomial_interval(self):
         n, p = 1024, 0.1
         cfg = EnsembleConfig(n, p, GAUSS, 123)

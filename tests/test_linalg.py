@@ -5,6 +5,7 @@ import pathlib
 import sys
 import threading
 import time
+import weakref
 
 import numpy as np
 import pytest
@@ -27,6 +28,7 @@ from circulaw import (
 from circulaw import linalg
 from circulaw.errors import DomainError
 from circulaw.linalg import certified_log_det, truncation_window
+from circulaw.parallel import parallel_map
 
 from conftest import ks_one_sample_critical
 
@@ -341,6 +343,87 @@ class TestOneLU:
             assert linalg._lapack(routine) is not None, routine
         for name in ("openblas_get_num_threads64_", "openblas_set_num_threads64_"):
             assert linalg._symbol(name) is not None, name
+
+
+class TestLUScratch:
+    """Each thread factors in a scratch buffer of its own, kept until the outermost hold ends."""
+
+    @staticmethod
+    def _samples(count):
+        return [sample_matrix(EnsembleConfig(128, 1.0, CGAUSS, 5), t) for t in range(count)]
+
+    @staticmethod
+    def _watch(monkeypatch):
+        """Weak references to every scratch buffer handed out from now on."""
+        refs, scratch = [], linalg._scratch_matrix
+
+        def watched(n, dtype):
+            buf = scratch(n, dtype)
+            refs.append(weakref.ref(buf))
+            return buf
+
+        monkeypatch.setattr(linalg, "_scratch_matrix", watched)
+        return refs
+
+    @pytest.mark.parametrize("workers", ["2", "4"])
+    def test_pool_results_equal_serial_calls_bit_for_bit(self, monkeypatch, oracle_rng, workers):
+        bundled_openblas()
+        monkeypatch.setenv("CIRCULAW_THREADS", workers)
+        jobs = [(a, t, draw_matrix(oracle_rng, (a.n, 10), True))
+                for t, a in enumerate(self._samples(16))]
+
+        def solve(job):
+            a, t, b = job
+            det = certified_log_det(a, 0.0, math.inf, 5, t)
+            return det, linalg._log_det_and_solve(a.entries, b)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            pooled = parallel_map(solve, jobs)
+        finally:
+            sys.setswitchinterval(interval)
+        with linalg.single_threaded_blas():  # ||A||_F rounds with the BLAS thread count
+            serial = [solve(job) for job in jobs]
+        assert len({det.value for det, _ in serial}) == len(jobs)  # distinct matrices
+        for (det, (value, x)), (serial_det, (serial_value, serial_x)) in zip(pooled, serial):
+            assert det == serial_det
+            assert value == serial_value and x.tobytes() == serial_x.tobytes()
+
+    def test_a_thread_reuses_its_buffer_and_threads_do_not_share(self):
+        bundled_openblas()
+        a, b = self._samples(2)
+        with linalg.single_threaded_blas():
+            certified_log_det(a, 0.0, math.inf, 5, 0)
+            mine = linalg._scratch[threading.get_ident()]
+            certified_log_det(b, 0.0, math.inf, 5, 1)
+            assert linalg._scratch[threading.get_ident()] is mine
+            theirs = []
+
+            def other():
+                certified_log_det(b, 0.0, math.inf, 5, 1)
+                theirs.append(linalg._scratch[threading.get_ident()])
+
+            worker = threading.Thread(target=other)
+            worker.start()
+            worker.join(timeout=60)
+            assert len(theirs) == 1 and not np.shares_memory(theirs[0], mine)
+            assert len(linalg._scratch) == 2
+
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_no_buffer_outlives_the_pool(self, monkeypatch, workers):
+        bundled_openblas()
+        monkeypatch.setenv("CIRCULAW_THREADS", workers)
+        buffers = self._watch(monkeypatch)
+        parallel_map(lambda a: certified_log_det(a, 0.0, math.inf, 5, 0), self._samples(4))
+        assert len(buffers) == 4 and linalg._scratch == {}
+        assert all(ref() is None for ref in buffers)
+
+    def test_no_buffer_outlives_a_direct_call(self, monkeypatch):
+        bundled_openblas()
+        buffers = self._watch(monkeypatch)
+        certified_log_det(self._samples(1)[0], 0.0, math.inf, 5, 0)
+        assert len(buffers) == 1 and linalg._scratch == {} and buffers[0]() is None
 
 
 class TestLapackCall:
