@@ -21,7 +21,7 @@ from .experiments import (
     run_experiment,
 )
 from .linalg import eigenvalues
-from .textio import csv_text, read_text, write_text
+from .textio import csv_text, read_float_csv, read_text, write_text
 
 _DIST_NAMES = {
     "gaussian": "RealGaussian",
@@ -151,27 +151,9 @@ def _cmd_report(args) -> int:
     return 0
 
 
-def _read_points_csv(path):
-    """The (re, im) rows of a 're,im' CSV; blank lines are skipped but keep their numbers."""
-    lines = [(lineno, ln) for lineno, ln in enumerate(read_text(path).split("\n"), start=1)
-             if ln.strip()]
-    if not lines or lines[0][1].strip().lower() != "re,im":
-        raise OSError(f"{path}: line {lines[0][0] if lines else 1}: expected header 're,im'")
-    points = []
-    for lineno, ln in lines[1:]:
-        parts = ln.split(",")
-        if len(parts) != 2:
-            raise OSError(f"{path}: line {lineno}: expected two comma-separated fields")
-        try:
-            points.append((float(parts[0]), float(parts[1])))
-        except ValueError:
-            raise OSError(f"{path}: line {lineno}: cannot parse {ln!r}") from None
-    return points
-
-
 def plot_spectrum(csv_in, svg_out, overlay_unit_circle: bool = True) -> None:
     """Standalone deterministic SVG scatter with an optional unit-circle overlay."""
-    points = _read_points_csv(csv_in)
+    points = read_float_csv(csv_in, "re,im", OSError)
     size = 560
     center = size / 2.0
     scale = 200.0  # pixels per unit

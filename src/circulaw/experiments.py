@@ -309,7 +309,8 @@ def run_sv_law(spec: ExperimentSpec, report: ExperimentReport) -> None:
                 trials=spec.trials, delta=delta, slope="",
             )
         if len(ns) >= 2:
-            slope = float(np.polyfit(np.log(ns), np.log(deltas), 1)[0])
+            x = np.log(ns) - np.mean(np.log(ns))  # least squares without LAPACK's kernels
+            slope = float(np.sum(x * np.log(deltas)) / np.sum(x * x))
             report.append(
                 row="slope", n=-1, z_re=z.real, z_im=z.imag,
                 trials=spec.trials, delta="", slope=slope,

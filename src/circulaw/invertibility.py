@@ -71,7 +71,7 @@ def classify_vector(x, delta: float, rho: float) -> VectorClass:
         raise DomainError(f"delta must lie in (0, 1], got {delta}")
     if not (0.0 < rho < 1.0):
         raise DomainError(f"rho must lie in (0, 1), got {rho}")
-    norm = float(np.linalg.norm(x))
+    norm = _tail_norm(x, 0)  # the distance to the 0-sparse vector
     if not abs(norm - 1.0) <= 1e-10:
         raise DomainError(f"expected a unit vector, got norm {norm!r}")
     keep = int(math.floor(delta * len(x)))

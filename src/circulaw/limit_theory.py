@@ -39,7 +39,7 @@ _GL16 = np.polynomial.legendre.leggauss(16)
 _GL8 = np.polynomial.legendre.leggauss(8)
 _EDGE_U = 0.5 ** np.arange(48, -1, -1.0)  # the potential's u-breakpoints, graded to 0
 _GRID_HALF = 2048
-_PANEL_BLOCK = 256  # panels per block; a multiple of 8 keeps the gemv's bits of one product
+_PANEL_BLOCK = 256  # panels per block; each panel sums on its own, so no size moves a bit
 _LAW_CACHE_MAX = 64
 _T_MAX = 1e10  # largest |z|^2 (|z| = 1e5); beyond it the edges lose the law's mass
 
@@ -174,7 +174,8 @@ def _gauss_panels(t: float, edge: float, sign: float, u: np.ndarray, rule=_GL16,
     x = edge + sign*u^2: one Gauss-Legendre panel, of the node set `rule`, per step of u.
 
     The panels are built _PANEL_BLOCK at a time, so a law build's temporaries
-    stay under 1 MB; the values are those of one build over all panels."""
+    stay under 1 MB; numpy sums each panel, not a BLAS gemv, so the values are
+    those of one build over all panels for any block size or OpenBLAS kernel."""
     out = np.empty(len(u) - 1)
     for start in range(0, len(out), _PANEL_BLOCK):
         stop = min(start + _PANEL_BLOCK, len(out))
@@ -184,7 +185,7 @@ def _gauss_panels(t: float, edge: float, sign: float, u: np.ndarray, rule=_GL16,
         g = 2.0 * nodes * _sym_density_array(x, t)
         if log_weight:
             g = g * np.log(x)
-        out[start:stop] = sign * half * (g @ rule[1])
+        out[start:stop] = sign * half * np.sum(g * rule[1], axis=1)
     return out
 
 

@@ -26,11 +26,15 @@ n eps ||A||, so by Weyl it is off by about n^2 eps s_1 / s_n at most, which
 the certified bounds make explicit. When any check does not clear, the
 caller takes the exact path through `singular_values`.
 
-This module is circulaw's one binding of numpy's bundled OpenBLAS. `openblas`
-opens the library once, on first use; a symbol is `scipy_<name>` (numpy >= 2)
-or `<name>` (numpy 1.26). `single_threaded_blas` holds its thread count at
-one, and `_lapack_call` is the one way a LAPACK routine is called: an illegal
-argument (info < 0) raises NumericError, and info > 0 goes back to the caller.
+This module is circulaw's one binding of numpy's bundled OpenBLAS, and the
+only module that forms a BLAS product or calls `np.linalg`. `openblas` opens
+the library once, on first use; a symbol is `scipy_<name>` (numpy >= 2) or
+`<name>` (numpy 1.26). `single_threaded_blas` holds its thread count at one:
+each public kernel that reaches BLAS or LAPACK enters it once, as its
+decorator, so it has the serial kernels' bits however it is called, and the
+private helpers run inside their caller's hold. `_lapack_call` is the one
+way a LAPACK routine is called: an illegal argument (info < 0) raises
+NumericError, and info > 0 goes back to the caller.
 Where numpy ships no OpenBLAS of its own (wheels on Accelerate, conda and
 distro builds), numpy's `eigvalsh`, `slogdet` and `solve` run instead.
 
@@ -184,6 +188,7 @@ def truncation_window(n: int, p_n: float, b_exponent: float = 3.0, c_cut: float 
     return c_cut / float(n) ** b_exponent, n * math.sqrt(p_n)
 
 
+@single_threaded_blas()
 def frobenius_norm(sample: MatrixSample) -> float:
     """||A||_F, an upper bound on s_1; non-finite entries, or finite ones whose
     norm overflows, raise NumericError."""
@@ -194,6 +199,7 @@ def frobenius_norm(sample: MatrixSample) -> float:
     return fro
 
 
+@single_threaded_blas()
 def certified_log_det(
     sample: MatrixSample, floor: float, ceiling: float, seed: int, trial_index: int
 ) -> Optional[LogDeterminant]:
@@ -256,15 +262,14 @@ def _log_det_and_solve(a: np.ndarray, b: np.ndarray):
     dtype = np.complex128 if is_complex else np.float64
     x = np.array(b, dtype=dtype, order="F")
     pivots = np.empty(n, dtype=np.int64)
-    with single_threaded_blas():
-        factors = _scratch_matrix(n, dtype)
-        np.copyto(factors, a)
-        if _lapack_call(getrf, n, n, factors, n, pivots) > 0:
-            return None
-        _lapack_call(getrs, b"N", n, x.shape[1], factors, n, pivots, x, n)
-        value = 0.0
-        for u in factors.diagonal().tolist():
-            value += math.log(abs(u))
+    factors = _scratch_matrix(n, dtype)
+    np.copyto(factors, a)
+    if _lapack_call(getrf, n, n, factors, n, pivots) > 0:
+        return None
+    _lapack_call(getrs, b"N", n, x.shape[1], factors, n, pivots, x, n)
+    value = 0.0
+    for u in factors.diagonal().tolist():
+        value += math.log(abs(u))
     return value, np.ascontiguousarray(x)
 
 
@@ -302,6 +307,7 @@ def hermitize(sample: MatrixSample) -> np.ndarray:
     return w
 
 
+@single_threaded_blas()
 def singular_values(sample: MatrixSample) -> Spectrum:
     """All singular values, sorted descending, from the Gram eigensolve (relative
     error ~eps (s_1/s_j)^2) or, when s_n < 1e-6 s_1, an SVD (error ~eps s_1).
@@ -347,22 +353,21 @@ def _eigvalsh(g: np.ndarray) -> np.ndarray:
 
     kinds = (a.dtype, np.float64, np.int64) if is_complex else (a.dtype, np.int64)
     query = [np.zeros(1, kind) for kind in kinds]
-    with single_threaded_blas():
-        solve(query, [-1] * len(kinds))
-        work = [np.empty(int(q[0].real), kind) for q, kind in zip(query, kinds)]
-        info = solve(work, map(len, work))
+    solve(query, [-1] * len(kinds))
+    work = [np.empty(int(q[0].real), kind) for q, kind in zip(query, kinds)]
+    info = solve(work, map(len, work))
     if info > 0:
         raise NumericError(f"Gram eigensolve did not converge (LAPACK info {info})")
     return w
 
 
+@single_threaded_blas()
 def eigenvalues(sample: MatrixSample) -> Spectrum:
     """All eigenvalues, sorted by (Re, Im) for reproducible reports. `eigvals` runs
     on one BLAS thread, so the values do not depend on OPENBLAS_NUM_THREADS."""
     a = sample.entries
     try:
-        with single_threaded_blas():
-            vals = np.linalg.eigvals(a)
+        vals = np.linalg.eigvals(a)
     except np.linalg.LinAlgError as exc:
         raise NumericError(f"eigenvalue iteration failed: {exc}") from exc
     vals = vals.astype(np.complex128)
@@ -384,6 +389,7 @@ def operator_norm(sample: MatrixSample) -> float:
     return float(singular_values(sample).values[0])
 
 
+@single_threaded_blas()
 def distance_to_span(columns, k: int) -> float:
     """Euclidean distance from column k to the span of the remaining columns.
 

@@ -4,16 +4,16 @@ Workers only evaluate pure per-trial functions; results are gathered in
 trial order and reduced sequentially, so outputs are identical for any
 worker count. CIRCULAW_THREADS caps the pool size.
 
-While `parallel_map` runs, numpy's bundled OpenBLAS is held at one thread
-(`linalg.single_threaded_blas`), whatever the pool size (so
-CIRCULAW_THREADS=1 means one core). Otherwise each worker's BLAS call would
-start threads of its own and oversubscribe the cores; and OpenBLAS's threaded
-kernels round differently from its serial ones, so reports would depend on
-OPENBLAS_NUM_THREADS. The caller's BLAS thread count is restored when the
-outermost `parallel_map` returns or raises. If no OpenBLAS library is found,
-BLAS threading is left alone. Because the hold spans the pool, each worker
-keeps one LU scratch buffer (`linalg`) for all of its trials, and the buffers
-go when the pool's hold ends.
+Every linalg kernel holds numpy's bundled OpenBLAS at one thread
+(`linalg.single_threaded_blas`) for its own call, so reports do not depend
+on OPENBLAS_NUM_THREADS, and the pool's workers do not oversubscribe the
+cores (CIRCULAW_THREADS=1 means one core). `parallel_map` also holds it for
+the whole pool, for two reasons. The thread count changes once per pool
+instead of twice per kernel call, with the caller's count restored when the
+outermost `parallel_map` returns or raises. And each worker keeps one LU
+scratch buffer (`linalg`) for all of its trials, as the buffers live until
+the outermost hold ends. If no OpenBLAS library is found, BLAS threading is
+left alone.
 """
 
 from __future__ import annotations

@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import DomainError, EstimationError
 from .linalg import LogDeterminant, Spectrum, truncation_window
-from .textio import csv_text, read_text, write_text
+from .textio import csv_text, read_float_csv, write_text
 
 
 @dataclass
@@ -64,22 +64,15 @@ class EmpiricalCDF:
         return self._cum[np.searchsorted(self.xs, x, side="left")]
 
     def mean(self) -> float:
-        return float(np.dot(self.xs, self.ws))
+        return float(np.sum(self.xs * self.ws))
 
     def to_csv(self, path) -> None:
         write_text(path, csv_text(["x", "weight"], zip(self.xs, self.ws)))
 
     @classmethod
     def from_csv(cls, path) -> "EmpiricalCDF":
-        lines = [ln.strip() for ln in read_text(path).split("\n") if ln.strip()]
-        if not lines or lines[0] != "x,weight":
-            raise DomainError(f"{path}: expected header 'x,weight'")
-        xs, ws = [], []
-        for ln in lines[1:]:
-            sx, sw = ln.split(",")
-            xs.append(float(sx))
-            ws.append(float(sw))
-        return cls(np.array(xs), np.array(ws))
+        rows = read_float_csv(path, "x,weight", DomainError)
+        return cls(np.array([x for x, _ in rows]), np.array([w for _, w in rows]))
 
 
 @dataclass

@@ -151,6 +151,9 @@ class TestSvLaw:
         assert [r["n"] for r in report.rows if r["row"] == "stat"] == [16, 32, 64]
         slope_rows = [r for r in report.rows if r["row"] == "slope"]
         assert len(slope_rows) == 1 and isinstance(slope_rows[0]["slope"], float)
+        deltas = [r["delta"] for r in report.rows if r["row"] == "stat"]
+        fit = np.polyfit(np.log([16, 32, 64]), np.log(deltas), 1)[0]
+        assert slope_rows[0]["slope"] == pytest.approx(fit, rel=1e-12)
 
     def test_ladder_rederives_sparse_probability(self):
         # theta-parameterized ensembles must re-derive p_n at every rung

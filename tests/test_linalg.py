@@ -326,7 +326,8 @@ class TestOneLU:
         # a zero column stays exactly zero under elimination, so U has u_33 = 0
         a = draw_matrix(oracle_rng, (6, 6), complex_)
         a[:, 2] = 0.0
-        assert linalg._log_det_and_solve(a, draw_matrix(oracle_rng, (6, 10), complex_)) is None
+        with linalg.single_threaded_blas():  # the hold that certified_log_det opens
+            assert linalg._log_det_and_solve(a, draw_matrix(oracle_rng, (6, 10), complex_)) is None
 
     def test_fallback_without_the_library_returns_the_same_certificate(self, monkeypatch):
         # n * n < 10^4 keeps OpenBLAS on its serial kernels even without the thread hold
@@ -450,9 +451,9 @@ class TestLapackCall:
 
     def test_illegal_argument_in_the_solve_raises(self, monkeypatch, oracle_rng):
         inject_info(monkeypatch, "zgetrs", -3)
-        a = draw_matrix(oracle_rng, (8, 8), True)
+        a = from_array(draw_matrix(oracle_rng, (8, 8), True))
         with pytest.raises(NumericError, match="argument 3"):
-            linalg._log_det_and_solve(a, draw_matrix(oracle_rng, (8, 10), True))
+            certified_log_det(a, 0.0, math.inf, 1, 0)
 
 
 class TestGramEigensolve:

@@ -1,6 +1,9 @@
-"""Trial-level parallelism: single-threaded BLAS inside the pool, thread-independent reports."""
+"""Trial-level parallelism: single-threaded BLAS inside the pool and at every linalg kernel,
+reports that depend on neither the BLAS thread count nor, on the exact side, its kernel."""
 
+import functools
 import os
+import platform
 import subprocess
 import sys
 import threading
@@ -48,18 +51,112 @@ def test_report_bytes_do_not_depend_on_workers_or_blas_threads(tmp_path):
     assert len(set(digests.values())) == 1, digests
 
 
-def _esd_bytes(blas_threads):
-    env = dict(os.environ, OPENBLAS_NUM_THREADS=blas_threads,
-               PYTHONPATH=str(Path(circulaw.__file__).resolve().parents[1]))
-    done = subprocess.run([sys.executable, "-m", "circulaw.cli", "esd", "--n", "256", "--seed", "3"],
-                          env=env, capture_output=True, timeout=120, check=True)
+def _child_stdout(args, **env):
+    """stdout of `python *args` in a child process, with `env` on top of this one's."""
+    env = dict(os.environ, PYTHONPATH=str(Path(circulaw.__file__).resolve().parents[1]), **env)
+    done = subprocess.run([sys.executable, *args], env=env, capture_output=True, timeout=120,
+                          check=True)
     return done.stdout
 
 
-def test_esd_bytes_do_not_depend_on_blas_threads():
-    # eigvals ran outside the pool, on OpenBLAS's threaded kernels when allowed
-    # two threads; their rounding moved the CSV's bytes
-    assert _esd_bytes("1") == _esd_bytes("2")
+# The five kernels that reach BLAS or LAPACK, on one n = 512 complex sample:
+# called directly, or in parallel_map's workers (argv[1] == "pooled").
+_KERNELS = """
+import hashlib, math, sys
+from circulaw import EnsembleConfig, EntryDistribution, sample_matrix
+from circulaw.linalg import (certified_log_det, distance_to_span, eigenvalues, frobenius_norm,
+                             singular_values)
+from circulaw.parallel import parallel_map
+
+a = sample_matrix(EnsembleConfig(512, 1.0, EntryDistribution("ComplexGaussian"), 3), 0)
+
+
+def kernels(_):
+    det = certified_log_det(a, 0.0, math.inf, 3, 0)
+    values = {"frobenius_norm": frobenius_norm(a), "log_det": det.value, "lower": det.lower,
+              "upper": det.upper, "distance_to_span": distance_to_span(a.entries, 0),
+              "singular_values": singular_values(a).values, "eigenvalues": eigenvalues(a).values}
+    return " ".join(f"{name}={v.hex() if isinstance(v, float) else hashlib.sha256(v).hexdigest()}"
+                    for name, v in values.items())
+
+
+lines = parallel_map(kernels, range(2)) if sys.argv[1] == "pooled" else [kernels(None)]
+print(*sorted(set(lines)), sep="\\n")
+"""
+
+_CHILDREN = {
+    "esd": [["-m", "circulaw.cli", "esd", "--n", "256", "--seed", "3"]],
+    "kernels": [["-c", _KERNELS, "direct"], ["-c", _KERNELS, "pooled"]],
+}
+
+
+@pytest.mark.parametrize("name", sorted(_CHILDREN))
+def test_bytes_do_not_depend_on_blas_threads(name):
+    # eigvals once ran outside the pool, and ||A||_F, the certificate's residual
+    # and distance_to_span's SVD ran outside any hold when called directly: on
+    # OpenBLAS's threaded kernels when allowed two threads, whose rounding moved
+    # the bits; the pool's workers must see the same bits as a direct call
+    outputs = {(args[-1], threads): _child_stdout(args, OPENBLAS_NUM_THREADS=threads,
+                                                  CIRCULAW_THREADS="2")
+               for args in _CHILDREN[name] for threads in ("1", "2")}
+    assert len(set(outputs.values())) == 1, outputs
+
+
+# The exact side's bytes (the law CDF grid, the density and potential_from_law at
+# the five golden shifts), after the name of the core OpenBLAS runs on
+_LAW_BYTES = """
+import ctypes, hashlib
+import numpy as np
+from circulaw import linalg
+from circulaw.limit_theory import law_for_shift, potential_from_law
+
+digest = hashlib.sha256()
+x = np.linspace(0.0, 12.0, 1201)
+for z in (0j, 0.5 + 0.5j, 1 + 0j, 1.5 + 0j, 2 + 0j):
+    law = law_for_shift(z)
+    digest.update(law.cdf_squared(x).tobytes() + law.density(x).tobytes())
+    digest.update(np.float64(potential_from_law(z)).tobytes())
+corename = linalg._symbol("openblas_get_corename64_")
+corename.restype = ctypes.c_char_p
+print(corename().decode(), digest.hexdigest())
+"""
+
+# OPENBLAS_CORETYPE -> the /proc/cpuinfo flags its kernels need, and the names
+# openblas_get_corename gives it (OpenBLAS 0.3.31 reports Prescott as Katmai)
+_CORES = {"Haswell": ({"avx2", "fma"}, {"haswell"}), "Sandybridge": ({"avx"}, {"sandybridge"}),
+          "Prescott": ({"pni"}, {"prescott", "katmai"})}
+
+
+@functools.cache
+def _law_bytes(core=None):
+    """(core name, digest) of _LAW_BYTES in a child process on OpenBLAS core `core`."""
+    env = {} if core is None else {"OPENBLAS_CORETYPE": core}
+    return tuple(_child_stdout(["-c", _LAW_BYTES], **env).decode().split())
+
+
+def _cpu_flags():
+    try:
+        lines = Path("/proc/cpuinfo").read_text().splitlines()
+    except OSError:
+        return set()
+    return {flag for line in lines if line.startswith("flags")
+            for flag in line.split(":")[1].split()}
+
+
+@pytest.mark.parametrize("core", sorted(_CORES))
+def test_limit_law_bytes_do_not_depend_on_the_blas_kernel(core):
+    # the panel sums were a gemv, whose bits differ between OpenBLAS's kernels:
+    # SkylakeX and Haswell gave one digest, Sandybridge and Prescott another
+    if platform.machine() not in ("x86_64", "AMD64"):
+        pytest.skip("OPENBLAS_CORETYPE names x86-64 cores")
+    if linalg._symbol("openblas_get_corename64_") is None:
+        pytest.skip("numpy does not bundle an OpenBLAS library")
+    needs, names = _CORES[core]
+    if not needs <= _cpu_flags():
+        pytest.skip(f"this CPU lacks the instructions of {core}")
+    name, digest = _law_bytes(core)
+    assert name.lower() in names
+    assert digest == _law_bytes()[1], (name, _law_bytes())
 
 
 @pytest.fixture

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -62,6 +63,14 @@ class TestEmpiricalCDF:
         path = tmp_path / "bad.csv"
         path.write_text("1.0,0.5\n2.0,0.5\n")
         with pytest.raises(DomainError):
+            EmpiricalCDF.from_csv(path)
+
+    @pytest.mark.parametrize("row", ["0.5,0.25,0.25", "0.5,abc"])
+    def test_malformed_row_names_the_path_and_line(self, tmp_path, row):
+        # a bare ValueError ("too many values to unpack", "could not convert") named neither
+        path = tmp_path / "bad.csv"
+        path.write_text(f"x,weight\n0.5,0.5\n\n  \n{row}\n")
+        with pytest.raises(DomainError, match=re.escape(f"{path}: line 5")):
             EmpiricalCDF.from_csv(path)
 
 
