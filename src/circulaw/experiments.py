@@ -20,7 +20,7 @@ from typing import List, Sequence
 import numpy as np
 
 from . import __version__
-from .ensemble import EnsembleConfig, sample_matrix, smoothing_stream
+from .ensemble import EnsembleConfig, draw_unit_disc, sample_matrix, smoothing_stream
 from .ensemble import _json_object, _real, _whole
 from .errors import ConfigError, EstimationError, NumericError
 from .invertibility import MIN_TAIL_TRIALS, largest_sv_tail, min_sv_tail
@@ -323,9 +323,10 @@ def run_sv_law(spec: ExperimentSpec, report: ExperimentReport) -> None:
 def run_potential(spec: ExperimentSpec, report: ExperimentReport) -> None:
     """Empirical truncated log-determinant average vs the two exact potentials.
 
-    Each trial's log|det| comes from `certified_log_det`; a trial whose
-    certificate does not clear the truncation window takes its whole spectrum
-    instead, so the filter decides it exactly.
+    Each trial's log|det| comes from `certified_log_det`, which forms the
+    smoothed shift of the sample in its own LU scratch; a trial whose
+    certificate does not clear the truncation window takes the whole spectrum
+    of `smoothing_shift`'s copy instead, so the filter decides it exactly.
     """
     cfg = spec.ensemble
     r = spec.resolve_r(cfg)
@@ -333,9 +334,12 @@ def run_potential(spec: ExperimentSpec, report: ExperimentReport) -> None:
 
     def one_trial_factory(z):
         def one_trial(t):
-            shifted = smoothing_shift(sample_matrix(cfg, t), r, smoothing_stream(cfg, t), z)
-            det = certified_log_det(shifted, floor, ceiling, cfg.master_seed, t)
-            return singular_values(shifted) if det is None else det
+            sample = sample_matrix(cfg, t)
+            shifts = (r * draw_unit_disc(smoothing_stream(cfg, t)), z)  # as smoothing_shift's
+            det = certified_log_det(sample, floor, ceiling, cfg.master_seed, t, shifts)
+            if det is None:
+                return singular_values(smoothing_shift(sample, r, smoothing_stream(cfg, t), z))
+            return det
 
         return one_trial
 

@@ -14,13 +14,18 @@ eps * (s_1 / s_j)^2 (2e-4 at s_j = 1e-6 s_1). Whenever s_n falls below
 instead, which gets every s_j to a few eps * s_1.
 
 The log-potential needs only sum_j log s_j = log|det A| and the knowledge
-that s_n and s_1 lie in a truncation window. `certified_log_det` factors A
-once (LAPACK getrf from numpy's bundled OpenBLAS, `openblas`) and
-takes both from that LU: the first as sum_i log|u_ii|, and the second without
-the spectrum: s_1 <= ||A||_F, and s_n from k = 10 keyed Gaussian probes solved
-on the same factors (getrs; Dixon's bound), which is wrong with probability at
-most 10^-10. The bits are those of `slogdet` and `solve` on one BLAS thread;
-those two, at one LU each, are only the fallback when no library is found.
+that s_n and s_1 lie in a truncation window. `certified_log_det` takes the
+sample S and the diagonal shifts, forms A = S - z_1 I - ... in its LU
+scratch, factors it there once (LAPACK getrf from numpy's bundled OpenBLAS,
+`openblas`) and takes both from that LU: the first as sum_i log|u_ii|, and
+the second without the spectrum: s_1 <= ||A||_F, and s_n from k = 10 keyed
+Gaussian probes solved on the same factors (getrs; Dixon's bound), which is
+wrong with probability at most 10^-10. The probes' residual W - A X is
+evaluated from S and A's diagonal, as W - S X + diag(S - A) X, and its
+rounding bound is widened by that diagonal term. The bits of A, of its LU
+and of the value are those of `shift`, `slogdet` and `solve` on one BLAS
+thread; those two, at one LU each, are only the fallback when no library
+is found.
 LU is backward stable: the value is log|det(A + dA)| with ||dA|| about
 n eps ||A||, so by Weyl it is off by about n^2 eps s_1 / s_n at most, which
 the certified bounds make explicit. When any check does not clear, the
@@ -38,15 +43,21 @@ NumericError, and info > 0 goes back to the caller.
 Where numpy ships no OpenBLAS of its own (wheels on Accelerate, conda and
 distro builds), numpy's `eigvalsh`, `slogdet` and `solve` run instead.
 
-The LU is made in a scratch buffer, one per thread, that only this module
-keeps (`_scratch_matrix`). It lives exactly as long as the outermost
+Who owns which buffer. The caller's sample is only read, by every kernel.
+The shifted matrix of a certificate is made in a scratch buffer, one per
+thread, that only this module keeps (`_scratch_matrix`), and its LU
+overwrites it there. The scratch lives exactly as long as the outermost
 `single_threaded_blas` hold: inside `parallel_map`, whose hold spans the
-pool, each worker factors all of its trials in one buffer, and a direct
-`certified_log_det` call frees its buffer when it returns. A fresh column-major
-copy per trial (4 MB, complex, at n = 512) was handed back to the kernel by
-glibc with the trial's sample and shift, and faulted in again by the next
-trial: a Potential campaign at n = 512, theta = 0.5 took ~151k minor page faults
-and a sixth of its CPU time in the kernel, against ~15k with the scratch.
+pool, each worker forms and factors all of its trials in one buffer, and a
+direct `certified_log_det` call frees its buffer when it returns. A fresh
+column-major copy per trial (4 MB, complex, at n = 512) was handed back to
+the kernel by glibc with the trial's sample and shift, and faulted in again
+by the next trial: a Potential campaign at n = 512, theta = 0.5 took ~151k
+minor page faults and a sixth of its CPU time in the kernel, against ~15k
+with the scratch. Forming the shift there as well, instead of in a complex
+copy of its own, leaves a trial one real sample and the scratch (two n x n
+arrays where there were three). `singular_values` owns its Gram product,
+and `_eigvalsh` solves a real one in place.
 """
 
 from __future__ import annotations
@@ -58,7 +69,7 @@ import threading
 from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -201,39 +212,64 @@ def frobenius_norm(sample: MatrixSample) -> float:
 
 @single_threaded_blas()
 def certified_log_det(
-    sample: MatrixSample, floor: float, ceiling: float, seed: int, trial_index: int
+    sample: MatrixSample, floor: float, ceiling: float, seed: int, trial_index: int,
+    shifts: Sequence[complex] = (),
 ) -> Optional[LogDeterminant]:
-    """log|det A| from one LU of A, if floor <= s_n and s_1 <= ceiling are certified; else None.
+    """log|det A| of A = S - z_1 I - z_2 I - ..., the sample S shifted by `shifts`
+    as `shift` does it, from one LU of A, if floor <= s_n and s_1 <= ceiling are
+    certified for A; else None.
 
-    Ceiling: s_1 <= ||A||_F. Floor: with k = 10 Gaussian probes w_i keyed by
-    (seed, ROLE_PROBE, trial_index) and X = A^-1 W, solved on the same LU,
-    ||A^-1|| <= 10 sqrt(2/pi) max_i ||A^-1 w_i|| except with probability
-    10^-k (Dixon 1983; Halko, Martinsson & Tropp 2011, Lemma 4.1). The probes
-    are N(0, 1) for real A. For complex A they are complex of unit variance,
-    i.e. a standard Gaussian of the real 2n-embedding divided by sqrt(2), so
-    the bound carries that sqrt(2). The solve residual R = W - A X, widened by
-    its own rounding, enters as ||A^-1 w_i|| <= ||x_i|| + ||A^-1|| ||r_i||;
-    a residual that costs more than half the bound returns None, as do an
-    exactly singular U and a bound that does not clear the window. Non-finite
-    entries raise NumericError. The value is accurate to about
-    n^2 eps upper / lower (module docstring).
+    A is formed once, in this thread's LU scratch (`_scratch_matrix`): S is
+    cast into it and each shift subtracted from its diagonal in `shift`'s order,
+    so A, its LU and every result below have the bits of the call on
+    `shift(sample, *shifts)`; S itself is only read.
+    Ceiling: s_1 <= ||A||_F, taken from the scratch and widened by its own
+    rounding. Floor: with k = 10
+    Gaussian probes w_i keyed by (seed, ROLE_PROBE, trial_index) and X = A^-1 W,
+    solved on the same LU, ||A^-1|| <= 10 sqrt(2/pi) max_i ||A^-1 w_i|| except
+    with probability 10^-k (Dixon 1983; Halko, Martinsson & Tropp 2011,
+    Lemma 4.1). The probes are N(0, 1) for real A. For complex A they are
+    complex of unit variance, i.e. a standard Gaussian of the real 2n-embedding
+    divided by sqrt(2), so the bound carries that sqrt(2). The LU has
+    overwritten A by then, so the solve residual is taken from S and A's
+    diagonal, R = W - S X + diag(S - A) X; for a real S and complex X, S X is
+    one real product on X's interleaved real and imaginary columns. R, widened
+    by its own rounding, which the diagonal term enlarges, enters as
+    ||A^-1 w_i|| <= ||x_i|| + ||A^-1|| ||r_i||; a residual that costs more
+    than half the bound returns None, as do an exactly singular U and a bound
+    that does not clear the window. Non-finite entries raise NumericError. The
+    value is accurate to about n^2 eps upper / lower (module docstring).
     """
-    a = sample.entries
+    s = sample.entries
     n = sample.n
-    upper = frobenius_norm(sample)
+    shifts, dtype = _shift_plan(s, shifts)
+    a = _scratch_matrix(n, dtype)
+    _subtract_diagonal(a, s, shifts)
+    # a sum of 2n^2 squares and its root round ||A||_F down by at most (n^2 + 1) eps / 2
+    upper = frobenius_norm(MatrixSample(a)) * (1.0 + (n * n + 1) * _EPS)
     if not upper <= ceiling:
         return None
     is_complex = np.iscomplexobj(a)
     probes = draw_grid(_PROBE_LAW[is_complex], seed, rng.ROLE_PROBE, trial_index, n, _PROBES)
+    d = np.diagonal(s) - a.diagonal()  # A = S - diag(d), kept before the LU overwrites A
     factored = _log_det_and_solve(a, probes)
     if factored is None:
         return None
     value, x = factored
     dixon = _DIXON * (math.sqrt(2.0) if is_complex else 1.0)
     with np.errstate(all="ignore"):  # a non-finite x or residual fails the tests below
+        if is_complex and not np.iscomplexobj(s):
+            sx = (s @ x.view(np.float64)).view(np.complex128)
+        else:
+            sx = s @ x
+        residual = probes - sx
+        residual += d[:, None] * x
+        # S X rounds with |S| <= |A| + |diag(d)|, and d X and its sum add a few
+        # roundings of |d| |X|: the 2 max|d| term covers both
         x_norm = np.linalg.norm(x, axis=0)
-        slack = (n + 1) * _EPS * (np.linalg.norm(probes, axis=0) + upper * x_norm)
-        rho = dixon * float(np.max(np.linalg.norm(probes - a @ x, axis=0) + slack))
+        scale = upper + 2.0 * float(np.max(np.abs(d)))
+        slack = (n + 1) * _EPS * (np.linalg.norm(probes, axis=0) + scale * x_norm)
+        rho = dixon * float(np.max(np.linalg.norm(residual, axis=0) + slack))
         lower = (1.0 - rho) / (dixon * float(np.max(x_norm)))
     if not (rho <= 0.5 and lower >= floor):
         return None
@@ -241,14 +277,16 @@ def certified_log_det(
 
 
 def _log_det_and_solve(a: np.ndarray, b: np.ndarray):
-    """(log|det A|, A^-1 B) from one LU of A, or None if A is exactly singular.
+    """(log|det A|, A^-1 B) from one LU of the column-major A, or None if A is
+    exactly singular. The LU overwrites A (in `certified_log_det`, the scratch).
 
-    getrf and getrs run on OpenBLAS's serial kernels over a column-major copy
-    of A in this thread's scratch (`_scratch_matrix`), the layout numpy hands
-    LAPACK, and the log sums log|u_ii| in diagonal order as `slogdet` does;
-    so both results have the bits of `slogdet` and `solve` on one BLAS
-    thread. Without the library, those two run instead, at two LUs.
+    getrf and getrs run on OpenBLAS's serial kernels over A, in the layout
+    numpy hands LAPACK, and the log sums log|u_ii| in diagonal order as
+    `slogdet` does; so both results have the bits of `slogdet` and `solve` on
+    one BLAS thread. Without the library, those two run instead, at two LUs,
+    and leave A as it was. A^-1 B comes back C-contiguous.
     """
+    assert a.flags.f_contiguous, "LAPACK factors a column-major A"
     is_complex = np.iscomplexobj(a)
     kind = "z" if is_complex else "d"
     getrf, getrs = _lapack(kind + "getrf"), _lapack(kind + "getrs")
@@ -257,34 +295,46 @@ def _log_det_and_solve(a: np.ndarray, b: np.ndarray):
         if sign == 0:
             return None
         with np.errstate(all="ignore"):
-            return float(value), np.linalg.solve(a, b)
+            return float(value), np.ascontiguousarray(np.linalg.solve(a, b))
     n = len(a)
-    dtype = np.complex128 if is_complex else np.float64
-    x = np.array(b, dtype=dtype, order="F")
+    x = np.array(b, dtype=a.dtype, order="F")
     pivots = np.empty(n, dtype=np.int64)
-    factors = _scratch_matrix(n, dtype)
-    np.copyto(factors, a)
-    if _lapack_call(getrf, n, n, factors, n, pivots) > 0:
+    if _lapack_call(getrf, n, n, a, n, pivots) > 0:
         return None
-    _lapack_call(getrs, b"N", n, x.shape[1], factors, n, pivots, x, n)
+    _lapack_call(getrs, b"N", n, x.shape[1], a, n, pivots, x, n)
     value = 0.0
-    for u in factors.diagonal().tolist():
+    for u in a.diagonal().tolist():
         value += math.log(abs(u))
     return value, np.ascontiguousarray(x)
+
+
+def _shift_plan(entries: np.ndarray, shifts):
+    """The nonzero shifts, as complex, and the dtype of `entries` shifted by them:
+    complex128 if either is complex, else float64."""
+    shifts = [z for z in map(complex, shifts) if z != 0]
+    is_complex = np.iscomplexobj(entries) or any(z.imag != 0 for z in shifts)
+    return shifts, np.complex128 if is_complex else np.float64
+
+
+def _subtract_diagonal(out: np.ndarray, entries: np.ndarray, shifts) -> None:
+    """out = entries - z_1 I - z_2 I - ...: `entries` cast into `out`, then each
+    z_i subtracted from the diagonal in turn (its real part if `out` is real)."""
+    np.copyto(out, entries)
+    idx = np.arange(len(out))
+    is_complex = np.iscomplexobj(out)
+    for z in shifts:
+        out[idx, idx] -= z if is_complex else z.real
 
 
 def shift(sample: MatrixSample, *shifts: complex) -> MatrixSample:
     """A - z_1 I - z_2 I - ..., the one diagonal shift: each nonzero z_i is
     subtracted from the diagonal in turn, on one copy, with the bits of one
     shift after another; if every z_i is 0, `sample` itself comes back."""
-    shifts = [z for z in map(complex, shifts) if z != 0]
+    shifts, dtype = _shift_plan(sample.entries, shifts)
     if not shifts:
         return sample
-    is_complex = np.iscomplexobj(sample.entries) or any(z.imag != 0 for z in shifts)
-    entries = sample.entries.astype(np.complex128 if is_complex else np.float64, copy=True)
-    idx = np.arange(sample.n)
-    for z in shifts:
-        entries[idx, idx] -= z if is_complex else z.real
+    entries = np.empty(sample.entries.shape, dtype)
+    _subtract_diagonal(entries, sample.entries, shifts)
     return MatrixSample(entries)
 
 
@@ -329,13 +379,17 @@ def singular_values(sample: MatrixSample) -> Spectrum:
 
 
 def _eigvalsh(g: np.ndarray) -> np.ndarray:
-    """Eigenvalues, ascending, of the Hermitian g from its lower triangle.
+    """Eigenvalues, ascending, of the Hermitian g, which the call may overwrite.
 
-    syevd/heevd (jobz 'N') run on OpenBLAS's serial kernels over a
-    column-major copy of g, at the workspace size LAPACK asks for, as numpy's
-    `eigvalsh` calls them; so the result has `eigvalsh`'s bits on one BLAS
-    thread, and the GIL is free while it runs. Without the library, `eigvalsh`
-    runs instead. An eigensolve that does not converge raises NumericError.
+    syevd/heevd (jobz 'N') run on OpenBLAS's serial kernels at the workspace
+    size LAPACK asks for, as numpy's `eigvalsh` calls them; so the result has
+    `eigvalsh`'s bits on one BLAS thread, and the GIL is free while it runs. A
+    real g must be exactly symmetric, as numpy's `a @ a.T` is (syrk, then the
+    triangle mirrored): its C buffer is then its column-major layout too, and
+    syevd runs in place on it. A complex g, which gemm makes Hermitian only to
+    rounding, is copied column-major first and read from its lower triangle,
+    as `eigvalsh` reads it. Without the library, `eigvalsh` runs instead. An
+    eigensolve that does not converge raises NumericError.
     """
     is_complex = np.iscomplexobj(g)
     evd = _lapack("zheevd" if is_complex else "dsyevd")
@@ -344,7 +398,10 @@ def _eigvalsh(g: np.ndarray) -> np.ndarray:
             return np.linalg.eigvalsh(g)
         except np.linalg.LinAlgError as exc:
             raise NumericError(f"Gram eigensolve failed: {exc}") from exc
-    a = np.array(g, dtype=np.complex128 if is_complex else np.float64, order="F")
+    if is_complex:
+        a = np.array(g, dtype=np.complex128, order="F")
+    else:
+        a = np.asfortranarray(g.T, dtype=np.float64)  # g's own buffer if C-contiguous
     w = np.empty(len(a))
 
     def solve(buffers, sizes):  # work, [rwork,] iwork, each followed by its length

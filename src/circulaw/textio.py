@@ -9,6 +9,7 @@ has exactly one header line.
 from __future__ import annotations
 
 import json
+import math
 
 from .errors import ConfigError
 
@@ -65,9 +66,9 @@ def read_text(path) -> str:
 
 
 def read_float_csv(path, header: str, error) -> list:
-    """The rows of a CSV with the header line `header`, each a tuple of floats. Blank
-    lines are skipped but keep their numbers; a bad header or row raises `error`
-    naming the path and the line."""
+    """The rows of a CSV with the header line `header`, each a tuple of finite floats.
+    Blank lines are skipped but keep their numbers; a bad header or row, a nan or
+    inf field among them, raises `error` naming the path and the line."""
     lines = [(lineno, ln.strip()) for lineno, ln in enumerate(read_text(path).split("\n"), 1)
              if ln.strip()]
     if not lines or lines[0][1].lower() != header:
@@ -78,7 +79,10 @@ def read_float_csv(path, header: str, error) -> list:
         if len(fields) != width:
             raise error(f"{path}: line {lineno}: expected {width} comma-separated fields")
         try:
-            rows.append(tuple(map(float, fields)))
+            row = tuple(map(float, fields))
         except ValueError:
             raise error(f"{path}: line {lineno}: cannot parse {ln!r}") from None
+        if not all(map(math.isfinite, row)):
+            raise error(f"{path}: line {lineno}: non-finite field in {ln!r}")
+        rows.append(row)
     return rows

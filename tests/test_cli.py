@@ -207,6 +207,16 @@ class TestPlot:
         assert code == 4
         assert "line 5" in captured.err
 
+    @pytest.mark.parametrize("row", ["nan,1", "inf,0", "0,-inf"])
+    def test_non_finite_point_exits_4_with_line(self, tmp_path, capsys, row):
+        # the reader took these as floats, and the SVG got <circle cx="nan" ...>
+        csv = tmp_path / "bad.csv"
+        csv.write_text(f"re,im\n1,0\n\n\n{row}\n")
+        svg = tmp_path / "x.svg"
+        code, captured = run_cli("plot", "--in", str(csv), "--out", str(svg), capsys=capsys)
+        assert code == 4
+        assert f"{csv}: line 5" in captured.err and not svg.exists()
+
     def test_missing_header_exits_4(self, tmp_path, capsys):
         csv = tmp_path / "bad.csv"
         csv.write_text("1,0\n")

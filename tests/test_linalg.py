@@ -5,6 +5,7 @@ import pathlib
 import sys
 import threading
 import time
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -26,6 +27,7 @@ from circulaw import (
     smallest_singular_value,
 )
 from circulaw import linalg
+from circulaw.ensemble import draw_unit_disc, smoothing_stream
 from circulaw.errors import DomainError
 from circulaw.linalg import certified_log_det, truncation_window
 from circulaw.parallel import parallel_map
@@ -283,12 +285,22 @@ class TestCertifiedLogDet:
                 det = certified_log_det(a, 0.0, math.inf, cfg.master_seed, t)
                 s = np.linalg.svd(a.entries, compute_uv=False)
                 assert det.lower <= s[-1] and s[0] <= det.upper
+        # the Potential's case: a real sample under the complex shift r xi + z
+        cfg = EnsembleConfig(64, 1.0, GAUSS, 5)
+        for t in range(20):
+            a = sample_matrix(cfg, t)
+            shifts = (0.125 * draw_unit_disc(smoothing_stream(cfg, t)), 0.5 + 0.5j)
+            det = certified_log_det(a, 0.0, math.inf, cfg.master_seed, t, shifts)
+            s = np.linalg.svd(shift(a, *shifts).entries, compute_uv=False)
+            assert det.lower <= s[-1] and s[0] <= det.upper
 
     def test_ceiling_not_cleared(self, oracle_rng):
         a = from_array(oracle_rng.normal(size=(8, 8)))
         fro = np.linalg.norm(a.entries)
         assert certified_log_det(a, 0.0, 0.99 * fro, 1, 0) is None
-        assert certified_log_det(a, 0.0, fro, 1, 0) is not None
+        upper = certified_log_det(a, 0.0, math.inf, 1, 0).upper  # fro, widened by its rounding
+        assert fro < upper <= fro * (1.0 + 1e-13)
+        assert certified_log_det(a, 0.0, upper, 1, 0) is not None
 
     def test_floor_not_cleared(self, oracle_rng):
         a = from_array(oracle_rng.normal(size=(8, 8)))
@@ -308,6 +320,77 @@ class TestCertifiedLogDet:
         assert certified_log_det(from_array(a), 0.0, math.inf, 1, 0) is None
 
 
+SHIFT_PAIRS = {"zero": (0, 0), "real": (0.3, 1.1), "complex": (0.02 - 0.05j, 0.5 + 0.5j)}
+
+
+class TestShiftedCertificate:
+    """certified_log_det(sample, ..., shifts) forms shift(sample, *shifts) in its LU scratch."""
+
+    @pytest.mark.parametrize("pair", SHIFT_PAIRS)
+    @pytest.mark.parametrize("theta", [None, 0.5], ids=["dense", "sparse"])
+    @pytest.mark.parametrize("dist", [GAUSS, CGAUSS], ids=["real", "complex"])
+    @pytest.mark.parametrize("n", [1, 2, 3, 37, 128, 512])
+    def test_equals_the_certificate_of_the_explicit_shift(self, monkeypatch, n, dist, theta, pair):
+        p_n = 1.0 if theta is None else float(n) ** (theta - 1.0)
+        cfg = EnsembleConfig(n, p_n, dist, 11, **({} if theta is None else {"theta": theta}))
+        shifts = SHIFT_PAIRS[pair]
+        for t in range(2):
+            a = sample_matrix(cfg, t)
+            before = a.entries.tobytes()
+            explicit = shift(a, *shifts)
+            with linalg.single_threaded_blas():
+                _, oracle = np.linalg.slogdet(explicit.entries)
+            s = np.linalg.svd(explicit.entries, compute_uv=False)
+            for window in ((0.0, math.inf), truncation_window(n, p_n)):
+                det = certified_log_det(a, *window, 11, t, shifts)
+                assert a.entries.tobytes() == before
+                reference = certified_log_det(explicit, *window, 11, t)
+                assert (det is None) == (reference is None)
+                if window[1] == math.inf:  # only an exactly singular A fails the open window
+                    assert (det is None) == (pair == "zero" and s[-1] == 0.0)
+                if det is None:
+                    continue
+                assert det.value == reference.value == oracle
+                assert det.lower <= s[-1] and s[0] <= det.upper
+                with monkeypatch.context() as patched:  # no LAPACK: slogdet and solve
+                    patched.setattr(linalg, "_lapack", lambda routine: None)
+                    assert certified_log_det(a, *window, 11, t, shifts) == det
+
+
+class TestAllocations:
+    """Inside a warm hold, a kernel allocates no n x n matrix it does not hand back."""
+
+    n = 256
+
+    @staticmethod
+    def _peak_bytes(kernel, sample):
+        with linalg.single_threaded_blas():
+            kernel(sample)  # the LU scratch is made once per thread and hold
+            tracemalloc.start()
+            try:
+                kernel(sample)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+    def test_shifted_certificate_allocates_less_than_one_complex_matrix(self):
+        bundled_openblas()
+        a = sample_matrix(EnsembleConfig(self.n, 1.0, GAUSS, 3), 0)
+        before = a.entries.tobytes()
+        peak = self._peak_bytes(
+            lambda m: certified_log_det(m, 0.0, math.inf, 3, 0, SHIFT_PAIRS["complex"]), a)
+        assert peak < self.n * self.n * 16
+        assert a.entries.tobytes() == before
+
+    def test_singular_values_allocate_the_gram_product_and_o_n(self):
+        bundled_openblas()
+        a = sample_matrix(EnsembleConfig(self.n, 1.0, GAUSS, 3), 0)
+        before = a.entries.tobytes()
+        peak = self._peak_bytes(singular_values, a)
+        assert peak <= self.n * self.n * 8 + 64 * self.n * 8
+        assert a.entries.tobytes() == before
+
+
 class TestOneLU:
     @pytest.mark.parametrize("complex_", [False, True], ids=["real", "complex"])
     @pytest.mark.parametrize("n", [1, 2, 3, 37, 128, 512])
@@ -315,7 +398,7 @@ class TestOneLU:
         a = draw_matrix(oracle_rng, (n, n), complex_)
         probes = draw_matrix(oracle_rng, (n, 10), complex_)
         with linalg.single_threaded_blas():
-            value, x = linalg._log_det_and_solve(a, probes)
+            value, x = linalg._log_det_and_solve(a.copy(order="F"), probes)  # LU overwrites it
             _, oracle = np.linalg.slogdet(a)
             solved = np.linalg.solve(a, probes)
         assert value == oracle
@@ -327,7 +410,8 @@ class TestOneLU:
         a = draw_matrix(oracle_rng, (6, 6), complex_)
         a[:, 2] = 0.0
         with linalg.single_threaded_blas():  # the hold that certified_log_det opens
-            assert linalg._log_det_and_solve(a, draw_matrix(oracle_rng, (6, 10), complex_)) is None
+            probes = draw_matrix(oracle_rng, (6, 10), complex_)
+            assert linalg._log_det_and_solve(a.copy(order="F"), probes) is None
 
     def test_fallback_without_the_library_returns_the_same_certificate(self, monkeypatch):
         # n * n < 10^4 keeps OpenBLAS on its serial kernels even without the thread hold
@@ -376,7 +460,7 @@ class TestLUScratch:
         def solve(job):
             a, t, b = job
             det = certified_log_det(a, 0.0, math.inf, 5, t)
-            return det, linalg._log_det_and_solve(a.entries, b)
+            return det, linalg._log_det_and_solve(a.entries.copy(order="F"), b)
 
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
@@ -463,7 +547,7 @@ class TestGramEigensolve:
         a = draw_matrix(oracle_rng, (n, n), complex_)
         g = a @ a.conj().T
         with linalg.single_threaded_blas():
-            got = linalg._eigvalsh(g)
+            got = linalg._eigvalsh(g.copy())  # a real g is solved in place
             oracle = np.linalg.eigvalsh(g)
         assert got.tobytes() == oracle.tobytes()
 

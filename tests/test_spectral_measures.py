@@ -65,9 +65,10 @@ class TestEmpiricalCDF:
         with pytest.raises(DomainError):
             EmpiricalCDF.from_csv(path)
 
-    @pytest.mark.parametrize("row", ["0.5,0.25,0.25", "0.5,abc"])
+    @pytest.mark.parametrize("row", ["0.5,0.25,0.25", "0.5,abc", "nan,0.5", "0.5,inf"])
     def test_malformed_row_names_the_path_and_line(self, tmp_path, row):
-        # a bare ValueError ("too many values to unpack", "could not convert") named neither
+        # a bare ValueError ("too many values to unpack", "could not convert") named neither,
+        # and a non-finite field reached the constructor, whose error names no line
         path = tmp_path / "bad.csv"
         path.write_text(f"x,weight\n0.5,0.5\n\n  \n{row}\n")
         with pytest.raises(DomainError, match=re.escape(f"{path}: line 5")):
