@@ -275,8 +275,8 @@ def min_sv_tail(
 def largest_sv_tail(config: EnsembleConfig, trials: int) -> float:
     """Empirical frequency of s_1 >= n sqrt(p_n) (no shift).
 
-    s_1 <= ||A||_F, so a trial with ||A||_F < n sqrt(p_n) misses without a
-    spectrum; only the others take `singular_values`.
+    s_1 <= `frobenius_norm`, so a trial whose bound is below n sqrt(p_n) misses
+    without a spectrum; only the others take `singular_values`.
     """
     ceiling = _tail_ceiling(config, trials)
 

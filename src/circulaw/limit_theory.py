@@ -10,8 +10,8 @@ equivalently, with y = S + x on the real line, the cubic
     L(y) = y^3 - x*y^2 + (1 - |z|^2)*y + x*|z|^2 = 0.
 
 Where the cubic has one real root the complex pair contributes the density
-(1/pi) * Im y_+; where it has three real roots the density vanishes. The
-support edges are
+(1/pi) * Im y_+; where it has three real roots the density vanishes. Cardano's
+reduction solves L for the density, the roots and S alike. The support edges are
 
     x1^2 = (5 + 2|z|^2)/2 + ((1 + 8|z|^2)^{3/2} - 1) / (8|z|^2),
     x2^2 = (5 + 2|z|^2)/2 - ((1 + 8|z|^2)^{3/2} + 1) / (8|z|^2),
@@ -24,6 +24,7 @@ by quadrature so the identity can be checked numerically.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass, field
 from typing import Optional
@@ -34,13 +35,13 @@ from .errors import DomainError, NumericError
 from .textio import csv_text, write_text
 
 _SQRT3 = math.sqrt(3.0)
+_OMEGA = np.array([1.0, complex(-0.5, 0.5 * _SQRT3), complex(-0.5, -0.5 * _SQRT3)])  # w^k
 _T_SERIES = 1e-8  # below this |z|^2 the edge ratio uses its series value
 _GL16 = np.polynomial.legendre.leggauss(16)
 _GL8 = np.polynomial.legendre.leggauss(8)
 _EDGE_U = 0.5 ** np.arange(48, -1, -1.0)  # the potential's u-breakpoints, graded to 0
 _GRID_HALF = 2048
 _PANEL_BLOCK = 256  # panels per block; each panel sums on its own, so no size moves a bit
-_LAW_CACHE_MAX = 64
 _T_MAX = 1e10  # largest |z|^2 (|z| = 1e5); beyond it the edges lose the law's mass
 
 
@@ -72,27 +73,53 @@ def support_endpoints(z: complex):
     return x1, math.sqrt(x2_sq)
 
 
+def _depressed(x, t: float):
+    """(half_q, p_third, disc) of L(y) = w^3 + 3 p_third w + 2 half_q, w = y - x/3, for
+    real or complex x, scalar or array; disc > 0 where a real x has one real root."""
+    p = -x
+    q = 1.0 - t
+    r = x * t
+    big_p = q - p * p / 3.0
+    big_q = (2.0 / 27.0) * p * p * p - p * (q / 3.0) + r
+    half_q = 0.5 * big_q
+    p_third = big_p * (1.0 / 3.0)
+    return half_q, p_third, half_q * half_q + p_third * p_third * p_third
+
+
 def _l_roots(x, t: float):
-    """(coefficients, roots) of L(y) for real or complex x: companion-matrix
-    eigenvalues plus three Newton steps."""
+    """(coefficients, roots) of L(y), x real or complex: Cardano's x/3 + w^k u + w^-k v
+    (w = e^(2 pi i/3), u^3 the larger of -half_q +- sqrt(disc), v = -p_third/u), then
+    three Newton steps. disc is -1/108 of L's discriminant, a quadratic in x^2, as
+    half_q^2 + p_third^3 cancels at a support edge: 1.5e-11 off at x = 2 + 1e-12i, z = 0."""
+    half_q, p_third, _ = _depressed(x, t)
+    s = x * x
+    disc = (4.0 * (1.0 - t) ** 3 - (4.0 * t * s + 1.0 - 20.0 * t - 8.0 * t * t) * s) / 108.0
+    root = cmath.sqrt(disc)
+    u = max(-half_q + root, -half_q - root, key=abs) ** (1.0 / 3.0)
+    v = -p_third / u if u else 0.0  # u = 0 only at the triple root x = 0, |z| = 1
+    roots = x / 3.0 + _OMEGA * u + _OMEGA.conj() * v
     coeffs = np.array([1.0, -x, 1.0 - t, x * t])
     deriv = np.polyder(coeffs)
-    roots = np.roots(coeffs).astype(np.complex128)
+    fval = np.polyval(coeffs, roots)
     for _ in range(3):
-        fval = np.polyval(coeffs, roots)
-        dval = np.polyval(deriv, roots)
-        safe = np.abs(dval) > 0
-        roots = np.where(safe, roots - fval / np.where(safe, dval, 1.0), roots)
+        with np.errstate(all="ignore"):  # a non-finite step is never taken
+            step = roots - fval / np.polyval(deriv, roots)
+            fstep = np.polyval(coeffs, step)
+        # a step must lower |L|: at a double root L / L' is noise over noise
+        better = np.abs(fstep) < np.abs(fval)
+        roots = np.where(better, step, roots)
+        fval = np.where(better, fstep, fval)
     return coeffs, roots
 
 
 def cubic_roots(x: float, z: complex) -> np.ndarray:
-    """The three roots of L(y), via companion-matrix eigenvalues plus Newton polish.
+    """The three roots of L(y), by Cardano's formula plus Newton polish.
 
     Real coefficients get exact conjugate pairing enforced after polishing.
+    Each root's residual is checked against the sizes of L's terms at it, with
+    |y| counted as at least 1, so a root at 0 is measured on L's coefficients.
     """
     coeffs, roots = _l_roots(x, _shift(z))
-    scale = max(1.0, abs(x)) ** 3
     imag_tol = 1e-9 * max(1.0, abs(x))
     complex_mask = np.abs(roots.imag) > imag_tol
     if complex_mask.sum() == 2:
@@ -105,9 +132,10 @@ def cubic_roots(x: float, z: complex) -> np.ndarray:
         roots[real_idx] = roots[real_idx].real
     else:
         roots = roots.real.astype(np.complex128)
-    residual = np.abs(np.polyval(coeffs, roots)).max()
-    if residual > 1e-10 * scale:
-        raise NumericError(f"cubic root residual {residual:.3g} exceeds tolerance")
+    terms = np.polyval(np.abs(coeffs), np.maximum(np.abs(roots), 1.0))
+    residual = np.abs(np.polyval(coeffs, roots))
+    if not np.all(residual <= 1e-10 * terms):
+        raise NumericError(f"cubic root residual {residual.max():.3g} exceeds tolerance")
     order = np.lexsort((roots.imag, roots.real))
     return roots[order]
 
@@ -115,27 +143,25 @@ def cubic_roots(x: float, z: complex) -> np.ndarray:
 def limit_stieltjes(alpha: complex, z: complex) -> complex:
     """The unique upper-half-plane solution S(alpha, z) of the self-consistent equation.
 
-    S = y - alpha, where y is a root of L with x = alpha.
+    S + alpha is the root y of L (x = alpha) of largest imaginary part, however
+    small, and S = -y/(y^2 - |z|^2), as y - alpha cancels where |S| << |alpha|.
     """
     alpha = complex(alpha)
     if not (math.isfinite(alpha.real) and 0 < alpha.imag < math.inf):
         raise DomainError(f"alpha must be finite and lie in the upper half-plane, got {alpha}")
     t = _shift(z)
-    roots = _l_roots(alpha, t)[1] - alpha
-    candidates = roots[roots.imag > 1e-12]
-    if len(candidates) != 1:
-        raise NumericError(
-            f"expected one upper-half-plane root at alpha={alpha}, z={z}, "
-            f"found {len(candidates)}"
-        )
-    s = complex(candidates[0])
-    p = s + alpha
-    q = p * p - t
+    roots = _l_roots(alpha, t)[1]
+    y = complex(roots[np.argmax(roots.imag)])
+    q = y * y - t
     if abs(q) < 1e-14:
         raise NumericError("degenerate denominator in the self-consistent equation")
-    residual = abs(s + p / q)
-    if residual > 1e-10:
-        raise NumericError(f"self-consistent equation residual {residual:.3g}")
+    s = -y / q
+    if not s.imag > 0:
+        raise NumericError(f"no upper-half-plane root at alpha={alpha}, z={z}")
+    p = s + alpha
+    residual = abs(s + p / (p * p - t)) / abs(s)  # relative: S is tiny where |alpha| is large
+    if not residual <= 1e-10:
+        raise NumericError(f"self-consistent equation relative residual {residual:.3g}")
     return s
 
 
@@ -146,15 +172,7 @@ def _sym_density_array(x: np.ndarray, t: float) -> np.ndarray:
     conjugate pair with imaginary part (sqrt(3)/2)(u - v); three real roots
     mean zero density.
     """
-    x = np.asarray(x, dtype=np.float64)
-    p = -x
-    q = 1.0 - t
-    r = x * t
-    big_p = q - p * p / 3.0
-    big_q = (2.0 / 27.0) * p * p * p - p * (q / 3.0) + r
-    half_q = 0.5 * big_q
-    p_third = big_p * (1.0 / 3.0)
-    disc = half_q * half_q + p_third * p_third * p_third
+    half_q, _, disc = _depressed(np.asarray(x, dtype=np.float64), t)
     pos = disc > 0
     root = np.sqrt(np.where(pos, disc, 0.0))
     u = np.cbrt(-half_q + root)
@@ -251,23 +269,10 @@ class LimitLaw:
         return 2.0 * float(self._grid_f[-1])
 
 
-_LAW_CACHE: dict = {}
-
-
 def law_for_shift(z: complex) -> LimitLaw:
-    """Cached LimitLaw; keyed on |z|^2, so phases of z share one law.
-
-    The cache is emptied when it holds _LAW_CACHE_MAX laws. It takes no lock:
-    concurrent misses on one shift may each build the law, and every build is
-    identical. A shift beyond |z| = 1e5 raises DomainError and is never cached."""
-    t = _shift(z)
-    law = _LAW_CACHE.get(t)
-    if law is None:
-        law = LimitLaw.for_shift(z)
-        if len(_LAW_CACHE) >= _LAW_CACHE_MAX:
-            _LAW_CACHE.clear()
-        _LAW_CACHE[t] = law
-    return law
+    """The LimitLaw of shift z, built on each call (no campaign asks for one |z|
+    twice); a shift beyond |z| = 1e5 raises DomainError."""
+    return LimitLaw.for_shift(z)
 
 
 def limit_cdf(x, z: complex):

@@ -451,6 +451,24 @@ class TestLargestSvTail:
         assert got == float(np.mean(np.array(s1) >= cfg.n * math.sqrt(cfg.p_n)))
         assert 0.0 < got and 0 < len(calls) < 60
 
+    def test_screen_keeps_a_trial_whose_s1_is_the_ceiling(self, monkeypatch):
+        # a rank-one A has s_1 = ||A||_F, and its rounded norm can sit an ulp below
+        # the s_1 that `singular_values` returns; put the ceiling exactly on that s_1
+        from circulaw import MatrixSample, singular_values
+
+        gen = np.random.default_rng(7)
+        for _ in range(100):
+            a = np.outer(gen.uniform(0.1, 1.0, 2), gen.uniform(0.1, 1.0, 2))
+            s1 = float(singular_values(MatrixSample(a)).values[0])
+            if np.linalg.norm(a) < s1:
+                break
+        else:
+            pytest.fail("no rank-one matrix whose rounded norm falls below s_1")
+        cfg = EnsembleConfig(2, (s1 / 2.0) ** 2, GAUSS, 1)
+        assert cfg.n * math.sqrt(cfg.p_n) == s1
+        monkeypatch.setattr(invertibility, "sample_matrix", lambda config, t: MatrixSample(a))
+        assert largest_sv_tail(cfg, trials=50) == 1.0
+
     def test_threshold_monotonicity_on_same_data(self):
         from circulaw import sample_matrix, singular_values
 

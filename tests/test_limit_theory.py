@@ -1,3 +1,4 @@
+import cmath
 import math
 import sys
 import threading
@@ -24,6 +25,29 @@ from circulaw import (
 )
 from circulaw import limit_theory
 from circulaw.limit_theory import LimitLaw, export_tabulation, law_for_shift
+
+
+# The shifts of the solver oracle: 0, both sides of |z| = 1, and up to the domain's edge
+ORACLE_SHIFTS = [0.0, 1e-6, 0.3, 1 - 1e-6, 1.0, 1 + 1e-6, 1.5, 3.0, 10.0, 100.0, 1e3, 1e5]
+
+
+def companion_roots(x, t):
+    """Reference roots of L(y): companion-matrix eigenvalues plus three Newton steps."""
+    coeffs = np.array([1.0, -x, 1.0 - t, x * t])
+    deriv = np.polyder(coeffs)
+    roots = np.roots(coeffs).astype(np.complex128)
+    for _ in range(3):
+        fval = np.polyval(coeffs, roots)
+        dval = np.polyval(deriv, roots)
+        safe = np.abs(dval) > 0
+        roots = np.where(safe, roots - fval / np.where(safe, dval, 1.0), roots)
+    return roots
+
+
+def semicircle_stieltjes(alpha):
+    """Closed form at z = 0, S = (-alpha + sqrt(alpha - 2) sqrt(alpha + 2)) / 2, written
+    as 2 / (-alpha - sqrt(alpha - 2) sqrt(alpha + 2)) so that no two terms cancel."""
+    return 2.0 / (-alpha - cmath.sqrt(alpha - 2.0) * cmath.sqrt(alpha + 2.0))
 
 
 def semicircle_density(x):
@@ -105,6 +129,25 @@ class TestCubicRoots:
             assert complex(roots.sum()) == pytest.approx(x, abs=1e-9)
             assert complex(roots.prod()) == pytest.approx(-x * t, abs=1e-9)
 
+    @pytest.mark.parametrize("az", ORACLE_SHIFTS)
+    def test_against_the_companion_oracle(self, az):
+        # every root passes the residual check scaled by L's term sizes (taken at
+        # |y| >= 1), well inside its 1e-10, and sits on a companion root
+        t = az * az
+        for x in np.linspace(-60.0, 60.0, 241):
+            roots = cubic_roots(x, az)
+            size = np.maximum(np.abs(roots), 1.0)
+            terms = ((size + abs(x)) * size + abs(1.0 - t)) * size + abs(x) * t
+            assert np.all(np.abs(np.polyval([1.0, -x, 1.0 - t, x * t], roots)) <= 1e-15 * terms)
+            for ref in companion_roots(x, t):
+                assert np.min(np.abs(roots - ref)) <= 1e-9 * max(1.0, abs(ref))
+
+    def test_residual_scales_with_the_shift(self):
+        # the bound was 1e-10 max(1, |x|)^3, blind to |z|^2: here it rejected exact roots
+        roots = cubic_roots(5.0, 1e3 + 0j)
+        for ref in companion_roots(5.0, 1e6):
+            assert np.min(np.abs(roots - ref)) <= 1e-14 * abs(ref)
+
     def test_conjugate_pairing(self, oracle_rng):
         for _ in range(50):
             roots = cubic_roots(float(oracle_rng.uniform(-2, 2)), 0.4 + 0.1j)
@@ -128,9 +171,38 @@ class TestLimitStieltjes:
 
     @pytest.mark.parametrize("alpha", [math.nan * 1j, complex(math.nan, 1), complex(0, math.inf)])
     def test_nonfinite_alpha_rejected(self, alpha):
-        # NaN would reach the root solver, whose LinAlgError the CLI reads as a usage error
+        # no such alpha lies in the upper half-plane; it must not reach Cardano's formula
         with pytest.raises(DomainError):
             limit_stieltjes(alpha, 0j)
+
+    @pytest.mark.parametrize("eta", [1e-10, 1e-12])
+    def test_near_the_real_axis(self, eta):
+        # an absolute cut Im S > 1e-12 rejected alpha = -10 + 1e-12i: the Herglotz
+        # root is the one with the largest imaginary part, however small
+        for x in (-10.0, -2.0, 0.5, 2.0, 10.0):
+            alpha = complex(x, eta)
+            s = limit_stieltjes(alpha, 0j)
+            exact = semicircle_stieltjes(alpha)
+            assert s.imag > 0 and abs(s - exact) <= 1e-12 * abs(exact)
+            for az in (0.5, 1.0, 1.5):
+                assert limit_stieltjes(alpha, az).imag > 0
+
+    @pytest.mark.parametrize("az", ORACLE_SHIFTS)
+    def test_against_the_companion_oracle(self, az):
+        t = az * az
+        for x in np.linspace(-60.0, 60.0, 61):
+            for eta in np.geomspace(1e-12, 100.0, 8):
+                alpha = complex(x, eta)
+                s = limit_stieltjes(alpha, az)
+                p = s + alpha
+                assert s.imag > 0 and abs(s + p / (p * p - t)) <= 1e-10 * abs(s)
+                if az == 0.0:
+                    exact = semicircle_stieltjes(alpha)
+                    assert abs(s - exact) <= 1e-12 * abs(exact)
+                # the oracle's S = y - alpha cancels when |S| << |alpha|, hence the scale
+                ref = companion_roots(alpha, t)
+                ref_s = complex(ref[np.argmax(ref.imag)]) - alpha
+                assert abs(s - ref_s) <= 1e-9 * max(1.0, abs(alpha))
 
     def test_bounds_on_grid(self):
         for az in (0.0, 0.5, 1.0, 1.5):
@@ -301,9 +373,11 @@ class TestPotentialFromLaw:
         assert abs(potential_from_law(z) - disc_potential(z)) <= 1e-9
 
     def test_builds_no_grid(self, monkeypatch):
-        monkeypatch.setattr(limit_theory, "_LAW_CACHE", {})
+        def build(z):
+            raise AssertionError("potential_from_law built a CDF grid")
+
+        monkeypatch.setattr(LimitLaw, "for_shift", build)
         potential_from_law(0.5 + 0.5j)
-        assert limit_theory._LAW_CACHE == {}
 
     def test_radial_derivative_matches_g_field(self):
         h = 1e-3
@@ -384,36 +458,20 @@ class TestNonFiniteShift:
                                    1e8, 1e17, 1e104],
                              ids=["nan", "inf", "1+nanj", "1e200", "1e8", "1e17", "1e104"])
     @pytest.mark.parametrize("name", sorted(CALLS))
-    def test_raises_domain_error_and_caches_nothing(self, name, z, monkeypatch):
-        monkeypatch.setattr(limit_theory, "_LAW_CACHE", {})
+    def test_raises_domain_error(self, name, z):
         with pytest.raises(DomainError):
             self.CALLS[name](z)
-        assert limit_theory._LAW_CACHE == {}
 
-    def test_largest_shift_accepted(self, monkeypatch):
+    def test_largest_shift_accepted(self):
         # the bound: the mass is off by 6.7e-7 here, by 4.5e-5 at |z| = 1e6 and 0.64 at 1e8
-        monkeypatch.setattr(limit_theory, "_LAW_CACHE", {})
         z = 1e5 + 0j
         assert abs(law_for_shift(z).total_mass() - 1.0) <= 1e-6
         assert abs(potential_from_law(z) - disc_potential(z)) <= 1e-5
 
 
-class TestLawCache:
-    def test_bounded_and_rebuilt_bit_for_bit(self, monkeypatch):
-        monkeypatch.setattr(limit_theory, "_LAW_CACHE", {})
-        cap = limit_theory._LAW_CACHE_MAX
-        first = law_for_shift(0.0)
-        for k in range(3 * cap):
-            law_for_shift(complex(0.01 * k, 0.0))
-            assert len(limit_theory._LAW_CACHE) <= cap
-        assert len(limit_theory._LAW_CACHE) == cap
-        again = law_for_shift(0.0)
-        assert again is not first
-        assert np.array_equal(again._grid_x, first._grid_x)
-        assert np.array_equal(again._grid_f, first._grid_f)
-
-    def test_concurrent_misses_return_complete_laws(self, monkeypatch):
-        monkeypatch.setattr(limit_theory, "_LAW_CACHE", {})
+class TestLawForShift:
+    def test_concurrent_builds_return_complete_laws(self):
+        # the module keeps no state, so threads building one law must get equal laws
         fresh = LimitLaw.for_shift(0.5 + 0.5j)
         laws = []
         readers = [threading.Thread(target=lambda: laws.append(law_for_shift(0.5 + 0.5j)))

@@ -176,6 +176,16 @@ class TestSingularValues:
         with pytest.raises(NumericError):
             kernel(from_array(a))
 
+    def test_frobenius_norm_bounds_s1_to_the_last_bit(self, oracle_rng):
+        # at n = 1, complex, s_1 = |a| = ||A||_F, and the rounded norm can sit an ulp
+        # below the SVD's s_1; the bound is widened by its rounding, so it cannot
+        a = oracle_rng.normal(size=(500, 1, 1)) + 1j * oracle_rng.normal(size=(500, 1, 1))
+        s1 = np.linalg.svd(a, compute_uv=False)[:, 0]
+        low = np.linalg.norm(a, axis=(1, 2)) < s1
+        assert low.any()
+        for m, top in zip(a[low], s1[low]):
+            assert linalg.frobenius_norm(from_array(m)) >= top
+
     def test_constructed_bottom_within_eps_of_s1(self, oracle_rng):
         # Gram squaring clips s^2 below eps s_1^2 to 0; the SVD fallback must not
         n = 200

@@ -9,7 +9,7 @@ _TREES = {path.stem: ast.parse(path.read_text(encoding="utf-8"))
           for path in sorted(Path(circulaw.__file__).resolve().parent.glob("*.py"))}
 # BLAS products, and numpy functions that form one or call LAPACK out of sight
 _BLAS_CALLS = {"dot", "vdot", "inner", "matmul", "tensordot", "einsum", "multi_dot",
-               "polyfit", "cov", "corrcoef"}
+               "polyfit", "cov", "corrcoef", "roots"}
 _THREAD_STATE = {"local", "get_ident", "get_native_id"}
 _MUTATORS = {"clear", "setdefault", "update", "pop", "popitem", "append", "extend", "insert", "add"}
 
@@ -56,10 +56,9 @@ def test_only_linalg_and_the_pool_hold_blas():
 
 def test_only_linalg_forms_blas_products():
     # so every BLAS call runs under linalg's hold, and sums elsewhere keep their bits
-    # for any block size, thread count or OpenBLAS kernel. Two measured exceptions
-    # in limit_theory: np.roots's 3 x 3 companion eigensolve in _l_roots feeds only
-    # cubic_roots and limit_stieltjes, in no report; leggauss's nodes, made once at
-    # import, had the same bits on the SkylakeX, Haswell, Sandybridge and Prescott cores
+    # for any block size, thread count or OpenBLAS kernel. One measured exception in
+    # limit_theory: leggauss's nodes, made once at import, had the same bits on the
+    # SkylakeX, Haswell, Sandybridge and Prescott cores
     def product(node):
         if isinstance(node, (ast.BinOp, ast.AugAssign)):
             return isinstance(node.op, ast.MatMult)
@@ -106,7 +105,6 @@ def test_only_linalg_keeps_per_thread_state_or_buffers():
     assert held == {
         ("linalg", "_scratch"),  # the LU scratch
         ("linalg", "openblas"),  # the library handle
-        ("limit_theory", "_LAW_CACHE"),  # frozen laws with read-only grids, no scratch
         ("experiments", "_RUNNERS"),  # the runner of each kind, filled at import
         ("rng", "_uniform_count"),  # an int per Bernoulli p
     }
