@@ -31,6 +31,7 @@ DIST_TAGS = (
 _SQRT3 = math.sqrt(3.0)
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 _TWO_PI = 2.0 * math.pi
+_SIGN_BIT = np.uint64(1 << 63)
 
 
 def _whole(name: str, value) -> int:
@@ -215,6 +216,15 @@ def _polar(words: np.ndarray):
     return radius, angle
 
 
+def _signed(words: np.ndarray, bit: int, magnitude: float, out: np.ndarray) -> np.ndarray:
+    """Write into the uint64 array `out` the float64 bits of +magnitude where bit `bit`
+    of the word is 0 and of -magnitude where it is 1: that bit becomes the sign bit."""
+    np.left_shift(words, np.uint64(63 - bit), out=out)
+    out &= _SIGN_BIT
+    out |= np.float64(magnitude).view(np.uint64)
+    return out
+
+
 def _values_from_words(dist: EntryDistribution, words: np.ndarray) -> np.ndarray:
     """Map word arrays of shape (..., words_per_draw) to entry values.
 
@@ -231,11 +241,13 @@ def _values_from_words(dist: EntryDistribution, words: np.ndarray) -> np.ndarray
         z1 = radius * np.sin(angle)
         return (z0 + 1j * z1) * _INV_SQRT2
     if dist.tag == "Rademacher":
-        return np.where(words[..., 0] >> np.uint64(63) == 0, 1.0, -1.0)
+        signs = np.empty(words.shape[:-1], np.uint64)
+        return _signed(words[..., 0], 63, 1.0, signs).view(np.float64)
     if dist.tag == "ComplexRademacher":
-        re = np.where(words[..., 0] >> np.uint64(63) == 0, 1.0, -1.0)
-        im = np.where((words[..., 0] >> np.uint64(62)) & np.uint64(1) == 0, 1.0, -1.0)
-        return (re + 1j * im) * _INV_SQRT2
+        pairs = np.empty((*words.shape[:-1], 2), np.uint64)  # (re, im) of each complex128
+        _signed(words[..., 0], 63, _INV_SQRT2, pairs[..., 0])
+        _signed(words[..., 0], 62, _INV_SQRT2, pairs[..., 1])
+        return pairs.view(np.complex128)[..., 0]
     if dist.tag == "UniformSymmetric":
         u = rng.uniform_from_words(words[..., 0])
         return (2.0 * u - 1.0) * _SQRT3

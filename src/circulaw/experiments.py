@@ -279,29 +279,32 @@ def run_circular_law(spec: ExperimentSpec, report: ExperimentReport) -> None:
     report.meta["failed_trials"] = len(results) - len(ok)
 
 
-def _pooled_sv_cdf(cfg: EnsembleConfig, z: complex, trials: int) -> EmpiricalCDF:
-    def one_trial(t):
-        return np.asarray(singular_values(shift(sample_matrix(cfg, t), z)).values) ** 2
-
-    atoms = np.concatenate(parallel_map(one_trial, range(trials)))
-    return EmpiricalCDF.from_values(atoms)
-
-
 @_runner("SvLaw", ["row", "n", "z_re", "z_im", "trials", "delta", "slope"])
 def run_sv_law(spec: ExperimentSpec, report: ExperimentReport) -> None:
     """Trial-averaged squared-singular-value law against the limit CDF.
 
+    Every shift's limit law is built first, so a bad z fails before any
+    trial; then one pool pass runs every (z, n, trial) task, each sampling its
+    trial once, and the atoms are pooled per (z, n) in row order.
     With an n ladder, also reports the fitted slope of ln Delta_n over ln n
     as a decay diagnostic (the theoretical rate is only an upper bound, so the
     slope is informational).
     """
     ns = list(spec.n_values) or [spec.ensemble.n]
-    for z in spec.z_points:
-        law = law_for_shift(z)
+    laws = [law_for_shift(z) for z in spec.z_points]
+    cfgs = [_resize(spec.ensemble, n) for n in ns]
+
+    def one_trial(task):
+        z, cfg, t = task
+        return np.asarray(singular_values(shift(sample_matrix(cfg, t), z)).values) ** 2
+
+    tasks = [(z, cfg, t) for z in spec.z_points for cfg in cfgs for t in range(spec.trials)]
+    atoms = iter(parallel_map(one_trial, tasks))
+    for z, law in zip(spec.z_points, laws):
         deltas = []
         for n in ns:
-            cfg = _resize(spec.ensemble, n)
-            pooled = _pooled_sv_cdf(cfg, z, spec.trials)
+            trials = [next(atoms) for _ in range(spec.trials)]
+            pooled = EmpiricalCDF.from_values(np.concatenate(trials))
             delta = ks_distance(pooled, law.cdf_squared)
             deltas.append(delta)
             report.append(
@@ -323,6 +326,9 @@ def run_sv_law(spec: ExperimentSpec, report: ExperimentReport) -> None:
 def run_potential(spec: ExperimentSpec, report: ExperimentReport) -> None:
     """Empirical truncated log-determinant average vs the two exact potentials.
 
+    Both potentials of every shift are taken first, so a bad z fails before
+    any trial; then one pool pass runs every (z, trial) task, and each shift's
+    row is reduced from its trials in z order.
     Each trial's log|det| comes from `certified_log_det`, which forms the
     smoothed shift of the sample in its own LU scratch; a trial whose
     certificate does not clear the truncation window takes the whole spectrum
@@ -331,24 +337,23 @@ def run_potential(spec: ExperimentSpec, report: ExperimentReport) -> None:
     cfg = spec.ensemble
     r = spec.resolve_r(cfg)
     floor, ceiling = truncation_window(cfg.n, cfg.p_n, spec.b_exponent, spec.c_cut)
+    exact = [(disc_potential(z), potential_from_law(z)) for z in spec.z_points]
 
-    def one_trial_factory(z):
-        def one_trial(t):
-            sample = sample_matrix(cfg, t)
-            shifts = (r * draw_unit_disc(smoothing_stream(cfg, t)), z)  # as smoothing_shift's
-            det = certified_log_det(sample, floor, ceiling, cfg.master_seed, t, shifts)
-            if det is None:
-                return singular_values(smoothing_shift(sample, r, smoothing_stream(cfg, t), z))
-            return det
+    def one_trial(task):
+        z, t = task
+        sample = sample_matrix(cfg, t)
+        shifts = (r * draw_unit_disc(smoothing_stream(cfg, t)), z)  # as smoothing_shift's
+        det = certified_log_det(sample, floor, ceiling, cfg.master_seed, t, shifts)
+        if det is None:
+            return singular_values(smoothing_shift(sample, r, smoothing_stream(cfg, t), z))
+        return det
 
-        return one_trial
-
-    for z in spec.z_points:
-        u_disc = disc_potential(z)
-        u_law = potential_from_law(z)
-        spectra = parallel_map(one_trial_factory(z), range(spec.trials))
+    tasks = [(z, t) for z in spec.z_points for t in range(spec.trials)]
+    spectra = iter(parallel_map(one_trial, tasks))
+    for z, (u_disc, u_law) in zip(spec.z_points, exact):
+        trials = [next(spectra) for _ in range(spec.trials)]
         try:
-            est = log_potential_empirical(spectra, cfg.p_n, spec.b_exponent, spec.c_cut)
+            est = log_potential_empirical(trials, cfg.p_n, spec.b_exponent, spec.c_cut)
         except EstimationError:  # every trial excluded: the row is flagged
             stats = dict(included=0, excluded=spec.trials, flagged=True)
         else:

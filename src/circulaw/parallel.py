@@ -1,17 +1,27 @@
 """Deterministic trial-level parallelism, the only level of parallelism.
 
-Workers only evaluate pure per-trial functions; results are gathered in
-trial order and reduced sequentially, so outputs are identical for any
-worker count. CIRCULAW_THREADS caps the pool size.
+Workers only evaluate pure per-task functions; results are gathered in item
+order and reduced sequentially, so outputs are identical for any worker
+count. CIRCULAW_THREADS caps the pool size. The SvLaw and Potential runners
+hand the pool every (z, n, trial) task of a campaign at once, so a campaign
+waits for its slowest worker once, not once per shift.
+
+`parallel_map` starts min(k, len(items)) worker threads. Each pulls the next
+index from one shared counter, evaluates that item and writes its result
+into the slot of that index, until the items run out: no Future per item,
+and no worker waits while another still has items to hand out. The first
+failure stops the hand-out; the items already started finish, and the
+exception of the lowest failing index is raised. Indices are handed out in
+order, so every item below it has run, as in a serial loop.
 
 Every linalg kernel holds numpy's bundled OpenBLAS at one thread
 (`linalg.single_threaded_blas`) for its own call, so reports do not depend
 on OPENBLAS_NUM_THREADS, and the pool's workers do not oversubscribe the
 cores (CIRCULAW_THREADS=1 means one core). `parallel_map` also holds it for
-the whole pool, for two reasons. The thread count changes once per pool
+the whole pass, for two reasons. The thread count changes once per pass
 instead of twice per kernel call, with the caller's count restored when the
 outermost `parallel_map` returns or raises. And each worker keeps one LU
-scratch buffer (`linalg`) for all of its trials, as the buffers live until
+scratch buffer (`linalg`) for all of its tasks, as the buffers live until
 the outermost hold ends. If no OpenBLAS library is found, BLAS threading is
 left alone.
 """
@@ -19,7 +29,7 @@ left alone.
 from __future__ import annotations
 
 import os
-from concurrent.futures import ThreadPoolExecutor
+import threading
 
 from .errors import ConfigError
 from .linalg import single_threaded_blas
@@ -39,10 +49,35 @@ def thread_count() -> int:
 
 
 def parallel_map(fn, items):
+    """[fn(item) for item in items], on min(CIRCULAW_THREADS, len(items)) workers."""
     items = list(items)
     k = min(thread_count(), max(len(items), 1))
     with single_threaded_blas():
         if k == 1:
             return [fn(item) for item in items]
-        with ThreadPoolExecutor(max_workers=k) as pool:
-            return list(pool.map(fn, items))
+        results = [None] * len(items)
+        failures = []  # (index, exception) of each failed item
+        indices = iter(range(len(items)))
+        lock = threading.Lock()
+
+        def work():
+            while True:
+                with lock:  # a failure seen here ends the hand-out
+                    i = None if failures else next(indices, None)
+                if i is None:
+                    return
+                try:
+                    results[i] = fn(items[i])
+                except BaseException as exc:
+                    with lock:
+                        failures.append((i, exc))
+                    return
+
+        workers = [threading.Thread(target=work) for _ in range(k)]
+        for worker in workers:
+            worker.start()
+        for worker in workers:
+            worker.join()
+        if failures:
+            raise min(failures, key=lambda failure: failure[0])[1]
+        return results

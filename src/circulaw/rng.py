@@ -26,12 +26,13 @@ Two implementations are kept in lockstep: a Python-int path (`mix64`,
 mixer `_mix64_inplace` runs every pass in place; the test suite checks they
 agree bit for bit. The array path derives keys two ways: `key_blocks` walks
 rows in blocks of at most BLOCK_KEYS keys on buffers reused from block to
-block, so a sample of n^2 entries needs O(BLOCK_KEYS) scratch memory beside
-its output, and `keys_at` takes the keys at given (row, column) pairs, the
-whole grid included (`grid_keys`). Keys are positional, so the blocking
-never changes a bit. The buffers belong to one call, never to the
-module, so several threads may sample at once. `uniform_below` tests
-`uniform < p` as one integer compare on the words.
+block, so a sample of n^2 entries needs O(BLOCK_KEYS) scratch memory and
+its n row hashes (absorbed once per call) beside its output, and `keys_at`
+takes the keys at given (row, column) pairs, the whole grid included
+(`grid_keys`). Keys are positional, so the blocking never changes a bit.
+The buffers belong to one call, never to the module, so several threads may
+sample at once. `uniform_below` tests `uniform < p` as one integer compare
+on the words.
 """
 
 from __future__ import annotations
@@ -124,19 +125,21 @@ def key_blocks(master_seed: int, role: int, aux: int, rows: range, ncols: int):
     row when a row is longer): `block` is the range of j it covers,
     keys[i, k] is the key of (block[i], k), and `scratch` is a uint64 array
     of the same shape the caller may overwrite. Both are views of buffers
-    that every block reuses, so use them before the next step. A key does
-    not depend on the grid's size, so any row range gives the grid's bits.
+    that every block reuses, so use them before the next step. The row
+    hashes are absorbed once per call, O(len(rows)) words beside the
+    O(BLOCK_KEYS) block buffers. A key does not depend on the grid's size,
+    so any row range gives the grid's bits.
     """
     h0 = derive_key(master_seed, role, aux)
+    hr = _absorbed(h0, np.arange(rows.start, rows.stop, dtype=np.uint64))
     inner_c = _inner(np.arange(ncols, dtype=np.uint64))
     height = max(1, min(len(rows), BLOCK_KEYS // max(ncols, 1)))
     keys_buf = np.empty((height, ncols), np.uint64)
     scratch_buf = np.empty_like(keys_buf)
-    for start in range(rows.start, rows.stop, height):
-        block = range(start, min(start + height, rows.stop))
+    for start in range(0, len(rows), height):
+        block = range(rows.start + start, min(rows.start + start + height, rows.stop))
         keys, scratch = keys_buf[: len(block)], scratch_buf[: len(block)]
-        hr = _absorbed(h0, np.arange(block.start, block.stop, dtype=np.uint64))
-        np.bitwise_xor(hr[:, None], inner_c, out=keys)
+        np.bitwise_xor(hr[start : start + len(block), None], inner_c, out=keys)
         yield block, _mix64_inplace(keys, scratch), scratch
 
 

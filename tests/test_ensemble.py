@@ -53,6 +53,20 @@ class TestEntryDistribution:
         draws = {draw_entry(RADEMACHER, stream) for _ in range(64)}
         assert draws == {-1.0, 1.0}
 
+    @pytest.mark.parametrize("tag", ["Rademacher", "ComplexRademacher"])
+    def test_signs_are_the_top_bits_of_the_word(self, oracle_rng, tag):
+        # bit 63 signs the real part and bit 62 the imaginary part, as a
+        # where(bit == 0, 1, -1) on each, scaled by 1/sqrt(2) in the plane
+        from circulaw.ensemble import _values_from_words
+
+        words = oracle_rng.integers(0, 2**64, size=(500, 1), dtype=np.uint64)
+        words[:4, 0] = [0, 1 << 63, 1 << 62, (1 << 63) | (1 << 62)]
+        re = np.where(words[:, 0] >> np.uint64(63) == 0, 1.0, -1.0)
+        im = np.where((words[:, 0] >> np.uint64(62)) & np.uint64(1) == 0, 1.0, -1.0)
+        expected = re if tag == "Rademacher" else (re + 1j * im) * (1.0 / math.sqrt(2.0))
+        got = _values_from_words(EntryDistribution(tag), words)
+        assert got.dtype == expected.dtype and got.tobytes() == expected.tobytes()
+
     def test_twopoint_constructor_contract(self):
         with pytest.raises(ConfigError):
             EntryDistribution("TwoPoint", a=3.0, p=1.0 / 9.0)  # variance 9/8, not 1

@@ -7,7 +7,7 @@ import pathlib
 import numpy as np
 import pytest
 
-from circulaw import ConfigError, EnsembleConfig, EntryDistribution, experiments
+from circulaw import ConfigError, DomainError, EnsembleConfig, EntryDistribution, experiments
 from circulaw.ensemble import sample_matrix, smoothing_stream
 from circulaw.experiments import (
     _JSON_KEY,
@@ -412,6 +412,63 @@ class TestReproducibility:
         spec = ExperimentSpec(kind="MaxSv", ensemble=small_ensemble(n=8), trials=50)
         report = run_experiment(spec)
         assert report.meta["kind"] == "MaxSv"
+
+
+class TestOnePass:
+    """SvLaw and Potential run every (z, n, trial) task in one pool pass."""
+
+    SPECS = {
+        "SvLaw": dict(kind="SvLaw", ensemble=small_ensemble(n=16, seed=3), trials=3,
+                      z_points=(0.5 + 0j, 1.5 + 0j), n_values=(12, 16)),
+        "Potential": dict(kind="Potential", ensemble=small_ensemble(n=16, seed=3), trials=3,
+                          z_points=(0j, 0.5 + 0.5j, 2 + 0j), r=0.1),
+    }
+
+    @staticmethod
+    def _count_calls(monkeypatch):
+        """(pool passes, (n, trial) of every sample) of the runs from now on."""
+        passes, samples = [], []
+        pool, sampler = experiments.parallel_map, experiments.sample_matrix
+
+        def counted_pool(fn, items):
+            passes.append(len(items))
+            return pool(fn, items)
+
+        def counted_sampler(cfg, t):
+            samples.append((cfg.n, t))
+            return sampler(cfg, t)
+
+        monkeypatch.setattr(experiments, "parallel_map", counted_pool)
+        monkeypatch.setattr(experiments, "sample_matrix", counted_sampler)
+        return passes, samples
+
+    @pytest.mark.parametrize("kind", sorted(SPECS))
+    def test_one_pool_pass_and_one_sample_per_trial_z_and_n(self, monkeypatch, kind):
+        spec = ExperimentSpec(**self.SPECS[kind])
+        passes, samples = self._count_calls(monkeypatch)
+        run_experiment(spec)
+        ns = spec.n_values or (spec.ensemble.n,)
+        assert passes == [len(spec.z_points) * len(ns) * spec.trials]
+        expected = [(n, t) for n in ns for t in range(spec.trials)] * len(spec.z_points)
+        assert sorted(samples) == sorted(expected)
+
+    @pytest.mark.parametrize("kind", sorted(SPECS))
+    def test_a_shift_beyond_the_bound_fails_before_any_sample(self, monkeypatch, kind):
+        spec = ExperimentSpec(**dict(self.SPECS[kind], z_points=(0.5 + 0j, 2e5 + 0j)))
+        passes, samples = self._count_calls(monkeypatch)
+        with pytest.raises(DomainError, match="1e5"):
+            run_experiment(spec)
+        assert passes == [] and samples == []
+
+    @pytest.mark.parametrize("kind", sorted(SPECS))
+    def test_reports_are_equal_bit_for_bit_at_1_2_and_8_workers(self, monkeypatch, kind):
+        spec = ExperimentSpec(**self.SPECS[kind])
+        blobs = set()
+        for workers in ("1", "2", "8"):
+            monkeypatch.setenv("CIRCULAW_THREADS", workers)
+            report = run_experiment(spec)
+            blobs.add(experiments.render_report(report, "json"))
+        assert len(blobs) == 1
 
 
 def _spec_dict(kind, **fields):

@@ -9,6 +9,7 @@ import pytest
 from scipy import integrate, optimize
 
 from circulaw import (
+    CirculawError,
     DomainError,
     EnsembleConfig,
     EntryDistribution,
@@ -467,6 +468,28 @@ class TestNonFiniteShift:
         z = 1e5 + 0j
         assert abs(law_for_shift(z).total_mass() - 1.0) <= 1e-6
         assert abs(potential_from_law(z) - disc_potential(z)) <= 1e-5
+
+
+class TestHugeArguments:
+    # x^4 in the roots' discriminant overflowed from |x| ~ 1e77, and the cube root of
+    # the infinite result raised a bare OverflowError ("complex exponentiation")
+    CALLS = {
+        **{f"cubic_roots-{x}": (lambda x=x: cubic_roots(x, 0.5))
+           for x in (1e70, 1e78, 1e100, -1e100, math.inf, -math.inf, math.nan)},
+        "limit_stieltjes-1e100+1j": lambda: limit_stieltjes(1e100 + 1j, 0.5),
+    }
+
+    @pytest.mark.parametrize("name", list(CALLS))
+    def test_every_failure_is_a_circulaw_error(self, name):
+        try:
+            self.CALLS[name]()
+        except Exception as exc:
+            assert isinstance(exc, CirculawError), repr(exc)
+
+    @pytest.mark.parametrize("x", [1e78, -1e100, math.inf, math.nan])
+    def test_beyond_the_bound_raises_domain_error_naming_it(self, x):
+        with pytest.raises(DomainError, match=r"\|x\| <= 1e50"):
+            cubic_roots(x, 0.5)
 
 
 class TestLawForShift:

@@ -7,6 +7,7 @@ import platform
 import subprocess
 import sys
 import threading
+import time
 from pathlib import Path
 
 import pytest
@@ -246,3 +247,75 @@ def test_import_binds_no_library():
     done = subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True, timeout=120, check=True)
     assert done.stdout.strip() == "0"
+
+
+class TestWorkerLoop:
+    """parallel_map's workers pull item indices from one shared counter."""
+
+    @pytest.mark.parametrize("workers", ["1", "2", "3", "8"])
+    def test_results_come_back_in_item_order(self, monkeypatch, workers):
+        monkeypatch.setenv("CIRCULAW_THREADS", workers)
+
+        def uneven(i):  # later items often finish first
+            time.sleep(0.004 * ((7 * i) % 5))
+            return i * i
+
+        assert parallel.parallel_map(uneven, range(23)) == [i * i for i in range(23)]
+        assert parallel.parallel_map(uneven, []) == []
+
+    def test_lowest_index_failure_wins_and_no_item_starts_after_one(self, monkeypatch):
+        # item 2 fails at once and item 0 only after it; items 0 and 1 are in flight
+        # then, so they finish, and none of items 3.. may start
+        monkeypatch.setenv("CIRCULAW_THREADS", "3")
+        started = []
+
+        def task(i):
+            started.append(i)
+            if i == 2:
+                raise ValueError("item 2")
+            time.sleep(0.2)
+            if i == 0:
+                raise ValueError("item 0")
+            return i
+
+        with pytest.raises(ValueError, match="item 0"):
+            parallel.parallel_map(task, range(20))
+        assert sorted(started) == [0, 1, 2]
+
+    @pytest.mark.parametrize("workers", [1, 3])
+    def test_at_most_k_worker_threads_run(self, monkeypatch, workers):
+        monkeypatch.setenv("CIRCULAW_THREADS", str(workers))
+        threads = set()
+
+        def task(i):
+            threads.add(threading.get_ident())
+            time.sleep(0.001)
+            return i
+
+        parallel.parallel_map(task, range(40))
+        assert 1 <= len(threads) <= workers
+
+    def test_each_worker_keeps_one_lu_scratch_for_a_whole_potential_campaign(self, monkeypatch):
+        # three shifts are one pass, so no worker's buffer is dropped and made again
+        from circulaw import EnsembleConfig, EntryDistribution
+        from circulaw.experiments import ExperimentSpec, run_potential
+
+        monkeypatch.setenv("CIRCULAW_THREADS", "2")
+        handed, scratch = [], linalg._scratch_matrix
+
+        def watched(n, dtype):
+            buf = scratch(n, dtype)
+            handed.append((threading.get_ident(), buf))  # kept alive, so ids stay distinct
+            return buf
+
+        monkeypatch.setattr(linalg, "_scratch_matrix", watched)
+        ensemble = EnsembleConfig(24, 1.0, EntryDistribution("ComplexGaussian"), 4)
+        spec = ExperimentSpec(kind="Potential", ensemble=ensemble, trials=6, r=0.1,
+                              z_points=(0j, 0.5 + 0.5j, 2 + 0j))
+        run_potential(spec)
+        assert len(handed) == 3 * 6
+        buffers = {}
+        for ident, buf in handed:
+            buffers.setdefault(ident, set()).add(id(buf))
+        assert 1 <= len(buffers) <= 2
+        assert all(len(ids) == 1 for ids in buffers.values()), buffers

@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 
 from circulaw import rng
 
@@ -23,6 +24,21 @@ class TestMixerLockstep:
         assert at.tolist() == [rng.derive_key(99, rng.ROLE_VALUE, 4, j, k)
                                for j, k in zip(rows, cols)]
         assert rng.keys_at(99, rng.ROLE_VALUE, 4, rows[:0], cols[:0], 5, 7).size == 0
+
+    @pytest.mark.parametrize("rows, ncols", [(range(0, 9), 5), (range(3, 300), 200),
+                                             (range(7, 10), 40_000), (range(0, 0), 4)])
+    def test_key_blocks_walk_the_grid(self, rows, ncols, monkeypatch):
+        # small blocks, so several walk each range and the row hashes are sliced
+        monkeypatch.setattr(rng, "BLOCK_KEYS", 1 << 10)
+        grid = rng.grid_keys(99, rng.ROLE_VALUE, 4, rows.stop, ncols)[rows.start :]
+        walked, covered = [], []
+        for block, keys, scratch in rng.key_blocks(99, rng.ROLE_VALUE, 4, rows, ncols):
+            assert keys.shape == scratch.shape == (len(block), ncols)
+            walked.append(keys.copy())
+            covered.extend(block)
+        assert covered == list(rows)
+        if walked:
+            assert np.concatenate(walked).tobytes() == grid.tobytes()
 
     def test_word_grid_matches_stream(self):
         keys = rng.grid_keys(7, rng.ROLE_MASK, 0, 3, 3)

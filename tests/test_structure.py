@@ -11,6 +11,10 @@ _TREES = {path.stem: ast.parse(path.read_text(encoding="utf-8"))
 _BLAS_CALLS = {"dot", "vdot", "inner", "matmul", "tensordot", "einsum", "multi_dot",
                "polyfit", "cov", "corrcoef", "roots"}
 _THREAD_STATE = {"local", "get_ident", "get_native_id"}
+# what starts a thread or process: a second level of parallelism would need one
+_SPAWNERS = {"Thread", "Timer", "ThreadPoolExecutor", "ProcessPoolExecutor", "Process", "Pool",
+             "start_new_thread"}
+_SPAWNING_MODULES = ("concurrent", "multiprocessing", "_thread")
 _MUTATORS = {"clear", "setdefault", "update", "pop", "popitem", "append", "extend", "insert", "add"}
 
 
@@ -52,6 +56,19 @@ def test_only_linalg_and_the_pool_hold_blas():
     assert held == {"frobenius_norm", "certified_log_det", "singular_values", "eigenvalues",
                     "distance_to_span"}
     assert len(uses) == len(held)
+
+
+def test_only_parallel_creates_threads_or_executors():
+    # the trial pool is the one level of parallelism (ROADMAP aim 2)
+    def spawns(node):
+        if isinstance(node, ast.Import):
+            return any(alias.name.split(".")[0] in _SPAWNING_MODULES for alias in node.names)
+        if isinstance(node, ast.ImportFrom):
+            return (node.module or "").split(".")[0] in _SPAWNING_MODULES \
+                or any(alias.name in _SPAWNERS for alias in node.names)
+        return _name(node) in _SPAWNERS
+
+    assert _modules_where(spawns) == {"parallel"}
 
 
 def test_only_linalg_forms_blas_products():
