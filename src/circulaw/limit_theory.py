@@ -43,7 +43,6 @@ _EDGE_U = 0.5 ** np.arange(48, -1, -1.0)  # the potential's u-breakpoints, grade
 _GRID_HALF = 2048
 _PANEL_BLOCK = 256  # panels per block; each panel sums on its own, so no size moves a bit
 _T_MAX = 1e10  # largest |z|^2 (|z| = 1e5); beyond it the edges lose the law's mass
-_X_MAX = 1e50  # largest |x| of the roots: 4 |z|^2 x^4 in their discriminant must stay finite
 
 
 def _shift(z: complex) -> float:
@@ -92,14 +91,19 @@ def _l_roots(x, t: float):
     (w = e^(2 pi i/3), u^3 the larger of -half_q +- sqrt(disc), v = -p_third/u), then
     three Newton steps. disc is -1/108 of L's discriminant, a quadratic in x^2, as
     half_q^2 + p_third^3 cancels at a support edge: 1.5e-11 off at x = 2 + 1e-12i, z = 0.
-    An x beyond |x| = 1e50, NaN and inf included, raises DomainError."""
-    if not abs(x) <= _X_MAX:
-        raise DomainError(f"x={x} is outside |x| <= 1e50")
+    u^3 and 4|x|^3 (L's terms at its roots come to ~2|x|^3) must be finite, so a NaN
+    or infinite x raises DomainError, and so does an x whose |z|^2 x^4 / 27 (in disc)
+    or 4|x|^3 overflows: from |x| ~ 1e77 at |z| = 0.5, and ~ 3.5e102 at z = 0."""
     half_q, p_third, _ = _depressed(x, t)
     s = x * x
     disc = (4.0 * (1.0 - t) ** 3 - (4.0 * t * s + 1.0 - 20.0 * t - 8.0 * t * t) * s) / 108.0
     root = cmath.sqrt(disc)
-    u = max(-half_q + root, -half_q - root, key=abs) ** (1.0 / 3.0)
+    cube = max(-half_q + root, -half_q - root, key=abs)
+    size = abs(x)
+    if not (cmath.isfinite(cube) and math.isfinite(4.0 * size * size * size)):
+        raise DomainError(f"x={x} is out of range: Cardano's u^3 and 4|x|^3 must be finite, "
+                          f"got u^3 = {cube}")
+    u = cube ** (1.0 / 3.0)
     v = -p_third / u if u else 0.0  # u = 0 only at the triple root x = 0, |z| = 1
     roots = x / 3.0 + _OMEGA * u + _OMEGA.conj() * v
     coeffs = np.array([1.0, -x, 1.0 - t, x * t])
@@ -122,7 +126,8 @@ def cubic_roots(x: float, z: complex) -> np.ndarray:
     Real coefficients get exact conjugate pairing enforced after polishing.
     Each root's residual is checked against the sizes of L's terms at it, with
     |y| counted as at least 1, so a root at 0 is measured on L's coefficients.
-    An x outside |x| <= 1e50, NaN and inf included, raises DomainError.
+    An x too large for Cardano's u^3 or 4|x|^3 to be finite (`_l_roots`), NaN and inf
+    included, raises DomainError.
     """
     coeffs, roots = _l_roots(x, _shift(z))
     imag_tol = 1e-9 * max(1.0, abs(x))
@@ -150,7 +155,7 @@ def limit_stieltjes(alpha: complex, z: complex) -> complex:
 
     S + alpha is the root y of L (x = alpha) of largest imaginary part, however
     small, and S = -y/(y^2 - |z|^2), as y - alpha cancels where |S| << |alpha|.
-    An alpha beyond |alpha| = 1e50 raises DomainError, as in `cubic_roots`.
+    An alpha too large for `cubic_roots` raises DomainError, as there.
     """
     alpha = complex(alpha)
     if not (math.isfinite(alpha.real) and 0 < alpha.imag < math.inf):

@@ -40,11 +40,8 @@ decorator, so it has the serial kernels' bits however it is called, and the
 private helpers run inside their caller's hold. `_lapack_call` is the one
 way a LAPACK routine is called: an illegal argument (info < 0) raises
 NumericError, and info > 0 goes back to the caller.
-Eigenvalues come from LAPACK geev of the same library, with the bits of
-`eigvals` on one BLAS thread and the GIL released, as for the Gram
-eigensolve. Where numpy ships no OpenBLAS of its own (wheels on Accelerate,
-conda and distro builds), numpy's `eigvalsh`, `eigvals`, `slogdet` and
-`solve` run instead.
+Where numpy ships no OpenBLAS of its own (wheels on Accelerate, conda and
+distro builds), numpy's `eigvalsh`, `slogdet` and `solve` run instead.
 
 Who owns which buffer. The caller's sample is only read, by every kernel.
 The shifted matrix of a certificate is made in a scratch buffer, one per
@@ -94,9 +91,6 @@ _ARGTYPES = {
     # jobz uplo n a lda w, then (work, lwork) [(rwork, lrwork)] (iwork, liwork)
     "syevd": [_CHAR, _CHAR, _INT, _PTR, _INT, _PTR] + [_PTR, _INT] * 2,
     "heevd": [_CHAR, _CHAR, _INT, _PTR, _INT, _PTR] + [_PTR, _INT] * 3,
-    # jobvl jobvr n a lda, then wr wi (d) or w (z), vl ldvl vr ldvr work lwork [rwork (z)]
-    "dgeev": [_CHAR, _CHAR, _INT, _PTR, _INT, _PTR, _PTR] + [_PTR, _INT] * 3,
-    "zgeev": [_CHAR, _CHAR, _INT, _PTR, _INT, _PTR] + [_PTR, _INT] * 3 + [_PTR],
 }
 
 # OpenBLAS's thread count is process-wide, so the hold on it is too
@@ -128,8 +122,7 @@ def _lapack(routine: str):
     """LAPACK `routine` ('dgetrf', 'zheevd', ...) of 64-bit integers, typed; None if not found."""
     fn = _symbol(routine + "_64_")
     if fn is not None and fn.argtypes is None:  # typed on first use
-        fn.argtypes = _ARGTYPES.get(routine, _ARGTYPES.get(routine[1:])) + [_INT]
-        fn.restype = None
+        fn.argtypes, fn.restype = _ARGTYPES[routine[1:]] + [_INT], None
     return fn
 
 
@@ -432,64 +425,20 @@ def _eigvalsh(g: np.ndarray) -> np.ndarray:
 
 @single_threaded_blas()
 def eigenvalues(sample: MatrixSample) -> Spectrum:
-    """All eigenvalues, sorted by (Re, Im) for reproducible reports, with the bits
-    of `eigvals` on one BLAS thread, so they do not depend on OPENBLAS_NUM_THREADS.
-    Non-finite entries, an iteration that does not converge and a spectrum whose
-    sum is not the trace raise NumericError."""
+    """All eigenvalues, sorted by (Re, Im) for reproducible reports. `eigvals` runs
+    on one BLAS thread, so the values do not depend on OPENBLAS_NUM_THREADS."""
     a = sample.entries
-    vals = _eigvals(a)
+    try:
+        vals = np.linalg.eigvals(a)
+    except np.linalg.LinAlgError as exc:
+        raise NumericError(f"eigenvalue iteration failed: {exc}") from exc
+    vals = vals.astype(np.complex128)
     order = np.lexsort((vals.imag, vals.real))
     vals = vals[order]
     trace = complex(np.trace(a))
     if abs(complex(vals.sum()) - trace) > 1e-6 * sample.n * max(1.0, abs(trace)):
         raise NumericError("eigenvalue sum inconsistent with trace")
     return Spectrum(vals)
-
-
-def _eigvals(a: np.ndarray) -> np.ndarray:
-    """Eigenvalues of the square `a`, which is only read, as complex128 in LAPACK's order.
-
-    dgeev/zgeev (jobvl = jobvr = 'N') run on OpenBLAS's serial kernels, on a
-    column-major copy and at the workspace size LAPACK asks for, as numpy's
-    `eigvals` calls them; so the result has `eigvals`'s bits on one BLAS
-    thread, and the GIL is free while it runs (`eigvals` keeps it for one
-    matrix of n <= 500). As there, a real spectrum with no imaginary part other
-    than 0 comes back with +0.0 imaginary parts. Without the library,
-    `eigvals` runs instead.
-    """
-    is_complex = np.iscomplexobj(a)
-    geev = _lapack("zgeev" if is_complex else "dgeev")
-    if geev is None:
-        try:
-            return np.linalg.eigvals(a).astype(np.complex128)
-        except np.linalg.LinAlgError as exc:
-            raise NumericError(f"eigenvalue iteration failed: {exc}") from exc
-    if not np.isfinite(a).all():
-        raise NumericError("eigenvalue iteration failed: matrix has non-finite entries")
-    n = len(a)
-    f = np.array(a, dtype=np.complex128 if is_complex else np.float64, order="F")
-    vals = np.zeros(n, np.complex128)
-    wr, wi = np.empty(n), np.empty(n)
-    no_vectors = np.empty(1, f.dtype)
-    # the eigenvalues, then vl ldvl vr ldvr (not referenced), then work lwork [rwork]
-    head = (vals,) if is_complex else (wr, wi)
-    tail = (np.empty(2 * n),) if is_complex else ()
-
-    def solve(work, lwork):
-        args = (*head, no_vectors, 1, no_vectors, 1, work, lwork, *tail)
-        return _lapack_call(geev, b"N", b"N", n, f, n, *args)
-
-    query = np.zeros(1, f.dtype)
-    solve(query, -1)
-    work = np.empty(int(query[0].real), f.dtype)
-    info = solve(work, len(work))
-    if info > 0:
-        raise NumericError(f"eigenvalue iteration did not converge (LAPACK info {info})")
-    if not is_complex:
-        vals.real = wr
-        if wi.any():  # else +0.0, as `eigvals` drops an all-zero imaginary part
-            vals.imag = wi
-    return vals
 
 
 def smallest_singular_value(sample: MatrixSample) -> float:

@@ -6,13 +6,12 @@ count. CIRCULAW_THREADS caps the pool size. The SvLaw and Potential runners
 hand the pool every (z, n, trial) task of a campaign at once, so a campaign
 waits for its slowest worker once, not once per shift.
 
-`parallel_map` starts min(k, len(items)) worker threads. Each pulls the next
-index from one shared counter, evaluates that item and writes its result
-into the slot of that index, until the items run out: no Future per item,
-and no worker waits while another still has items to hand out. The first
-failure stops the hand-out; the items already started finish, and the
-exception of the lowest failing index is raised. Indices are handed out in
-order, so every item below it has run, as in a serial loop.
+`parallel_map` runs the items on a ThreadPoolExecutor of min(k, len(items))
+threads and gathers them with its `map`, in item order. The first failure
+stops the hand-out: an item that starts after it returns at once without
+running. The items already running finish, and the exception of the lowest
+failing index is raised. An exception in the caller, such as an interrupt,
+stops the hand-out in the same way before the pool shuts down.
 
 Every linalg kernel holds numpy's bundled OpenBLAS at one thread
 (`linalg.single_threaded_blas`) for its own call, so reports do not depend
@@ -30,6 +29,7 @@ from __future__ import annotations
 
 import os
 import threading
+from concurrent.futures import ThreadPoolExecutor
 
 from .errors import ConfigError
 from .linalg import single_threaded_blas
@@ -55,29 +55,20 @@ def parallel_map(fn, items):
     with single_threaded_blas():
         if k == 1:
             return [fn(item) for item in items]
-        results = [None] * len(items)
-        failures = []  # (index, exception) of each failed item
-        indices = iter(range(len(items)))
-        lock = threading.Lock()
+        failed = threading.Event()
 
-        def work():
-            while True:
-                with lock:  # a failure seen here ends the hand-out
-                    i = None if failures else next(indices, None)
-                if i is None:
-                    return
-                try:
-                    results[i] = fn(items[i])
-                except BaseException as exc:
-                    with lock:
-                        failures.append((i, exc))
-                    return
+        def guarded(item):
+            if failed.is_set():  # a lower item or the caller raised, and that is what propagates
+                return None
+            try:
+                return fn(item)
+            except BaseException:
+                failed.set()
+                raise
 
-        workers = [threading.Thread(target=work) for _ in range(k)]
-        for worker in workers:
-            worker.start()
-        for worker in workers:
-            worker.join()
-        if failures:
-            raise min(failures, key=lambda failure: failure[0])[1]
-        return results
+        with ThreadPoolExecutor(max_workers=k) as pool:
+            try:
+                return list(pool.map(guarded, items))
+            except BaseException:  # an interrupt, even while the items are handed in
+                failed.set()
+                raise

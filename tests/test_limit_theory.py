@@ -472,10 +472,13 @@ class TestNonFiniteShift:
 
 class TestHugeArguments:
     # x^4 in the roots' discriminant overflowed from |x| ~ 1e77, and the cube root of
-    # the infinite result raised a bare OverflowError ("complex exponentiation")
+    # the infinite result raised a bare OverflowError ("complex exponentiation"); at
+    # z = 0 the terms of L at x ~ 5.6e102 overflowed in numpy, a RuntimeWarning
     CALLS = {
         **{f"cubic_roots-{x}": (lambda x=x: cubic_roots(x, 0.5))
            for x in (1e70, 1e78, 1e100, -1e100, math.inf, -math.inf, math.nan)},
+        **{f"cubic_roots-{x}-z0": (lambda x=x: cubic_roots(x, 0.0))
+           for x in (1e100, 5.6e102, -1e103, 1e104)},
         "limit_stieltjes-1e100+1j": lambda: limit_stieltjes(1e100 + 1j, 0.5),
     }
 
@@ -488,8 +491,15 @@ class TestHugeArguments:
 
     @pytest.mark.parametrize("x", [1e78, -1e100, math.inf, math.nan])
     def test_beyond_the_bound_raises_domain_error_naming_it(self, x):
-        with pytest.raises(DomainError, match=r"\|x\| <= 1e50"):
+        with pytest.raises(DomainError, match=r"u\^3 and 4\|x\|\^3 must be finite"):
             cubic_roots(x, 0.5)
+
+    @pytest.mark.parametrize("z", [0.0, 0.5])
+    def test_a_huge_alpha_within_the_float_range_is_still_solved(self, z):
+        # far out, S ~ -1/alpha; the bound follows the overflow, not a fixed |alpha|
+        for alpha in (1e60j, 1e70j):
+            s = limit_stieltjes(alpha, z)
+            assert abs(s + 1 / alpha) <= 1e-12 * abs(1 / alpha)
 
 
 class TestLawForShift:

@@ -4,6 +4,7 @@ reports that depend on neither the BLAS thread count nor, on the exact side, its
 import functools
 import os
 import platform
+import signal
 import subprocess
 import sys
 import threading
@@ -249,8 +250,8 @@ def test_import_binds_no_library():
     assert done.stdout.strip() == "0"
 
 
-class TestWorkerLoop:
-    """parallel_map's workers pull item indices from one shared counter."""
+class TestPoolPass:
+    """One parallel_map pass: item order, its failures and interrupts, its threads and buffers."""
 
     @pytest.mark.parametrize("workers", ["1", "2", "3", "8"])
     def test_results_come_back_in_item_order(self, monkeypatch, workers):
@@ -281,6 +282,30 @@ class TestWorkerLoop:
         with pytest.raises(ValueError, match="item 0"):
             parallel.parallel_map(task, range(20))
         assert sorted(started) == [0, 1, 2]
+
+    def test_an_interrupt_in_the_caller_starts_no_further_item(self, monkeypatch):
+        # item 1 interrupts the caller while items 0 and 1 run and 2.. wait; those two
+        # finish before parallel_map raises, and none of the rest may start
+        monkeypatch.setenv("CIRCULAW_THREADS", "2")
+        previous = signal.signal(signal.SIGINT, signal.default_int_handler)
+        caller, started, finished = threading.get_ident(), [], []
+
+        def task(i):
+            started.append(i)
+            if i == 1:
+                signal.pthread_kill(caller, signal.SIGINT)
+            time.sleep(0.1)
+            finished.append(i)
+            return i
+
+        try:
+            with pytest.raises(KeyboardInterrupt):
+                parallel.parallel_map(task, range(20))
+            time.sleep(0.3)
+        finally:
+            signal.signal(signal.SIGINT, previous)
+        assert sorted(started) == [0, 1]
+        assert sorted(finished) == [0, 1]
 
     @pytest.mark.parametrize("workers", [1, 3])
     def test_at_most_k_worker_threads_run(self, monkeypatch, workers):
