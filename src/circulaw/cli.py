@@ -14,12 +14,7 @@ import numpy as np
 
 from .ensemble import EnsembleConfig, EntryDistribution, sample_matrix
 from .errors import ConfigError, DomainError, EstimationError, NumericError
-from .experiments import (
-    ExperimentSpec,
-    parse_complex,
-    render_report,
-    run_experiment,
-)
+from .experiments import ExperimentSpec, render_report, run_experiment
 from .linalg import eigenvalues
 from .textio import csv_text, read_float_csv, read_text, write_text
 
@@ -36,51 +31,41 @@ def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="circulaw")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_ensemble_flags(p, seed_required=True):
-        p.add_argument("--n", type=int, required=True)
-        p.add_argument("--p", type=float, default=None, help="Bernoulli keep probability")
-        p.add_argument("--theta", type=float, default=None, help="sparsity exponent: p = n^(theta-1)")
-        p.add_argument("--dist", choices=sorted(_DIST_NAMES), default="gaussian")
-        p.add_argument("--seed", type=int, required=seed_required)
+    ensemble = argparse.ArgumentParser(add_help=False)
+    ensemble.add_argument("--n", type=int, required=True)
+    ensemble.add_argument("--p", type=float, default=None, help="Bernoulli keep probability")
+    ensemble.add_argument("--theta", type=float, default=None,
+                          help="sparsity exponent: p = n^(theta-1)")
+    ensemble.add_argument("--dist", choices=sorted(_DIST_NAMES), default="gaussian")
+    ensemble.add_argument("--seed", type=int, required=True)
+    out = argparse.ArgumentParser(add_help=False)
+    out.add_argument("--out", default=None)
+    one_sample = argparse.ArgumentParser(add_help=False, parents=[ensemble, out])
+    one_sample.add_argument("--trial", type=int, default=0)
+    report = argparse.ArgumentParser(add_help=False, parents=[out])
+    report.add_argument("--format", choices=["csv", "json"], default="csv")
+    campaign = argparse.ArgumentParser(add_help=False, parents=[ensemble, report])
+    campaign.add_argument("--trials", type=int, required=True)
 
-    p = sub.add_parser("sample", help="write one sampled matrix as j,k,re,im CSV")
-    add_ensemble_flags(p)
-    p.add_argument("--trial", type=int, default=0)
-    p.add_argument("--out", default=None)
+    sub.add_parser("sample", parents=[one_sample],
+                   help="write one sampled matrix as j,k,re,im CSV")
+    sub.add_parser("esd", parents=[one_sample],
+                   help="write the eigenvalues of one sample as re,im CSV")
 
-    p = sub.add_parser("esd", help="write the eigenvalues of one sample as re,im CSV")
-    add_ensemble_flags(p)
-    p.add_argument("--trial", type=int, default=0)
-    p.add_argument("--out", default=None)
-
-    p = sub.add_parser("svlaw", help="singular-value law distance report")
-    add_ensemble_flags(p)
+    p = sub.add_parser("svlaw", parents=[campaign], help="singular-value law distance report")
     p.add_argument("--z", type=str, required=True, help="shift, a+bi with no spaces")
-    p.add_argument("--trials", type=int, required=True)
-    p.add_argument("--out", default=None)
-    p.add_argument("--format", choices=["csv", "json"], default="csv")
 
-    p = sub.add_parser("potential", help="log-determinant potential report")
-    add_ensemble_flags(p)
+    p = sub.add_parser("potential", parents=[campaign], help="log-determinant potential report")
     p.add_argument("--z", type=str, required=True, help="comma list of a+bi shifts")
-    p.add_argument("--trials", type=int, required=True)
     p.add_argument("--r", type=str, default="auto", help="smoothing radius or 'auto'")
     p.add_argument("--B", type=float, default=3.0, help="truncation exponent")
-    p.add_argument("--out", default=None)
-    p.add_argument("--format", choices=["csv", "json"], default="csv")
 
-    p = sub.add_parser("minsv", help="smallest singular value tail report")
-    add_ensemble_flags(p)
+    p = sub.add_parser("minsv", parents=[campaign], help="smallest singular value tail report")
     p.add_argument("--z", type=str, default="0+0i")
-    p.add_argument("--trials", type=int, required=True)
     p.add_argument("--thresholds", type=str, required=True, help="comma list")
-    p.add_argument("--out", default=None)
-    p.add_argument("--format", choices=["csv", "json"], default="csv")
 
-    p = sub.add_parser("report", help="run an experiment spec file")
+    p = sub.add_parser("report", parents=[report], help="run an experiment spec file")
     p.add_argument("--spec", required=True)
-    p.add_argument("--out", default=None)
-    p.add_argument("--format", choices=["csv", "json"], default="csv")
 
     p = sub.add_parser("plot", help="render an eigenvalue CSV as SVG")
     p.add_argument("--in", dest="infile", required=True)
@@ -123,14 +108,14 @@ def _cmd_esd(args) -> int:
 
 # Each campaign subcommand: (experiment kind, its spec fields from the flags).
 _CAMPAIGNS = {
-    "svlaw": ("SvLaw", lambda args: dict(z_points=(parse_complex(args.z),))),
+    "svlaw": ("SvLaw", lambda args: dict(z_points=(args.z,))),
     "potential": ("Potential", lambda args: dict(
-        z_points=tuple(parse_complex(s) for s in args.z.split(",")),
+        z_points=tuple(args.z.split(",")),
         r=args.r if args.r == "auto" else float(args.r),
         b_exponent=args.B,
     )),
     "minsv": ("MinSv", lambda args: dict(
-        z_points=(parse_complex(args.z),),
+        z_points=(args.z,),
         thresholds=tuple(float(t) for t in args.thresholds.split(",")),
     )),
 }
@@ -183,9 +168,7 @@ def _cmd_plot(args) -> int:
 _COMMANDS = {
     "sample": _cmd_sample,
     "esd": _cmd_esd,
-    "svlaw": _cmd_campaign,
-    "potential": _cmd_campaign,
-    "minsv": _cmd_campaign,
+    **dict.fromkeys(_CAMPAIGNS, _cmd_campaign),
     "report": _cmd_report,
     "plot": _cmd_plot,
 }

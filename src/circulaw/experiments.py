@@ -44,25 +44,13 @@ def format_complex(z: complex) -> str:
 
 
 def parse_complex(text: str) -> complex:
-    """Parse 'a+bi' / 'a-bi' (no spaces) or a plain real number."""
+    """Parse 'a+bi' / 'a-bi' / 'bi' (no spaces) or a plain real number: `complex()` reads
+    the literal once a trailing i or I after anything but a sign becomes its j."""
     s = text.strip()
-    if not s:
-        raise ConfigError("empty complex literal")
-    if s.endswith("i") or s.endswith("I"):
-        body = s[:-1]
-        split = -1
-        for idx in range(len(body) - 1, 0, -1):
-            if body[idx] in "+-" and body[idx - 1] not in "eE":
-                split = idx
-                break
-        if split <= 0:
-            raise ConfigError(f"cannot parse complex literal {text!r}")
-        try:
-            return complex(float(body[:split]), float(body[split:]))
-        except ValueError as exc:
-            raise ConfigError(f"cannot parse complex literal {text!r}") from exc
+    if s[-1:] in ("i", "I") and s[-2:-1] not in ("", "+", "-"):
+        s = s[:-1] + "j"
     try:
-        return complex(float(s), 0.0)
+        return complex(s)
     except ValueError as exc:
         raise ConfigError(f"cannot parse complex literal {text!r}") from exc
 

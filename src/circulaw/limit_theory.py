@@ -11,7 +11,8 @@ equivalently, with y = S + x on the real line, the cubic
 
 Where the cubic has one real root the complex pair contributes the density
 (1/pi) * Im y_+; where it has three real roots the density vanishes. Cardano's
-reduction solves L for the density, the roots and S alike. The support edges are
+reduction solves L for the density, the roots and S alike, with the smaller roots
+taken from the largest by Vieta's formulas. The support edges are
 
     x1^2 = (5 + 2|z|^2)/2 + ((1 + 8|z|^2)^{3/2} - 1) / (8|z|^2),
     x2^2 = (5 + 2|z|^2)/2 - ((1 + 8|z|^2)^{3/2} + 1) / (8|z|^2),
@@ -87,10 +88,13 @@ def _depressed(x, t: float):
 
 
 def _l_roots(x, t: float):
-    """(coefficients, roots) of L(y), x real or complex: Cardano's x/3 + w^k u + w^-k v
-    (w = e^(2 pi i/3), u^3 the larger of -half_q +- sqrt(disc), v = -p_third/u), then
-    three Newton steps. disc is -1/108 of L's discriminant, a quadratic in x^2, as
-    half_q^2 + p_third^3 cancels at a support edge: 1.5e-11 off at x = 2 + 1e-12i, z = 0.
+    """(coefficients, roots) of L(y), x real or complex: the largest of Cardano's roots
+    x/3 + w^k u + w^-k v (w = e^(2 pi i/3), u^3 the larger of -half_q +- sqrt(disc),
+    v = -p_third/u), the other two from it by Vieta's formulas, then three Newton steps.
+    Cardano's smaller roots cancel to an error of ~eps |x|, which Newton no longer
+    recovers once |x| passes ~1e12; Vieta's keep the largest root's relative error.
+    disc is -1/108 of L's discriminant, a quadratic in x^2, as half_q^2 + p_third^3
+    cancels at a support edge: 1.5e-11 off at x = 2 + 1e-12i, z = 0.
     u^3 and 4|x|^3 (L's terms at its roots come to ~2|x|^3) must be finite, so a NaN
     or infinite x raises DomainError, and so does an x whose |z|^2 x^4 / 27 (in disc)
     or 4|x|^3 overflows: from |x| ~ 1e77 at |z| = 0.5, and ~ 3.5e102 at z = 0."""
@@ -106,6 +110,13 @@ def _l_roots(x, t: float):
     u = cube ** (1.0 / 3.0)
     v = -p_third / u if u else 0.0  # u = 0 only at the triple root x = 0, |z| = 1
     roots = x / 3.0 + _OMEGA * u + _OMEGA.conj() * v
+    big = complex(roots[np.argmax(np.abs(roots))])
+    if big:  # the other two solve w^2 - total w + product = 0
+        product = -x * t / big
+        total = (1.0 - t - product) / big
+        d = cmath.sqrt(total * total - 4.0 * product)
+        w = 0.5 * (total + d if (total.conjugate() * d).real >= 0 else total - d)
+        roots = np.array([big, w, product / w if w else 0.0])
     coeffs = np.array([1.0, -x, 1.0 - t, x * t])
     deriv = np.polyder(coeffs)
     fval = np.polyval(coeffs, roots)
@@ -121,7 +132,7 @@ def _l_roots(x, t: float):
 
 
 def cubic_roots(x: float, z: complex) -> np.ndarray:
-    """The three roots of L(y), by Cardano's formula plus Newton polish.
+    """The three roots of L(y), by Cardano's formula and Vieta's plus Newton polish.
 
     Real coefficients get exact conjugate pairing enforced after polishing.
     Each root's residual is checked against the sizes of L's terms at it, with
@@ -192,9 +203,24 @@ def _sym_density_array(x: np.ndarray, t: float) -> np.ndarray:
     return np.where(pos, np.maximum(vals, 0.0), 0.0)
 
 
+def _points(x) -> np.ndarray:
+    """Real query points as float64; a NaN raises DomainError, +-inf is a limit."""
+    x = np.asarray(x, dtype=np.float64)
+    if np.isnan(x).any():
+        raise DomainError("the limit law is not defined at NaN")
+    return x
+
+
+def _density(x, t: float) -> np.ndarray:
+    """`_sym_density_array` at real x, 0 at +-inf (off the support)."""
+    x = _points(x)
+    finite = np.isfinite(x)
+    return np.where(finite, _sym_density_array(np.where(finite, x, 0.0), t), 0.0)
+
+
 def limit_density(x: float, z: complex) -> float:
     """Density of the symmetrized law at x (even in x, zero off the support)."""
-    return float(_sym_density_array(np.array([x]), _shift(z))[0])
+    return float(_density(x, _shift(z)))
 
 
 def _gauss_panels(t: float, edge: float, sign: float, u: np.ndarray, rule=_GL16,
@@ -260,16 +286,17 @@ class LimitLaw:
         return cls(x1, x2, t, grid_x, grid_f)
 
     def density(self, x):
-        return _sym_density_array(np.asarray(x, dtype=np.float64), self._t)
+        """Density of the symmetrized law at x (vectorized); a NaN x raises DomainError."""
+        return _density(x, self._t)
 
     def cdf_positive(self, x):
-        """Mass of the symmetrized law on [lo, x] (vectorized)."""
-        return np.interp(np.asarray(x, dtype=np.float64), self._grid_x, self._grid_f,
-                         left=0.0, right=self._grid_f[-1])
+        """Mass of the symmetrized law on [lo, x] (vectorized); a NaN x raises DomainError."""
+        return np.interp(_points(x), self._grid_x, self._grid_f, left=0.0,
+                         right=self._grid_f[-1])
 
     def cdf_squared(self, x):
-        """CDF of the squared-coordinate law at x (vectorized)."""
-        x = np.asarray(x, dtype=np.float64)
+        """CDF of the squared-coordinate law at x (vectorized); a NaN x raises DomainError."""
+        x = _points(x)
         positive = x > 0
         roots = np.sqrt(np.where(positive, x, 1.0))
         out = np.where(positive, np.clip(2.0 * self.cdf_positive(roots), 0.0, 1.0), 0.0)

@@ -24,12 +24,14 @@ parallel generation bitwise reproducible.
 Two implementations are kept in lockstep: a Python-int path (`mix64`,
 `derive_key`, `Stream`; scalar draws) and a numpy uint64 path, whose one
 mixer `_mix64_inplace` runs every pass in place; the test suite checks they
-agree bit for bit. The array path derives keys two ways: `key_blocks` walks
-rows in blocks of at most BLOCK_KEYS keys on buffers reused from block to
-block, so a sample of n^2 entries needs O(BLOCK_KEYS) scratch memory and
-its n row hashes (absorbed once per call) beside its output, and `keys_at`
-takes the keys at given (row, column) pairs, the whole grid included
-(`grid_keys`). Keys are positional, so the blocking never changes a bit.
+agree bit for bit. The array path takes its row and column hashes from one
+helper over a row range (`_row_col_hashes`): `key_blocks` walks its rows in
+blocks of at most BLOCK_KEYS keys on buffers reused from block to block, so a
+sample of n^2 entries needs O(BLOCK_KEYS) scratch memory and its n row hashes
+beside its output, and `keys_at` takes the keys at given (row, column) pairs of
+a grid, the whole grid included (`grid_keys`). Keys are positional, so the
+blocking never changes a bit. A label outside [0, 2^64) raises DomainError:
+keeping its low 64 bits would alias another label's stream.
 The buffers belong to one call, never to the module, so several threads may
 sample at once. `uniform_below` tests `uniform < p` as one integer compare
 on the words.
@@ -40,6 +42,8 @@ from __future__ import annotations
 import functools
 
 import numpy as np
+
+from .errors import DomainError
 
 MASK64 = (1 << 64) - 1
 GOLDEN = 0x9E3779B97F4A7C15
@@ -93,8 +97,10 @@ def absorb(h: int, part: int) -> int:
 
 def derive_key(*parts: int) -> int:
     h = _H0
-    for p in parts:
-        h = absorb(h, int(p) & MASK64)
+    for p in map(int, parts):
+        if not 0 <= p <= MASK64:
+            raise DomainError(f"key label {p} is outside [0, 2^64)")
+        h = absorb(h, p)
     return h
 
 
@@ -111,10 +117,10 @@ def _absorbed(h: int, parts: np.ndarray) -> np.ndarray:
     return _mix64_inplace(x, np.empty_like(x))
 
 
-def _row_col_hashes(master_seed: int, role: int, aux: int, nrows: int, ncols: int):
-    """(hr, inner_c): derive_key(seed, role, aux, j, k) == mix64(hr[j] ^ inner_c[k])."""
+def _row_col_hashes(master_seed: int, role: int, aux: int, rows: range, ncols: int):
+    """(hr, inner_c): derive_key(seed, role, aux, rows[i], k) == mix64(hr[i] ^ inner_c[k])."""
     h0 = derive_key(master_seed, role, aux)
-    hr = _absorbed(h0, np.arange(nrows, dtype=np.uint64))
+    hr = _absorbed(h0, np.arange(rows.start, rows.stop, dtype=np.uint64))
     return hr, _inner(np.arange(ncols, dtype=np.uint64))
 
 
@@ -130,9 +136,7 @@ def key_blocks(master_seed: int, role: int, aux: int, rows: range, ncols: int):
     O(BLOCK_KEYS) block buffers. A key does not depend on the grid's size,
     so any row range gives the grid's bits.
     """
-    h0 = derive_key(master_seed, role, aux)
-    hr = _absorbed(h0, np.arange(rows.start, rows.stop, dtype=np.uint64))
-    inner_c = _inner(np.arange(ncols, dtype=np.uint64))
+    hr, inner_c = _row_col_hashes(master_seed, role, aux, rows, ncols)
     height = max(1, min(len(rows), BLOCK_KEYS // max(ncols, 1)))
     keys_buf = np.empty((height, ncols), np.uint64)
     scratch_buf = np.empty_like(keys_buf)
@@ -153,8 +157,11 @@ def keys_at(master_seed: int, role: int, aux: int, rows: np.ndarray, cols: np.nd
             nrows: int, ncols: int) -> np.ndarray:
     """derive_key(seed, role, aux, j, k) for the index pairs (j, k) of `rows` and
     `cols`, which broadcast together like numpy index arrays into an nrows x ncols
-    grid; the row and column hashes are taken for the whole grid."""
-    hr, inner_c = _row_col_hashes(master_seed, role, aux, nrows, ncols)
+    grid; the row and column hashes are taken for the whole grid. An index
+    outside the grid raises DomainError."""
+    if np.any(rows < 0) or np.any(rows >= nrows) or np.any(cols < 0) or np.any(cols >= ncols):
+        raise DomainError(f"a key index lies outside the {nrows} x {ncols} grid")
+    hr, inner_c = _row_col_hashes(master_seed, role, aux, range(nrows), ncols)
     keys = hr[rows] ^ inner_c[cols]
     return _mix64_inplace(keys, np.empty_like(keys))
 

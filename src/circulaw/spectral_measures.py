@@ -56,12 +56,17 @@ class EmpiricalCDF:
         return cls(uniq, np.bincount(inverse, weights, minlength=len(uniq)))
 
     def evaluate(self, x):
-        """Right-continuous CDF value(s) P[X <= x]."""
-        return self._cum[np.searchsorted(self.xs, x, side="right")]
+        """Right-continuous CDF value(s) P[X <= x]; a NaN x raises DomainError."""
+        return self._at(x, "right")
 
     def evaluate_left(self, x):
-        """Left limit(s) P[X < x]."""
-        return self._cum[np.searchsorted(self.xs, x, side="left")]
+        """Left limit(s) P[X < x]; a NaN x raises DomainError."""
+        return self._at(x, "left")
+
+    def _at(self, x, side: str):
+        if np.isnan(x).any():
+            raise DomainError("a CDF is not defined at NaN")
+        return self._cum[np.searchsorted(self.xs, x, side=side)]
 
     def mean(self) -> float:
         return float(np.sum(self.xs * self.ws))

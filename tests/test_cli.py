@@ -1,8 +1,13 @@
+import argparse
 import json
+import pathlib
+import shlex
 
 import pytest
 
-from circulaw.cli import main, plot_spectrum
+from circulaw.cli import _build_parser, main, plot_spectrum
+
+README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
 
 
 def run_cli(*argv, capsys=None):
@@ -76,6 +81,18 @@ class TestEsd:
         code, captured = run_cli("esd", "--n", "8", "--seed", "3", capsys=capsys)
         assert code == 0
         assert captured.out.startswith("re,im\n")
+
+    def test_theta_without_p_is_the_sparse_ensemble(self, capsys):
+        # README's example: p = n^(theta - 1), drawn by from_theta
+        from circulaw import EnsembleConfig, EntryDistribution, eigenvalues, sample_matrix
+
+        code, captured = run_cli("esd", "--n", "16", "--theta", "0.5", "--seed", "7",
+                                 capsys=capsys)
+        assert code == 0
+        cfg = EnsembleConfig.from_theta(16, 0.5, EntryDistribution("RealGaussian"), 7)
+        vals = eigenvalues(sample_matrix(cfg, 0)).values
+        assert captured.out == "re,im\n" + "".join(f"{v.real:.17g},{v.imag:.17g}\n"
+                                                   for v in vals)
 
     def test_thin_adapter_matches_library(self, capsys):
         # the subcommand must emit exactly what the library computes
@@ -249,3 +266,54 @@ class TestRemovedOptions:
                                  "--thresholds", "0.1", "--B", "3", capsys=capsys)
         assert code == 2
         assert "--B" in captured.err
+
+
+# Every subcommand's options as first recorded: {option: (dest, default, required, choices, type)}.
+_DISTS = ("cgaussian", "crademacher", "gaussian", "rademacher", "uniform")
+_ENSEMBLE = {
+    "--n": ("n", None, True, None, "int"),
+    "--p": ("p", None, False, None, "float"),
+    "--theta": ("theta", None, False, None, "float"),
+    "--dist": ("dist", "gaussian", False, _DISTS, None),
+    "--seed": ("seed", None, True, None, "int"),
+}
+_OUT = {"--out": ("out", None, False, None, None)}
+_REPORT = {**_OUT, "--format": ("format", "csv", False, ("csv", "json"), None)}
+_CAMPAIGN = {**_ENSEMBLE, **_REPORT, "--trials": ("trials", None, True, None, "int")}
+_ONE_SAMPLE = {**_ENSEMBLE, **_OUT, "--trial": ("trial", 0, False, None, "int")}
+OPTIONS = {
+    "sample": _ONE_SAMPLE,
+    "esd": _ONE_SAMPLE,
+    "svlaw": {**_CAMPAIGN, "--z": ("z", None, True, None, "str")},
+    "potential": {**_CAMPAIGN, "--z": ("z", None, True, None, "str"),
+                  "--r": ("r", "auto", False, None, "str"),
+                  "--B": ("B", 3.0, False, None, "float")},
+    "minsv": {**_CAMPAIGN, "--z": ("z", "0+0i", False, None, "str"),
+              "--thresholds": ("thresholds", None, True, None, "str")},
+    "report": {**_REPORT, "--spec": ("spec", None, True, None, None)},
+    "plot": {"--in": ("infile", None, True, None, None),
+             "--out": ("out", None, True, None, None),
+             "--no-circle": ("no_circle", False, False, None, None)},
+}
+
+
+class TestParser:
+    def test_every_subcommand_keeps_its_options(self):
+        sub = next(a for a in _build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction))
+        got = {
+            name: {" ".join(a.option_strings): (
+                a.dest, a.default, a.required, None if a.choices is None else tuple(a.choices),
+                None if a.type is None else a.type.__name__,
+            ) for a in p._actions if a.option_strings and a.dest != "help"}
+            for name, p in sub.choices.items()
+        }
+        assert got == OPTIONS
+
+    def test_readme_commands_parse(self):
+        block = README.read_text(encoding="utf-8").split("## CLI\n", 1)[1].split("```sh\n")[1]
+        commands = [line for line in block.split("```")[0].splitlines()
+                    if line.startswith("circulaw ")]
+        assert len(commands) == 7
+        for line in commands:
+            _build_parser().parse_args(shlex.split(line)[1:])

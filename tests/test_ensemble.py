@@ -70,6 +70,8 @@ class TestEntryDistribution:
     def test_twopoint_constructor_contract(self):
         with pytest.raises(ConfigError):
             EntryDistribution("TwoPoint", a=3.0, p=1.0 / 9.0)  # variance 9/8, not 1
+        with pytest.raises(ConfigError, match="a > 0"):
+            EntryDistribution("TwoPoint", a=-3.0, p=0.9)  # variance 1, but a < 0
         d = EntryDistribution("TwoPoint", a=3.0, p=0.1)
         vals, weights = d.atoms()
         assert abs(np.dot(vals, weights)) < 1e-15
@@ -117,6 +119,10 @@ class TestConfig:
             EnsembleConfig(8, 0.0, GAUSS, 1)
         with pytest.raises(ConfigError):
             EnsembleConfig(8, 1.5, GAUSS, 1)
+        with pytest.raises(ConfigError, match="master_seed"):
+            EnsembleConfig(8, 1.0, GAUSS, 2**64)
+        with pytest.raises(ConfigError, match="theta must lie"):
+            EnsembleConfig(8, 0.5, GAUSS, 1, theta=1.5)
 
     def test_theta_consistency(self):
         cfg = EnsembleConfig.from_theta(1024, 0.5, GAUSS, 1)
@@ -159,6 +165,10 @@ class TestSampleMatrix:
     def test_trial_index_outside_64_bits_is_rejected(self, trial, p_n):
         with pytest.raises(ConfigError, match="trial index"):
             sample_matrix(EnsembleConfig(2, p_n, GAUSS, 1), trial)
+
+    def test_a_non_config_is_rejected(self):
+        with pytest.raises(ConfigError, match="expects an EnsembleConfig"):
+            sample_matrix({"n": 2, "p_n": 1.0}, 0)
 
     def test_largest_trial_index_is_its_own_trial(self):
         cfg = EnsembleConfig(2, 1.0, GAUSS, 1)

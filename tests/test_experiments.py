@@ -17,6 +17,7 @@ from circulaw.experiments import (
     ExperimentSpec,
     format_complex,
     parse_complex,
+    render_report,
     run_circular_law,
     run_experiment,
     run_maxsv,
@@ -49,6 +50,7 @@ class TestComplexParsing:
         [
             ("0.5+0i", 0.5), ("1-2i", 1 - 2j), ("-0.25+0.75i", -0.25 + 0.75j),
             ("3", 3.0), ("1e-3+2e-4i", 1e-3 + 2e-4j), ("-2.5", -2.5),
+            ("2i", 2j), ("-0.5I", -0.5j), ("1+2j", 1 + 2j),
         ],
     )
     def test_roundtrip(self, text, value):
@@ -59,7 +61,7 @@ class TestComplexParsing:
             assert parse_complex(format_complex(z)) == z
 
     def test_rejects_garbage(self):
-        for bad in ("", "1+2", "i", "1 + 2i", "abc"):
+        for bad in ("", "1+2", "i", "1 + 2i", "1 +2i", "1+i", "abc"):
             with pytest.raises(ConfigError):
                 parse_complex(bad)
 
@@ -376,6 +378,10 @@ class TestReports:
         for row in data["rows"]:
             assert list(row) == data["columns"]
 
+    def test_unknown_format_rejected(self):
+        with pytest.raises(ConfigError, match="unknown report format 'xml'"):
+            render_report(ExperimentReport(["a"], []), "xml")
+
     def test_unwritable_path_raises_oserror(self):
         spec = ExperimentSpec(kind="MaxSv", ensemble=small_ensemble(n=8), trials=50)
         report = run_maxsv(spec)
@@ -518,6 +524,11 @@ BAD_VALUES = {
     "MaxSv-trials-49": dict(VALID["MaxSv"], trials=49),
     "thresholds-zero": dict(VALID["MinSv"], thresholds=[0.0, 1e-3]),
     "thresholds-negative": dict(VALID["MinSv"], thresholds=[-1.0]),
+    "kind-unknown": dict(VALID["MaxSv"], kind="Histogram"),
+    "trials-zero": dict(VALID["CircularLaw"], trials=0),
+    "r-negative": dict(VALID["Potential"], r=-0.5),
+    "q-six": dict(VALID["TailIndex"], q=6.0),
+    "R-zero": dict(VALID["TailIndex"], R=0.0),
 }
 NEWLY_REJECTED = dict(
     BAD_VALUES,

@@ -26,6 +26,7 @@ from circulaw import (
 )
 from circulaw import limit_theory
 from circulaw.limit_theory import LimitLaw, export_tabulation, law_for_shift
+from circulaw.spectral_measures import EmpiricalCDF
 
 
 # The shifts of the solver oracle: 0, both sides of |z| = 1, and up to the domain's edge
@@ -494,12 +495,63 @@ class TestHugeArguments:
         with pytest.raises(DomainError, match=r"u\^3 and 4\|x\|\^3 must be finite"):
             cubic_roots(x, 0.5)
 
+    @pytest.mark.parametrize("z", [0.0, 0.5, 2.0])
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_every_real_x_below_the_bound_is_solved(self, z, sign):
+        # Cardano's small roots cancelled to ~eps |x|, so the residual check raised
+        # NumericError from |x| ~ 7.5e11 (z = 0), 5.6e13 (0.5) and 2.4e14 (2) on
+        t = z * z
+        for k in range(8 * 110):
+            x = sign * 10.0 ** (k / 8)
+            try:
+                roots = cubic_roots(x, z)
+            except DomainError:
+                break
+            a, b, c = sorted(roots, key=abs)
+            if t:  # Vieta's product, which the small roots' rounding would spoil
+                assert abs(a * b * c + x * t) <= 1e-12 * abs(x) * t
+            else:  # 0 and the roots of y^2 - x y + 1
+                assert a == 0 and abs(b * c - 1.0) <= 1e-12
+        assert abs(x) > 1e76  # the ladder ran up to the overflow bound
+
     @pytest.mark.parametrize("z", [0.0, 0.5])
     def test_a_huge_alpha_within_the_float_range_is_still_solved(self, z):
         # far out, S ~ -1/alpha; the bound follows the overflow, not a fixed |alpha|
         for alpha in (1e60j, 1e70j):
             s = limit_stieltjes(alpha, z)
             assert abs(s + 1 / alpha) <= 1e-12 * abs(1 / alpha)
+
+
+class TestNonFiniteQuery:
+    """A NaN query raised nothing and read as a value (1.0, 0.0); +-inf is a limit."""
+
+    CDF = EmpiricalCDF.from_values([0.1, 0.5, 0.9])
+    LAW = law_for_shift(0.5)
+    CALLS = {  # name: (call, value at -inf, value at +inf)
+        "EmpiricalCDF.evaluate": (CDF.evaluate, 0.0, 1.0),
+        "EmpiricalCDF.evaluate_left": (CDF.evaluate_left, 0.0, 1.0),
+        "LimitLaw.density": (LAW.density, 0.0, 0.0),
+        "LimitLaw.cdf_positive": (LAW.cdf_positive, 0.0, LAW.total_mass() / 2),
+        "LimitLaw.cdf_squared": (LAW.cdf_squared, 0.0, 1.0),
+        "limit_cdf": (lambda x: limit_cdf(x, 0.5), 0.0, 1.0),
+        "limit_density": (lambda x: limit_density(x, 0.5), 0.0, 0.0),
+    }
+
+    @pytest.mark.parametrize("name", [*CALLS, "export_tabulation"])
+    def test_nan_raises_and_infinities_are_limits(self, name, tmp_path):
+        if name == "export_tabulation":
+            path = tmp_path / "law.csv"
+            with pytest.raises(DomainError):
+                export_tabulation(0.5, [0.0, math.nan], path)
+            export_tabulation(0.5, [-math.inf, math.inf], path)
+            assert path.read_text().splitlines()[1:] == ["-inf,0,0", "inf,0,1"]
+            return
+        call, low, high = self.CALLS[name]
+        with pytest.raises(DomainError):
+            call(math.nan)
+        with pytest.raises(DomainError):
+            call(np.array([0.5, math.nan]))
+        assert (call(-math.inf), call(math.inf)) == (low, high)  # a warning fails the suite
 
 
 class TestLawForShift:

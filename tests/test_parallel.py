@@ -240,6 +240,13 @@ def test_concurrent_callers_share_one_hold_on_the_blas_count(blas, monkeypatch):
     assert get_threads() == 3
 
 
+@pytest.mark.parametrize("value", ["x", "0"])
+def test_a_bad_thread_count_is_a_config_error(monkeypatch, value):
+    monkeypatch.setenv("CIRCULAW_THREADS", value)
+    with pytest.raises(circulaw.ConfigError, match="CIRCULAW_THREADS"):
+        parallel.thread_count()
+
+
 def test_import_binds_no_library():
     # opening OpenBLAS at import time would count in every campaign's setup time
     env = dict(os.environ, PYTHONPATH=str(Path(circulaw.__file__).resolve().parents[1]))

@@ -1,7 +1,12 @@
+import math
+
 import numpy as np
 import pytest
 
-from circulaw import rng
+from circulaw import DomainError, EnsembleConfig, EntryDistribution, MatrixSample, rng
+from circulaw.ensemble import smoothing_stream
+from circulaw.invertibility import concentration_Q
+from circulaw.linalg import certified_log_det
 
 
 class TestMixerLockstep:
@@ -53,6 +58,30 @@ class TestMixerLockstep:
 
     def test_label_order_matters(self):
         assert rng.derive_key(0, 1, 2) != rng.derive_key(0, 2, 1)
+
+
+class TestLabelRange:
+    """Keys absorbed each label's low 64 bits, so -1 drew the stream of 2^64 - 1."""
+
+    @pytest.mark.parametrize("label", [-1, 2**64])
+    def test_a_label_outside_64_bits_raises(self, label):
+        with pytest.raises(DomainError, match="outside"):
+            rng.derive_key(1, 3, label)
+
+    @pytest.mark.parametrize("draw", [
+        lambda: smoothing_stream(EnsembleConfig(4, 1.0, EntryDistribution("RealGaussian"), 1), -1),
+        lambda: certified_log_det(MatrixSample.from_array(np.eye(4)), 0.0, math.inf, 1, -1),
+        lambda: concentration_Q(EntryDistribution("RealGaussian"), 0.1, seed=-1),
+    ], ids=["smoothing_stream", "certified_log_det", "concentration_Q"])
+    def test_callers_reject_a_negative_label(self, draw):
+        with pytest.raises(DomainError):
+            draw()
+
+    @pytest.mark.parametrize("rows, cols", [([-1], [0]), ([4], [0]), ([0], [-1]), ([0], [4])])
+    def test_keys_at_rejects_an_index_off_the_grid(self, rows, cols):
+        # a row of -1 took the key of row 3
+        with pytest.raises(DomainError, match="outside the 4 x 4 grid"):
+            rng.keys_at(1, 1, 0, np.array(rows), np.array(cols), 4, 4)
 
 
 class TestUniformWords:

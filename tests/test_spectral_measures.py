@@ -255,6 +255,10 @@ class TestLogPotentialEmpirical:
         assert log_potential_empirical(spectra, 0.25).truncation_count == 1
         assert log_potential_empirical(spectra, 1.0).truncation_count == 0
 
+    def test_no_spectra_rejected(self):
+        with pytest.raises(DomainError, match="at least one spectrum"):
+            log_potential_empirical([], 1.0)
+
     def test_mismatched_dimension_rejected(self):
         with pytest.raises(DomainError):
             log_potential_empirical([spectrum_of([1.0]), spectrum_of([1.0, 1.0])], 1.0)
