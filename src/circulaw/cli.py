@@ -101,7 +101,8 @@ def _cmd_sample(args) -> int:
 
 
 def _cmd_esd(args) -> int:
-    spectrum = eigenvalues(sample_matrix(_ensemble_from_args(args), args.trial))
+    sample = sample_matrix(_ensemble_from_args(args), args.trial, order="F")
+    spectrum = eigenvalues(sample, overwrite=True)
     _emit(csv_text(["re", "im"], ((v.real, v.imag) for v in spectrum.values)), args.out)
     return 0
 

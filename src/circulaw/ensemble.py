@@ -225,21 +225,29 @@ def _signed(words: np.ndarray, bit: int, magnitude: float, out: np.ndarray) -> n
     return out
 
 
-def _values_from_words(dist: EntryDistribution, words: np.ndarray) -> np.ndarray:
+def _values_from_words(dist: EntryDistribution, words: np.ndarray, out=None) -> np.ndarray:
     """Map word arrays of shape (..., words_per_draw) to entry values.
 
     The formulas here are the single source of truth for both the scalar
-    and the vectorized sampling paths.
+    and the vectorized sampling paths. A ComplexGaussian writes its values
+    into `out`, if given, and returns it; every other law returns a new array.
     """
     if dist.tag == "RealGaussian":
         radius, angle = _polar(words)
         radius *= np.cos(angle, out=angle)
         return radius
     if dist.tag == "ComplexGaussian":
+        # (z0 + i z1) / sqrt(2) of the pair z0 = radius cos(angle), z1 = radius sin(angle),
+        # part by part: complex times real rounds each part as real times real, so these
+        # are its bits without its complex temporaries
         radius, angle = _polar(words)
-        z0 = radius * np.cos(angle)
-        z1 = radius * np.sin(angle)
-        return (z0 + 1j * z1) * _INV_SQRT2
+        out = np.empty(words.shape[:-1], np.complex128) if out is None else out
+        re, im = out.real, out.imag
+        np.multiply(radius, np.cos(angle, out=re), out=re)
+        re *= _INV_SQRT2
+        np.multiply(radius, np.sin(angle, out=angle), out=im)
+        im *= _INV_SQRT2
+        return out
     if dist.tag == "Rademacher":
         signs = np.empty(words.shape[:-1], np.uint64)
         return _signed(words[..., 0], 63, 1.0, signs).view(np.float64)
@@ -266,12 +274,14 @@ def draw_entry(dist: EntryDistribution, stream: rng.Stream):
     return complex(value) if dist.is_complex else float(value)
 
 
-def _draws(dist: EntryDistribution, keys: np.ndarray, words: np.ndarray, scratch: np.ndarray):
+def _draws(dist: EntryDistribution, keys: np.ndarray, words: np.ndarray, scratch: np.ndarray,
+           out=None):
     """One draw per key; `words` (shape (words_per_draw, *keys.shape)) and
-    `scratch` (keys' shape) are uint64 buffers the call overwrites."""
+    `scratch` (keys' shape) are uint64 buffers the call overwrites, and `out`
+    is passed on to `_values_from_words`."""
     for i in range(dist.words_per_draw):
         rng.word_into(keys, i, words[i], scratch)
-    return _values_from_words(dist, np.moveaxis(words, 0, -1))
+    return _values_from_words(dist, np.moveaxis(words, 0, -1), out)
 
 
 def draws_from_keys(dist: EntryDistribution, keys: np.ndarray) -> np.ndarray:
@@ -280,21 +290,24 @@ def draws_from_keys(dist: EntryDistribution, keys: np.ndarray) -> np.ndarray:
     return _draws(dist, keys, words, np.empty(np.shape(keys), np.uint64))
 
 
-def _value_blocks(dist: EntryDistribution, seed, role, aux, rows: range, ncols):
-    """Yield (block, values) by the row blocks of `rng.key_blocks`: values[i, k]
-    is the draw keyed by (seed, role, aux, block[i], k)."""
+def _value_blocks(dist: EntryDistribution, seed, role, aux, rows: range, ncols, out):
+    """Yield (dest, values) by the row blocks of `rng.key_blocks`: `dest` is the
+    block's rows of `out` (len(rows) x ncols), and values[i, k] is the draw keyed
+    by (seed, role, aux, block[i], k); a ComplexGaussian's values are `dest`."""
     words = None
     for block, keys, scratch in rng.key_blocks(seed, role, aux, rows, ncols):
         if words is None:  # the first block is the tallest
             words = np.empty((dist.words_per_draw, *keys.shape), np.uint64)
-        yield block, _draws(dist, keys, words[:, : len(block)], scratch)
+        dest = out[block.start - rows.start : block.stop - rows.start]
+        yield dest, _draws(dist, keys, words[:, : len(block)], scratch, dest)
 
 
 def draw_rows(dist, seed, role, aux, rows: range, ncols) -> np.ndarray:
     """Rows `rows` of `draw_grid(dist, seed, role, aux, nrows, ncols)`, for any nrows."""
     out = np.empty((len(rows), ncols), np.complex128 if dist.is_complex else np.float64)
-    for block, values in _value_blocks(dist, seed, role, aux, rows, ncols):
-        out[block.start - rows.start : block.stop - rows.start] = values
+    for dest, values in _value_blocks(dist, seed, role, aux, rows, ncols, out):
+        if values is not dest:
+            dest[...] = values
     return out
 
 
@@ -317,12 +330,14 @@ def mask_grid(seed, role, aux, nrows, ncols, p_n) -> np.ndarray:
     return mask_rows(seed, role, aux, range(nrows), ncols, p_n)
 
 
-def sample_matrix(config: EnsembleConfig, trial_index: int) -> MatrixSample:
-    """Draw the n x n matrix (eps_jk X_jk / sqrt(n p_n)) for one trial.
+def sample_matrix(config: EnsembleConfig, trial_index: int, order: str = "C") -> MatrixSample:
+    """Draw the n x n matrix (eps_jk X_jk / sqrt(n p_n)) for one trial, stored
+    row-major (`order` "C") or column-major ("F") with the same values.
 
     Bit-identical across repeated calls and across processes for the same
     (config, trial_index). The grids come from the row-blocked kernel
-    (`rng.key_blocks`), which writes each block straight into its rows. For
+    (`rng.key_blocks`), which writes each block straight into its rows, a
+    ComplexGaussian block its real and imaginary parts too. For
     p_n < 1 the values are drawn only where the mask is set, BLOCK_KEYS kept
     entries at a time; keys are positional, so the entries equal those of
     the full value grid masked afterwards. A trial index outside [0, 2^64)
@@ -333,14 +348,17 @@ def sample_matrix(config: EnsembleConfig, trial_index: int) -> MatrixSample:
         raise ConfigError("sample_matrix expects an EnsembleConfig")
     if not 0 <= _whole("trial_index", trial_index) <= rng.MASK64:
         raise ConfigError(f"trial index must be a 64-bit unsigned integer, got {trial_index}")
+    if order not in ("C", "F"):
+        raise ConfigError(f"sample order must be 'C' or 'F', got {order!r}")
     n, seed, dist = config.n, config.master_seed, config.dist
     dtype = np.complex128 if dist.is_complex else np.float64
     if config.p_n == 1.0:
-        entries = np.empty((n, n), dtype)
-        for block, values in _value_blocks(dist, seed, rng.ROLE_VALUE, trial_index, range(n), n):
-            np.divide(values, math.sqrt(n), out=entries[block.start : block.stop])
+        entries = np.empty((n, n), dtype, order=order)
+        for dest, values in _value_blocks(dist, seed, rng.ROLE_VALUE, trial_index, range(n), n,
+                                          entries):
+            np.divide(values, math.sqrt(n), out=dest)
         return MatrixSample(entries)
-    entries = np.zeros((n, n), dtype)
+    entries = np.zeros((n, n), dtype, order=order)
     kept = np.flatnonzero(mask_grid(seed, rng.ROLE_MASK, trial_index, n, n, config.p_n))
     for start in range(0, len(kept), rng.BLOCK_KEYS):
         at = kept[start : start + rng.BLOCK_KEYS]

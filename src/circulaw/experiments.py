@@ -240,7 +240,7 @@ def run_circular_law(spec: ExperimentSpec, report: ExperimentReport) -> None:
 
     def one_trial(t):
         try:
-            spectrum = eigenvalues(sample_matrix(cfg, t))
+            spectrum = eigenvalues(sample_matrix(cfg, t, order="F"), overwrite=True)
         except NumericError:
             return None
         radial, angular = radial_angular_cdfs(spectrum)

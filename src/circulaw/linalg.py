@@ -40,10 +40,17 @@ decorator, so it has the serial kernels' bits however it is called, and the
 private helpers run inside their caller's hold. `_lapack_call` is the one
 way a LAPACK routine is called: an illegal argument (info < 0) raises
 NumericError, and info > 0 goes back to the caller.
-Where numpy ships no OpenBLAS of its own (wheels on Accelerate, conda and
-distro builds), numpy's `eigvalsh`, `slogdet` and `solve` run instead.
+Eigenvalues come from LAPACK geev of the same library, with the bits of
+`eigvals` on one BLAS thread and the GIL released at every n, as for the
+Gram eigensolve. Where numpy ships no OpenBLAS of its own (wheels on
+Accelerate, conda and distro builds), numpy's `eigvalsh`, `eigvals`,
+`slogdet` and `solve` run instead.
 
-Who owns which buffer. The caller's sample is only read, by every kernel.
+Who owns which buffer. The caller's sample is only read, by every kernel,
+with one exception the caller asks for: `eigenvalues(sample, overwrite=True)`
+on a column-major sample (`sample_matrix(..., order="F")`) runs geev in the
+sample's own buffer, so an eigenvalue trial holds one n x n matrix, not the
+sample and its column-major copy; the sample is then spent.
 The shifted matrix of a certificate is made in a scratch buffer, one per
 thread, that only this module keeps (`_scratch_matrix`), and its LU
 overwrites it there. The scratch lives exactly as long as the outermost
@@ -91,6 +98,9 @@ _ARGTYPES = {
     # jobz uplo n a lda w, then (work, lwork) [(rwork, lrwork)] (iwork, liwork)
     "syevd": [_CHAR, _CHAR, _INT, _PTR, _INT, _PTR] + [_PTR, _INT] * 2,
     "heevd": [_CHAR, _CHAR, _INT, _PTR, _INT, _PTR] + [_PTR, _INT] * 3,
+    # jobvl jobvr n a lda, then wr wi (d) or w (z), vl ldvl vr ldvr work lwork [rwork (z)]
+    "dgeev": [_CHAR, _CHAR, _INT, _PTR, _INT, _PTR, _PTR] + [_PTR, _INT] * 3,
+    "zgeev": [_CHAR, _CHAR, _INT, _PTR, _INT, _PTR] + [_PTR, _INT] * 3 + [_PTR],
 }
 
 # OpenBLAS's thread count is process-wide, so the hold on it is too
@@ -122,7 +132,8 @@ def _lapack(routine: str):
     """LAPACK `routine` ('dgetrf', 'zheevd', ...) of 64-bit integers, typed; None if not found."""
     fn = _symbol(routine + "_64_")
     if fn is not None and fn.argtypes is None:  # typed on first use
-        fn.argtypes, fn.restype = _ARGTYPES[routine[1:]] + [_INT], None
+        fn.argtypes = _ARGTYPES.get(routine, _ARGTYPES.get(routine[1:])) + [_INT]
+        fn.restype = None
     return fn
 
 
@@ -424,21 +435,77 @@ def _eigvalsh(g: np.ndarray) -> np.ndarray:
 
 
 @single_threaded_blas()
-def eigenvalues(sample: MatrixSample) -> Spectrum:
-    """All eigenvalues, sorted by (Re, Im) for reproducible reports. `eigvals` runs
-    on one BLAS thread, so the values do not depend on OPENBLAS_NUM_THREADS."""
+def eigenvalues(sample: MatrixSample, overwrite: bool = False) -> Spectrum:
+    """All eigenvalues, sorted by (Re, Im) for reproducible reports, with the bits
+    of `eigvals` on one BLAS thread, so they do not depend on OPENBLAS_NUM_THREADS.
+
+    The sample is only read, unless `overwrite` is set and its entries are a
+    column-major float64 or complex128 array: then geev works in that buffer,
+    which holds no eigenvalue data afterwards, and the trial holds no second
+    n x n matrix. Any other sample is copied column-major first, as `eigvals`
+    copies it. The trace for the check below is taken before the solve.
+    Non-finite entries, an iteration that does not converge and a spectrum
+    whose sum is not the trace raise NumericError."""
     a = sample.entries
-    try:
-        vals = np.linalg.eigvals(a)
-    except np.linalg.LinAlgError as exc:
-        raise NumericError(f"eigenvalue iteration failed: {exc}") from exc
-    vals = vals.astype(np.complex128)
+    trace = complex(np.trace(a))
+    vals = _eigvals(a, overwrite)
     order = np.lexsort((vals.imag, vals.real))
     vals = vals[order]
-    trace = complex(np.trace(a))
     if abs(complex(vals.sum()) - trace) > 1e-6 * sample.n * max(1.0, abs(trace)):
         raise NumericError("eigenvalue sum inconsistent with trace")
     return Spectrum(vals)
+
+
+def _eigvals(a: np.ndarray, overwrite: bool) -> np.ndarray:
+    """Eigenvalues of the square `a`, as complex128 in LAPACK's order; with
+    `overwrite`, a column-major float64 or complex128 `a` is the solve's buffer.
+
+    dgeev/zgeev (jobvl = jobvr = 'N') run on OpenBLAS's serial kernels over the
+    column-major layout numpy hands LAPACK, at the workspace size LAPACK asks
+    for, as numpy's `eigvals` calls them; so the result has `eigvals`'s bits on
+    one BLAS thread, and the GIL is free while it runs (`eigvals` keeps it for
+    one matrix of n <= 500). As there, a real spectrum with no imaginary part
+    other than 0 comes back with +0.0 imaginary parts. Without the library,
+    `eigvals` runs instead, and `a` is only read. A non-square `a` raises
+    DomainError before any pointer is passed.
+    """
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise DomainError(f"eigenvalues need a square matrix, got shape {a.shape}")
+    is_complex = np.iscomplexobj(a)
+    geev = _lapack("zgeev" if is_complex else "dgeev")
+    if geev is None:
+        try:
+            return np.linalg.eigvals(a).astype(np.complex128)
+        except np.linalg.LinAlgError as exc:
+            raise NumericError(f"eigenvalue iteration failed: {exc}") from exc
+    if not np.isfinite(a).all():
+        raise NumericError("eigenvalue iteration failed: matrix has non-finite entries")
+    n = len(a)
+    dtype = np.complex128 if is_complex else np.float64
+    in_place = overwrite and a.dtype == dtype and a.flags.f_contiguous and a.flags.writeable
+    f = a if in_place else np.array(a, dtype=dtype, order="F")
+    vals = np.zeros(n, np.complex128)
+    wr, wi = np.empty(n), np.empty(n)
+    no_vectors = np.empty(1, dtype)
+    # the eigenvalues, then vl ldvl vr ldvr (not referenced), then work lwork [rwork]
+    head = (vals,) if is_complex else (wr, wi)
+    tail = (np.empty(2 * n),) if is_complex else ()
+
+    def solve(work, lwork):
+        args = (*head, no_vectors, 1, no_vectors, 1, work, lwork, *tail)
+        return _lapack_call(geev, b"N", b"N", n, f, max(n, 1), *args)
+
+    query = np.zeros(1, dtype)
+    solve(query, -1)
+    work = np.empty(int(query[0].real), dtype)
+    info = solve(work, len(work))
+    if info > 0:
+        raise NumericError(f"eigenvalue iteration did not converge (LAPACK info {info})")
+    if not is_complex:
+        vals.real = wr
+        if wi.any():  # else +0.0, as `eigvals` drops an all-zero imaginary part
+            vals.imag = wi
+    return vals
 
 
 def smallest_singular_value(sample: MatrixSample) -> float:

@@ -118,7 +118,10 @@ def _absorbed(h: int, parts: np.ndarray) -> np.ndarray:
 
 
 def _row_col_hashes(master_seed: int, role: int, aux: int, rows: range, ncols: int):
-    """(hr, inner_c): derive_key(seed, role, aux, rows[i], k) == mix64(hr[i] ^ inner_c[k])."""
+    """(hr, inner_c): derive_key(seed, role, aux, rows[i], k) == mix64(hr[i] ^ inner_c[k]).
+    A row range reaching outside [0, 2^64) raises DomainError."""
+    if len(rows) and not (0 <= rows.start and rows.stop - 1 <= MASK64):
+        raise DomainError(f"row range {rows} is outside [0, 2^64)")
     h0 = derive_key(master_seed, role, aux)
     hr = _absorbed(h0, np.arange(rows.start, rows.stop, dtype=np.uint64))
     return hr, _inner(np.arange(ncols, dtype=np.uint64))

@@ -166,6 +166,21 @@ class TestSampleMatrix:
         with pytest.raises(ConfigError, match="trial index"):
             sample_matrix(EnsembleConfig(2, p_n, GAUSS, 1), trial)
 
+    @pytest.mark.parametrize("theta", [None, 0.5], ids=["dense", "theta=0.5"])
+    @pytest.mark.parametrize("dist", ALL_DISTS, ids=lambda d: d.tag)
+    def test_column_major_sample_has_the_row_major_values(self, dist, theta):
+        n = 300  # three row blocks
+        cfg = (EnsembleConfig(n, 1.0, dist, 4) if theta is None
+               else EnsembleConfig.from_theta(n, theta, dist, 4))
+        rows = sample_matrix(cfg, 2).entries
+        cols = sample_matrix(cfg, 2, order="F").entries
+        assert rows.flags.c_contiguous and cols.flags.f_contiguous
+        assert cols.dtype == rows.dtype and np.ascontiguousarray(cols).tobytes() == rows.tobytes()
+
+    def test_an_unknown_order_is_rejected(self):
+        with pytest.raises(ConfigError, match="order"):
+            sample_matrix(EnsembleConfig(2, 1.0, GAUSS, 1), 0, order="K")
+
     def test_a_non_config_is_rejected(self):
         with pytest.raises(ConfigError, match="expects an EnsembleConfig"):
             sample_matrix({"n": 2, "p_n": 1.0}, 0)
@@ -277,12 +292,17 @@ class TestMaskThreshold:
 
 
 class TestSamplerKernel:
-    @pytest.mark.parametrize("theta", [None, 0.5], ids=["dense", "theta=0.5"])
-    def test_scratch_memory_is_bounded(self, theta):
+    @pytest.mark.parametrize("dist, theta", [
+        pytest.param(GAUSS, None, id="dense"),
+        pytest.param(GAUSS, 0.5, id="theta=0.5"),
+        # a complex block wrote three complex temporaries: 3.1 MiB over the output
+        pytest.param(CGAUSS, None, id="complex-dense"),
+    ])
+    def test_scratch_memory_is_bounded(self, dist, theta):
         # row blocks keep the sampler's scratch near 2^15 keys' worth of buffers
         n = 512
-        cfg = (EnsembleConfig(n, 1.0, GAUSS, 3) if theta is None
-               else EnsembleConfig.from_theta(n, theta, GAUSS, 3))
+        cfg = (EnsembleConfig(n, 1.0, dist, 3) if theta is None
+               else EnsembleConfig.from_theta(n, theta, dist, 3))
         started = not tracemalloc.is_tracing()
         tracemalloc.start()
         tracemalloc.reset_peak()

@@ -121,8 +121,8 @@ def test_failure_row_bytes(case, fmt, tmp_path, monkeypatch):
     kind, extra, nan_trials = FAILURE_CASES[case]
     draw = experiments.sample_matrix
 
-    def sample_matrix(cfg, t):
-        sample = draw(cfg, t)
+    def sample_matrix(cfg, t, **layout):
+        sample = draw(cfg, t, **layout)
         return MatrixSample(np.full_like(sample.entries, np.nan)) if t in nan_trials else sample
 
     monkeypatch.setattr(experiments, "sample_matrix", sample_matrix)

@@ -392,6 +392,12 @@ class TestAllocations:
         assert peak < self.n * self.n * 16
         assert a.entries.tobytes() == before
 
+    def test_eigenvalues_in_the_sample_allocate_less_than_one_complex_matrix(self):
+        bundled_openblas()
+        a = sample_matrix(EnsembleConfig(self.n, 1.0, CGAUSS, 3), 0, order="F")
+        peak = self._peak_bytes(lambda m: eigenvalues(m, overwrite=True), a)
+        assert peak < self.n * self.n * 16 // 2
+
     def test_singular_values_allocate_the_gram_product_and_o_n(self):
         bundled_openblas()
         a = sample_matrix(EnsembleConfig(self.n, 1.0, GAUSS, 3), 0)
@@ -434,7 +440,8 @@ class TestOneLU:
 
     def test_binding_resolves_when_numpy_bundles_openblas(self):
         bundled_openblas()
-        for routine in ("dgetrf", "zgetrf", "dgetrs", "zgetrs", "dsyevd", "zheevd"):
+        for routine in ("dgetrf", "zgetrf", "dgetrs", "zgetrs", "dsyevd", "zheevd", "dgeev",
+                        "zgeev"):
             assert linalg._lapack(routine) is not None, routine
         for name in ("openblas_get_num_threads64_", "openblas_set_num_threads64_"):
             assert linalg._symbol(name) is not None, name
@@ -569,11 +576,16 @@ class TestGramEigensolve:
         monkeypatch.setattr(linalg, "openblas", lambda: None)
         assert [singular_values(a).values.tobytes() for a in samples] == binding
 
-    def test_eigensolve_releases_the_gil(self, oracle_rng):
-        # numpy's eigvalsh keeps the GIL for one matrix of n <= 500: the counter
-        # would make no step at all between `before` and `after`
+    # numpy's eigvalsh and eigvals keep the GIL for one matrix of n <= 500: under
+    # eigvalsh the counter makes no step between `before` and `after`, and under
+    # eigvals a few turns of 64 steps (at most 384 at n = 400, against ~65k for geev)
+    @pytest.mark.parametrize("solve, bound", [
+        (lambda a: linalg._eigvalsh(a @ a.T), 100),
+        (lambda a: eigenvalues(MatrixSample(a)), 1024),
+    ], ids=["gram", "geev"])
+    def test_eigensolve_releases_the_gil(self, oracle_rng, solve, bound):
+        bundled_openblas()
         a = oracle_rng.normal(size=(400, 400))
-        g = a @ a.T
         steps, ready, stop = [0], threading.Event(), threading.Event()
 
         def count():
@@ -591,14 +603,14 @@ class TestGramEigensolve:
             assert ready.wait(timeout=60)
             with linalg.single_threaded_blas():
                 before = steps[0]
-                linalg._eigvalsh(g)
+                solve(a)
                 after = steps[0]
         finally:
             stop.set()
             counter.join(timeout=60)
             sys.setswitchinterval(interval)
         assert not counter.is_alive()
-        assert after - before > 100
+        assert after - before > bound
 
 
 class TestEigenvalues:
@@ -631,6 +643,88 @@ class TestEigenvalues:
         vals = eigenvalues(from_array(oracle_rng.normal(size=(16, 16)))).values
         keys = [(v.real, v.imag) for v in vals]
         assert keys == sorted(keys)
+
+    @pytest.mark.parametrize("complex_", [False, True], ids=["real", "complex"])
+    @pytest.mark.parametrize("n", [1, 2, 3, 37, 128, 512])
+    def test_bits_equal_sorted_eigvals(self, oracle_rng, n, complex_):
+        bundled_openblas()
+        a = draw_matrix(oracle_rng, (n, n), complex_)
+        with linalg.single_threaded_blas():
+            oracle = np.linalg.eigvals(a).astype(np.complex128)
+        oracle = oracle[np.lexsort((oracle.imag, oracle.real))].tobytes()
+        for order in ("C", "F"):
+            for overwrite in (False, True):
+                got = eigenvalues(MatrixSample(np.array(a, order=order)), overwrite=overwrite)
+                assert got.values.tobytes() == oracle, (order, overwrite)
+
+    def test_a_real_spectrum_has_positive_zero_imaginary_parts_as_in_eigvals(self, oracle_rng):
+        a = oracle_rng.normal(size=(40, 40))
+        a += a.T
+        with linalg.single_threaded_blas():
+            got = linalg._eigvals(a, False)
+            oracle = np.linalg.eigvals(a).astype(np.complex128)
+        assert not np.signbit(got.imag).any() and got.tobytes() == oracle.tobytes()
+
+    @pytest.mark.parametrize("overwrite", [False, True])
+    def test_fallback_without_the_library_returns_the_same_values(self, monkeypatch, overwrite):
+        samples = [(EnsembleConfig(n, 1.0, dist, 9), t)
+                   for n in (1, 2, 3, 37, 64) for dist in (GAUSS, CGAUSS) for t in range(3)]
+
+        def spectra():
+            return [eigenvalues(sample_matrix(cfg, t, order="F"), overwrite=overwrite)
+                    .values.tobytes() for cfg, t in samples]
+
+        binding = spectra()
+        monkeypatch.setattr(linalg, "openblas", lambda: None)
+        assert spectra() == binding
+
+    @pytest.mark.parametrize("order, overwrite", [("C", False), ("F", False), ("C", True)])
+    @pytest.mark.parametrize("complex_", [False, True], ids=["real", "complex"])
+    def test_the_callers_sample_is_only_read(self, oracle_rng, complex_, order, overwrite):
+        # only a column-major sample with overwrite=True is the solve's buffer
+        a = MatrixSample(np.array(draw_matrix(oracle_rng, (64, 64), complex_), order=order))
+        before = a.entries.tobytes()
+        eigenvalues(a, overwrite=overwrite)
+        assert a.entries.tobytes() == before
+
+    def test_overwrite_solves_in_a_column_major_sample(self, oracle_rng):
+        bundled_openblas()
+        a = MatrixSample(np.array(draw_matrix(oracle_rng, (64, 64), True), order="F"))
+        before = a.entries.tobytes()
+        expected = eigenvalues(a).values
+        assert eigenvalues(a, overwrite=True).values.tobytes() == expected.tobytes()
+        assert a.entries.tobytes() != before
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_nonfinite_rejected(self, bad):
+        a = np.eye(4)
+        a[1, 2] = bad
+        with pytest.raises(NumericError, match="non-finite"):
+            eigenvalues(from_array(a))
+
+    @pytest.mark.parametrize("complex_", [False, True], ids=["real", "complex"])
+    def test_an_empty_sample_has_an_empty_spectrum_as_in_eigvals(self, complex_):
+        # LAPACK rejects lda = 0
+        empty = MatrixSample(np.zeros((0, 0), complex if complex_ else float))
+        assert eigenvalues(empty).values.shape == (0,)
+
+    @pytest.mark.parametrize("library", [True, False], ids=["geev", "eigvals"])
+    def test_a_non_square_sample_is_rejected_before_lapack(self, monkeypatch, library):
+        # geev would read n x n entries from a buffer of n x m
+        if not library:
+            monkeypatch.setattr(linalg, "openblas", lambda: None)
+        with pytest.raises(DomainError, match="square"):
+            eigenvalues(MatrixSample(np.ones((4, 3), order="F")), overwrite=True)
+
+    def test_no_convergence_raises_numeric_error(self, monkeypatch, oracle_rng):
+        inject_info(monkeypatch, "zgeev", 2)
+        with pytest.raises(NumericError, match="did not converge"):
+            eigenvalues(from_array(draw_matrix(oracle_rng, (8, 8), True)))
+
+    def test_illegal_argument_raises(self, monkeypatch, oracle_rng):
+        inject_info(monkeypatch, "dgeev", -13)
+        with pytest.raises(NumericError, match="argument 13"):
+            eigenvalues(from_array(oracle_rng.normal(size=(8, 8))))
 
 
 class TestSmallestSingularValue:

@@ -1,10 +1,11 @@
 import math
+import re
 
 import numpy as np
 import pytest
 
 from circulaw import DomainError, EnsembleConfig, EntryDistribution, MatrixSample, rng
-from circulaw.ensemble import smoothing_stream
+from circulaw.ensemble import draw_rows, mask_rows, smoothing_stream
 from circulaw.invertibility import concentration_Q
 from circulaw.linalg import certified_log_det
 
@@ -76,6 +77,23 @@ class TestLabelRange:
     def test_callers_reject_a_negative_label(self, draw):
         with pytest.raises(DomainError):
             draw()
+
+    # numpy's uint64 cast raised a bare OverflowError for these rows
+    @pytest.mark.parametrize("rows", [range(-1, 2), range(2**64 - 1, 2**64 + 1)],
+                             ids=["negative", "past-2^64"])
+    @pytest.mark.parametrize("draw", [
+        lambda rows: draw_rows(EntryDistribution("RealGaussian"), 1, 1, 0, rows, 4),
+        lambda rows: mask_rows(1, rng.ROLE_MASK, 0, rows, 4, 0.5),
+        lambda rows: next(rng.key_blocks(1, 1, 0, rows, 4)),
+    ], ids=["draw_rows", "mask_rows", "key_blocks"])
+    def test_a_row_range_outside_64_bits_raises(self, draw, rows):
+        with pytest.raises(DomainError, match=re.escape(f"row range {rows} is outside")):
+            draw(rows)
+
+    def test_the_last_rows_below_2_64_are_keyed(self):
+        top = range(2**64 - 2, 2**64)
+        keys = next(rng.key_blocks(1, 1, 0, top, 3))[1]
+        assert keys.tolist() == [[rng.derive_key(1, 1, 0, j, k) for k in range(3)] for j in top]
 
     @pytest.mark.parametrize("rows, cols", [([-1], [0]), ([4], [0]), ([0], [-1]), ([0], [4])])
     def test_keys_at_rejects_an_index_off_the_grid(self, rows, cols):
