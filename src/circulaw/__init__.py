@@ -34,10 +34,8 @@ from .linalg import (
     distance_to_span,
     eigenvalues,
     hermitize,
-    operator_norm,
     shift,
     singular_values,
-    smallest_singular_value,
     smoothing_shift,
 )
 from .spectral_measures import (
@@ -47,6 +45,5 @@ from .spectral_measures import (
     log_potential_empirical,
     radial_angular_cdfs,
     stieltjes_empirical,
-    sv_squared_cdf,
     symmetrize,
 )

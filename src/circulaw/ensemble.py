@@ -43,6 +43,14 @@ def _whole(name: str, value) -> int:
     return int(value)
 
 
+def _dimension(name: str, value) -> int:
+    """`value` as a matrix dimension: a whole number >= 1."""
+    n = _whole(name, value)
+    if n < 1:
+        raise ConfigError(f"{name} must be >= 1, got {n}")
+    return n
+
+
 def _real(name: str, value) -> float:
     """`value` as a finite float; bool, None, strings and NaN/inf are errors."""
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
@@ -138,13 +146,11 @@ class EnsembleConfig:
     theta: Optional[float] = None
 
     def __post_init__(self):
-        object.__setattr__(self, "n", _whole("n", self.n))
+        object.__setattr__(self, "n", _dimension("n", self.n))
         object.__setattr__(self, "p_n", _real("p_n", self.p_n))
         object.__setattr__(self, "master_seed", _whole("master_seed", self.master_seed))
         if self.theta is not None:
             object.__setattr__(self, "theta", _real("theta", self.theta))
-        if self.n < 1:
-            raise ConfigError(f"n must be >= 1, got {self.n}")
         if not (0.0 < self.p_n <= 1.0):
             raise ConfigError(f"p_n must lie in (0, 1], got {self.p_n}")
         if not (0 <= self.master_seed <= rng.MASK64):
@@ -161,6 +167,7 @@ class EnsembleConfig:
 
     @classmethod
     def from_theta(cls, n, theta, dist, master_seed) -> "EnsembleConfig":
+        n = _dimension("n", n)  # before the power, which n <= 0 breaks
         return cls(n, float(n) ** (-(1.0 - theta)), dist, master_seed, theta=theta)
 
     def to_json_dict(self) -> dict:

@@ -21,12 +21,12 @@ import numpy as np
 
 from . import __version__
 from .ensemble import EnsembleConfig, draw_unit_disc, sample_matrix, smoothing_stream
-from .ensemble import _json_object, _real, _whole
+from .ensemble import _dimension, _json_object, _real, _whole
 from .errors import ConfigError, EstimationError, NumericError
-from .invertibility import MIN_TAIL_TRIALS, largest_sv_tail, min_sv_tail
+from .invertibility import MIN_TAIL_TRIALS, min_sv_tail
 from .limit_theory import disc_potential, law_for_shift, potential_from_law
-from .linalg import certified_log_det, eigenvalues, shift, singular_values, smoothing_shift
-from .linalg import truncation_window
+from .linalg import certified_log_det, eigenvalues, frobenius_norm, shift, singular_values
+from .linalg import smoothing_shift, truncation_window
 from .parallel import parallel_map
 from .spectral_measures import (
     EmpiricalCDF,
@@ -103,7 +103,7 @@ class ExperimentSpec:
             ("trials", _whole("trials", self.trials)),
             ("z_points", _each("z_points", self.z_points, _point)),
             ("thresholds", _each("thresholds", self.thresholds, _real)),
-            ("n_values", _each("n_values", self.n_values, _whole)),
+            ("n_values", _each("n_values", self.n_values, _dimension)),
             ("r", self.r if self.r == "auto" else _real("r", self.r)),
             ("b_exponent", _real("b_exponent", self.b_exponent)),
             ("c_cut", _real("c_cut", self.c_cut)),
@@ -278,9 +278,8 @@ def run_sv_law(spec: ExperimentSpec, report: ExperimentReport) -> None:
     as a decay diagnostic (the theoretical rate is only an upper bound, so the
     slope is informational).
     """
-    ns = list(spec.n_values) or [spec.ensemble.n]
     laws = [law_for_shift(z) for z in spec.z_points]
-    cfgs = [_resize(spec.ensemble, n) for n in ns]
+    cfgs = _ladder(spec)
 
     def one_trial(task):
         z, cfg, t = task
@@ -290,17 +289,18 @@ def run_sv_law(spec: ExperimentSpec, report: ExperimentReport) -> None:
     atoms = iter(parallel_map(one_trial, tasks))
     for z, law in zip(spec.z_points, laws):
         deltas = []
-        for n in ns:
+        for cfg in cfgs:
             trials = [next(atoms) for _ in range(spec.trials)]
             pooled = EmpiricalCDF.from_values(np.concatenate(trials))
             delta = ks_distance(pooled, law.cdf_squared)
             deltas.append(delta)
             report.append(
-                row="stat", n=n, z_re=z.real, z_im=z.imag,
+                row="stat", n=cfg.n, z_re=z.real, z_im=z.imag,
                 trials=spec.trials, delta=delta, slope="",
             )
-        if len(ns) >= 2:
-            x = np.log(ns) - np.mean(np.log(ns))  # least squares without LAPACK's kernels
+        if len(cfgs) >= 2:
+            x = np.log([cfg.n for cfg in cfgs])
+            x -= np.mean(x)  # least squares without LAPACK's kernels
             slope = float(np.sum(x * np.log(deltas)) / np.sum(x * x))
             report.append(
                 row="slope", n=-1, z_re=z.real, z_im=z.imag,
@@ -358,13 +358,12 @@ def run_potential(spec: ExperimentSpec, report: ExperimentReport) -> None:
                    "s1_violation_freq"])
 def run_minsv(spec: ExperimentSpec, report: ExperimentReport) -> None:
     """min_sv_tail over an (n, z) grid."""
-    for n in list(spec.n_values) or [spec.ensemble.n]:
-        cfg = _resize(spec.ensemble, n)
+    for cfg in _ladder(spec):
         for z in spec.z_points:
             table = min_sv_tail(cfg, z, spec.trials, spec.thresholds)
             for t, f in zip(table.thresholds, table.frequencies):
                 report.append(
-                    row="stat", n=n, p_n=cfg.p_n, z_re=z.real, z_im=z.imag,
+                    row="stat", n=cfg.n, p_n=cfg.p_n, z_re=z.real, z_im=z.imag,
                     threshold=float(t), frequency=float(f), trials=spec.trials,
                     s1_violation_freq=table.s1_violation_frequency,
                 )
@@ -372,18 +371,34 @@ def run_minsv(spec: ExperimentSpec, report: ExperimentReport) -> None:
 
 @_runner("MaxSv", ["row", "n", "p_n", "frequency", "trials"])
 def run_maxsv(spec: ExperimentSpec, report: ExperimentReport) -> None:
-    """largest_sv_tail over an n grid."""
-    for n in list(spec.n_values) or [spec.ensemble.n]:
-        cfg = _resize(spec.ensemble, n)
-        freq = largest_sv_tail(cfg, spec.trials)
-        report.append(row="stat", n=n, p_n=cfg.p_n, frequency=freq, trials=spec.trials)
+    """Frequency of s_1 >= n sqrt(p_n) (no shift) at each n of the ladder.
+
+    s_1 <= `frobenius_norm`, so a trial whose bound is below n sqrt(p_n) misses
+    without a spectrum; only the others take `singular_values`. One pool pass
+    runs every (n, trial) task, and each n's frequency is reduced in row order.
+    """
+    cfgs = _ladder(spec)
+
+    def one_trial(task):
+        cfg, t = task
+        ceiling = truncation_window(cfg.n, cfg.p_n)[1]
+        sample = sample_matrix(cfg, t)
+        return frobenius_norm(sample) >= ceiling and singular_values(sample).values[0] >= ceiling
+
+    hits = iter(parallel_map(one_trial, [(cfg, t) for cfg in cfgs for t in range(spec.trials)]))
+    for cfg in cfgs:
+        freq = float(np.mean([next(hits) for _ in range(spec.trials)]))
+        report.append(row="stat", n=cfg.n, p_n=cfg.p_n, frequency=freq, trials=spec.trials)
 
 
-def _resize(cfg: EnsembleConfig, n: int) -> EnsembleConfig:
-    """Same ensemble at a different dimension; theta (if any) re-derives p_n."""
-    if cfg.theta is not None:
-        return EnsembleConfig.from_theta(n, cfg.theta, cfg.dist, cfg.master_seed)
-    return replace(cfg, n=n)
+def _ladder(spec: ExperimentSpec) -> list:
+    """The ensemble at each n of `n_values` (else at its own n), every one built
+    before any trial runs, so a bad n fails first; theta (if any) re-derives p_n."""
+    cfg = spec.ensemble
+    ns = list(spec.n_values) or [cfg.n]
+    if cfg.theta is None:
+        return [replace(cfg, n=n) for n in ns]
+    return [EnsembleConfig.from_theta(n, cfg.theta, cfg.dist, cfg.master_seed) for n in ns]
 
 
 def tail_eigenvalue_index(delta: float, n: int, q: float):

@@ -7,6 +7,10 @@ norm). Incompressible vectors carry a spread set of moderate coordinates.
 Concentration functions are exact for atomic laws. For samples they take the
 largest fraction in one closed ball: an exact sliding window on the line, and
 centers on a hexagonal lattice of pitch eta/4 in the plane.
+
+`min_sv_tail` counts the s_n tail of one (n, z) in one pool pass of its own;
+the MinSv runner calls it once per (n, z). The s_1 tail of MaxSv is counted
+in its runner, `experiments.run_maxsv`.
 """
 
 from __future__ import annotations
@@ -21,7 +25,7 @@ from . import rng
 from .ensemble import EnsembleConfig, EntryDistribution, sample_matrix
 from .ensemble import draw_grid, draw_rows, mask_rows
 from .errors import DomainError, NumericError
-from .linalg import frobenius_norm, shift, singular_values, truncation_window
+from .linalg import shift, singular_values, truncation_window
 from .parallel import parallel_map
 from .textio import csv_text, write_text
 
@@ -241,13 +245,6 @@ def _ball_sums(x: np.ndarray, dist: EntryDistribution, p_n: float, trials: int, 
     return np.concatenate(sums)
 
 
-def _tail_ceiling(config: EnsembleConfig, trials: int) -> float:
-    """The ceiling n sqrt(p_n) of a tail count, after checking its trial count."""
-    if trials < MIN_TAIL_TRIALS:
-        raise DomainError(f"need at least {MIN_TAIL_TRIALS} trials, got {trials}")
-    return truncation_window(config.n, config.p_n)[1]
-
-
 def min_sv_tail(
     config: EnsembleConfig,
     z: complex,
@@ -258,7 +255,9 @@ def min_sv_tail(
     thresholds = np.sort(np.asarray(thresholds, dtype=np.float64))
     if len(thresholds) == 0 or not (thresholds[0] > 0 and np.isfinite(thresholds[-1])):
         raise DomainError("thresholds must be positive and finite")
-    ceiling = _tail_ceiling(config, trials)
+    if trials < MIN_TAIL_TRIALS:
+        raise DomainError(f"need at least {MIN_TAIL_TRIALS} trials, got {trials}")
+    ceiling = truncation_window(config.n, config.p_n)[1]
 
     def one_trial(t):
         s = singular_values(shift(sample_matrix(config, t), z)).values
@@ -271,17 +270,3 @@ def min_sv_tail(
         thresholds, freqs, trials, config.n, config.p_n, complex(z), float(np.mean(~ok))
     )
 
-
-def largest_sv_tail(config: EnsembleConfig, trials: int) -> float:
-    """Empirical frequency of s_1 >= n sqrt(p_n) (no shift).
-
-    s_1 <= `frobenius_norm`, so a trial whose bound is below n sqrt(p_n) misses
-    without a spectrum; only the others take `singular_values`.
-    """
-    ceiling = _tail_ceiling(config, trials)
-
-    def one_trial(t):
-        sample = sample_matrix(config, t)
-        return frobenius_norm(sample) >= ceiling and singular_values(sample).values[0] >= ceiling
-
-    return float(np.mean(parallel_map(one_trial, range(trials))))

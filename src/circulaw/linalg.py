@@ -39,7 +39,10 @@ each public kernel that reaches BLAS or LAPACK enters it once, as its
 decorator, so it has the serial kernels' bits however it is called, and the
 private helpers run inside their caller's hold. `_lapack_call` is the one
 way a LAPACK routine is called: an illegal argument (info < 0) raises
-NumericError, and info > 0 goes back to the caller.
+NumericError, and info > 0 goes back to the caller. `_lapack_solve` is the
+one way a routine that takes a workspace (syevd/heevd, geev) is called: it
+asks LAPACK for the workspace size, allocates it, makes the call and raises
+NumericError on info > 0.
 Eigenvalues come from LAPACK geev of the same library, with the bits of
 `eigvals` on one BLAS thread and the GIL released at every n, as for the
 Gram eigensolve. Where numpy ships no OpenBLAS of its own (wheels on
@@ -147,6 +150,23 @@ def _lapack_call(fn, *args) -> int:
     if info.value < 0:
         raise NumericError(f"LAPACK {fn.__name__} rejected argument {-info.value}")
     return info.value
+
+
+def _lapack_solve(fn, what: str, head, kinds, tail=()) -> None:
+    """fn(*head, (work, lwork) for each dtype in `kinds`, *tail) at the workspace sizes
+    LAPACK's lwork = -1 query asks for, as numpy calls these routines; info > 0 raises
+    NumericError("<what> did not converge (LAPACK info <info>)")."""
+
+    def call(buffers, sizes):
+        pairs = (arg for b, k in zip(buffers, sizes) for arg in (b, k))
+        return _lapack_call(fn, *head, *pairs, *tail)
+
+    query = [np.zeros(1, kind) for kind in kinds]
+    call(query, [-1] * len(kinds))
+    work = [np.empty(int(q[0].real), kind) for q, kind in zip(query, kinds)]
+    info = call(work, map(len, work))
+    if info > 0:
+        raise NumericError(f"{what} did not converge (LAPACK info {info})")
 
 
 @contextmanager
@@ -419,18 +439,8 @@ def _eigvalsh(g: np.ndarray) -> np.ndarray:
     else:
         a = np.asfortranarray(g.T, dtype=np.float64)  # g's own buffer if C-contiguous
     w = np.empty(len(a))
-
-    def solve(buffers, sizes):  # work, [rwork,] iwork, each followed by its length
-        pairs = (arg for b, k in zip(buffers, sizes) for arg in (b, k))
-        return _lapack_call(evd, b"N", b"L", len(a), a, len(a), w, *pairs)
-
     kinds = (a.dtype, np.float64, np.int64) if is_complex else (a.dtype, np.int64)
-    query = [np.zeros(1, kind) for kind in kinds]
-    solve(query, [-1] * len(kinds))
-    work = [np.empty(int(q[0].real), kind) for q, kind in zip(query, kinds)]
-    info = solve(work, map(len, work))
-    if info > 0:
-        raise NumericError(f"Gram eigensolve did not converge (LAPACK info {info})")
+    _lapack_solve(evd, "Gram eigensolve", (b"N", b"L", len(a), a, len(a), w), kinds)
     return w
 
 
@@ -487,35 +497,16 @@ def _eigvals(a: np.ndarray, overwrite: bool) -> np.ndarray:
     vals = np.zeros(n, np.complex128)
     wr, wi = np.empty(n), np.empty(n)
     no_vectors = np.empty(1, dtype)
-    # the eigenvalues, then vl ldvl vr ldvr (not referenced), then work lwork [rwork]
-    head = (vals,) if is_complex else (wr, wi)
+    # jobvl jobvr n a lda, the eigenvalues, vl ldvl vr ldvr (not referenced); rwork (z) last
+    head = (b"N", b"N", n, f, max(n, 1), *((vals,) if is_complex else (wr, wi)),
+            no_vectors, 1, no_vectors, 1)
     tail = (np.empty(2 * n),) if is_complex else ()
-
-    def solve(work, lwork):
-        args = (*head, no_vectors, 1, no_vectors, 1, work, lwork, *tail)
-        return _lapack_call(geev, b"N", b"N", n, f, max(n, 1), *args)
-
-    query = np.zeros(1, dtype)
-    solve(query, -1)
-    work = np.empty(int(query[0].real), dtype)
-    info = solve(work, len(work))
-    if info > 0:
-        raise NumericError(f"eigenvalue iteration did not converge (LAPACK info {info})")
+    _lapack_solve(geev, "eigenvalue iteration", head, (dtype,), tail)
     if not is_complex:
         vals.real = wr
         if wi.any():  # else +0.0, as `eigvals` drops an all-zero imaginary part
             vals.imag = wi
     return vals
-
-
-def smallest_singular_value(sample: MatrixSample) -> float:
-    """s_n, as accurate as `singular_values`; exactly singular input gives <~ eps s_1."""
-    return float(singular_values(sample).values[-1])
-
-
-def operator_norm(sample: MatrixSample) -> float:
-    """s_1."""
-    return float(singular_values(sample).values[0])
 
 
 @single_threaded_blas()

@@ -1,11 +1,11 @@
 """Empirical distribution objects and distances.
 
-EmpiricalCDF is a finite atomic measure on the line, with finite atoms.
-From a `linalg.Spectrum` the operations build the squared-singular-value
-law, its symmetrization on +-sqrt(x), the empirical Stieltjes transform of
-the symmetrized law, the radial and angular marginals of eigenvalues, and
-truncated log-determinant averages; Kolmogorov distances compare them with
-arbitrary CDF evaluators.
+EmpiricalCDF is a finite atomic measure on the line, with finite atoms; the
+squared-singular-value law of a spectrum s is `EmpiricalCDF.from_values(s**2)`.
+The operations build its symmetrization on +-sqrt(x), the empirical
+Stieltjes transform of the symmetrized law, the radial and angular marginals
+of eigenvalues, and truncated log-determinant averages; Kolmogorov distances
+compare them with arbitrary CDF evaluators.
 """
 
 from __future__ import annotations
@@ -92,11 +92,6 @@ class PotentialEstimate:
     def __post_init__(self):
         if self.trials < 1 or self.stderr < 0 or self.truncation_count > self.trials:
             raise DomainError("inconsistent potential estimate fields")
-
-
-def sv_squared_cdf(spectrum: Spectrum) -> EmpiricalCDF:
-    """Law of the squared singular values, one atom of weight 1/n each."""
-    return EmpiricalCDF.from_values(np.asarray(spectrum.values) ** 2)
 
 
 def symmetrize(f: EmpiricalCDF) -> EmpiricalCDF:

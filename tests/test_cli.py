@@ -38,6 +38,12 @@ class TestUsage:
         assert code == 2
         assert "error" in captured.err
 
+    @pytest.mark.parametrize("n", ["0", "-4"])
+    def test_a_dimension_below_one_exits_2(self, capsys, n):
+        code, captured = run_cli("esd", "--n", n, "--theta", "0.5", "--seed", "1", capsys=capsys)
+        assert code == 2
+        assert f"n must be >= 1, got {n}" in captured.err and captured.out == ""
+
     def test_bad_complex_literal(self, capsys):
         code, _ = run_cli(
             "svlaw", "--n", "8", "--seed", "1", "--z", "nope", "--trials", "2", capsys=capsys

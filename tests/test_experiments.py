@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from circulaw import ConfigError, DomainError, EnsembleConfig, EntryDistribution, experiments
+from circulaw import MatrixSample, singular_values
 from circulaw.ensemble import sample_matrix, smoothing_stream
 from circulaw.experiments import (
     _JSON_KEY,
@@ -31,6 +32,7 @@ from circulaw.experiments import (
 from test_golden import SPECS as GOLDEN_SPECS
 
 GAUSS = EntryDistribution("RealGaussian")
+RADEMACHER = EntryDistribution("Rademacher")
 README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
 
 
@@ -311,6 +313,49 @@ class TestMinMaxSv:
                                      z_points=(0j,)))
 
 
+class TestMaxSvTail:
+    """MaxSv's s_1 tail: the Frobenius screen, then the spectrum only where it is needed."""
+
+    @staticmethod
+    def _frequency(cfg, trials):
+        (row,) = run_maxsv(ExperimentSpec(kind="MaxSv", ensemble=cfg, trials=trials)).rows
+        return row["frequency"]
+
+    def test_dense_gaussian_never_reaches_bound(self):
+        assert self._frequency(EnsembleConfig(256, 1.0, GAUSS, 42), trials=200) == 0.0
+
+    def test_one_by_one_rademacher_always_hits(self):
+        # s1 = |X| = 1 >= 1 * sqrt(1) for every trial
+        assert self._frequency(EnsembleConfig(1, 1.0, RADEMACHER, 9), trials=50) == 1.0
+
+    def test_frobenius_shortcut_matches_the_spectrum_count(self, monkeypatch):
+        # p_n = 1/n puts ||A||_F near the ceiling sqrt(n): some trials need the spectrum
+        cfg = EnsembleConfig(16, 1.0 / 16, GAUSS, 21)
+        s1 = [singular_values(sample_matrix(cfg, t)).values[0] for t in range(60)]
+        calls = []
+        monkeypatch.setattr(experiments, "singular_values",
+                            lambda a: calls.append(1) or singular_values(a))
+        got = self._frequency(cfg, trials=60)
+        assert got == float(np.mean(np.array(s1) >= cfg.n * math.sqrt(cfg.p_n)))
+        assert 0.0 < got and 0 < len(calls) < 60
+
+    def test_screen_keeps_a_trial_whose_s1_is_the_ceiling(self, monkeypatch):
+        # a rank-one A has s_1 = ||A||_F, and its rounded norm can sit an ulp below
+        # the s_1 that `singular_values` returns; put the ceiling exactly on that s_1
+        gen = np.random.default_rng(7)
+        for _ in range(100):
+            a = np.outer(gen.uniform(0.1, 1.0, 2), gen.uniform(0.1, 1.0, 2))
+            s1 = float(singular_values(MatrixSample(a)).values[0])
+            if np.linalg.norm(a) < s1:
+                break
+        else:
+            pytest.fail("no rank-one matrix whose rounded norm falls below s_1")
+        cfg = EnsembleConfig(2, (s1 / 2.0) ** 2, GAUSS, 1)
+        assert cfg.n * math.sqrt(cfg.p_n) == s1
+        monkeypatch.setattr(experiments, "sample_matrix", lambda config, t: MatrixSample(a))
+        assert self._frequency(cfg, trials=50) == 1.0
+
+
 class TestTailIndex:
     def test_moderate_size(self):
         spec = ExperimentSpec(kind="TailIndex", ensemble=small_ensemble(n=128, seed=15),
@@ -421,13 +466,15 @@ class TestReproducibility:
 
 
 class TestOnePass:
-    """SvLaw and Potential run every (z, n, trial) task in one pool pass."""
+    """SvLaw, Potential and MaxSv run every (z, n, trial) task in one pool pass."""
 
     SPECS = {
         "SvLaw": dict(kind="SvLaw", ensemble=small_ensemble(n=16, seed=3), trials=3,
                       z_points=(0.5 + 0j, 1.5 + 0j), n_values=(12, 16)),
         "Potential": dict(kind="Potential", ensemble=small_ensemble(n=16, seed=3), trials=3,
                           z_points=(0j, 0.5 + 0.5j, 2 + 0j), r=0.1),
+        "MaxSv": dict(kind="MaxSv", ensemble=small_ensemble(n=16, seed=3), trials=50,
+                      n_values=(12, 16)),
     }
 
     @staticmethod
@@ -454,11 +501,12 @@ class TestOnePass:
         passes, samples = self._count_calls(monkeypatch)
         run_experiment(spec)
         ns = spec.n_values or (spec.ensemble.n,)
-        assert passes == [len(spec.z_points) * len(ns) * spec.trials]
-        expected = [(n, t) for n in ns for t in range(spec.trials)] * len(spec.z_points)
+        zs = max(1, len(spec.z_points))
+        assert passes == [zs * len(ns) * spec.trials]
+        expected = [(n, t) for n in ns for t in range(spec.trials)] * zs
         assert sorted(samples) == sorted(expected)
 
-    @pytest.mark.parametrize("kind", sorted(SPECS))
+    @pytest.mark.parametrize("kind", sorted(SPECS.keys() - {"MaxSv"}))  # the kinds that read z
     def test_a_shift_beyond_the_bound_fails_before_any_sample(self, monkeypatch, kind):
         spec = ExperimentSpec(**dict(self.SPECS[kind], z_points=(0.5 + 0j, 2e5 + 0j)))
         passes, samples = self._count_calls(monkeypatch)
@@ -508,6 +556,8 @@ UNREAD = [
     ("TailIndex", "n_values", [8, 16]),
 ]
 
+THETA_ENSEMBLE = EnsembleConfig.from_theta(16, 0.5, GAUSS, 7).to_json_dict()
+
 # Inputs that crashed, failed only once trials ran, or ran as something other than they say.
 BAD_VALUES = {
     "z_points-number": dict(VALID["SvLaw"], z_points=5),
@@ -529,6 +579,8 @@ BAD_VALUES = {
     "r-negative": dict(VALID["Potential"], r=-0.5),
     "q-six": dict(VALID["TailIndex"], q=6.0),
     "R-zero": dict(VALID["TailIndex"], R=0.0),
+    "n_values-zero": dict(VALID["MinSv"], n_values=[16, 0]),
+    "n_values-zero-theta": dict(VALID["MinSv"], n_values=[16, 0], ensemble=THETA_ENSEMBLE),
 }
 NEWLY_REJECTED = dict(
     BAD_VALUES,

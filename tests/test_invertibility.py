@@ -14,7 +14,6 @@ from circulaw.invertibility import (
     _max_ball_fraction,
     classify_vector,
     concentration_Q,
-    largest_sv_tail,
     min_sv_tail,
     small_ball,
     spread_set,
@@ -417,64 +416,6 @@ class TestMinSvTail:
             min_sv_tail(cfg, 0j, trials=50, thresholds=thresholds)
 
 
-@pytest.mark.parametrize(
-    "tail",
-    [lambda cfg: min_sv_tail(cfg, 0j, trials=49, thresholds=[1e-3]),
-     lambda cfg: largest_sv_tail(cfg, trials=49)],
-    ids=["min_sv_tail", "largest_sv_tail"],
-)
-def test_tails_need_fifty_trials(tail):
+def test_min_sv_tail_needs_fifty_trials():
     with pytest.raises(DomainError, match="at least 50 trials"):
-        tail(EnsembleConfig(8, 1.0, GAUSS, 5))
-
-
-class TestLargestSvTail:
-    def test_dense_gaussian_never_reaches_bound(self):
-        cfg = EnsembleConfig(256, 1.0, GAUSS, 42)
-        assert largest_sv_tail(cfg, trials=200) == 0.0
-
-    def test_one_by_one_rademacher_always_hits(self):
-        # s1 = |X| = 1 >= 1 * sqrt(1) for every trial
-        cfg = EnsembleConfig(1, 1.0, RADEMACHER, 9)
-        assert largest_sv_tail(cfg, trials=50) == 1.0
-
-    def test_frobenius_shortcut_matches_the_spectrum_count(self, monkeypatch):
-        # p_n = 1/n puts ||A||_F near the ceiling sqrt(n): some trials need the spectrum
-        from circulaw import sample_matrix, singular_values
-
-        cfg = EnsembleConfig(16, 1.0 / 16, GAUSS, 21)
-        s1 = [singular_values(sample_matrix(cfg, t)).values[0] for t in range(60)]
-        calls = []
-        monkeypatch.setattr(invertibility, "singular_values",
-                            lambda a: calls.append(1) or singular_values(a))
-        got = largest_sv_tail(cfg, trials=60)
-        assert got == float(np.mean(np.array(s1) >= cfg.n * math.sqrt(cfg.p_n)))
-        assert 0.0 < got and 0 < len(calls) < 60
-
-    def test_screen_keeps_a_trial_whose_s1_is_the_ceiling(self, monkeypatch):
-        # a rank-one A has s_1 = ||A||_F, and its rounded norm can sit an ulp below
-        # the s_1 that `singular_values` returns; put the ceiling exactly on that s_1
-        from circulaw import MatrixSample, singular_values
-
-        gen = np.random.default_rng(7)
-        for _ in range(100):
-            a = np.outer(gen.uniform(0.1, 1.0, 2), gen.uniform(0.1, 1.0, 2))
-            s1 = float(singular_values(MatrixSample(a)).values[0])
-            if np.linalg.norm(a) < s1:
-                break
-        else:
-            pytest.fail("no rank-one matrix whose rounded norm falls below s_1")
-        cfg = EnsembleConfig(2, (s1 / 2.0) ** 2, GAUSS, 1)
-        assert cfg.n * math.sqrt(cfg.p_n) == s1
-        monkeypatch.setattr(invertibility, "sample_matrix", lambda config, t: MatrixSample(a))
-        assert largest_sv_tail(cfg, trials=50) == 1.0
-
-    def test_threshold_monotonicity_on_same_data(self):
-        from circulaw import sample_matrix, singular_values
-
-        cfg = EnsembleConfig(64, 1.0, GAUSS, 13)
-        s1 = np.array(
-            [float(singular_values(sample_matrix(cfg, t)).values[0]) for t in range(50)]
-        )
-        bound = cfg.n * math.sqrt(cfg.p_n)
-        assert np.mean(s1 >= bound) <= np.mean(s1 >= 2.0)
+        min_sv_tail(EnsembleConfig(8, 1.0, GAUSS, 5), 0j, trials=49, thresholds=[1e-3])

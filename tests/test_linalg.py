@@ -20,11 +20,9 @@ from circulaw import (
     distance_to_span,
     eigenvalues,
     hermitize,
-    operator_norm,
     sample_matrix,
     shift,
     singular_values,
-    smallest_singular_value,
 )
 from circulaw import linalg
 from circulaw.ensemble import draw_unit_disc, smoothing_stream
@@ -634,9 +632,9 @@ class TestEigenvalues:
         # independent residual check: each returned eigenvalue must make
         # X - lambda I nearly singular
         a = oracle_rng.normal(size=(24, 24))
-        norm = operator_norm(from_array(a))
+        norm = singular_values(from_array(a)).values[0]
         for lam in eigenvalues(from_array(a)).values[:6]:
-            resid = smallest_singular_value(from_array(a - lam * np.eye(24)))
+            resid = singular_values(from_array(a - lam * np.eye(24))).values[-1]
             assert resid <= 1e-6 * norm
 
     def test_sorted_by_re_im(self, oracle_rng):
@@ -731,15 +729,15 @@ class TestSmallestSingularValue:
     def test_exactly_singular(self, oracle_rng):
         a = oracle_rng.normal(size=(6, 6))
         a[:, 3] = a[:, 1]
-        assert smallest_singular_value(from_array(a)) <= 1e-10
+        assert singular_values(from_array(a)).values[-1] <= 1e-10
 
     def test_tiny_diagonal(self):
-        got = smallest_singular_value(from_array(np.diag([1.0, 1e-12])))
+        got = singular_values(from_array(np.diag([1.0, 1e-12]))).values[-1]
         assert abs(got - 1e-12) <= 1e-14
 
     def test_inverse_norm_oracle(self, oracle_rng):
         a = oracle_rng.normal(size=(16, 16))
-        got = smallest_singular_value(from_array(a))
+        got = singular_values(from_array(a)).values[-1]
         oracle = 1.0 / np.linalg.norm(np.linalg.inv(a), 2)
         assert got == pytest.approx(oracle, rel=1e-6)
 
@@ -757,30 +755,19 @@ class TestSmallestSingularValue:
         n, trials = 32, 400
         cfg = EnsembleConfig(n, 1.0, dist, 1)
         # sample_matrix scales X by 1/sqrt(n), so n s_n(X)^2 = n^2 s_n(A)^2
-        x = [n * n * smallest_singular_value(sample_matrix(cfg, t)) ** 2 for t in range(trials)]
+        x = [n * n * singular_values(sample_matrix(cfg, t)).values[-1] ** 2 for t in range(trials)]
         assert stats.kstest(x, cdf).statistic <= ks_one_sample_critical(1e-3, trials)
-
-    def test_agrees_with_full_spectrum(self, oracle_rng):
-        a = oracle_rng.normal(size=(10, 10))
-        sv = singular_values(from_array(a))
-        assert smallest_singular_value(from_array(a)) == pytest.approx(sv.values[-1], rel=1e-10)
 
 
 class TestOperatorNorm:
     def test_identity(self):
-        assert operator_norm(from_array(np.eye(4))) == pytest.approx(1.0, abs=1e-12)
+        assert singular_values(from_array(np.eye(4))).values[0] == pytest.approx(1.0, abs=1e-12)
 
     def test_rank_one(self, oracle_rng):
         u = oracle_rng.normal(size=7)
         v = oracle_rng.normal(size=7)
-        got = operator_norm(from_array(np.outer(u, v)))
+        got = singular_values(from_array(np.outer(u, v))).values[0]
         assert got == pytest.approx(np.linalg.norm(u) * np.linalg.norm(v), rel=1e-10)
-
-    def test_consistency_with_max_singular_value(self, oracle_rng):
-        a = oracle_rng.normal(size=(9, 9))
-        assert operator_norm(from_array(a)) == pytest.approx(
-            singular_values(from_array(a)).values[0], rel=1e-10
-        )
 
 
 class TestDistanceToSpan:

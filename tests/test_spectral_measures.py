@@ -18,7 +18,6 @@ from circulaw import (
     sample_matrix,
     singular_values,
     stieltjes_empirical,
-    sv_squared_cdf,
     symmetrize,
 )
 from circulaw.linalg import LogDeterminant, Spectrum, truncation_window
@@ -77,18 +76,18 @@ class TestEmpiricalCDF:
 
 class TestSvSquaredCdf:
     def test_triple_one(self):
-        f = sv_squared_cdf(spectrum_of([1.0, 1.0, 1.0]))
+        f = EmpiricalCDF.from_values(np.array([1.0, 1.0, 1.0]) ** 2)
         assert list(f.xs) == [1.0] and list(f.ws) == [1.0]
 
     def test_two_point(self):
-        f = sv_squared_cdf(spectrum_of([2.0, 1.0]))
+        f = EmpiricalCDF.from_values(np.array([2.0, 1.0]) ** 2)
         assert f.evaluate(2.0) == 0.5
         assert f.evaluate(4.01) == 1.0
 
     def test_mean_matches_frobenius(self, oracle_rng):
         a = oracle_rng.normal(size=(7, 7))
         sv = singular_values(MatrixSample.from_array(a))
-        f = sv_squared_cdf(sv)
+        f = EmpiricalCDF.from_values(sv.values**2)
         assert f.mean() == pytest.approx(np.sum(a * a) / 7, rel=1e-8)
 
 
