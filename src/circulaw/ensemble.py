@@ -60,6 +60,14 @@ def _real(name: str, value) -> float:
     return float(value)
 
 
+def _theta(value) -> float:
+    """The sparsity exponent theta as a float in (0, 1]."""
+    theta = _real("theta", value)
+    if not 0.0 < theta <= 1.0:
+        raise ConfigError(f"theta must lie in (0, 1], got {theta}")
+    return theta
+
+
 def _json_object(what: str, d, required, optional=()):
     """Raise unless `d` is a JSON object with every `required` key and no others but `optional`."""
     if not isinstance(d, dict):
@@ -147,17 +155,15 @@ class EnsembleConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "n", _dimension("n", self.n))
+        if self.theta is not None:  # before p_n, which a bad theta makes bad too
+            object.__setattr__(self, "theta", _theta(self.theta))
         object.__setattr__(self, "p_n", _real("p_n", self.p_n))
         object.__setattr__(self, "master_seed", _whole("master_seed", self.master_seed))
-        if self.theta is not None:
-            object.__setattr__(self, "theta", _real("theta", self.theta))
         if not (0.0 < self.p_n <= 1.0):
             raise ConfigError(f"p_n must lie in (0, 1], got {self.p_n}")
         if not (0 <= self.master_seed <= rng.MASK64):
             raise ConfigError("master_seed must be a 64-bit unsigned integer")
         if self.theta is not None:
-            if not (0.0 < self.theta <= 1.0):
-                raise ConfigError(f"theta must lie in (0, 1], got {self.theta}")
             expected = float(self.n) ** (-(1.0 - self.theta))
             if abs(self.p_n - expected) > 1e-12 * expected:
                 raise ConfigError(
@@ -167,7 +173,7 @@ class EnsembleConfig:
 
     @classmethod
     def from_theta(cls, n, theta, dist, master_seed) -> "EnsembleConfig":
-        n = _dimension("n", n)  # before the power, which n <= 0 breaks
+        n, theta = _dimension("n", n), _theta(theta)  # before the power, which either can break
         return cls(n, float(n) ** (-(1.0 - theta)), dist, master_seed, theta=theta)
 
     def to_json_dict(self) -> dict:

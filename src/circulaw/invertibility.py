@@ -9,7 +9,10 @@ largest fraction in one closed ball: an exact sliding window on the line, and
 centers on a hexagonal lattice of pitch eta/4 in the plane.
 
 `min_sv_tail` counts the s_n tail of one (n, z) in one pool pass of its own;
-the MinSv runner calls it once per (n, z). The s_1 tail of MaxSv is counted
+the MinSv runner calls it once per (n, z). A trial takes no spectrum unless it
+must: the Frobenius bound certifies s_1 <= n sqrt(p_n), and
+`linalg.thresholds_below_sn` places s_n among the thresholds by Cholesky
+factorizations of the shifted Gram matrix. The s_1 tail of MaxSv is counted
 in its runner, `experiments.run_maxsv`.
 """
 
@@ -25,7 +28,7 @@ from . import rng
 from .ensemble import EnsembleConfig, EntryDistribution, sample_matrix
 from .ensemble import draw_grid, draw_rows, mask_rows
 from .errors import DomainError, NumericError
-from .linalg import shift, singular_values, truncation_window
+from .linalg import frobenius_norm, shift, singular_values, thresholds_below_sn, truncation_window
 from .parallel import parallel_map
 from .textio import csv_text, write_text
 
@@ -251,7 +254,15 @@ def min_sv_tail(
     trials: int,
     thresholds: Sequence[float],
 ) -> TailTable:
-    """Empirical frequencies of {s_n(z) <= t and s_1(z) <= n sqrt(p_n)} per threshold."""
+    """Empirical frequencies of {s_n(z) <= t and s_1(z) <= n sqrt(p_n)} per threshold.
+
+    A trial reads no spectrum when it can: s_1 <= `frobenius_norm` certifies the
+    ceiling, and `thresholds_below_sn` counts the thresholds below s_n from one
+    Cholesky factorization per tested threshold. It takes `singular_values`
+    instead when the screen cannot certify the ceiling, or when the search reaches
+    a threshold below the Gram path's cutoff; the counts are those of s_n from
+    that spectrum, within the Gram eigensolve's contract.
+    """
     thresholds = np.sort(np.asarray(thresholds, dtype=np.float64))
     if len(thresholds) == 0 or not (thresholds[0] > 0 and np.isfinite(thresholds[-1])):
         raise DomainError("thresholds must be positive and finite")
@@ -260,13 +271,17 @@ def min_sv_tail(
     ceiling = truncation_window(config.n, config.p_n)[1]
 
     def one_trial(t):
-        s = singular_values(shift(sample_matrix(config, t), z)).values
-        return s[-1], s[0]
+        a = shift(sample_matrix(config, t), z)
+        if frobenius_norm(a) <= ceiling:
+            below = thresholds_below_sn(a, thresholds)
+            if below is not None:
+                return below, True
+        s = singular_values(a).values
+        return int(np.searchsorted(thresholds, s[-1])), bool(s[0] <= ceiling)
 
-    s_min, s_max = np.array(parallel_map(one_trial, range(trials))).T
-    ok = s_max <= ceiling
-    freqs = np.array([float(np.mean((s_min <= t) & ok)) for t in thresholds])
+    below, ok = map(np.array, zip(*parallel_map(one_trial, range(trials))))
+    # s_n <= thresholds[i] exactly when fewer than i + 1 thresholds lie below s_n
+    freqs = np.array([float(np.mean((below <= i) & ok)) for i in range(len(thresholds))])
     return TailTable(
         thresholds, freqs, trials, config.n, config.p_n, complex(z), float(np.mean(~ok))
     )
-

@@ -1,4 +1,5 @@
-"""Dense numerical kernels: diagonal shifts, Hermitization, spectra, subspace distances.
+"""Dense numerical kernels: diagonal shifts, Hermitization, spectra, s_n threshold tests,
+subspace distances.
 
 Eigenvalues and singular values both come back as a `Spectrum`: the values
 and their count n. Singular values come from a Hermitian eigensolve of the
@@ -12,6 +13,15 @@ gets each s_j^2 to about eps * s_1^2, so s_j to a relative error of about
 eps * (s_1 / s_j)^2 (2e-4 at s_j = 1e-6 s_1). Whenever s_n falls below
 1e-6 times s_1, the whole spectrum is taken from an SVD of the matrix itself
 instead, which gets every s_j to a few eps * s_1.
+
+Where s_n is only compared with a few thresholds, no spectrum is needed: s_n > t
+exactly when the Gram matrix less t^2 I is positive definite (Sylvester's law
+of inertia). `thresholds_below_sn` forms the Gram product once, as
+`singular_values` does, and binary-searches the thresholds with one LAPACK
+potrf of the same library per tested t, `cholesky` only without it. Its
+decision is the one the Gram spectrum would give: exact whenever |s_n/t - 1|
+exceeds about eps * (s_1 / t)^2. It does not decide at t < 1e-6 ||A||_F,
+where the Gram path would not either; the caller takes `singular_values`.
 
 The log-potential needs only sum_j log s_j = log|det A| and the knowledge
 that s_n and s_1 lie in a truncation window. `certified_log_det` takes the
@@ -56,7 +66,8 @@ sample's own buffer, so an eigenvalue trial holds one n x n matrix, not the
 sample and its column-major copy; the sample is then spent.
 The shifted matrix of a certificate is made in a scratch buffer, one per
 thread, that only this module keeps (`_scratch_matrix`), and its LU
-overwrites it there. The scratch lives exactly as long as the outermost
+overwrites it there; so is each shifted Gram matrix of `thresholds_below_sn`,
+and its Cholesky factor. The scratch lives exactly as long as the outermost
 `single_threaded_blas` hold: inside `parallel_map`, whose hold spans the
 pool, each worker forms and factors all of its trials in one buffer, and a
 direct `certified_log_det` call frees its buffer when it returns. A fresh
@@ -98,6 +109,7 @@ _CHAR, _INT, _PTR = ctypes.c_char_p, ctypes.POINTER(ctypes.c_int64), ctypes.c_vo
 _ARGTYPES = {
     "getrf": [_INT, _INT, _PTR, _INT, _PTR],  # m n a lda ipiv
     "getrs": [_CHAR, _INT, _INT, _PTR, _INT, _PTR, _PTR, _INT],  # trans n nrhs a lda ipiv b ldb
+    "potrf": [_CHAR, _INT, _PTR, _INT],  # uplo n a lda
     # jobz uplo n a lda w, then (work, lwork) [(rwork, lrwork)] (iwork, liwork)
     "syevd": [_CHAR, _CHAR, _INT, _PTR, _INT, _PTR] + [_PTR, _INT] * 2,
     "heevd": [_CHAR, _CHAR, _INT, _PTR, _INT, _PTR] + [_PTR, _INT] * 3,
@@ -412,6 +424,53 @@ def singular_values(sample: MatrixSample) -> Spectrum:
     if fro_sq > 0 and abs(float(np.sum(s**2)) - fro_sq) > 1e-8 * fro_sq:
         raise NumericError("singular value computation inconsistent with Frobenius norm")
     return Spectrum(s)
+
+
+@single_threaded_blas()
+def thresholds_below_sn(sample: MatrixSample, thresholds: np.ndarray) -> Optional[int]:
+    """How many of the ascending `thresholds` lie below s_n, decided without a
+    spectrum; None if the search must test a t below 1e-6 ||A||_F, where the Gram
+    path cannot decide and the caller takes `singular_values`.
+
+    By Sylvester's law of inertia, s_n > t exactly when G - t^2 I is positive
+    definite, with G = A A^* formed once, as `singular_values` forms it. A binary
+    search tests at most ceil(log2(k + 1)) of the k thresholds: each test casts G
+    into this thread's scratch (`_scratch_matrix`), subtracts t^2 from its diagonal
+    and factors the lower triangle by potrf, whose info = 0 means definite.
+    Without the library, `cholesky` raising LinAlgError means not definite. The
+    decision is that of G's rounded spectrum, as the Gram eigensolve sees it: it
+    is exact whenever |s_n / t - 1| exceeds about eps (s_1 / t)^2. Non-finite
+    entries, or finite ones whose norm overflows, raise NumericError.
+    """
+    a = sample.entries
+    cutoff = _REFINE_RATIO * _rounded_norm(a)
+    g = a @ a.conj().T
+    lo, hi = 0, len(thresholds)
+    while lo < hi:
+        mid = (lo + hi) // 2
+        t = float(thresholds[mid])
+        if t < cutoff:
+            return None
+        if _definite(g, t * t):
+            lo = mid + 1
+        else:
+            hi = mid
+    return lo
+
+
+def _definite(g: np.ndarray, offset: float) -> bool:
+    """Whether the Hermitian g - offset I, read from its lower triangle, is positive
+    definite: potrf of it in this thread's scratch, which it overwrites."""
+    w = _scratch_matrix(len(g), g.dtype)
+    _subtract_diagonal(w, g, [offset])
+    potrf = _lapack("zpotrf" if np.iscomplexobj(w) else "dpotrf")
+    if potrf is None:
+        try:
+            np.linalg.cholesky(w)
+        except np.linalg.LinAlgError:
+            return False
+        return True
+    return _lapack_call(potrf, b"L", len(w), w, len(w)) == 0
 
 
 def _eigvalsh(g: np.ndarray) -> np.ndarray:

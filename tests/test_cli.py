@@ -44,6 +44,16 @@ class TestUsage:
         assert code == 2
         assert f"n must be >= 1, got {n}" in captured.err and captured.out == ""
 
+    @pytest.mark.parametrize("theta,message", [("1.5", "theta must lie in (0, 1], got 1.5"),
+                                               ("nan", "theta must be finite, got nan"),
+                                               ("inf", "theta must be finite, got inf")])
+    def test_a_bad_theta_exits_2_naming_theta(self, capsys, theta, message):
+        # p_n = n^(theta - 1) was checked first, and the message named a p_n never given
+        code, captured = run_cli("esd", "--n", "8", "--theta", theta, "--seed", "1",
+                                 capsys=capsys)
+        assert code == 2
+        assert message in captured.err and "p_n" not in captured.err and captured.out == ""
+
     def test_bad_complex_literal(self, capsys):
         code, _ = run_cli(
             "svlaw", "--n", "8", "--seed", "1", "--z", "nope", "--trials", "2", capsys=capsys

@@ -48,7 +48,17 @@ SPECS = {
                   z_points=(0j, 0.5 + 0j), thresholds=(1e-3, 0.1, 1.0)),
     "MaxSv": dict(ensemble=EnsembleConfig(12, 1.0, GAUSS, 5), trials=50, n_values=(8, 12)),
     "TailIndex": dict(ensemble=EnsembleConfig(16, 1.0, GAUSS, 6), trials=5),
+    # thresholds on both sides of the Gram path's s_n cutoff (1e-6 s_1): at n = 8 about
+    # half the Rademacher samples are singular, so their s_n comes from the SVD
+    "MinSv_cutoff": dict(ensemble=EnsembleConfig(8, 1.0, RADEMACHER, 14), trials=50,
+                         z_points=(0j, 0.5 + 0j), thresholds=(1e-9, 1e-3, 1e-2, 0.1)),
 }
+
+
+def golden_spec(name: str, **extra) -> ExperimentSpec:
+    """The spec of SPECS[name], whose kind is the name up to its first underscore."""
+    return ExperimentSpec(kind=name.partition("_")[0], **dict(SPECS[name], **extra))
+
 
 REPORT_DIGESTS = {
     ("CircularLaw", "csv"): "58c86b17e533b110f79521b38ab7b2e91717bc93e99ea66144216a93dfa56694",
@@ -59,6 +69,8 @@ REPORT_DIGESTS = {
     ("Potential", "json"): "4650448102ed8a6a19be549d88851eab9f381ca93de9bb19198defb128f57187",
     ("MinSv", "csv"): "78176a080488a5c95f49dc51610fc700fb8cef711fa634b150938ef2369d736c",
     ("MinSv", "json"): "f91f81468fcca0d5a872d20f3ec5566de27d5d341c9f35e8656bc96fb6da1507",
+    ("MinSv_cutoff", "csv"): "b70f27fccc932b15b6130688c61309cbba54957997c11e0deda2af52687436b9",
+    ("MinSv_cutoff", "json"): "cdef98043e516e914840dde151016de6ed21acf3dbce342a4a627f46302edb09",
     ("MaxSv", "csv"): "488a86f038eb62268da27902abb646de8e662aaf929c9b4bc0e75ea0489b6acd",
     ("MaxSv", "json"): "f6c85063c7b38623131dfcfa7d984a57fe071aa30da00c69eccd500097ed338b",
     ("TailIndex", "csv"): "e6f7562b80eec4c1456ff8b5fac0abeb49a8a674caca51fe142d46dc19dd46a2",
@@ -90,12 +102,12 @@ TABLE_DIGESTS = {
 }
 
 
-@pytest.mark.parametrize("kind,fmt", sorted(REPORT_DIGESTS))
-def test_report_bytes(kind, fmt, tmp_path):
-    spec = ExperimentSpec(kind=kind, **SPECS[kind])
+@pytest.mark.parametrize("name,fmt", sorted(REPORT_DIGESTS))
+def test_report_bytes(name, fmt, tmp_path):
+    spec = golden_spec(name)
     path = tmp_path / f"report.{fmt}"
     write_report(run_experiment(spec), path, fmt)
-    assert _sha(path.read_bytes()) == REPORT_DIGESTS[kind, fmt]
+    assert _sha(path.read_bytes()) == REPORT_DIGESTS[name, fmt]
 
 
 # rows no digest above reaches: failed CircularLaw trials (NaN samples, on which
@@ -126,7 +138,7 @@ def test_failure_row_bytes(case, fmt, tmp_path, monkeypatch):
         return MatrixSample(np.full_like(sample.entries, np.nan)) if t in nan_trials else sample
 
     monkeypatch.setattr(experiments, "sample_matrix", sample_matrix)
-    spec = ExperimentSpec(kind=kind, **dict(SPECS[kind], **extra))
+    spec = golden_spec(kind, **extra)
     report = run_experiment(spec)
     if kind == "CircularLaw":
         assert report.meta["failed_trials"] == len(nan_trials)

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from circulaw import DomainError, EnsembleConfig, EntryDistribution, rng
-from circulaw import invertibility
+from circulaw import invertibility, sample_matrix, shift, singular_values
 from circulaw.ensemble import draw_grid, mask_grid
 from circulaw.invertibility import (
     _ball_sums,
@@ -414,6 +414,38 @@ class TestMinSvTail:
         cfg = EnsembleConfig(8, 1.0, GAUSS, 5)
         with pytest.raises(DomainError):
             min_sv_tail(cfg, 0j, trials=50, thresholds=thresholds)
+
+
+    @pytest.mark.parametrize("dist, z", [(RADEMACHER, 0j), (RADEMACHER, 0.5 + 0j),
+                                         (EntryDistribution("ComplexRademacher"), 0.5j)])
+    def test_frequencies_are_those_of_the_spectrum(self, dist, z):
+        # at n = 8 many Rademacher samples are singular, so the search reaches 1e-9,
+        # below the Gram path's cutoff, and those trials take the SVD
+        cfg = EnsembleConfig(8, 1.0, dist, 14)
+        thresholds = [1e-9, 1e-3, 1e-2, 0.1, 1.0]
+        s = np.array([singular_values(shift(sample_matrix(cfg, t), z)).values
+                      for t in range(50)])
+        ok = s[:, 0] <= 8.0
+        expected = [float(np.mean((s[:, -1] <= t) & ok)) for t in thresholds]
+        table = min_sv_tail(cfg, z, trials=50, thresholds=thresholds)
+        assert table.frequencies.tolist() == expected
+        assert table.s1_violation_frequency == float(np.mean(~ok))
+
+    def test_a_trial_takes_a_spectrum_only_where_the_gram_test_cannot_decide(self, monkeypatch):
+        calls = []
+        spectrum = invertibility.singular_values
+        monkeypatch.setattr(invertibility, "singular_values",
+                            lambda a: calls.append(a.n) or spectrum(a))
+        cfg = EnsembleConfig(16, 1.0, GAUSS, 5)
+        min_sv_tail(cfg, 0j, trials=50, thresholds=[1e-3, 1e-2])
+        assert calls == []
+        # 1e-9 lies below 1e-6 ||A||_F (about 4e-6) in every trial
+        min_sv_tail(cfg, 0j, trials=50, thresholds=[1e-9])
+        assert len(calls) == 50
+        # ||A - 100 I||_F is about 400, above the ceiling n = 16, so the screen cannot clear it
+        table = min_sv_tail(cfg, 100 + 0j, trials=50, thresholds=[1e-3])
+        assert len(calls) == 100
+        assert table.s1_violation_frequency == 1.0 and table.frequencies[0] == 0.0
 
 
 def test_min_sv_tail_needs_fifty_trials():

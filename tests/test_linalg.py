@@ -260,6 +260,48 @@ def constructed(oracle_rng, n, bottom, complex_=False):
     return from_array((u * truth) @ v.conj().T), truth
 
 
+class TestThresholdsBelowSn:
+    """Counts of thresholds below s_n from potrf of A A^* - t^2 I, against the SVD."""
+
+    @pytest.mark.parametrize("complex_", [False, True], ids=["real", "complex"])
+    @pytest.mark.parametrize("n", [16, 128, 512])
+    def test_counts_equal_the_svd_at_one_part_in_a_million(self, oracle_rng, n, complex_):
+        # s_1..s_{n-1} on linspace(2, 1) and s_n = t (1 -+ 1e-6): the decision at t is
+        # exact while |s_n / t - 1| exceeds about eps (s_1 / t)^2, 9e-8 at t = 1e-4.
+        # t / 2 stays above the cutoff 1e-6 ||A||_F (3.5e-5 at n = 512)
+        u, v = (np.linalg.qr(draw_matrix(oracle_rng, (n, n), complex_))[0] for _ in range(2))
+        for t in (1e-4, 1e-3, 1e-2):
+            thresholds = np.array([t / 2, t, 2 * t])
+            for side, count in ((-1.0, 1), (1.0, 2)):
+                truth = np.append(np.linspace(2.0, 1.0, n - 1), t * (1.0 + side * 1e-6))
+                a = (u * truth) @ v.conj().T
+                s_n = np.linalg.svd(a, compute_uv=False)[-1]
+                assert np.searchsorted(thresholds, s_n) == count
+                assert linalg.thresholds_below_sn(from_array(a), thresholds) == count
+
+    def test_a_threshold_below_the_cutoff_goes_back_to_the_caller(self, oracle_rng):
+        a = from_array(draw_matrix(oracle_rng, (16, 16), False))
+        cutoff = linalg._REFINE_RATIO * np.linalg.norm(a.entries)
+        s_n = np.linalg.svd(a.entries, compute_uv=False)[-1]
+        assert linalg.thresholds_below_sn(a, np.array([cutoff / 2])) is None
+        assert linalg.thresholds_below_sn(a, np.array([cutoff / 2, s_n / 2])) == 2  # not reached
+
+    def test_zero_matrix_has_every_threshold_at_or_above_s_n(self):
+        assert linalg.thresholds_below_sn(from_array(np.zeros((3, 3))), np.array([1e-300])) == 0
+
+    def test_non_finite_entries_raise(self):
+        with pytest.raises(NumericError):
+            linalg.thresholds_below_sn(from_array(np.full((3, 3), np.nan)), np.array([0.1]))
+
+    def test_without_the_library_cholesky_decides_the_same(self, monkeypatch):
+        thresholds = np.geomspace(1e-4, 1.0, 9)
+        samples = [sample_matrix(EnsembleConfig(n, 1.0, dist, 9), t)
+                   for n in (1, 2, 16, 64) for dist in (GAUSS, CGAUSS) for t in range(3)]
+        binding = [linalg.thresholds_below_sn(a, thresholds) for a in samples]
+        monkeypatch.setattr(linalg, "openblas", lambda: None)
+        assert [linalg.thresholds_below_sn(a, thresholds) for a in samples] == binding
+
+
 class TestCertifiedLogDet:
     def test_ill_conditioned_matrix_takes_the_exact_path(self, oracle_rng):
         # s_n = 1e-12 lies below the floor 1/200^3, so the certificate cannot clear it;
@@ -395,6 +437,14 @@ class TestAllocations:
         a = sample_matrix(EnsembleConfig(self.n, 1.0, CGAUSS, 3), 0, order="F")
         peak = self._peak_bytes(lambda m: eigenvalues(m, overwrite=True), a)
         assert peak < self.n * self.n * 16 // 2
+
+    def test_threshold_count_factors_in_the_scratch(self):
+        # one Gram product and O(n): each tested threshold is factored in the LU scratch
+        bundled_openblas()
+        a = sample_matrix(EnsembleConfig(self.n, 1.0, GAUSS, 3), 0)
+        thresholds = np.array([1e-4, 1e-3, 1e-2])
+        peak = self._peak_bytes(lambda m: linalg.thresholds_below_sn(m, thresholds), a)
+        assert peak <= self.n * self.n * 8 + 64 * self.n * 8
 
     def test_singular_values_allocate_the_gram_product_and_o_n(self):
         bundled_openblas()

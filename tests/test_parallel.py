@@ -61,13 +61,14 @@ def _child_stdout(args, **env):
     return done.stdout
 
 
-# The five kernels that reach BLAS or LAPACK, on one n = 512 complex sample:
+# The six kernels that reach BLAS or LAPACK, on one n = 512 complex sample:
 # called directly, or in parallel_map's workers (argv[1] == "pooled").
 _KERNELS = """
 import hashlib, math, sys
+import numpy as np
 from circulaw import EnsembleConfig, EntryDistribution, sample_matrix
 from circulaw.linalg import (certified_log_det, distance_to_span, eigenvalues, frobenius_norm,
-                             singular_values)
+                             singular_values, thresholds_below_sn)
 from circulaw.parallel import parallel_map
 
 a = sample_matrix(EnsembleConfig(512, 1.0, EntryDistribution("ComplexGaussian"), 3), 0)
@@ -77,7 +78,8 @@ def kernels(_):
     det = certified_log_det(a, 0.0, math.inf, 3, 0)
     values = {"frobenius_norm": frobenius_norm(a), "log_det": det.value, "lower": det.lower,
               "upper": det.upper, "distance_to_span": distance_to_span(a.entries, 0),
-              "singular_values": singular_values(a).values, "eigenvalues": eigenvalues(a).values}
+              "singular_values": singular_values(a).values, "eigenvalues": eigenvalues(a).values,
+              "thresholds_below_sn": np.int64(thresholds_below_sn(a, np.geomspace(1e-5, 0.1, 9)))}
     return " ".join(f"{name}={v.hex() if isinstance(v, float) else hashlib.sha256(v).hexdigest()}"
                     for name, v in values.items())
 
