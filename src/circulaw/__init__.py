@@ -31,7 +31,6 @@ from .limit_theory import (
 )
 from .linalg import (
     Spectrum,
-    distance_to_span,
     eigenvalues,
     hermitize,
     shift,
@@ -45,5 +44,4 @@ from .spectral_measures import (
     log_potential_empirical,
     radial_angular_cdfs,
     stieltjes_empirical,
-    symmetrize,
 )

@@ -412,10 +412,11 @@ def log_moment_estimate(
     Atomic laws are evaluated exactly (stderr 0); continuous laws by Monte
     Carlo over m draws with the plain sample standard error.
     """
+    m = _whole("m", m)
     if m < 10_000:
         raise DomainError(f"need at least 10^4 samples, got {m}")
-    if not eta > 0:
-        raise DomainError(f"eta must be positive, got {eta}")
+    if not 0 < eta < math.inf:
+        raise DomainError(f"eta must be finite and > 0, got {eta}")
     atoms = dist.atoms()
     if atoms is not None:
         vals, weights = atoms

@@ -3,10 +3,9 @@
 Unit vectors split into sparse / compressible / incompressible by their exact
 Euclidean distance to the set of delta*n-sparse vectors (the minimizing
 support is the top coordinates by magnitude, so the distance is just the tail
-norm). Incompressible vectors carry a spread set of moderate coordinates.
-Concentration functions are exact for atomic laws. For samples they take the
-largest fraction in one closed ball: an exact sliding window on the line, and
-centers on a hexagonal lattice of pitch eta/4 in the plane.
+norm). `small_ball` takes the largest fraction of sampled sums in one closed
+ball: an exact sliding window on the line, and centers on a hexagonal lattice
+of pitch eta/4 in the plane.
 
 `min_sv_tail` counts the s_n tail of one (n, z) in one pool pass of its own;
 the MinSv runner calls it once per (n, z). A trial takes no spectrum unless it
@@ -25,9 +24,9 @@ from typing import Sequence
 import numpy as np
 
 from . import rng
-from .ensemble import EnsembleConfig, EntryDistribution, sample_matrix
-from .ensemble import draw_grid, draw_rows, mask_rows
-from .errors import DomainError, NumericError
+from .ensemble import EnsembleConfig, EntryDistribution, draw_rows, mask_rows, sample_matrix
+from .ensemble import _whole
+from .errors import DomainError
 from .linalg import frobenius_norm, shift, singular_values, thresholds_below_sn, truncation_window
 from .parallel import parallel_map
 from .textio import csv_text, write_text
@@ -90,67 +89,6 @@ def classify_vector(x, delta: float, rho: float) -> VectorClass:
     else:
         tag = "Incompressible"
     return VectorClass(tag, delta, rho, residual)
-
-
-def spread_set(x, delta: float, rho: float) -> np.ndarray:
-    """Indices k with rho/sqrt(2n) <= |x_k| <= 1/sqrt(n*delta/2), for incompressible x.
-
-    The returned set is guaranteed to hold at least n*delta/2 indices and at
-    least rho^2/2 of the vector's mass; a violation is a contract failure.
-    """
-    x = np.asarray(x)
-    cls = classify_vector(x, delta, rho)
-    if cls.tag != "Incompressible":
-        raise DomainError(f"spread_set requires an incompressible vector, got {cls.tag}")
-    n = len(x)
-    mags = np.abs(x)
-    lower = rho / math.sqrt(2.0 * n)
-    upper = 1.0 / math.sqrt(n * delta / 2.0)
-    sigma = np.flatnonzero((mags >= lower) & (mags <= upper))
-    if len(sigma) < n * delta / 2.0:
-        raise NumericError(f"spread set too small: {len(sigma)} < {n * delta / 2}")
-    if float(np.sum(mags[sigma] ** 2)) < rho * rho / 2.0:
-        raise NumericError("spread set carries less mass than rho^2/2")
-    return sigma
-
-
-def _discrete_concentration(values: np.ndarray, weights: np.ndarray, eta: float) -> float:
-    """Exact sup_u P(|X - u| <= eta) for an atomic law.
-
-    Candidate centers: the atoms, midpoints of atom pairs, and the origin;
-    for laws with at most four atoms on a circle or a line this covers every
-    optimal ball placement.
-    """
-    candidates = list(values) + [0.0 + 0.0j]
-    for i in range(len(values)):
-        for j in range(i + 1, len(values)):
-            candidates.append(0.5 * (values[i] + values[j]))
-    best = 0.0
-    for u in candidates:
-        covered = np.abs(values - u) <= eta + 1e-12
-        best = max(best, float(weights[covered].sum()))
-    return min(best, 1.0)
-
-
-def concentration_Q(
-    dist: EntryDistribution, eta: float, budget: int = 100_000, seed: int = 0
-) -> float:
-    """sup over centers u of P(|X - u| <= eta) for one entry law.
-
-    Atomic laws are exact; continuous laws apply `_max_ball_fraction` to a
-    Monte Carlo sample of `budget` draws.
-    """
-    if not 0.0 <= eta < math.inf:
-        raise DomainError(f"eta must be finite and >= 0, got {eta}")
-    if budget < 10_000:
-        raise DomainError(f"need a budget of at least 10^4 draws, got {budget}")
-    atoms = dist.atoms()
-    if atoms is not None:
-        return _discrete_concentration(*atoms, eta)
-    if eta == 0.0:
-        return 0.0
-    draws = draw_grid(dist, seed, rng.ROLE_CONCENTRATION, 0, budget, 1)[:, 0]
-    return _max_ball_fraction(draws, eta)
 
 
 def _max_ball_fraction(samples: np.ndarray, eta: float) -> float:
@@ -221,6 +159,7 @@ def small_ball(
     x = np.asarray(x)
     if x.size == 0 or not np.all(np.isfinite(x)):
         raise DomainError("x must be a nonempty vector of finite numbers")
+    trials = _whole("trials", trials)
     if trials < 10_000:
         raise DomainError(f"need at least 10^4 trials, got {trials}")
     if not (0.0 < p_n <= 1.0):
@@ -266,6 +205,7 @@ def min_sv_tail(
     thresholds = np.sort(np.asarray(thresholds, dtype=np.float64))
     if len(thresholds) == 0 or not (thresholds[0] > 0 and np.isfinite(thresholds[-1])):
         raise DomainError("thresholds must be positive and finite")
+    trials = _whole("trials", trials)
     if trials < MIN_TAIL_TRIALS:
         raise DomainError(f"need at least {MIN_TAIL_TRIALS} trials, got {trials}")
     ceiling = truncation_window(config.n, config.p_n)[1]

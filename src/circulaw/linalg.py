@@ -1,5 +1,4 @@
-"""Dense numerical kernels: diagonal shifts, Hermitization, spectra, s_n threshold tests,
-subspace distances.
+"""Dense numerical kernels: diagonal shifts, Hermitization, spectra, s_n threshold tests.
 
 Eigenvalues and singular values both come back as a `Spectrum`: the values
 and their count n. Singular values come from a Hermitian eigensolve of the
@@ -566,31 +565,3 @@ def _eigvals(a: np.ndarray, overwrite: bool) -> np.ndarray:
         if wi.any():  # else +0.0, as `eigvals` drops an all-zero imaginary part
             vals.imag = wi
     return vals
-
-
-@single_threaded_blas()
-def distance_to_span(columns, k: int) -> float:
-    """Euclidean distance from column k to the span of the remaining columns.
-
-    Accepts a 2D array whose columns are the vectors, or a sequence of 1D
-    vectors. Rank deficiency among the other columns is handled by an SVD
-    basis with the usual numerical rank cut.
-    """
-    if isinstance(columns, np.ndarray) and columns.ndim == 2:
-        mat = columns
-    else:
-        mat = np.column_stack([np.asarray(c) for c in columns])
-    n = mat.shape[1]
-    if n < 2:
-        raise DomainError("need at least two columns")
-    if not 0 <= k < n:
-        raise DomainError(f"column index {k} out of range")
-    if not np.all(np.isfinite(mat)):
-        raise NumericError("columns have non-finite entries")
-    x = mat[:, k]
-    others = np.delete(mat, k, axis=1)
-    u, s, _ = np.linalg.svd(others, full_matrices=False)
-    rank = int(np.sum(s > s[0] * max(others.shape) * _EPS)) if s.size else 0
-    basis = u[:, :rank]
-    residual = x - basis @ (basis.conj().T @ x)
-    return float(np.linalg.norm(residual))

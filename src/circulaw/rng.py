@@ -31,7 +31,8 @@ sample of n^2 entries needs O(BLOCK_KEYS) scratch memory and its n row hashes
 beside its output, and `keys_at` takes the keys at given (row, column) pairs of
 a grid, the whole grid included (`grid_keys`). Keys are positional, so the
 blocking never changes a bit. A label outside [0, 2^64) raises DomainError:
-keeping its low 64 bits would alias another label's stream.
+keeping its low 64 bits would alias another label's stream. So does a bool
+or a non-integer label, which `int()` would truncate onto another label's.
 The buffers belong to one call, never to the module, so several threads may
 sample at once. `uniform_below` tests `uniform < p` as one integer compare
 on the words.
@@ -40,6 +41,7 @@ on the words.
 from __future__ import annotations
 
 import functools
+import operator
 
 import numpy as np
 
@@ -57,7 +59,7 @@ ROLE_MASK = 2
 ROLE_XI = 3
 ROLE_MOMENT = 4
 ROLE_SMALL_BALL = 5
-ROLE_CONCENTRATION = 6
+# 6 is reserved: it keyed a retired concentration estimate
 ROLE_PROBE = 7
 
 _U53 = 2.0 ** -53
@@ -97,7 +99,10 @@ def absorb(h: int, part: int) -> int:
 
 def derive_key(*parts: int) -> int:
     h = _H0
-    for p in map(int, parts):
+    for part in parts:
+        if isinstance(part, (bool, np.bool_)) or not hasattr(part, "__index__"):
+            raise DomainError(f"key label {part!r} is not an integer")
+        p = operator.index(part)  # numpy integers included
         if not 0 <= p <= MASK64:
             raise DomainError(f"key label {p} is outside [0, 2^64)")
         h = absorb(h, p)

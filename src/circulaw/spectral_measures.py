@@ -2,9 +2,9 @@
 
 EmpiricalCDF is a finite atomic measure on the line, with finite atoms; the
 squared-singular-value law of a spectrum s is `EmpiricalCDF.from_values(s**2)`.
-The operations build its symmetrization on +-sqrt(x), the empirical
-Stieltjes transform of the symmetrized law, the radial and angular marginals
-of eigenvalues, and truncated log-determinant averages; Kolmogorov distances
+The operations build the empirical Stieltjes transform of the symmetrized
+singular-value law (atoms at +-s_j), the radial and angular marginals of
+eigenvalues, and truncated log-determinant averages; Kolmogorov distances
 compare them with arbitrary CDF evaluators.
 """
 
@@ -92,18 +92,6 @@ class PotentialEstimate:
     def __post_init__(self):
         if self.trials < 1 or self.stderr < 0 or self.truncation_count > self.trials:
             raise DomainError("inconsistent potential estimate fields")
-
-
-def symmetrize(f: EmpiricalCDF) -> EmpiricalCDF:
-    """Push forward to +-sqrt(x) with half weight on each sign (atom at 0 stays)."""
-    if f.xs[0] < 0:
-        raise DomainError("symmetrize requires support on [0, inf)")
-    roots = np.sqrt(f.xs)
-    pos = roots > 0
-    half = 0.5 * f.ws
-    xs = np.concatenate([-roots[pos][::-1], np.where(pos, roots, 0.0)])
-    ws = np.concatenate([half[pos][::-1], np.where(pos, half, f.ws)])
-    return EmpiricalCDF(xs, ws)
 
 
 def stieltjes_empirical(spectrum: Spectrum, alpha: complex) -> complex:

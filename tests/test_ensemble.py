@@ -426,6 +426,17 @@ class TestLogMoment:
         with pytest.raises(DomainError):
             log_moment_estimate(GAUSS, 10_000, eta=eta)
 
+    @pytest.mark.parametrize("dist", [RADEMACHER, GAUSS], ids=lambda d: d.tag)
+    def test_eta_must_be_finite(self, dist):
+        # Rademacher read 0.0 with stderr 0, RealGaussian inf with a nan stderr
+        with pytest.raises(DomainError, match="finite"):
+            log_moment_estimate(dist, 10_000, eta=math.inf)
+
+    def test_a_fractional_seed_raises(self):
+        # the seed 3.7 drew seed 3's stream and returned seed 3's estimate
+        with pytest.raises(DomainError, match="not an integer"):
+            log_moment_estimate(GAUSS, 10_000, eta=1.0, seed=3.7)
+
 
 class TestFromArray:
     @pytest.mark.parametrize("dtype, expected", [

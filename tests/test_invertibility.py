@@ -6,17 +6,15 @@ import warnings
 import numpy as np
 import pytest
 
-from circulaw import DomainError, EnsembleConfig, EntryDistribution, rng
-from circulaw import invertibility, sample_matrix, shift, singular_values
+from circulaw import ConfigError, DomainError, EnsembleConfig, EntryDistribution, rng
+from circulaw import invertibility, log_moment_estimate, sample_matrix, shift, singular_values
 from circulaw.ensemble import draw_grid, mask_grid
 from circulaw.invertibility import (
     _ball_sums,
     _max_ball_fraction,
     classify_vector,
-    concentration_Q,
     min_sv_tail,
     small_ball,
-    spread_set,
 )
 
 GAUSS = EntryDistribution("RealGaussian")
@@ -99,85 +97,50 @@ class TestClassifyVector:
             assert got == brute_force_sparse_distance(x, delta)
 
 
-class TestSpreadSet:
-    def test_uniform_vector_full_set(self):
-        n = 64
-        x = np.full(n, 1.0 / math.sqrt(n))
-        sigma = spread_set(x, delta=0.5, rho=0.5)
-        assert len(sigma) == n
+class TestOneCoordinate:
+    """`small_ball` on a basis vector is the concentration function of the entry law."""
 
-    def test_sparse_input_rejected(self):
-        e1 = np.zeros(16)
-        e1[0] = 1.0
-        with pytest.raises(DomainError):
-            spread_set(e1, delta=0.25, rho=0.3)
+    E1 = np.array([1.0])
 
-    def test_conclusions_on_fuzz(self, oracle_rng):
-        n, delta, rho = 64, 0.3, 0.2
-        checked = 0
-        for _ in range(1000):
-            x = oracle_rng.normal(size=n)
-            x /= np.linalg.norm(x)
-            if classify_vector(x, delta, rho).tag != "Incompressible":
-                continue
-            sigma = spread_set(x, delta, rho)
-            mags = np.abs(x[sigma])
-            assert len(sigma) >= n * delta / 2.0
-            assert float(np.sum(mags**2)) >= rho * rho / 2.0
-            assert np.all(mags >= rho / math.sqrt(2 * n) - 1e-15)
-            assert np.all(mags <= 1.0 / math.sqrt(n * delta / 2.0) + 1e-15)
-            checked += 1
-        assert checked > 900  # Gaussian unit vectors are almost always incompressible
-
-
-class TestConcentrationQ:
     def test_rademacher_exact(self):
-        assert concentration_Q(RADEMACHER, 0.5) == 0.5
-        assert concentration_Q(RADEMACHER, 2.0) == 1.0
-        assert concentration_Q(RADEMACHER, 0.0) == 0.5
+        half = small_ball(self.E1, RADEMACHER, 1.0, 0.5, trials=20_000)
+        assert 0.5 <= half <= 0.52  # one atom of the two: the larger share of the signs
+        assert small_ball(self.E1, RADEMACHER, 1.0, 0.0, trials=20_000) == half
+        assert small_ball(self.E1, RADEMACHER, 1.0, 1.0, trials=20_000) == 1.0  # [-1, 1]
 
     def test_zero_window_continuous(self):
-        assert concentration_Q(GAUSS, 0.0) == 0.0
+        assert small_ball(self.E1, GAUSS, 1.0, 0.0, trials=10_000) == 1.0 / 10_000
 
-    def test_gaussian_against_cdf_oracle(self):
-        got = concentration_Q(GAUSS, 0.5, budget=200_000)
-        oracle = math.erf(0.5 / math.sqrt(2.0))  # P(|N(0,1)| <= 0.5), best center 0
-        assert abs(oracle - 0.3829) < 1e-4
-        assert abs(got - oracle) <= 0.01
+    def test_uniform_against_cdf_oracle(self):
+        # UniformSymmetric is uniform on [-sqrt(3), sqrt(3)]: a window inside holds eta / sqrt(3)
+        got = small_ball(self.E1, EntryDistribution("UniformSymmetric"), 1.0, 0.5, trials=100_000)
+        assert abs(got - 0.5 / math.sqrt(3.0)) <= 0.01
 
     def test_monotone_in_eta(self):
-        values = [concentration_Q(GAUSS, eta, budget=50_000) for eta in (0.1, 0.3, 0.6, 1.2)]
-        assert all(a <= b + 1e-12 for a, b in zip(values, values[1:]))
+        etas = (0.1, 0.3, 0.6, 1.2)
+        values = [small_ball(self.E1, GAUSS, 1.0, eta, trials=50_000) for eta in etas]
+        assert all(a <= b for a, b in zip(values, values[1:]))
 
     @pytest.mark.parametrize("dist", SHIPPED, ids=lambda d: d.tag)
     def test_witness_eta_half_r0_point_six(self, dist):
         # every shipped law concentrates at most 0.6 in any ball of radius 0.5
-        assert concentration_Q(dist, 0.5, budget=200_000) <= 0.6
+        assert small_ball(self.E1, dist, 1.0, 0.5, trials=100_000) <= 0.6
 
     def test_two_point_has_its_own_witness(self):
         d = EntryDistribution("TwoPoint", a=3.0, p=0.1)
-        assert concentration_Q(d, 0.5) == 0.9  # mass of the -1/3 atom
-        assert concentration_Q(d, 0.01) <= 0.95
+        for eta in (0.5, 0.01):  # the atoms are 10/3 apart: a ball holds the -1/3 atom's 0.9
+            assert abs(small_ball(self.E1, d, 1.0, eta, trials=20_000) - 0.9) <= 0.01
 
     def test_complex_rademacher_small_window(self):
         d = EntryDistribution("ComplexRademacher")
-        assert concentration_Q(d, 0.5) == 0.25  # atoms are sqrt(2) apart
-        assert concentration_Q(d, 1.0) == 1.0  # origin covers all four
+        quarter = small_ball(self.E1, d, 1.0, 0.5, trials=20_000)  # the atoms are sqrt(2) apart
+        assert abs(quarter - 0.25) <= 0.01
+        assert small_ball(self.E1, d, 1.0, 1.0, trials=20_000) == 1.0  # the origin covers all four
 
-    @pytest.mark.parametrize(
-        "dist,eta,budget",
-        [
-            (GAUSS, math.nan, 100_000),
-            (GAUSS, math.inf, 100_000),
-            (GAUSS, -0.1, 100_000),
-            (RADEMACHER, math.nan, 100_000),
-            (GAUSS, 0.5, 0),
-            (GAUSS, 0.5, 9_999),
-        ],
-    )
-    def test_invalid_eta_and_budget_rejected(self, dist, eta, budget):
-        with pytest.raises(DomainError):
-            concentration_Q(dist, eta, budget=budget)
+    def test_trials_start_at_ten_thousand(self):
+        with pytest.raises(DomainError, match="at least 10"):
+            small_ball(self.E1, GAUSS, 1.0, 0.5, trials=9_999)
+        assert 0.0 < small_ball(self.E1, GAUSS, 1.0, 0.5, trials=10_000) < 1.0
 
 
 class TestSmallBall:
@@ -201,7 +164,7 @@ class TestSmallBall:
         x = np.zeros(8)
         x[0] = 1.0
         got = small_ball(x, GAUSS, 1.0, eta=0.5, trials=50_000)
-        assert abs(got - concentration_Q(GAUSS, 0.5, budget=200_000)) <= 0.02
+        assert abs(got - math.erf(0.5 / math.sqrt(2.0))) <= 0.02  # P(|N(0,1)| <= 0.5)
 
     def test_monotone_in_eta(self):
         x = np.full(16, 0.25)
@@ -342,8 +305,8 @@ class TestMaxBallFraction:
     def test_plane_holds_one_band_of_hits(self):
         # 10^5 samples at eta = 0.05 hit ~5.8 million lattice points; holding them
         # all peaked at 42 MB, one band of ~4096 samples' hits takes a few MB
-        draws = draw_grid(EntryDistribution("ComplexGaussian"), 0, rng.ROLE_CONCENTRATION, 0,
-                          100_000, 1)[:, 0]
+        # role 6 is reserved in `rng`: these samples keep the stream they were first drawn from
+        draws = draw_grid(EntryDistribution("ComplexGaussian"), 0, 6, 0, 100_000, 1)[:, 0]
         started = not tracemalloc.is_tracing()
         tracemalloc.start()
         tracemalloc.reset_peak()
@@ -451,3 +414,16 @@ class TestMinSvTail:
 def test_min_sv_tail_needs_fifty_trials():
     with pytest.raises(DomainError, match="at least 50 trials"):
         min_sv_tail(EnsembleConfig(8, 1.0, GAUSS, 5), 0j, trials=49, thresholds=[1e-3])
+
+
+@pytest.mark.parametrize("call, count", [
+    (lambda m: log_moment_estimate(GAUSS, m, eta=0.5), 20_000),
+    (lambda t: small_ball(np.full(4, 0.5), GAUSS, 1.0, 0.1, trials=t), 20_000),
+    (lambda t: min_sv_tail(EnsembleConfig(8, 1.0, GAUSS, 5), 0j, t, [0.1]).frequencies[0], 60),
+], ids=["log_moment_estimate", "small_ball", "min_sv_tail"])
+def test_a_count_reads_whole_floats(call, count):
+    # a whole float count failed in `range` with a bare TypeError
+    assert call(float(count)) == call(count)
+    for bad in (count + 0.5, True):
+        with pytest.raises(ConfigError, match="whole number"):
+            call(bad)

@@ -17,7 +17,6 @@ from circulaw import (
     EntryDistribution,
     MatrixSample,
     NumericError,
-    distance_to_span,
     eigenvalues,
     hermitize,
     sample_matrix,
@@ -43,6 +42,12 @@ def from_array(a):
 def draw_matrix(oracle_rng, shape, complex_):
     a = oracle_rng.normal(size=shape)
     return a + 1j * oracle_rng.normal(size=shape) if complex_ else a
+
+
+def distance_to_other_columns(a, k):
+    """Least-squares residual of column k against the span of the other columns."""
+    others = np.delete(a, k, axis=1)
+    return np.linalg.norm(a[:, k] - others @ np.linalg.lstsq(others, a[:, k], rcond=None)[0])
 
 
 def bundled_openblas():
@@ -781,6 +786,24 @@ class TestSmallestSingularValue:
         a[:, 3] = a[:, 1]
         assert singular_values(from_array(a)).values[-1] <= 1e-10
 
+    @pytest.mark.parametrize("complex_", [False, True], ids=["real", "complex"])
+    def test_column_distances_bracket_s_n(self, oracle_rng, complex_):
+        # Rudelson-Vershynin: min_k dist(A_k, H_k) / sqrt(n) <= s_n(A) <= min_k dist(A_k, H_k),
+        # H_k the span of the other columns; the oracle distance is a least-squares residual
+        n = 6
+        for near in (None, 1e-6):  # a generic matrix, then one with two columns 1e-6 apart
+            a = draw_matrix(oracle_rng, (n, n), complex_)
+            if near is not None:
+                a[:, 2] = a[:, 4] + near * draw_matrix(oracle_rng, n, complex_)
+            dist = min(distance_to_other_columns(a, k) for k in range(n))
+            s_n = singular_values(from_array(a)).values[-1]
+            assert dist / math.sqrt(n) <= s_n * (1 + 1e-8) and s_n <= dist * (1 + 1e-8)
+
+    @pytest.mark.parametrize("complex_", [False, True], ids=["real", "complex"])
+    def test_orthonormal_columns_have_unit_spectrum(self, oracle_rng, complex_):
+        q, _ = np.linalg.qr(draw_matrix(oracle_rng, (8, 8), complex_))
+        assert np.abs(singular_values(from_array(q)).values - 1.0).max() <= 1e-12
+
     def test_tiny_diagonal(self):
         got = singular_values(from_array(np.diag([1.0, 1e-12]))).values[-1]
         assert abs(got - 1e-12) <= 1e-14
@@ -818,35 +841,6 @@ class TestOperatorNorm:
         v = oracle_rng.normal(size=7)
         got = singular_values(from_array(np.outer(u, v))).values[0]
         assert got == pytest.approx(np.linalg.norm(u) * np.linalg.norm(v), rel=1e-10)
-
-
-class TestDistanceToSpan:
-    def test_orthonormal_columns(self):
-        for k in range(4):
-            assert distance_to_span(np.eye(4), k) == pytest.approx(1.0, abs=1e-12)
-
-    def test_duplicated_column(self, oracle_rng):
-        a = oracle_rng.normal(size=(5, 5))
-        a[:, 2] = a[:, 4]
-        assert distance_to_span(a, 2) <= 1e-10
-
-    def test_least_squares_oracle(self, oracle_rng):
-        a = oracle_rng.normal(size=(6, 6))
-        for k in (0, 3, 5):
-            others = np.delete(a, k, axis=1)
-            _, residual_sq, *_ = np.linalg.lstsq(others, a[:, k], rcond=None)
-            oracle = math.sqrt(float(residual_sq[0]))
-            assert distance_to_span(a, k) == pytest.approx(oracle, abs=1e-8)
-
-    def test_needs_two_columns(self):
-        with pytest.raises(DomainError):
-            distance_to_span(np.ones((3, 1)), 0)
-
-    def test_non_finite_columns(self):
-        # numpy's SVD would raise LinAlgError, a ValueError the CLI reports as a usage error
-        for bad in (np.nan, np.inf):
-            with pytest.raises(NumericError):
-                distance_to_span(np.array([[1.0, bad], [0.0, 1.0]]), 0)
 
 
 class TestInvariants:

@@ -61,14 +61,14 @@ def _child_stdout(args, **env):
     return done.stdout
 
 
-# The six kernels that reach BLAS or LAPACK, on one n = 512 complex sample:
+# The five kernels that reach BLAS or LAPACK, on one n = 512 complex sample:
 # called directly, or in parallel_map's workers (argv[1] == "pooled").
 _KERNELS = """
 import hashlib, math, sys
 import numpy as np
 from circulaw import EnsembleConfig, EntryDistribution, sample_matrix
-from circulaw.linalg import (certified_log_det, distance_to_span, eigenvalues, frobenius_norm,
-                             singular_values, thresholds_below_sn)
+from circulaw.linalg import (certified_log_det, eigenvalues, frobenius_norm, singular_values,
+                             thresholds_below_sn)
 from circulaw.parallel import parallel_map
 
 a = sample_matrix(EnsembleConfig(512, 1.0, EntryDistribution("ComplexGaussian"), 3), 0)
@@ -77,8 +77,8 @@ a = sample_matrix(EnsembleConfig(512, 1.0, EntryDistribution("ComplexGaussian"),
 def kernels(_):
     det = certified_log_det(a, 0.0, math.inf, 3, 0)
     values = {"frobenius_norm": frobenius_norm(a), "log_det": det.value, "lower": det.lower,
-              "upper": det.upper, "distance_to_span": distance_to_span(a.entries, 0),
-              "singular_values": singular_values(a).values, "eigenvalues": eigenvalues(a).values,
+              "upper": det.upper, "singular_values": singular_values(a).values,
+              "eigenvalues": eigenvalues(a).values,
               "thresholds_below_sn": np.int64(thresholds_below_sn(a, np.geomspace(1e-5, 0.1, 9)))}
     return " ".join(f"{name}={v.hex() if isinstance(v, float) else hashlib.sha256(v).hexdigest()}"
                     for name, v in values.items())
@@ -96,8 +96,8 @@ _CHILDREN = {
 
 @pytest.mark.parametrize("name", sorted(_CHILDREN))
 def test_bytes_do_not_depend_on_blas_threads(name):
-    # eigvals once ran outside the pool, and ||A||_F, the certificate's residual
-    # and distance_to_span's SVD ran outside any hold when called directly: on
+    # eigvals once ran outside the pool, and ||A||_F and the certificate's residual
+    # ran outside any hold when called directly: on
     # OpenBLAS's threaded kernels when allowed two threads, whose rounding moved
     # the bits; the pool's workers must see the same bits as a direct call
     outputs = {(args[-1], threads): _child_stdout(args, OPENBLAS_NUM_THREADS=threads,

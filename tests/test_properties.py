@@ -7,7 +7,7 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from circulaw import EmpiricalCDF, rng, symmetrize  # noqa: E402
+from circulaw import EmpiricalCDF, rng  # noqa: E402
 
 # duplicates are likely: small integers mixed with arbitrary finite floats
 atom_values = st.lists(
@@ -45,23 +45,6 @@ def test_empirical_cdf_invariants(data, queries):
     assert np.all(left <= right)
     assert f.evaluate(f.xs[0] - 1.0) == 0.0
     assert f.evaluate(f.xs[-1]) == pytest.approx(1.0, abs=1e-12)
-
-
-@settings(max_examples=300, deadline=None)
-@given(st.lists(st.integers(0, 10**6), min_size=1, max_size=40, unique=True),
-       st.booleans())
-def test_symmetrize_then_square_gives_back_the_law(ticks, weighted):
-    values = np.array(ticks) / 64.0  # distinct, and 0 may be an atom
-    weights = None
-    if weighted:
-        weights = np.arange(1.0, len(values) + 1.0)
-        weights /= weights.sum()
-    f = EmpiricalCDF.from_values(values, weights)
-    g = symmetrize(f)
-    assert np.all(g.xs[g.xs != 0] == -g.xs[g.xs != 0][::-1])
-    back = EmpiricalCDF.from_values(g.xs**2, g.ws)
-    np.testing.assert_allclose(back.xs, f.xs, rtol=1e-15, atol=0)
-    np.testing.assert_array_equal(back.ws, f.ws)
 
 
 @settings(max_examples=200, deadline=None)

@@ -5,8 +5,7 @@ import numpy as np
 import pytest
 
 from circulaw import DomainError, EnsembleConfig, EntryDistribution, MatrixSample, rng
-from circulaw.ensemble import draw_rows, mask_rows, smoothing_stream
-from circulaw.invertibility import concentration_Q
+from circulaw.ensemble import draw_rows, log_moment_estimate, mask_rows, smoothing_stream
 from circulaw.linalg import certified_log_det
 
 
@@ -69,11 +68,23 @@ class TestLabelRange:
         with pytest.raises(DomainError, match="outside"):
             rng.derive_key(1, 3, label)
 
+    @pytest.mark.parametrize("label", [3.7, 3.0, np.float64(3.0), True, np.True_, "3"],
+                             ids=["3.7", "3.0", "float64", "True", "bool_", "str"])
+    def test_a_label_that_is_not_an_integer_raises(self, label):
+        # int() read 3.7 as 3 and True as 1, so they drew another label's stream
+        with pytest.raises(DomainError, match="not an integer"):
+            rng.derive_key(label, 1, 0)
+
+    @pytest.mark.parametrize("label", [np.uint64(3), np.int64(3), np.uint8(3)],
+                             ids=["uint64", "int64", "uint8"])
+    def test_a_numpy_integer_label_gives_the_int_key(self, label):
+        assert rng.derive_key(label, 1, 0) == rng.derive_key(3, 1, 0)
+
     @pytest.mark.parametrize("draw", [
         lambda: smoothing_stream(EnsembleConfig(4, 1.0, EntryDistribution("RealGaussian"), 1), -1),
         lambda: certified_log_det(MatrixSample.from_array(np.eye(4)), 0.0, math.inf, 1, -1),
-        lambda: concentration_Q(EntryDistribution("RealGaussian"), 0.1, seed=-1),
-    ], ids=["smoothing_stream", "certified_log_det", "concentration_Q"])
+        lambda: log_moment_estimate(EntryDistribution("RealGaussian"), 10_000, 1.0, seed=-1),
+    ], ids=["smoothing_stream", "certified_log_det", "log_moment_estimate"])
     def test_callers_reject_a_negative_label(self, draw):
         with pytest.raises(DomainError):
             draw()

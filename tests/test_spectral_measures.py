@@ -18,7 +18,6 @@ from circulaw import (
     sample_matrix,
     singular_values,
     stieltjes_empirical,
-    symmetrize,
 )
 from circulaw.linalg import LogDeterminant, Spectrum, truncation_window
 
@@ -50,6 +49,11 @@ class TestEmpiricalCDF:
         for values in ([0.1, math.nan], [math.inf], []):
             with pytest.raises(DomainError):
                 EmpiricalCDF.from_values(values)
+
+    def test_reflection_identity_of_a_symmetric_law(self):
+        f = EmpiricalCDF.from_values([-2.0, -1.0, 0.0, 0.0, 1.0, 2.0])
+        for x in (-3.0, -2.0, -1.5, -1.0, 0.0, 0.5, 1.0, 2.0, 2.5):
+            assert f.evaluate(x) + f.evaluate_left(-x) == pytest.approx(1.0, abs=1e-15)
 
     def test_csv_roundtrip(self, tmp_path):
         f = EmpiricalCDF.from_values([0.25, 1.0, math.pi])
@@ -90,54 +94,16 @@ class TestSvSquaredCdf:
         f = EmpiricalCDF.from_values(sv.values**2)
         assert f.mean() == pytest.approx(np.sum(a * a) / 7, rel=1e-8)
 
-
-class TestSymmetrize:
-    def test_hand_example(self):
-        f = EmpiricalCDF.from_values([1.0, 4.0])
-        g = symmetrize(f)
-        assert list(g.xs) == [-2.0, -1.0, 1.0, 2.0]
-        assert np.allclose(g.ws, 0.25)
-        assert g.evaluate(-1.5) == 0.25
-        # direct identity (1 + sgn(x) F(x^2)) / 2 at continuity points of g
-        for x in (-3.0, -1.5, -0.5, 0.0, 0.5, 1.5, 2.5):
-            expected = 0.5 * (1.0 + np.sign(x) * f.evaluate(x * x))
-            assert g.evaluate(x) == pytest.approx(expected, abs=1e-15)
-
-    def test_atom_at_zero(self):
-        g = symmetrize(EmpiricalCDF.from_values([0.0]))
-        assert list(g.xs) == [0.0] and list(g.ws) == [1.0]
-
-    def test_atom_at_zero_mixed(self):
-        g = symmetrize(EmpiricalCDF.from_values([0.0, 4.0]))
-        assert list(g.xs) == [-2.0, 0.0, 2.0]
-        assert list(g.ws) == [0.25, 0.5, 0.25]
-
-    def test_reflection_identity(self):
-        g = symmetrize(EmpiricalCDF.from_values([1.0, 2.0, 5.0]))
-        for x in (-3.0, -1.0, 0.0, 0.5, 2.0):
-            assert g.evaluate(x) + g.evaluate_left(-x) == pytest.approx(1.0, abs=1e-15)
-
-    def test_negative_support_rejected(self):
-        with pytest.raises(DomainError):
-            symmetrize(EmpiricalCDF.from_values([-1.0, 1.0]))
-
-    def test_sup_distance_halves(self, oracle_rng):
-        for _ in range(20):
-            a = oracle_rng.uniform(0.1, 4.0, size=8)
-            b = oracle_rng.uniform(0.1, 4.0, size=11)
-            fa, fb = EmpiricalCDF.from_values(a), EmpiricalCDF.from_values(b)
-            d = ks_distance(fa, fb)
-            d_sym = ks_distance(symmetrize(fa), symmetrize(fb))
-            assert d_sym == pytest.approx(0.5 * d, abs=1e-12)
-
-    def test_involution_reconstructs(self, oracle_rng):
-        atoms = np.sort(oracle_rng.uniform(0.01, 9.0, size=12))
-        f = EmpiricalCDF.from_values(atoms)
-        g = symmetrize(f)
-        positive = g.xs[g.xs > 0]
-        back = positive**2
-        assert np.allclose(back, f.xs, rtol=4e-16, atol=0.0)
-        assert np.allclose(g.ws[g.xs > 0] * 2, f.ws, rtol=0, atol=1e-15)
+    @pytest.mark.parametrize("dist", ["RealGaussian", "ComplexGaussian"])
+    def test_hermitized_law_is_the_symmetrized_squared_law(self, dist):
+        # the eigenvalues of [[0, A], [A*, 0]] are +-s_i, so their law G has
+        # G(x) = (1 + sgn(x) F(x^2)) / 2 with F the law of the s_i^2
+        m = sample_matrix(EnsembleConfig(6, 1.0, EntryDistribution(dist), 3), 0)
+        f = EmpiricalCDF.from_values(singular_values(m).values ** 2)
+        g = EmpiricalCDF.from_values(np.linalg.eigvalsh(hermitize(m)))
+        for x in np.linspace(-3.0, 3.0, 61):
+            assert g.evaluate(x) == pytest.approx(0.5 * (1.0 + np.sign(x) * f.evaluate(x * x)),
+                                                  abs=1e-15)
 
 
 class TestStieltjesEmpirical:
@@ -219,6 +185,18 @@ class TestKsDistance:
         d12 = ks_distance(cdfs[1], cdfs[2])
         d02 = ks_distance(cdfs[0], cdfs[2])
         assert d02 <= d01 + d12 + 1e-15
+
+    def test_symmetric_laws_halve_the_distance(self, oracle_rng):
+        # the law of +-sqrt(s) for s drawn from F moves half as far as F in sup distance
+        def symmetric(values):
+            roots = np.sqrt(values)
+            return EmpiricalCDF.from_values(np.concatenate([-roots, roots]))
+
+        for _ in range(20):
+            a = oracle_rng.uniform(0.1, 4.0, size=8)
+            b = oracle_rng.uniform(0.1, 4.0, size=11)
+            d = ks_distance(EmpiricalCDF.from_values(a), EmpiricalCDF.from_values(b))
+            assert ks_distance(symmetric(a), symmetric(b)) == pytest.approx(0.5 * d, abs=1e-12)
 
 
 class TestLogPotentialEmpirical:

@@ -54,7 +54,7 @@ def test_only_linalg_and_the_pool_hold_blas():
             for d in fn.decorator_list if _name(getattr(d, "func", d)) == "single_threaded_blas"}
     uses = [node for node in ast.walk(tree) if _name(node) == "single_threaded_blas"]
     assert held == {"frobenius_norm", "certified_log_det", "singular_values",
-                    "thresholds_below_sn", "eigenvalues", "distance_to_span"}
+                    "thresholds_below_sn", "eigenvalues"}
     assert len(uses) == len(held)
 
 
