@@ -20,11 +20,8 @@ from .errors import (
 )
 from .limit_theory import (
     LimitLaw,
-    cubic_roots,
     disc_potential,
     g_field,
-    limit_cdf,
-    limit_density,
     limit_stieltjes,
     potential_from_law,
     support_endpoints,

@@ -131,42 +131,12 @@ def _l_roots(x, t: float):
     return coeffs, roots
 
 
-def cubic_roots(x: float, z: complex) -> np.ndarray:
-    """The three roots of L(y), by Cardano's formula and Vieta's plus Newton polish.
-
-    Real coefficients get exact conjugate pairing enforced after polishing.
-    Each root's residual is checked against the sizes of L's terms at it, with
-    |y| counted as at least 1, so a root at 0 is measured on L's coefficients.
-    An x too large for Cardano's u^3 or 4|x|^3 to be finite (`_l_roots`), NaN and inf
-    included, raises DomainError.
-    """
-    coeffs, roots = _l_roots(x, _shift(z))
-    imag_tol = 1e-9 * max(1.0, abs(x))
-    complex_mask = np.abs(roots.imag) > imag_tol
-    if complex_mask.sum() == 2:
-        pair = roots[complex_mask]
-        w = 0.5 * (pair[0] + np.conj(pair[1]))
-        if w.imag < 0:
-            w = np.conj(w)
-        roots[complex_mask] = [w, np.conj(w)]
-        real_idx = np.flatnonzero(~complex_mask)
-        roots[real_idx] = roots[real_idx].real
-    else:
-        roots = roots.real.astype(np.complex128)
-    terms = np.polyval(np.abs(coeffs), np.maximum(np.abs(roots), 1.0))
-    residual = np.abs(np.polyval(coeffs, roots))
-    if not np.all(residual <= 1e-10 * terms):
-        raise NumericError(f"cubic root residual {residual.max():.3g} exceeds tolerance")
-    order = np.lexsort((roots.imag, roots.real))
-    return roots[order]
-
-
 def limit_stieltjes(alpha: complex, z: complex) -> complex:
     """The unique upper-half-plane solution S(alpha, z) of the self-consistent equation.
 
     S + alpha is the root y of L (x = alpha) of largest imaginary part, however
     small, and S = -y/(y^2 - |z|^2), as y - alpha cancels where |S| << |alpha|.
-    An alpha too large for `cubic_roots` raises DomainError, as there.
+    An alpha too large for `_l_roots` raises DomainError, as there.
     """
     alpha = complex(alpha)
     if not (math.isfinite(alpha.real) and 0 < alpha.imag < math.inf):
@@ -209,18 +179,6 @@ def _points(x) -> np.ndarray:
     if np.isnan(x).any():
         raise DomainError("the limit law is not defined at NaN")
     return x
-
-
-def _density(x, t: float) -> np.ndarray:
-    """`_sym_density_array` at real x, 0 at +-inf (off the support)."""
-    x = _points(x)
-    finite = np.isfinite(x)
-    return np.where(finite, _sym_density_array(np.where(finite, x, 0.0), t), 0.0)
-
-
-def limit_density(x: float, z: complex) -> float:
-    """Density of the symmetrized law at x (even in x, zero off the support)."""
-    return float(_density(x, _shift(z)))
 
 
 def _gauss_panels(t: float, edge: float, sign: float, u: np.ndarray, rule=_GL16,
@@ -286,8 +244,11 @@ class LimitLaw:
         return cls(x1, x2, t, grid_x, grid_f)
 
     def density(self, x):
-        """Density of the symmetrized law at x (vectorized); a NaN x raises DomainError."""
-        return _density(x, self._t)
+        """Density of the symmetrized law at x (vectorized), 0 at +-inf (off the
+        support); a NaN x raises DomainError."""
+        x = _points(x)
+        finite = np.isfinite(x)
+        return np.where(finite, _sym_density_array(np.where(finite, x, 0.0), self._t), 0.0)
 
     def cdf_positive(self, x):
         """Mass of the symmetrized law on [lo, x] (vectorized); a NaN x raises DomainError."""
@@ -302,22 +263,11 @@ class LimitLaw:
         out = np.where(positive, np.clip(2.0 * self.cdf_positive(roots), 0.0, 1.0), 0.0)
         return np.where(x >= self.x1 * self.x1, 1.0, out)
 
-    def total_mass(self) -> float:
-        """Full-line mass of the symmetrized density (should be 1)."""
-        return 2.0 * float(self._grid_f[-1])
-
 
 def law_for_shift(z: complex) -> LimitLaw:
     """The LimitLaw of shift z, built on each call (no campaign asks for one |z|
     twice); a shift beyond |z| = 1e5 raises DomainError."""
     return LimitLaw.for_shift(z)
-
-
-def limit_cdf(x, z: complex):
-    """CDF of the limiting squared-singular-value law at x (scalar or array)."""
-    law = law_for_shift(z)
-    result = law.cdf_squared(x)
-    return float(result) if np.isscalar(x) else result
 
 
 def disc_potential(z: complex) -> float:

@@ -237,7 +237,11 @@ class LogDeterminant:
 
 def truncation_window(n: int, p_n: float, b_exponent: float = 3.0, c_cut: float = 1.0):
     """(floor, ceiling) = (c_cut / n^b_exponent, n sqrt(p_n)): a trial enters the
-    log-potential average only if floor <= s_n and s_1 <= ceiling."""
+    log-potential average only if floor <= s_n and s_1 <= ceiling. DomainError
+    unless n >= 1 and 0 < p_n <= 1, NaN included."""
+    if not (n >= 1 and 0 < p_n <= 1):
+        raise DomainError(f"the truncation window needs n >= 1 and 0 < p_n <= 1, "
+                          f"got n={n}, p_n={p_n}")
     return c_cut / float(n) ** b_exponent, n * math.sqrt(p_n)
 
 
@@ -429,7 +433,8 @@ def singular_values(sample: MatrixSample) -> Spectrum:
 def thresholds_below_sn(sample: MatrixSample, thresholds: np.ndarray) -> Optional[int]:
     """How many of the ascending `thresholds` lie below s_n, decided without a
     spectrum; None if the search must test a t below 1e-6 ||A||_F, where the Gram
-    path cannot decide and the caller takes `singular_values`.
+    path cannot decide and the caller takes `singular_values`. A NaN threshold, or
+    one below its predecessor, raises DomainError; equal neighbours are legal.
 
     By Sylvester's law of inertia, s_n > t exactly when G - t^2 I is positive
     definite, with G = A A^* formed once, as `singular_values` forms it. A binary
@@ -441,6 +446,9 @@ def thresholds_below_sn(sample: MatrixSample, thresholds: np.ndarray) -> Optiona
     is exact whenever |s_n / t - 1| exceeds about eps (s_1 / t)^2. Non-finite
     entries, or finite ones whose norm overflows, raise NumericError.
     """
+    thresholds = np.asarray(thresholds, dtype=np.float64)
+    if np.isnan(thresholds).any() or np.any(thresholds[1:] < thresholds[:-1]):
+        raise DomainError("thresholds must be ascending and not NaN")
     a = sample.entries
     cutoff = _REFINE_RATIO * _rounded_norm(a)
     g = a @ a.conj().T

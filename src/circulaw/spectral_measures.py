@@ -20,6 +20,8 @@ from .errors import DomainError, EstimationError
 from .linalg import LogDeterminant, Spectrum, truncation_window
 from .textio import csv_text, read_float_csv, write_text
 
+_MASS_TOL = 1e-12  # how far rounding may take a total mass off 1, or a CDF value outside [0, 1]
+
 
 @dataclass
 class EmpiricalCDF:
@@ -39,20 +41,18 @@ class EmpiricalCDF:
             raise DomainError("atoms must be strictly increasing")
         if not np.all(self.ws > 0):
             raise DomainError("weights must be positive")
-        if abs(float(self.ws.sum()) - 1.0) > 1e-12:
+        if abs(float(self.ws.sum()) - 1.0) > _MASS_TOL:
             raise DomainError("weights must sum to 1")
         self._cum = np.concatenate(([0.0], np.cumsum(self.ws)))  # P[X < xs[i]] at i
 
     @classmethod
-    def from_values(cls, values, weights=None) -> "EmpiricalCDF":
+    def from_values(cls, values) -> "EmpiricalCDF":
+        """The law of `values`, each of weight 1/len(values)."""
         values = np.asarray(values, dtype=np.float64).ravel()
         if len(values) == 0:
             raise DomainError("need at least one value")
-        if weights is None:
-            weights = np.full(len(values), 1.0 / len(values))
-        else:
-            weights = np.asarray(weights, dtype=np.float64).ravel()
         uniq, inverse = np.unique(values, return_inverse=True)
+        weights = np.full(len(values), 1.0 / len(values))
         return cls(uniq, np.bincount(inverse, weights, minlength=len(uniq)))
 
     def evaluate(self, x):
@@ -67,9 +67,6 @@ class EmpiricalCDF:
         if np.isnan(x).any():
             raise DomainError("a CDF is not defined at NaN")
         return self._cum[np.searchsorted(self.xs, x, side=side)]
-
-    def mean(self) -> float:
-        return float(np.sum(self.xs * self.ws))
 
     def to_csv(self, path) -> None:
         write_text(path, csv_text(["x", "weight"], zip(self.xs, self.ws)))
@@ -110,15 +107,19 @@ CdfEvaluator = Union[EmpiricalCDF, Callable[[np.ndarray], np.ndarray]]
 
 
 def ks_distance(f: EmpiricalCDF, g: CdfEvaluator) -> float:
-    """sup_x |F - G| over the jump points, with G taken on both sides of each atom."""
+    """sup_x |F - G| over the jump points, with G taken on both sides of each atom.
+
+    A callable G is read as continuous, at F's atoms only; a value there that is
+    not finite, or lies outside [0, 1] by more than rounding, raises DomainError."""
     if isinstance(g, EmpiricalCDF):
         points = np.union1d(f.xs, g.xs)
         g_right = g.evaluate(points)
         g_left = g.evaluate_left(points)
     else:
         points = f.xs
-        vals = g(points)
-        g_right = g_left = np.asarray(vals, dtype=np.float64)
+        g_right = g_left = np.asarray(g(points), dtype=np.float64)
+        if not np.all((g_right >= -_MASS_TOL) & (g_right <= 1.0 + _MASS_TOL)):
+            raise DomainError("a CDF evaluator must give finite values in [0, 1]")
     f_right = f.evaluate(points)
     f_left = f.evaluate_left(points)
     return float(

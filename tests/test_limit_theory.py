@@ -1,5 +1,6 @@
 import cmath
 import math
+import os
 import sys
 import threading
 import tracemalloc
@@ -13,11 +14,8 @@ from circulaw import (
     DomainError,
     EnsembleConfig,
     EntryDistribution,
-    cubic_roots,
     disc_potential,
     g_field,
-    limit_cdf,
-    limit_density,
     limit_stieltjes,
     potential_from_law,
     sample_matrix,
@@ -44,6 +42,21 @@ def companion_roots(x, t):
         safe = np.abs(dval) > 0
         roots = np.where(safe, roots - fval / np.where(safe, dval, 1.0), roots)
     return roots
+
+
+def l_roots(x, z):
+    """The three roots of L(y) at x and shift z, from the solver `limit_stieltjes` uses."""
+    return limit_theory._l_roots(x, limit_theory._shift(z))[1]
+
+
+def law_density(x, z):
+    """The symmetrized law's density at x."""
+    return float(law_for_shift(z).density(x))
+
+
+def law_cdf(x, z):
+    """The limiting squared-singular-value CDF at x."""
+    return law_for_shift(z).cdf_squared(x)
 
 
 def semicircle_stieltjes(alpha):
@@ -112,32 +125,31 @@ class TestSupportEndpoints:
         assert abs(s1 - 2.0) < 0.1
 
 
-class TestCubicRoots:
+class TestLRoots:
     def test_triple_root_at_unit_circle(self):
-        roots = cubic_roots(0.0, 1 + 0j)
+        roots = l_roots(0.0, 1 + 0j)
         assert np.abs(roots).max() < 1e-8
 
     def test_pure_imaginary_pair_at_zero_shift(self):
-        roots = cubic_roots(0.0, 0j)
-        expected = np.array(sorted([0.0, 1j, -1j], key=lambda v: (v.real, v.imag)), dtype=complex)
-        assert np.abs(roots - expected).max() < 1e-12
+        roots = np.array(sorted(l_roots(0.0, 0j), key=lambda v: v.imag))
+        assert np.abs(roots - np.array([-1j, 0.0, 1j])).max() < 1e-12
 
     def test_vieta(self, oracle_rng):
         for _ in range(200):
             x = float(oracle_rng.uniform(-4, 4))
             z = complex(oracle_rng.normal(), oracle_rng.normal())
-            roots = cubic_roots(x, z)
+            roots = l_roots(x, z)
             t = abs(z) ** 2
             assert complex(roots.sum()) == pytest.approx(x, abs=1e-9)
             assert complex(roots.prod()) == pytest.approx(-x * t, abs=1e-9)
 
     @pytest.mark.parametrize("az", ORACLE_SHIFTS)
     def test_against_the_companion_oracle(self, az):
-        # every root passes the residual check scaled by L's term sizes (taken at
-        # |y| >= 1), well inside its 1e-10, and sits on a companion root
+        # every root's residual is within 1e-15 of L's term sizes (taken at |y| >= 1),
+        # and it sits on a companion root
         t = az * az
         for x in np.linspace(-60.0, 60.0, 241):
-            roots = cubic_roots(x, az)
+            roots = l_roots(x, az)
             size = np.maximum(np.abs(roots), 1.0)
             terms = ((size + abs(x)) * size + abs(1.0 - t)) * size + abs(x) * t
             assert np.all(np.abs(np.polyval([1.0, -x, 1.0 - t, x * t], roots)) <= 1e-15 * terms)
@@ -146,16 +158,9 @@ class TestCubicRoots:
 
     def test_residual_scales_with_the_shift(self):
         # the bound was 1e-10 max(1, |x|)^3, blind to |z|^2: here it rejected exact roots
-        roots = cubic_roots(5.0, 1e3 + 0j)
+        roots = l_roots(5.0, 1e3 + 0j)
         for ref in companion_roots(5.0, 1e6):
             assert np.min(np.abs(roots - ref)) <= 1e-14 * abs(ref)
-
-    def test_conjugate_pairing(self, oracle_rng):
-        for _ in range(50):
-            roots = cubic_roots(float(oracle_rng.uniform(-2, 2)), 0.4 + 0.1j)
-            complex_roots = roots[np.abs(roots.imag) > 1e-9]
-            if len(complex_roots):
-                assert complex_roots[0] == np.conj(complex_roots[1])
 
 
 class TestLimitStieltjes:
@@ -221,33 +226,33 @@ class TestLimitStieltjes:
 
 class TestLimitDensity:
     def test_semicircle_values(self):
-        assert limit_density(0.0, 0j) == pytest.approx(1.0 / math.pi, abs=1e-12)
+        assert law_density(0.0, 0j) == pytest.approx(1.0 / math.pi, abs=1e-12)
         for x in (0.3, 1.0, 1.9, -1.2):
-            assert limit_density(x, 0j) == pytest.approx(float(semicircle_density(np.array([x]))[0]), abs=1e-10)
+            assert law_density(x, 0j) == pytest.approx(float(semicircle_density(np.array([x]))[0]), abs=1e-10)
 
     def test_zero_outside_support(self):
         x1, _ = support_endpoints(0.5)
-        assert limit_density(x1 + 1e-6, 0.5) == 0.0
-        assert limit_density(-x1 - 1e-6, 0.5) == 0.0
+        assert law_density(x1 + 1e-6, 0.5) == 0.0
+        assert law_density(-x1 - 1e-6, 0.5) == 0.0
 
     def test_zero_in_inner_gap(self):
         z = 1.5 + 0j
         x1, x2 = support_endpoints(z)
         assert x2 is not None
-        assert limit_density(0.5 * x2, z) == 0.0
-        assert limit_density(0.0, z) == 0.0
+        assert law_density(0.5 * x2, z) == 0.0
+        assert law_density(0.0, z) == 0.0
 
     def test_even(self, oracle_rng):
         for _ in range(50):
             x = float(oracle_rng.uniform(0, 3))
             z = complex(oracle_rng.normal(), oracle_rng.normal())
-            assert limit_density(x, z) == pytest.approx(limit_density(-x, z), abs=1e-14)
+            assert law_density(x, z) == pytest.approx(law_density(-x, z), abs=1e-14)
 
     def test_bounded_by_one(self, oracle_rng):
         for _ in range(400):
             x = float(oracle_rng.uniform(-4, 4))
             az = float(oracle_rng.uniform(0, 3))
-            assert limit_density(x, complex(az, 0)) <= 1.0
+            assert law_density(x, complex(az, 0)) <= 1.0
 
     def test_stieltjes_inversion_richardson(self):
         for az in (0.0, 0.5, 1.5):
@@ -260,7 +265,7 @@ class TestLimitDensity:
                 p1 = limit_stieltjes(complex(x, v1), z).imag / math.pi
                 p2 = limit_stieltjes(complex(x, v2), z).imag / math.pi
                 extrapolated = (v1 * p2 - v2 * p1) / (v1 - v2)
-                assert extrapolated == pytest.approx(limit_density(x, z), abs=1e-3)
+                assert extrapolated == pytest.approx(law_density(x, z), abs=1e-3)
 
     def test_root_count_regions(self):
         # one complex pair exactly where the density lives, three real roots outside
@@ -270,7 +275,7 @@ class TestLimitDensity:
             for x in np.linspace(0.01, 4.0, 10):
                 if abs(x - x1) < 1e-3 or (x2 is not None and abs(x - x2) < 1e-3):
                     continue
-                roots = cubic_roots(x, z)
+                roots = l_roots(x, z)
                 n_real = int(np.sum(np.abs(roots.imag) <= 1e-9 * max(1.0, x)))
                 inside = x < x1 if az <= 1 else (x2 < x < x1)
                 assert n_real == (1 if inside else 3)
@@ -279,28 +284,28 @@ class TestLimitDensity:
 class TestLimitCdf:
     def test_one_beyond_edge(self):
         x1, _ = support_endpoints(0.7)
-        assert limit_cdf(x1 * x1, 0.7) == pytest.approx(1.0, abs=1e-6)
-        assert limit_cdf(x1 * x1 + 1.0, 0.7) == 1.0
+        assert law_cdf(x1 * x1, 0.7) == pytest.approx(1.0, abs=1e-6)
+        assert law_cdf(x1 * x1 + 1.0, 0.7) == 1.0
 
     def test_zero_at_origin(self):
-        assert limit_cdf(0.0, 0.3) == 0.0
-        assert limit_cdf(-1.0, 0.3) == 0.0
+        assert law_cdf(0.0, 0.3) == 0.0
+        assert law_cdf(-1.0, 0.3) == 0.0
 
     def test_monotone(self, oracle_rng):
         xs = np.sort(oracle_rng.uniform(0, 5, size=60))
-        vals = limit_cdf(xs, 0.5)
+        vals = law_cdf(xs, 0.5)
         assert np.all(np.diff(vals) >= -1e-12)
 
     def test_against_quadrature_oracle_z0(self):
         for x in (1e-4, 0.5, 1.0, 2.0, 3.5):
-            assert limit_cdf(x, 0j) == pytest.approx(squared_law_cdf_oracle(x), abs=1e-6)
+            assert law_cdf(x, 0j) == pytest.approx(squared_law_cdf_oracle(x), abs=1e-6)
 
     def test_small_x_asymptote(self):
         x = 1e-4
-        assert limit_cdf(x, 0j) == pytest.approx(2.0 / math.pi * math.sqrt(x), abs=1e-4)
+        assert law_cdf(x, 0j) == pytest.approx(2.0 / math.pi * math.sqrt(x), abs=1e-4)
 
     def test_median_against_oracle(self):
-        ours = optimize.brentq(lambda x: limit_cdf(x, 0j) - 0.5, 0.1, 3.9, xtol=1e-12)
+        ours = optimize.brentq(lambda x: law_cdf(x, 0j) - 0.5, 0.1, 3.9, xtol=1e-12)
         oracle = optimize.brentq(lambda x: squared_law_cdf_oracle(x) - 0.5, 0.1, 3.9, xtol=1e-12)
         assert abs(ours - oracle) <= 1e-4
         assert oracle == pytest.approx(0.65278, abs=2e-3)
@@ -316,7 +321,7 @@ class TestLimitCdf:
     def test_normalization_across_shifts(self):
         for az in (0.0, 0.5, 1.0, 1.5, 3.0):
             law = law_for_shift(complex(az, 0))
-            assert abs(law.total_mass() - 1.0) <= 1e-6
+            assert abs(2.0 * law.cdf_positive(law.x1) - 1.0) <= 1e-6
 
 
 class TestDiscPotential:
@@ -448,10 +453,10 @@ class TestNonFiniteShift:
     CALLS = {
         "support_endpoints": support_endpoints,
         "potential_from_law": potential_from_law,
-        "limit_cdf": lambda z: limit_cdf(1.0, z),
-        "limit_density": lambda z: limit_density(0.5, z),
+        "LimitLaw.cdf_squared": lambda z: law_for_shift(z).cdf_squared(1.0),
+        "LimitLaw.density": lambda z: law_for_shift(z).density(0.5),
         "disc_potential": disc_potential,
-        "cubic_roots": lambda z: cubic_roots(1.0, z),
+        "export_tabulation": lambda z: export_tabulation(z, [1.0], os.devnull),
         "limit_stieltjes": lambda z: limit_stieltjes(1j, z),
         "law_for_shift": law_for_shift,
     }
@@ -467,7 +472,8 @@ class TestNonFiniteShift:
     def test_largest_shift_accepted(self):
         # the bound: the mass is off by 6.7e-7 here, by 4.5e-5 at |z| = 1e6 and 0.64 at 1e8
         z = 1e5 + 0j
-        assert abs(law_for_shift(z).total_mass() - 1.0) <= 1e-6
+        law = law_for_shift(z)
+        assert abs(2.0 * law.cdf_positive(law.x1) - 1.0) <= 1e-6
         assert abs(potential_from_law(z) - disc_potential(z)) <= 1e-5
 
 
@@ -476,9 +482,9 @@ class TestHugeArguments:
     # the infinite result raised a bare OverflowError ("complex exponentiation"); at
     # z = 0 the terms of L at x ~ 5.6e102 overflowed in numpy, a RuntimeWarning
     CALLS = {
-        **{f"cubic_roots-{x}": (lambda x=x: cubic_roots(x, 0.5))
+        **{f"l_roots-{x}": (lambda x=x: l_roots(x, 0.5))
            for x in (1e70, 1e78, 1e100, -1e100, math.inf, -math.inf, math.nan)},
-        **{f"cubic_roots-{x}-z0": (lambda x=x: cubic_roots(x, 0.0))
+        **{f"l_roots-{x}-z0": (lambda x=x: l_roots(x, 0.0))
            for x in (1e100, 5.6e102, -1e103, 1e104)},
         "limit_stieltjes-1e100+1j": lambda: limit_stieltjes(1e100 + 1j, 0.5),
     }
@@ -493,7 +499,7 @@ class TestHugeArguments:
     @pytest.mark.parametrize("x", [1e78, -1e100, math.inf, math.nan])
     def test_beyond_the_bound_raises_domain_error_naming_it(self, x):
         with pytest.raises(DomainError, match=r"u\^3 and 4\|x\|\^3 must be finite"):
-            cubic_roots(x, 0.5)
+            l_roots(x, 0.5)
 
     @pytest.mark.parametrize("z", [0.0, 0.5, 2.0])
     @pytest.mark.parametrize("sign", [1.0, -1.0])
@@ -504,7 +510,7 @@ class TestHugeArguments:
         for k in range(8 * 110):
             x = sign * 10.0 ** (k / 8)
             try:
-                roots = cubic_roots(x, z)
+                roots = l_roots(x, z)
             except DomainError:
                 break
             a, b, c = sorted(roots, key=abs)
@@ -531,10 +537,8 @@ class TestNonFiniteQuery:
         "EmpiricalCDF.evaluate": (CDF.evaluate, 0.0, 1.0),
         "EmpiricalCDF.evaluate_left": (CDF.evaluate_left, 0.0, 1.0),
         "LimitLaw.density": (LAW.density, 0.0, 0.0),
-        "LimitLaw.cdf_positive": (LAW.cdf_positive, 0.0, LAW.total_mass() / 2),
+        "LimitLaw.cdf_positive": (LAW.cdf_positive, 0.0, LAW.cdf_positive(LAW.x1)),
         "LimitLaw.cdf_squared": (LAW.cdf_squared, 0.0, 1.0),
-        "limit_cdf": (lambda x: limit_cdf(x, 0.5), 0.0, 1.0),
-        "limit_density": (lambda x: limit_density(x, 0.5), 0.0, 0.0),
     }
 
     @pytest.mark.parametrize("name", [*CALLS, "export_tabulation"])

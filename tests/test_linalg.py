@@ -291,6 +291,17 @@ class TestThresholdsBelowSn:
         assert linalg.thresholds_below_sn(a, np.array([cutoff / 2])) is None
         assert linalg.thresholds_below_sn(a, np.array([cutoff / 2, s_n / 2])) == 2  # not reached
 
+    @pytest.mark.parametrize("thresholds", [[1.0, 1e-2, 1e-3], [1e-3, math.nan, 1.0],
+                                            [math.nan], [1e-3, 1.0, 1.0, 0.5]],
+                             ids=["descending", "nan_inside", "nan_alone", "drop_after_tie"])
+    def test_unsorted_or_nan_thresholds_raise(self, thresholds):
+        # s_n = 0.01046 here: [1, 1e-2, 1e-3] counted 3 below s_n, and [1e-3, nan, 1] 2;
+        # equal neighbours stay legal
+        a = sample_matrix(EnsembleConfig(64, 1.0, GAUSS, 3), 0)
+        assert linalg.thresholds_below_sn(a, np.array([1e-3, 1e-2, 1e-2, 1.0, 1.0])) == 3
+        with pytest.raises(DomainError, match="ascending and not NaN"):
+            linalg.thresholds_below_sn(a, np.array(thresholds))
+
     def test_zero_matrix_has_every_threshold_at_or_above_s_n(self):
         assert linalg.thresholds_below_sn(from_array(np.zeros((3, 3))), np.array([1e-300])) == 0
 

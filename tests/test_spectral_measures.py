@@ -92,7 +92,7 @@ class TestSvSquaredCdf:
         a = oracle_rng.normal(size=(7, 7))
         sv = singular_values(MatrixSample.from_array(a))
         f = EmpiricalCDF.from_values(sv.values**2)
-        assert f.mean() == pytest.approx(np.sum(a * a) / 7, rel=1e-8)
+        assert np.sum(f.xs * f.ws) == pytest.approx(np.sum(a * a) / 7, rel=1e-8)
 
     @pytest.mark.parametrize("dist", ["RealGaussian", "ComplexGaussian"])
     def test_hermitized_law_is_the_symmetrized_squared_law(self, dist):
@@ -164,7 +164,8 @@ class TestKsDistance:
         f = EmpiricalCDF.from_values(oracle_rng.normal(size=20))
         assert ks_distance(f, f) == 0.0
         # a bare callable is treated as continuous, so the self-distance
-        # through that interface is the largest jump
+        # through that interface is the largest jump; its 20 weights of 1/20
+        # sum to 1 + 2.2e-16, a CDF value that rounds past 1
         assert ks_distance(f, f.evaluate) == pytest.approx(f.ws.max(), abs=1e-15)
 
     def test_atom_vs_uniform(self):
@@ -175,6 +176,13 @@ class TestKsDistance:
         atoms = (np.arange(1, 11) - 0.5) / 10.0
         f = EmpiricalCDF.from_values(atoms)
         assert ks_distance(f, lambda x: np.clip(x, 0.0, 1.0)) == pytest.approx(0.05, abs=1e-15)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, 7.0, -0.5])
+    def test_an_impossible_cdf_value_raises(self, value):
+        # NaN read back as a distance of nan, and 7.0 as a distance of 7.0
+        f = EmpiricalCDF.from_values([0.5, 1.0, 2.0])
+        with pytest.raises(DomainError, match=r"in \[0, 1\]"):
+            ks_distance(f, lambda x: np.where(x > 0.75, value, 0.5))
 
     def test_metric_properties(self, oracle_rng):
         cdfs = [EmpiricalCDF.from_values(oracle_rng.normal(size=m)) for m in (5, 9, 13)]
@@ -270,6 +278,21 @@ class TestCertifiedTrials:
 
     def test_window_is_the_filter_window(self):
         assert truncation_window(4, 0.25, 2.0, 3.0) == (3.0 / 16.0, 2.0)
+
+    @pytest.mark.parametrize("p_n", [4.0, 1.0 + 1e-12, 0.0, -1.0, math.nan, math.inf])
+    def test_a_sparsity_outside_zero_one_raises(self, p_n):
+        # p_n = 4 widened the ceiling (0 of 2 trials excluded, against 1 at p_n = 1),
+        # nan excluded every trial, and -1 raised a bare ValueError from math.sqrt
+        spectra = [spectrum_of([5.0, 1.0, 0.5]), spectrum_of([1.5, 1.0, 0.5])]
+        with pytest.raises(DomainError, match="0 < p_n <= 1"):
+            log_potential_empirical(spectra, p_n)
+        with pytest.raises(DomainError, match="0 < p_n <= 1"):
+            truncation_window(3, p_n)
+
+    @pytest.mark.parametrize("n", [0, -3, math.nan])
+    def test_a_dimension_below_one_raises(self, n):
+        with pytest.raises(DomainError, match="n >= 1"):
+            truncation_window(n, 1.0)
 
 
 class TestRadialAngular:
