@@ -195,34 +195,25 @@ def write_report(report: ExperimentReport, path, fmt: str = "csv") -> None:
     write_text(path, render_report(report, fmt))
 
 
-_RUNNERS = {}
+_RUNNERS = {}  # kind -> (report columns, body)
 
 
 def _runner(kind: str, columns: Sequence[str]):
-    """Register `body(spec, report)` as the campaign of `kind`, run as `run(spec)`:
-    it rejects other kinds, opens the report, lets the body append rows and times it."""
+    """Register `body(spec, report)` as the campaign of `kind`; it appends the rows."""
 
     def register(body):
-        def run(spec: ExperimentSpec) -> ExperimentReport:
-            if spec.kind != kind:
-                raise ConfigError(f"expected {kind} spec, got {spec.kind}")
-            start = time.perf_counter()
-            report = ExperimentReport(list(columns) + ["spec_hash"], [], {
-                "kind": spec.kind,
-                "spec_hash": spec.hash(),
-                "master_seed": spec.ensemble.master_seed,
-                "version": __version__,
-                "wall_time_s": 0.0,  # filled at end of run, excluded from serialization
-            })
-            body(spec, report)
-            report.meta["wall_time_s"] = time.perf_counter() - start
-            return report
-
-        run.__name__, run.__qualname__, run.__doc__ = body.__name__, body.__qualname__, body.__doc__
-        _RUNNERS[kind] = run
-        return run
+        _RUNNERS[kind] = (list(columns) + ["spec_hash"], body)
+        return body
 
     return register
+
+
+def _trial_pass(one_trial, groups: Sequence, trials: int) -> list:
+    """[[one_trial(g, t) for t in range(trials)] for g in groups], with every (group, trial)
+    task in one `parallel_map` pass, so a campaign waits once for its slowest worker."""
+    results = parallel_map(lambda task: one_trial(*task),
+                           [(g, t) for g in groups for t in range(trials)])
+    return [results[i * trials:(i + 1) * trials] for i in range(len(groups))]
 
 
 def _uniform01_cdf(x):
@@ -233,12 +224,12 @@ _CIRCLAW_STATS = ("ks_radial", "ks_angular", "frac_beyond_soft", "frac_beyond_1p
 
 
 @_runner("CircularLaw", ["row", "trial", *_CIRCLAW_STATS, "failed"])
-def run_circular_law(spec: ExperimentSpec, report: ExperimentReport) -> None:
+def _circular_law(spec: ExperimentSpec, report: ExperimentReport) -> None:
     """Per-trial eigenvalue statistics against the uniform-disc law."""
     cfg = spec.ensemble
     soft_edge = 1.0 + 3.0 * cfg.n ** -0.25
 
-    def one_trial(t):
+    def one_trial(cfg, t):
         try:
             spectrum = eigenvalues(sample_matrix(cfg, t, order="F"), overwrite=True)
         except NumericError:
@@ -252,7 +243,7 @@ def run_circular_law(spec: ExperimentSpec, report: ExperimentReport) -> None:
             float(np.mean(mods > 1.15)),
         )
 
-    results = parallel_map(one_trial, range(spec.trials))
+    (results,) = _trial_pass(one_trial, [cfg], spec.trials)
     ok = [r for r in results if r is not None]
     for t, res in enumerate(results):
         stats = dict(zip(_CIRCLAW_STATS, res or ()))
@@ -268,7 +259,7 @@ def run_circular_law(spec: ExperimentSpec, report: ExperimentReport) -> None:
 
 
 @_runner("SvLaw", ["row", "n", "z_re", "z_im", "trials", "delta", "slope"])
-def run_sv_law(spec: ExperimentSpec, report: ExperimentReport) -> None:
+def _sv_law(spec: ExperimentSpec, report: ExperimentReport) -> None:
     """Trial-averaged squared-singular-value law against the limit CDF.
 
     Every shift's limit law is built first, so a bad z fails before any
@@ -281,16 +272,15 @@ def run_sv_law(spec: ExperimentSpec, report: ExperimentReport) -> None:
     laws = [law_for_shift(z) for z in spec.z_points]
     cfgs = _ladder(spec)
 
-    def one_trial(task):
-        z, cfg, t = task
+    def one_trial(case, t):
+        z, cfg = case
         return np.asarray(singular_values(shift(sample_matrix(cfg, t), z)).values) ** 2
 
-    tasks = [(z, cfg, t) for z in spec.z_points for cfg in cfgs for t in range(spec.trials)]
-    atoms = iter(parallel_map(one_trial, tasks))
+    cases = [(z, cfg) for z in spec.z_points for cfg in cfgs]
+    atoms = iter(_trial_pass(one_trial, cases, spec.trials))
     for z, law in zip(spec.z_points, laws):
         deltas = []
-        for cfg in cfgs:
-            trials = [next(atoms) for _ in range(spec.trials)]
+        for cfg, trials in zip(cfgs, atoms):  # zip takes cfgs first: no case is skipped
             pooled = EmpiricalCDF.from_values(np.concatenate(trials))
             delta = ks_distance(pooled, law.cdf_squared)
             deltas.append(delta)
@@ -311,7 +301,7 @@ def run_sv_law(spec: ExperimentSpec, report: ExperimentReport) -> None:
 @_runner("Potential", ["row", "z_re", "z_im", "r", "trials", "included", "excluded",
                        "u_empirical", "u_stderr", "u_disc", "u_law", "gap_disc", "gap_law",
                        "flagged"])
-def run_potential(spec: ExperimentSpec, report: ExperimentReport) -> None:
+def _potential(spec: ExperimentSpec, report: ExperimentReport) -> None:
     """Empirical truncated log-determinant average vs the two exact potentials.
 
     Both potentials of every shift are taken first, so a bad z fails before
@@ -327,8 +317,7 @@ def run_potential(spec: ExperimentSpec, report: ExperimentReport) -> None:
     floor, ceiling = truncation_window(cfg.n, cfg.p_n, spec.b_exponent, spec.c_cut)
     exact = [(disc_potential(z), potential_from_law(z)) for z in spec.z_points]
 
-    def one_trial(task):
-        z, t = task
+    def one_trial(z, t):
         sample = sample_matrix(cfg, t)
         shifts = (r * draw_unit_disc(smoothing_stream(cfg, t)), z)  # as smoothing_shift's
         det = certified_log_det(sample, floor, ceiling, cfg.master_seed, t, shifts)
@@ -336,10 +325,8 @@ def run_potential(spec: ExperimentSpec, report: ExperimentReport) -> None:
             return singular_values(smoothing_shift(sample, r, smoothing_stream(cfg, t), z))
         return det
 
-    tasks = [(z, t) for z in spec.z_points for t in range(spec.trials)]
-    spectra = iter(parallel_map(one_trial, tasks))
-    for z, (u_disc, u_law) in zip(spec.z_points, exact):
-        trials = [next(spectra) for _ in range(spec.trials)]
+    spectra = _trial_pass(one_trial, spec.z_points, spec.trials)
+    for z, (u_disc, u_law), trials in zip(spec.z_points, exact, spectra):
         try:
             est = log_potential_empirical(trials, cfg.p_n, spec.b_exponent, spec.c_cut)
         except EstimationError:  # every trial excluded: the row is flagged
@@ -356,21 +343,20 @@ def run_potential(spec: ExperimentSpec, report: ExperimentReport) -> None:
 
 @_runner("MinSv", ["row", "n", "p_n", "z_re", "z_im", "threshold", "frequency", "trials",
                    "s1_violation_freq"])
-def run_minsv(spec: ExperimentSpec, report: ExperimentReport) -> None:
-    """min_sv_tail over an (n, z) grid."""
-    for cfg in _ladder(spec):
-        for z in spec.z_points:
-            table = min_sv_tail(cfg, z, spec.trials, spec.thresholds)
-            for t, f in zip(table.thresholds, table.frequencies):
-                report.append(
-                    row="stat", n=cfg.n, p_n=cfg.p_n, z_re=z.real, z_im=z.imag,
-                    threshold=float(t), frequency=float(f), trials=spec.trials,
-                    s1_violation_freq=table.s1_violation_frequency,
-                )
+def _minsv(spec: ExperimentSpec, report: ExperimentReport) -> None:
+    """min_sv_tail over the whole (n, z) grid, in one pool pass."""
+    cases = [(cfg, z) for cfg in _ladder(spec) for z in spec.z_points]
+    for table in min_sv_tail(cases, spec.trials, spec.thresholds):
+        for t, f in zip(table.thresholds, table.frequencies):
+            report.append(
+                row="stat", n=table.n, p_n=table.p_n, z_re=table.z.real, z_im=table.z.imag,
+                threshold=float(t), frequency=float(f), trials=spec.trials,
+                s1_violation_freq=table.s1_violation_frequency,
+            )
 
 
 @_runner("MaxSv", ["row", "n", "p_n", "frequency", "trials"])
-def run_maxsv(spec: ExperimentSpec, report: ExperimentReport) -> None:
+def _maxsv(spec: ExperimentSpec, report: ExperimentReport) -> None:
     """Frequency of s_1 >= n sqrt(p_n) (no shift) at each n of the ladder.
 
     s_1 <= `frobenius_norm`, so a trial whose bound is below n sqrt(p_n) misses
@@ -379,15 +365,13 @@ def run_maxsv(spec: ExperimentSpec, report: ExperimentReport) -> None:
     """
     cfgs = _ladder(spec)
 
-    def one_trial(task):
-        cfg, t = task
+    def one_trial(cfg, t):
         ceiling = truncation_window(cfg.n, cfg.p_n)[1]
         sample = sample_matrix(cfg, t)
         return frobenius_norm(sample) >= ceiling and singular_values(sample).values[0] >= ceiling
 
-    hits = iter(parallel_map(one_trial, [(cfg, t) for cfg in cfgs for t in range(spec.trials)]))
-    for cfg in cfgs:
-        freq = float(np.mean([next(hits) for _ in range(spec.trials)]))
+    for cfg, hits in zip(cfgs, _trial_pass(one_trial, cfgs, spec.trials)):
+        freq = float(np.mean(hits))
         report.append(row="stat", n=cfg.n, p_n=cfg.p_n, frequency=freq, trials=spec.trials)
 
 
@@ -412,18 +396,18 @@ def tail_eigenvalue_index(delta: float, n: int, q: float):
 
 @_runner("TailIndex", ["row", "n", "delta", "k1", "k1_effective", "clamped", "R", "q",
                        "frequency", "trials"])
-def tail_index_check(spec: ExperimentSpec, report: ExperimentReport) -> None:
+def _tail_index(spec: ExperimentSpec, report: ExperimentReport) -> None:
     """Frequency of the k1-th largest eigenvalue modulus exceeding R, where
     k1 comes from tail_eigenvalue_index at the sv-law distance Delta_n
     measured at the reference shift z = 0."""
     cfg = spec.ensemble
 
-    def one_trial(t):
+    def one_trial(cfg, t):
         sample = sample_matrix(cfg, t)
         sv2 = np.asarray(singular_values(sample).values) ** 2
         return sv2, np.sort(np.abs(eigenvalues(sample).values))[::-1]
 
-    results = parallel_map(one_trial, range(spec.trials))
+    (results,) = _trial_pass(one_trial, [cfg], spec.trials)
     pooled = EmpiricalCDF.from_values(np.concatenate([sv2 for sv2, _ in results]))
     delta = ks_distance(pooled, law_for_shift(0j).cdf_squared)
     k1, k1_eff, clamped = tail_eigenvalue_index(delta, cfg.n, spec.q)
@@ -435,4 +419,16 @@ def tail_index_check(spec: ExperimentSpec, report: ExperimentReport) -> None:
 
 
 def run_experiment(spec: ExperimentSpec) -> ExperimentReport:
-    return _RUNNERS[spec.kind](spec)
+    """Run the campaign of `spec.kind`: open its report, let its body fill it, time it."""
+    start = time.perf_counter()
+    columns, body = _RUNNERS[spec.kind]
+    report = ExperimentReport(list(columns), [], {
+        "kind": spec.kind,
+        "spec_hash": spec.hash(),
+        "master_seed": spec.ensemble.master_seed,
+        "version": __version__,
+        "wall_time_s": 0.0,  # filled at end of run, excluded from serialization
+    })
+    body(spec, report)
+    report.meta["wall_time_s"] = time.perf_counter() - start
+    return report

@@ -7,12 +7,12 @@ norm). `small_ball` takes the largest fraction of sampled sums in one closed
 ball: an exact sliding window on the line, and centers on a hexagonal lattice
 of pitch eta/4 in the plane.
 
-`min_sv_tail` counts the s_n tail of one (n, z) in one pool pass of its own;
-the MinSv runner calls it once per (n, z). A trial takes no spectrum unless it
-must: the Frobenius bound certifies s_1 <= n sqrt(p_n), and
-`linalg.thresholds_below_sn` places s_n among the thresholds by Cholesky
-factorizations of the shifted Gram matrix. The s_1 tail of MaxSv is counted
-in its runner, `experiments.run_maxsv`.
+`min_sv_tail` counts the s_n tail of every (n, z) case it is given in one
+pool pass; the MinSv campaign calls it once, with its whole grid. A trial
+takes no spectrum unless it must: the Frobenius bound certifies
+s_1 <= n sqrt(p_n), and `linalg.thresholds_below_sn` places s_n among the
+thresholds by Cholesky factorizations of the shifted Gram matrix. The s_1
+tail of MaxSv is counted in the MaxSv campaign body in `experiments`.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from typing import Sequence
 import numpy as np
 
 from . import rng
-from .ensemble import EnsembleConfig, EntryDistribution, draw_rows, mask_rows, sample_matrix
+from .ensemble import EntryDistribution, draw_rows, mask_rows, sample_matrix
 from .ensemble import _whole
 from .errors import DomainError
 from .linalg import frobenius_norm, shift, singular_values, thresholds_below_sn, truncation_window
@@ -187,13 +187,10 @@ def _ball_sums(x: np.ndarray, dist: EntryDistribution, p_n: float, trials: int, 
     return np.concatenate(sums)
 
 
-def min_sv_tail(
-    config: EnsembleConfig,
-    z: complex,
-    trials: int,
-    thresholds: Sequence[float],
-) -> TailTable:
-    """Empirical frequencies of {s_n(z) <= t and s_1(z) <= n sqrt(p_n)} per threshold.
+def min_sv_tail(cases: Sequence[tuple], trials: int, thresholds: Sequence[float]) -> list:
+    """One `TailTable` per (config, z) case, in order: the empirical frequencies
+    of {s_n(z) <= t and s_1(z) <= n sqrt(p_n)} per threshold. Every trial of
+    every case runs in one pool pass.
 
     A trial reads no spectrum when it can: s_1 <= `frobenius_norm` certifies the
     ceiling, and `thresholds_below_sn` counts the thresholds below s_n from one
@@ -208,9 +205,11 @@ def min_sv_tail(
     trials = _whole("trials", trials)
     if trials < MIN_TAIL_TRIALS:
         raise DomainError(f"need at least {MIN_TAIL_TRIALS} trials, got {trials}")
-    ceiling = truncation_window(config.n, config.p_n)[1]
+    cases = [(config, complex(z), truncation_window(config.n, config.p_n)[1])
+             for config, z in cases]
 
-    def one_trial(t):
+    def one_trial(task):
+        (config, z, ceiling), t = task
         a = shift(sample_matrix(config, t), z)
         if frobenius_norm(a) <= ceiling:
             below = thresholds_below_sn(a, thresholds)
@@ -219,9 +218,12 @@ def min_sv_tail(
         s = singular_values(a).values
         return int(np.searchsorted(thresholds, s[-1])), bool(s[0] <= ceiling)
 
-    below, ok = map(np.array, zip(*parallel_map(one_trial, range(trials))))
-    # s_n <= thresholds[i] exactly when fewer than i + 1 thresholds lie below s_n
-    freqs = np.array([float(np.mean((below <= i) & ok)) for i in range(len(thresholds))])
-    return TailTable(
-        thresholds, freqs, trials, config.n, config.p_n, complex(z), float(np.mean(~ok))
-    )
+    results = parallel_map(one_trial, [(case, t) for case in cases for t in range(trials)])
+    tables = []
+    for j, (config, z, _) in enumerate(cases):
+        below, ok = map(np.array, zip(*results[j * trials:(j + 1) * trials]))
+        # s_n <= thresholds[i] exactly when fewer than i + 1 thresholds lie below s_n
+        freqs = np.array([float(np.mean((below <= i) & ok)) for i in range(len(thresholds))])
+        tables.append(TailTable(thresholds, freqs, trials, config.n, config.p_n, z,
+                                float(np.mean(~ok))))
+    return tables

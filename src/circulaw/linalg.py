@@ -238,10 +238,11 @@ class LogDeterminant:
 def truncation_window(n: int, p_n: float, b_exponent: float = 3.0, c_cut: float = 1.0):
     """(floor, ceiling) = (c_cut / n^b_exponent, n sqrt(p_n)): a trial enters the
     log-potential average only if floor <= s_n and s_1 <= ceiling. DomainError
-    unless n >= 1 and 0 < p_n <= 1, NaN included."""
-    if not (n >= 1 and 0 < p_n <= 1):
-        raise DomainError(f"the truncation window needs n >= 1 and 0 < p_n <= 1, "
-                          f"got n={n}, p_n={p_n}")
+    unless n >= 1, 0 < p_n <= 1, b_exponent is finite and 0 < c_cut < inf; NaN fails."""
+    if not (n >= 1 and 0 < p_n <= 1 and math.isfinite(b_exponent) and 0 < c_cut < math.inf):
+        raise DomainError(f"the truncation window needs n >= 1, 0 < p_n <= 1, a finite "
+                          f"b_exponent and 0 < c_cut < inf, got n={n}, p_n={p_n}, "
+                          f"b_exponent={b_exponent}, c_cut={c_cut}")
     return c_cut / float(n) ** b_exponent, n * math.sqrt(p_n)
 
 

@@ -2,10 +2,10 @@
 
 Workers only evaluate pure per-task functions; results are gathered in item
 order and reduced sequentially, so outputs are identical for any worker
-count. CIRCULAW_THREADS caps the pool size. The SvLaw, Potential and MaxSv
-runners hand the pool every (z, n, trial) task of a campaign at once, so a
-campaign waits for its slowest worker once, not once per shift or dimension;
-MinSv makes one pass per (n, z), one per `invertibility.min_sv_tail` call.
+count. CIRCULAW_THREADS caps the pool size. Every campaign hands the pool all
+of its (z, n, trial) tasks at once (MinSv through one
+`invertibility.min_sv_tail` call), so it waits for its slowest worker once,
+not once per shift or dimension.
 
 `parallel_map` runs the items on a ThreadPoolExecutor of min(k, len(items))
 threads and gathers them with its `map`, in item order. The first failure

@@ -144,8 +144,6 @@ def log_potential_empirical(
     `LogDeterminant` whose certified bounds must lie inside the window: such
     bounds cannot exclude a trial, so one that misses the window is an error.
     """
-    if not c_cut > 0:
-        raise DomainError(f"c_cut must be > 0, got {c_cut}")
     spectra = list(spectra)
     if not spectra:
         raise DomainError("need at least one spectrum")

@@ -25,7 +25,7 @@ from circulaw import (
     stieltjes_empirical,
     support_endpoints,
 )
-from circulaw.experiments import ExperimentSpec, run_circular_law, run_sv_law, write_report
+from circulaw.experiments import ExperimentSpec, run_experiment, write_report
 from circulaw.invertibility import classify_vector, min_sv_tail, small_ball
 from circulaw.spectral_measures import log_potential_empirical
 
@@ -89,7 +89,7 @@ def test_criterion_04_sv_law_convergence():
             z_points=(0.5 + 0j,),
             n_values=(128, 512, 1024),
         )
-        report = run_sv_law(spec)
+        report = run_experiment(spec)
         deltas = {r["n"]: r["delta"] for r in report.rows if r["row"] == "stat"}
         state["deltas"] = deltas
         assert deltas[512] <= 0.05
@@ -103,7 +103,7 @@ def test_criterion_05_circular_law_dense():
             ensemble=EnsembleConfig(1024, 1.0, GAUSS, 20250808),
             trials=5,
         )
-        report = run_circular_law(spec)
+        report = run_experiment(spec)
         mean = next(r for r in report.rows if r["row"] == "mean")
         assert mean["ks_radial"] <= 0.06
         assert mean["ks_angular"] <= 0.06
@@ -117,7 +117,7 @@ def test_criterion_06_circular_law_sparse():
             ensemble=EnsembleConfig.from_theta(1024, 0.5, GAUSS, 99),
             trials=5,
         )
-        report = run_circular_law(spec)
+        report = run_experiment(spec)
         mean = next(r for r in report.rows if r["row"] == "mean")
         assert mean["ks_radial"] <= 0.10
 
@@ -135,7 +135,7 @@ def test_criterion_07_log_determinant_anchor():
 def test_criterion_08_extreme_singular_values():
     with criterion(8, "extreme singular value events", 120.0):
         cfg = EnsembleConfig(256, 1.0, GAUSS, 777)
-        table = min_sv_tail(cfg, 0j, trials=200, thresholds=[1e-9])
+        table = min_sv_tail([(cfg, 0j)], trials=200, thresholds=[1e-9])[0]
         assert table.s1_violation_frequency == 0.0
         assert table.frequencies[0] == 0.0
 
@@ -208,7 +208,7 @@ def test_criterion_11_reproducibility_across_threads(tmp_path):
             for threads in ("1", "2", "8"):
                 os.environ["CIRCULAW_THREADS"] = threads
                 path = tmp_path / f"report-{threads}.json"
-                write_report(run_sv_law(spec), path, "json")
+                write_report(run_experiment(spec), path, "json")
                 blobs.append(path.read_bytes())
         finally:
             if original is None:

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from circulaw import ConfigError, DomainError, EnsembleConfig, EntryDistribution, experiments
-from circulaw import MatrixSample, singular_values
+from circulaw import MatrixSample, invertibility, singular_values
 from circulaw.ensemble import sample_matrix, smoothing_stream
 from circulaw.experiments import (
     _JSON_KEY,
@@ -19,13 +19,7 @@ from circulaw.experiments import (
     format_complex,
     parse_complex,
     render_report,
-    run_circular_law,
     run_experiment,
-    run_maxsv,
-    run_minsv,
-    run_potential,
-    run_sv_law,
-    tail_index_check,
     write_report,
 )
 
@@ -121,7 +115,7 @@ class TestSpec:
 class TestCircularLaw:
     def test_smoke_tiny(self):
         spec = ExperimentSpec(kind="CircularLaw", ensemble=small_ensemble(n=4), trials=2)
-        report = run_circular_law(spec)
+        report = run_experiment(spec)
         trial_rows = [r for r in report.rows if r["row"] == "trial"]
         assert len(trial_rows) == 2
         assert all(r["spec_hash"] == spec.hash() for r in report.rows)
@@ -129,29 +123,24 @@ class TestCircularLaw:
 
     def test_moderate_accuracy(self):
         spec = ExperimentSpec(kind="CircularLaw", ensemble=small_ensemble(n=128, seed=3), trials=3)
-        report = run_circular_law(spec)
+        report = run_experiment(spec)
         mean = next(r for r in report.rows if r["row"] == "mean")
         assert mean["ks_radial"] < 0.2
         assert mean["ks_angular"] < 0.2
-
-    def test_kind_mismatch(self):
-        spec = ExperimentSpec(kind="MaxSv", ensemble=small_ensemble(), trials=50)
-        with pytest.raises(ConfigError):
-            run_circular_law(spec)
 
 
 class TestSvLaw:
     def test_single_n(self):
         spec = ExperimentSpec(kind="SvLaw", ensemble=small_ensemble(n=64), trials=4,
                               z_points=(0.5 + 0j,))
-        report = run_sv_law(spec)
+        report = run_experiment(spec)
         stat = next(r for r in report.rows if r["row"] == "stat")
         assert 0.0 <= stat["delta"] < 0.5
 
     def test_ladder_emits_slope(self):
         spec = ExperimentSpec(kind="SvLaw", ensemble=small_ensemble(), trials=3,
                               z_points=(0j,), n_values=(16, 32, 64))
-        report = run_sv_law(spec)
+        report = run_experiment(spec)
         assert [r["n"] for r in report.rows if r["row"] == "stat"] == [16, 32, 64]
         slope_rows = [r for r in report.rows if r["row"] == "slope"]
         assert len(slope_rows) == 1 and isinstance(slope_rows[0]["slope"], float)
@@ -164,7 +153,7 @@ class TestSvLaw:
         cfg = EnsembleConfig.from_theta(64, 0.5, GAUSS, 30)
         spec = ExperimentSpec(kind="SvLaw", ensemble=cfg, trials=2,
                               z_points=(0j,), n_values=(16, 64))
-        report = run_sv_law(spec)
+        report = run_experiment(spec)
         assert [r["n"] for r in report.rows if r["row"] == "stat"] == [16, 64]
 
     def test_ladder_distance_decays(self):
@@ -172,7 +161,7 @@ class TestSvLaw:
             kind="SvLaw", ensemble=EnsembleConfig(128, 1.0, GAUSS, 1860), trials=20,
             z_points=(0.5 + 0j,), n_values=(128, 256, 512, 1024),
         )
-        report = run_sv_law(spec)
+        report = run_experiment(spec)
         deltas = [r["delta"] for r in report.rows if r["row"] == "stat"]
         decreasing_steps = sum(b < a for a, b in zip(deltas, deltas[1:]))
         assert decreasing_steps >= 2
@@ -185,7 +174,7 @@ class TestPotential:
     def test_rows_and_truncation_accounting(self):
         spec = ExperimentSpec(kind="Potential", ensemble=small_ensemble(n=64, seed=12),
                               trials=6, z_points=(0j, 3 + 0j), r="auto")
-        report = run_potential(spec)
+        report = run_experiment(spec)
         for row in report.rows:
             assert row["included"] + row["excluded"] == spec.trials
             assert not row["flagged"]
@@ -196,7 +185,7 @@ class TestPotential:
         # pure-limit consistency rides along in every row
         spec = ExperimentSpec(kind="Potential", ensemble=small_ensemble(n=16, seed=2),
                               trials=2, z_points=(0.7 + 0j,), r=0.0)
-        report = run_potential(spec)
+        report = run_experiment(spec)
         row = report.rows[0]
         assert abs(row["u_disc"] - row["u_law"]) <= 2e-4
 
@@ -204,7 +193,7 @@ class TestPotential:
         # c_cut far above every singular value forces full exclusion
         spec = ExperimentSpec(kind="Potential", ensemble=small_ensemble(n=16, seed=4),
                               trials=3, z_points=(0j,), r=0.0, c_cut=1e12)
-        report = run_potential(spec)
+        report = run_experiment(spec)
         assert report.rows[0]["flagged"]
         assert report.rows[0]["excluded"] == 3
 
@@ -214,7 +203,7 @@ class TestPotential:
             kind="Potential", ensemble=EnsembleConfig(512, 1.0, GAUSS, 71),
             trials=20, z_points=(0j, 3 + 0j), r="auto",
         )
-        report = run_potential(spec)
+        report = run_experiment(spec)
         by_z = {row["z_re"]: row for row in report.rows}
         assert abs(by_z[0.0]["u_empirical"] - 0.5) <= 0.05
         assert abs(by_z[3.0]["u_empirical"] - (-math.log(3.0))) <= 0.05
@@ -235,7 +224,7 @@ def spectrum_path(spec, z, monkeypatch):
     calls = []
     monkeypatch.setattr(experiments, "singular_values",
                         lambda a: calls.append(1) or singular_values(a))
-    row = run_potential(spec).rows[0]
+    row = run_experiment(spec).rows[0]
     return row, reference, len(calls)
 
 
@@ -286,7 +275,7 @@ class TestPotentialCertificate:
         monkeypatch.setattr(experiments, "sample_matrix", singular_first)
         spec = ExperimentSpec(kind="Potential", ensemble=small_ensemble(n=16, seed=12),
                               trials=3, z_points=(0j,), r=0.0)
-        row = run_potential(spec).rows[0]
+        row = run_experiment(spec).rows[0]
         assert (row["included"], row["excluded"]) == (2, 1)
         assert math.isfinite(row["u_empirical"]) and not row["flagged"]
 
@@ -295,7 +284,7 @@ class TestMinMaxSv:
     def test_minsv_delegation(self):
         spec = ExperimentSpec(kind="MinSv", ensemble=small_ensemble(n=24, seed=6), trials=50,
                               z_points=(0j,), thresholds=(1e-9, 1e-1, 10.0))
-        report = run_minsv(spec)
+        report = run_experiment(spec)
         freqs = [r["frequency"] for r in report.rows]
         assert freqs == sorted(freqs)
         assert freqs[0] == 0.0 and freqs[-1] == 1.0
@@ -303,14 +292,14 @@ class TestMinMaxSv:
     def test_maxsv_delegation(self):
         spec = ExperimentSpec(kind="MaxSv", ensemble=small_ensemble(n=24, seed=6), trials=50,
                               n_values=(16, 24))
-        report = run_maxsv(spec)
+        report = run_experiment(spec)
         assert [r["n"] for r in report.rows] == [16, 24]
         assert all(r["frequency"] == 0.0 for r in report.rows)
 
     def test_minsv_requires_thresholds(self):
         with pytest.raises(ConfigError):
-            run_minsv(ExperimentSpec(kind="MinSv", ensemble=small_ensemble(), trials=50,
-                                     z_points=(0j,)))
+            run_experiment(ExperimentSpec(kind="MinSv", ensemble=small_ensemble(), trials=50,
+                                          z_points=(0j,)))
 
 
 class TestMaxSvTail:
@@ -318,7 +307,7 @@ class TestMaxSvTail:
 
     @staticmethod
     def _frequency(cfg, trials):
-        (row,) = run_maxsv(ExperimentSpec(kind="MaxSv", ensemble=cfg, trials=trials)).rows
+        (row,) = run_experiment(ExperimentSpec(kind="MaxSv", ensemble=cfg, trials=trials)).rows
         return row["frequency"]
 
     def test_dense_gaussian_never_reaches_bound(self):
@@ -360,7 +349,7 @@ class TestTailIndex:
     def test_moderate_size(self):
         spec = ExperimentSpec(kind="TailIndex", ensemble=small_ensemble(n=128, seed=15),
                               trials=30, q=18.0, big_r=3.0)
-        report = tail_index_check(spec)
+        report = run_experiment(spec)
         row = report.rows[0]
         assert row["frequency"] == 0.0
         assert 1 <= row["k1_effective"] < 128
@@ -387,7 +376,7 @@ class TestTailIndex:
 class TestReports:
     def test_json_roundtrip_bitstable(self, tmp_path):
         spec = ExperimentSpec(kind="MaxSv", ensemble=small_ensemble(n=16), trials=50)
-        report = run_maxsv(spec)
+        report = run_experiment(spec)
         path = tmp_path / "r.json"
         write_report(report, path, "json")
         data = json.loads(path.read_text())
@@ -413,7 +402,7 @@ class TestReports:
     def test_golden_schema(self, tmp_path):
         spec = ExperimentSpec(kind="SvLaw", ensemble=small_ensemble(n=16, seed=9), trials=2,
                               z_points=(0.5 + 0j,))
-        report = run_sv_law(spec)
+        report = run_experiment(spec)
         path = tmp_path / "golden.json"
         write_report(report, path, "json")
         data = json.loads(path.read_text())
@@ -429,7 +418,7 @@ class TestReports:
 
     def test_unwritable_path_raises_oserror(self):
         spec = ExperimentSpec(kind="MaxSv", ensemble=small_ensemble(n=8), trials=50)
-        report = run_maxsv(spec)
+        report = run_experiment(spec)
         with pytest.raises(OSError):
             write_report(report, "/nonexistent-dir/report.csv", "csv")
 
@@ -444,7 +433,7 @@ class TestReproducibility:
             for threads in ("1", "2", "8"):
                 os.environ["CIRCULAW_THREADS"] = threads
                 path = tmp_path / f"rep{threads}.json"
-                write_report(run_sv_law(spec), path, "json")
+                write_report(run_experiment(spec), path, "json")
                 blobs.append(path.read_bytes())
         finally:
             if original is None:
@@ -455,8 +444,8 @@ class TestReproducibility:
 
     def test_rerun_identical(self):
         spec = ExperimentSpec(kind="CircularLaw", ensemble=small_ensemble(n=24, seed=5), trials=3)
-        a = run_circular_law(spec)
-        b = run_circular_law(spec)
+        a = run_experiment(spec)
+        b = run_experiment(spec)
         assert a.rows == b.rows
 
     def test_run_experiment_dispatch(self):
@@ -466,39 +455,45 @@ class TestReproducibility:
 
 
 class TestOnePass:
-    """SvLaw, Potential and MaxSv run every (z, n, trial) task in one pool pass."""
+    """Every kind runs every (z, n, trial) task of its campaign in one pool pass."""
 
     SPECS = {
+        "CircularLaw": dict(kind="CircularLaw", ensemble=small_ensemble(n=12, seed=3), trials=3),
         "SvLaw": dict(kind="SvLaw", ensemble=small_ensemble(n=16, seed=3), trials=3,
                       z_points=(0.5 + 0j, 1.5 + 0j), n_values=(12, 16)),
         "Potential": dict(kind="Potential", ensemble=small_ensemble(n=16, seed=3), trials=3,
                           z_points=(0j, 0.5 + 0.5j, 2 + 0j), r=0.1),
+        # thresholds straddle the Gram path's cutoff, where some trials take the SVD
+        "MinSv": dict(GOLDEN_SPECS["MinSv_cutoff"], kind="MinSv", n_values=(6, 8)),
         "MaxSv": dict(kind="MaxSv", ensemble=small_ensemble(n=16, seed=3), trials=50,
                       n_values=(12, 16)),
+        "TailIndex": dict(kind="TailIndex", ensemble=small_ensemble(n=12, seed=3), trials=3),
     }
 
     @staticmethod
-    def _count_calls(monkeypatch):
-        """(pool passes, (n, trial) of every sample) of the runs from now on."""
+    def _count_calls(monkeypatch, kind):
+        """(pool passes, (n, trial) of every sample) of the runs from now on, counted
+        where the campaign of `kind` looks the pool and the sampler up."""
+        module = invertibility if kind == "MinSv" else experiments
         passes, samples = [], []
-        pool, sampler = experiments.parallel_map, experiments.sample_matrix
+        pool, sampler = module.parallel_map, module.sample_matrix
 
         def counted_pool(fn, items):
             passes.append(len(items))
             return pool(fn, items)
 
-        def counted_sampler(cfg, t):
+        def counted_sampler(cfg, t, **kwargs):
             samples.append((cfg.n, t))
-            return sampler(cfg, t)
+            return sampler(cfg, t, **kwargs)
 
-        monkeypatch.setattr(experiments, "parallel_map", counted_pool)
-        monkeypatch.setattr(experiments, "sample_matrix", counted_sampler)
+        monkeypatch.setattr(module, "parallel_map", counted_pool)
+        monkeypatch.setattr(module, "sample_matrix", counted_sampler)
         return passes, samples
 
     @pytest.mark.parametrize("kind", sorted(SPECS))
     def test_one_pool_pass_and_one_sample_per_trial_z_and_n(self, monkeypatch, kind):
         spec = ExperimentSpec(**self.SPECS[kind])
-        passes, samples = self._count_calls(monkeypatch)
+        passes, samples = self._count_calls(monkeypatch, kind)
         run_experiment(spec)
         ns = spec.n_values or (spec.ensemble.n,)
         zs = max(1, len(spec.z_points))
@@ -506,22 +501,17 @@ class TestOnePass:
         expected = [(n, t) for n in ns for t in range(spec.trials)] * zs
         assert sorted(samples) == sorted(expected)
 
-    @pytest.mark.parametrize("kind", sorted(SPECS.keys() - {"MaxSv"}))  # the kinds that read z
+    @pytest.mark.parametrize("kind", ["Potential", "SvLaw"])  # the kinds that build a law per z
     def test_a_shift_beyond_the_bound_fails_before_any_sample(self, monkeypatch, kind):
         spec = ExperimentSpec(**dict(self.SPECS[kind], z_points=(0.5 + 0j, 2e5 + 0j)))
-        passes, samples = self._count_calls(monkeypatch)
+        passes, samples = self._count_calls(monkeypatch, kind)
         with pytest.raises(DomainError, match="1e5"):
             run_experiment(spec)
         assert passes == [] and samples == []
 
-    # MinSv still makes one pass per (n, z), so it joins only the byte fence; its
-    # thresholds straddle the Gram path's cutoff, where some trials take the SVD
-    BYTE_SPECS = dict(SPECS, MinSv=dict(GOLDEN_SPECS["MinSv_cutoff"], kind="MinSv",
-                                        n_values=(6, 8)))
-
-    @pytest.mark.parametrize("kind", sorted(BYTE_SPECS))
+    @pytest.mark.parametrize("kind", sorted(SPECS))
     def test_reports_are_equal_bit_for_bit_at_1_2_and_8_workers(self, monkeypatch, kind):
-        spec = ExperimentSpec(**self.BYTE_SPECS[kind])
+        spec = ExperimentSpec(**self.SPECS[kind])
         blobs = set()
         for workers in ("1", "2", "8"):
             monkeypatch.setenv("CIRCULAW_THREADS", workers)

@@ -76,7 +76,7 @@ def test_edelman_smallest_singular_value_at_zero_shift(tag, complex_):
     n, trials = 64, 2000
     x = np.array([0.1, 0.3, 1.0, 2.0])
     cfg = EnsembleConfig(n, 1.0, EntryDistribution(tag), 5)
-    table = min_sv_tail(cfg, 0j, trials, thresholds=x / n)
+    table = min_sv_tail([(cfg, 0j)], trials, thresholds=x / n)[0]
     law = 1.0 - np.exp(-x * x if complex_ else -x * x / 2.0 - x)
     z = (table.frequencies - law) / np.sqrt(law * (1.0 - law) / trials)
     assert np.all(np.abs(z) <= 4.0), z

@@ -175,7 +175,7 @@ def _table_bytes(name, tmp_path, capsys) -> bytes:
         EmpiricalCDF.from_values([0.1, 2.5, -1.0 / 3.0, 0.1, 7e-12]).to_csv(path)
     elif name == "tail_table":
         cfg = EnsembleConfig(10, 1.0, RADEMACHER, 12)
-        min_sv_tail(cfg, 0.5 - 0.25j, 50, [1e-2, 0.3]).to_csv(path)
+        min_sv_tail([(cfg, 0.5 - 0.25j)], 50, [1e-2, 0.3])[0].to_csv(path)
     else:
         export_tabulation(0.5 + 0.5j, np.linspace(-1.5, 1.5, 13), path)
     return path.read_bytes()

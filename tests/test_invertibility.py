@@ -348,24 +348,24 @@ class TestMaxBallFraction:
 class TestMinSvTail:
     def test_bracketing_thresholds(self):
         cfg = EnsembleConfig(48, 1.0, GAUSS, 3110)
-        table = min_sv_tail(cfg, 0.2 + 0.1j, trials=60, thresholds=[1e-12, 1e3])
+        table = min_sv_tail([(cfg, 0.2 + 0.1j)], trials=60, thresholds=[1e-12, 1e3])[0]
         assert table.frequencies[0] == 0.0
         assert table.frequencies[1] == 1.0
         assert table.s1_violation_frequency == 0.0
 
     def test_monotone_in_threshold(self):
         cfg = EnsembleConfig(32, 1.0, GAUSS, 88)
-        table = min_sv_tail(cfg, 0j, trials=60, thresholds=[1e-4, 1e-2, 1e-1, 1.0])
+        table = min_sv_tail([(cfg, 0j)], trials=60, thresholds=[1e-4, 1e-2, 1e-1, 1.0])[0]
         assert np.all(np.diff(table.frequencies) >= 0)
 
     def test_rare_event_never_fires_at_desk_scale(self):
         cfg = EnsembleConfig(200, 1.0, GAUSS, 2717)
-        table = min_sv_tail(cfg, 0j, trials=200, thresholds=[1e-9])
+        table = min_sv_tail([(cfg, 0j)], trials=200, thresholds=[1e-9])[0]
         assert table.frequencies[0] == 0.0
 
     def test_csv_serialization(self, tmp_path):
         cfg = EnsembleConfig(16, 1.0, GAUSS, 5)
-        table = min_sv_tail(cfg, 0j, trials=50, thresholds=[1e-6, 1e-3])
+        table = min_sv_tail([(cfg, 0j)], trials=50, thresholds=[1e-6, 1e-3])[0]
         path = tmp_path / "tail.csv"
         table.to_csv(path)
         lines = path.read_text().strip().split("\n")
@@ -376,7 +376,7 @@ class TestMinSvTail:
     def test_rejects_non_finite_thresholds(self, thresholds):
         cfg = EnsembleConfig(8, 1.0, GAUSS, 5)
         with pytest.raises(DomainError):
-            min_sv_tail(cfg, 0j, trials=50, thresholds=thresholds)
+            min_sv_tail([(cfg, 0j)], trials=50, thresholds=thresholds)
 
 
     @pytest.mark.parametrize("dist, z", [(RADEMACHER, 0j), (RADEMACHER, 0.5 + 0j),
@@ -390,7 +390,7 @@ class TestMinSvTail:
                       for t in range(50)])
         ok = s[:, 0] <= 8.0
         expected = [float(np.mean((s[:, -1] <= t) & ok)) for t in thresholds]
-        table = min_sv_tail(cfg, z, trials=50, thresholds=thresholds)
+        table = min_sv_tail([(cfg, z)], trials=50, thresholds=thresholds)[0]
         assert table.frequencies.tolist() == expected
         assert table.s1_violation_frequency == float(np.mean(~ok))
 
@@ -400,26 +400,44 @@ class TestMinSvTail:
         monkeypatch.setattr(invertibility, "singular_values",
                             lambda a: calls.append(a.n) or spectrum(a))
         cfg = EnsembleConfig(16, 1.0, GAUSS, 5)
-        min_sv_tail(cfg, 0j, trials=50, thresholds=[1e-3, 1e-2])
+        min_sv_tail([(cfg, 0j)], trials=50, thresholds=[1e-3, 1e-2])
         assert calls == []
         # 1e-9 lies below 1e-6 ||A||_F (about 4e-6) in every trial
-        min_sv_tail(cfg, 0j, trials=50, thresholds=[1e-9])
+        min_sv_tail([(cfg, 0j)], trials=50, thresholds=[1e-9])
         assert len(calls) == 50
         # ||A - 100 I||_F is about 400, above the ceiling n = 16, so the screen cannot clear it
-        table = min_sv_tail(cfg, 100 + 0j, trials=50, thresholds=[1e-3])
+        table = min_sv_tail([(cfg, 100 + 0j)], trials=50, thresholds=[1e-3])[0]
         assert len(calls) == 100
         assert table.s1_violation_frequency == 1.0 and table.frequencies[0] == 0.0
+
+    def test_a_grid_is_one_pass_of_the_tables_of_its_cases(self, monkeypatch):
+        cases = [(EnsembleConfig(8, 1.0, RADEMACHER, 14), 0j),
+                 (EnsembleConfig(8, 1.0, RADEMACHER, 14), 0.5 + 0j),
+                 (EnsembleConfig(12, 0.5, GAUSS, 14), 0.25j)]
+        thresholds = [1e-9, 1e-3, 0.1, 1.0]
+        alone = [min_sv_tail([case], 50, thresholds)[0] for case in cases]
+        passes, pool = [], invertibility.parallel_map
+        monkeypatch.setattr(invertibility, "parallel_map",
+                            lambda fn, items: passes.append(len(items)) or pool(fn, items))
+        tables = min_sv_tail(cases, 50, thresholds)
+        assert passes == [3 * 50]
+        for table, single, (cfg, z) in zip(tables, alone, cases, strict=True):
+            assert (table.n, table.p_n, table.z) == (cfg.n, cfg.p_n, z)
+            assert table.frequencies.tolist() == single.frequencies.tolist()
+            assert table.s1_violation_frequency == single.s1_violation_frequency
+        assert min_sv_tail([], 50, thresholds) == []
 
 
 def test_min_sv_tail_needs_fifty_trials():
     with pytest.raises(DomainError, match="at least 50 trials"):
-        min_sv_tail(EnsembleConfig(8, 1.0, GAUSS, 5), 0j, trials=49, thresholds=[1e-3])
+        min_sv_tail([(EnsembleConfig(8, 1.0, GAUSS, 5), 0j)], trials=49, thresholds=[1e-3])
 
 
 @pytest.mark.parametrize("call, count", [
     (lambda m: log_moment_estimate(GAUSS, m, eta=0.5), 20_000),
     (lambda t: small_ball(np.full(4, 0.5), GAUSS, 1.0, 0.1, trials=t), 20_000),
-    (lambda t: min_sv_tail(EnsembleConfig(8, 1.0, GAUSS, 5), 0j, t, [0.1]).frequencies[0], 60),
+    (lambda t: min_sv_tail([(EnsembleConfig(8, 1.0, GAUSS, 5), 0j)], t, [0.1])[0].frequencies[0],
+     60),
 ], ids=["log_moment_estimate", "small_ball", "min_sv_tail"])
 def test_a_count_reads_whole_floats(call, count):
     # a whole float count failed in `range` with a bare TypeError

@@ -332,7 +332,7 @@ class TestPoolPass:
     def test_each_worker_keeps_one_lu_scratch_for_a_whole_potential_campaign(self, monkeypatch):
         # three shifts are one pass, so no worker's buffer is dropped and made again
         from circulaw import EnsembleConfig, EntryDistribution
-        from circulaw.experiments import ExperimentSpec, run_potential
+        from circulaw.experiments import ExperimentSpec, run_experiment
 
         monkeypatch.setenv("CIRCULAW_THREADS", "2")
         handed, scratch = [], linalg._scratch_matrix
@@ -346,7 +346,7 @@ class TestPoolPass:
         ensemble = EnsembleConfig(24, 1.0, EntryDistribution("ComplexGaussian"), 4)
         spec = ExperimentSpec(kind="Potential", ensemble=ensemble, trials=6, r=0.1,
                               z_points=(0j, 0.5 + 0.5j, 2 + 0j))
-        run_potential(spec)
+        run_experiment(spec)
         assert len(handed) == 3 * 6
         buffers = {}
         for ident, buf in handed:

@@ -294,6 +294,21 @@ class TestCertifiedTrials:
         with pytest.raises(DomainError, match="n >= 1"):
             truncation_window(n, 1.0)
 
+    @pytest.mark.parametrize("b_exponent", [math.inf, -math.inf, math.nan])
+    def test_a_non_finite_b_exponent_raises(self, b_exponent):
+        # inf made the floor 0 and averaged in log 0 (value inf, stderr nan), -inf
+        # raised a bare ZeroDivisionError, and nan excluded every trial
+        spectra = [spectrum_of([1.5, 1.0, 0.0]), spectrum_of([1.5, 1.0, 0.5])]
+        with pytest.raises(DomainError, match="finite b_exponent"):
+            log_potential_empirical(spectra, 1.0, b_exponent=b_exponent)
+        with pytest.raises(DomainError, match="finite b_exponent"):
+            truncation_window(3, 1.0, b_exponent)
+
+    @pytest.mark.parametrize("c_cut", [math.inf, 0.0, -1.0, math.nan])
+    def test_a_c_cut_outside_zero_inf_raises(self, c_cut):
+        with pytest.raises(DomainError, match="0 < c_cut < inf"):
+            truncation_window(3, 1.0, 3.0, c_cut)
+
 
 class TestRadialAngular:
     def test_fourth_roots(self):

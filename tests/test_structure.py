@@ -113,6 +113,13 @@ def _registries(tree):
     return found
 
 
+def test_run_experiment_is_the_one_campaign_entry():
+    public = {fn.name for fn in _TREES["experiments"].body if isinstance(fn, ast.FunctionDef)
+              and not fn.name.startswith("_")}
+    assert {name for name in public if name.startswith("run_") or name.endswith("_check")} \
+        == {"run_experiment"}
+
+
 def test_only_linalg_keeps_per_thread_state_or_buffers():
     # the LU scratch, one buffer per thread, lives in linalg for the life of the BLAS hold
     assert _modules_where(lambda node: _name(node) in _THREAD_STATE
