@@ -5,10 +5,7 @@ __version__ = "0.1.0"
 from .ensemble import (
     EnsembleConfig,
     EntryDistribution,
-    LogMomentEstimate,
     MatrixSample,
-    draw_entry,
-    log_moment_estimate,
     sample_matrix,
 )
 from .errors import (
@@ -21,7 +18,6 @@ from .errors import (
 from .limit_theory import (
     LimitLaw,
     disc_potential,
-    g_field,
     limit_stieltjes,
     potential_from_law,
     support_endpoints,
@@ -29,7 +25,6 @@ from .limit_theory import (
 from .linalg import (
     Spectrum,
     eigenvalues,
-    hermitize,
     shift,
     singular_values,
     smoothing_shift,
@@ -40,5 +35,4 @@ from .spectral_measures import (
     ks_distance,
     log_potential_empirical,
     radial_angular_cdfs,
-    stieltjes_empirical,
 )

@@ -297,12 +297,6 @@ def _draws(dist: EntryDistribution, keys: np.ndarray, words: np.ndarray, scratch
     return _values_from_words(dist, np.moveaxis(words, 0, -1), out)
 
 
-def draws_from_keys(dist: EntryDistribution, keys: np.ndarray) -> np.ndarray:
-    """One draw from `dist` per key, from the first words of that key's stream."""
-    words = np.empty((dist.words_per_draw, *np.shape(keys)), np.uint64)
-    return _draws(dist, keys, words, np.empty(np.shape(keys), np.uint64))
-
-
 def _value_blocks(dist: EntryDistribution, seed, role, aux, rows: range, ncols, out):
     """Yield (dest, values) by the row blocks of `rng.key_blocks`: `dest` is the
     block's rows of `out` (len(rows) x ncols), and values[i, k] is the draw keyed
@@ -316,7 +310,7 @@ def _value_blocks(dist: EntryDistribution, seed, role, aux, rows: range, ncols, 
 
 
 def draw_rows(dist, seed, role, aux, rows: range, ncols) -> np.ndarray:
-    """Rows `rows` of `draw_grid(dist, seed, role, aux, nrows, ncols)`, for any nrows."""
+    """(len(rows), ncols) draws from `dist`, keyed (seed, role, aux, j, k) for j in `rows`."""
     out = np.empty((len(rows), ncols), np.complex128 if dist.is_complex else np.float64)
     for dest, values in _value_blocks(dist, seed, role, aux, rows, ncols, out):
         if values is not dest:
@@ -325,22 +319,12 @@ def draw_rows(dist, seed, role, aux, rows: range, ncols) -> np.ndarray:
 
 
 def mask_rows(seed, role, aux, rows: range, ncols, p_n) -> np.ndarray:
-    """Rows `rows` of `mask_grid(seed, role, aux, nrows, ncols, p_n)`, for any nrows."""
+    """Bernoulli(p_n) indicators keyed like `draw_rows`, from the first word of each key."""
     out = np.empty((len(rows), ncols), bool)
     for block, keys, scratch in rng.key_blocks(seed, role, aux, rows, ncols):
         words = rng.word_into(keys, 0, keys, scratch)
         out[block.start - rows.start : block.stop - rows.start] = rng.uniform_below(words, p_n)
     return out
-
-
-def draw_grid(dist, seed, role, aux, nrows, ncols) -> np.ndarray:
-    """(nrows, ncols) draws from `dist`, entry (j, k) fed by the key (seed, role, aux, j, k)."""
-    return draw_rows(dist, seed, role, aux, range(nrows), ncols)
-
-
-def mask_grid(seed, role, aux, nrows, ncols, p_n) -> np.ndarray:
-    """(nrows, ncols) Bernoulli(p_n) indicators from the first word of each key."""
-    return mask_rows(seed, role, aux, range(nrows), ncols, p_n)
 
 
 def sample_matrix(config: EnsembleConfig, trial_index: int, order: str = "C") -> MatrixSample:
@@ -372,17 +356,19 @@ def sample_matrix(config: EnsembleConfig, trial_index: int, order: str = "C") ->
             np.divide(values, math.sqrt(n), out=dest)
         return MatrixSample(entries)
     entries = np.zeros((n, n), dtype, order=order)
-    kept = np.flatnonzero(mask_grid(seed, rng.ROLE_MASK, trial_index, n, n, config.p_n))
+    kept = np.flatnonzero(mask_rows(seed, rng.ROLE_MASK, trial_index, range(n), n, config.p_n))
     for start in range(0, len(kept), rng.BLOCK_KEYS):
         at = kept[start : start + rng.BLOCK_KEYS]
         keys = rng.keys_at(seed, rng.ROLE_VALUE, trial_index, at // n, at % n, n, n)
-        entries.flat[at] = draws_from_keys(dist, keys) / math.sqrt(n * config.p_n)
+        words = np.empty((dist.words_per_draw, len(at)), np.uint64)
+        values = _draws(dist, keys, words, np.empty_like(keys))
+        entries.flat[at] = values / math.sqrt(n * config.p_n)
     return MatrixSample(entries)
 
 
 def smoothing_stream(config: EnsembleConfig, trial_index: int) -> rng.Stream:
     """Stream feeding the smoothing scalar of one trial."""
-    return rng.Stream.from_labels(config.master_seed, rng.ROLE_XI, trial_index)
+    return rng.Stream(rng.derive_key(config.master_seed, rng.ROLE_XI, trial_index))
 
 
 def draw_unit_disc(stream: rng.Stream) -> complex:
@@ -422,7 +408,7 @@ def log_moment_estimate(
         vals, weights = atoms
         exact = float(np.sum(weights * np.abs(vals) ** 2 * log_moment_phi(vals, eta)))
         return LogMomentEstimate(exact, 0.0, 0)
-    draws = draw_grid(dist, seed, rng.ROLE_MOMENT, 0, m, 1)[:, 0]
+    draws = draw_rows(dist, seed, rng.ROLE_MOMENT, 0, range(m), 1)[:, 0]
     y = np.abs(draws) ** 2 * log_moment_phi(draws, eta)
     value = float(np.mean(y))
     stderr = float(np.std(y, ddof=1) / math.sqrt(m))

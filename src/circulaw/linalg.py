@@ -94,7 +94,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import rng
-from .ensemble import EntryDistribution, MatrixSample, draw_grid, draw_unit_disc
+from .ensemble import EntryDistribution, MatrixSample, draw_rows, draw_unit_disc
 from .errors import DomainError, NumericError
 
 _REFINE_RATIO = 1e-6
@@ -237,13 +237,18 @@ class LogDeterminant:
 
 def truncation_window(n: int, p_n: float, b_exponent: float = 3.0, c_cut: float = 1.0):
     """(floor, ceiling) = (c_cut / n^b_exponent, n sqrt(p_n)): a trial enters the
-    log-potential average only if floor <= s_n and s_1 <= ceiling. DomainError
-    unless n >= 1, 0 < p_n <= 1, b_exponent is finite and 0 < c_cut < inf; NaN fails."""
-    if not (n >= 1 and 0 < p_n <= 1 and math.isfinite(b_exponent) and 0 < c_cut < math.inf):
+    log-potential average only if floor <= s_n and s_1 <= ceiling. DomainError unless
+    n >= 1, 0 < p_n <= 1, b_exponent is finite and the floor a positive finite float."""
+    try:  # n^b_exponent may overflow or underflow to 0, and a huge n leave the floats
+        floor = c_cut / float(n) ** b_exponent if n >= 1 and 0 < p_n <= 1 else math.nan
+    except (OverflowError, ZeroDivisionError):
+        floor = math.nan
+    if not (math.isfinite(b_exponent) and 0 < floor < math.inf):  # NaN fails too
         raise DomainError(f"the truncation window needs n >= 1, 0 < p_n <= 1, a finite "
-                          f"b_exponent and 0 < c_cut < inf, got n={n}, p_n={p_n}, "
-                          f"b_exponent={b_exponent}, c_cut={c_cut}")
-    return c_cut / float(n) ** b_exponent, n * math.sqrt(p_n)
+                          f"b_exponent, 0 < c_cut < inf and a positive finite floor c_cut / "
+                          f"n^b_exponent, got n={n}, p_n={p_n}, b_exponent={b_exponent}, "
+                          f"c_cut={c_cut}")
+    return floor, n * math.sqrt(p_n)
 
 
 def _rounded_norm(a: np.ndarray) -> float:
@@ -302,7 +307,8 @@ def certified_log_det(
     if not upper <= ceiling:
         return None
     is_complex = np.iscomplexobj(a)
-    probes = draw_grid(_PROBE_LAW[is_complex], seed, rng.ROLE_PROBE, trial_index, n, _PROBES)
+    probes = draw_rows(_PROBE_LAW[is_complex], seed, rng.ROLE_PROBE, trial_index, range(n),
+                       _PROBES)
     d = np.diagonal(s) - a.diagonal()  # A = S - diag(d), kept before the LU overwrites A
     factored = _log_det_and_solve(a, probes)
     if factored is None:

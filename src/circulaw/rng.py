@@ -230,10 +230,6 @@ class Stream:
         self.key = int(key) & MASK64
         self.counter = 0
 
-    @classmethod
-    def from_labels(cls, *parts: int) -> "Stream":
-        return cls(derive_key(*parts))
-
     def next_word(self) -> int:
         self.counter += 1
         return mix64((self.key + self.counter * GOLDEN) & MASK64)

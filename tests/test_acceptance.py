@@ -16,18 +16,17 @@ from circulaw import (
     EntryDistribution,
     MatrixSample,
     disc_potential,
-    g_field,
-    hermitize,
     limit_stieltjes,
     potential_from_law,
     sample_matrix,
     singular_values,
-    stieltjes_empirical,
     support_endpoints,
 )
 from circulaw.experiments import ExperimentSpec, run_experiment, write_report
 from circulaw.invertibility import classify_vector, min_sv_tail, small_ball
-from circulaw.spectral_measures import log_potential_empirical
+from circulaw.limit_theory import g_field
+from circulaw.linalg import hermitize
+from circulaw.spectral_measures import log_potential_empirical, stieltjes_empirical
 
 GAUSS = EntryDistribution("RealGaussian")
 

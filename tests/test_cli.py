@@ -144,6 +144,15 @@ class TestPotentialAndMinSv:
         assert len(lines) == 3
         assert lines[0].startswith("row,z_re,z_im,r,")
 
+    @pytest.mark.parametrize("b_exponent", ["300", "-300"])
+    def test_a_floor_outside_the_floats_exits_2(self, capsys, b_exponent):
+        # n^B overflowed, or underflowed to 0, in the truncation window: a bare
+        # OverflowError or ZeroDivisionError, exit 1 with a traceback
+        code, captured = run_cli("potential", "--n", "16", "--seed", "1", "--trials", "2",
+                                 "--z", "0+0i", "--B", b_exponent, capsys=capsys)
+        assert code == 2
+        assert "positive finite floor" in captured.err and captured.out == ""
+
     def test_minsv_csv(self, tmp_path):
         out = tmp_path / "m.csv"
         code = run_cli("minsv", "--n", "16", "--trials", "50", "--seed", "5",

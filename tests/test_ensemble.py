@@ -13,14 +13,19 @@ from circulaw import (
     EnsembleConfig,
     EntryDistribution,
     MatrixSample,
-    draw_entry,
-    log_moment_estimate,
     sample_matrix,
     shift,
     smoothing_shift,
 )
 from circulaw import rng
-from circulaw.ensemble import draw_grid, draw_unit_disc, mask_grid, smoothing_stream
+from circulaw.ensemble import (
+    draw_entry,
+    draw_rows,
+    draw_unit_disc,
+    log_moment_estimate,
+    mask_rows,
+    smoothing_stream,
+)
 from circulaw.linalg import eigenvalues, singular_values
 from circulaw.textio import stable_dumps
 
@@ -49,7 +54,7 @@ def _bulk_draws(dist, m, seed=0):
 
 class TestEntryDistribution:
     def test_rademacher_values(self):
-        stream = rng.Stream.from_labels(1, 2, 3)
+        stream = rng.Stream(rng.derive_key(1, 2, 3))
         draws = {draw_entry(RADEMACHER, stream) for _ in range(64)}
         assert draws == {-1.0, 1.0}
 
@@ -211,9 +216,9 @@ class TestSampleMatrix:
         cfg = EnsembleConfig(16, 0.5, CGAUSS, 31337)
         m = sample_matrix(cfg, 3)
         for j, k in [(0, 0), (5, 11), (15, 15), (7, 2)]:
-            val_stream = rng.Stream.from_labels(cfg.master_seed, rng.ROLE_VALUE, 3, j, k)
+            val_stream = rng.Stream(rng.derive_key(cfg.master_seed, rng.ROLE_VALUE, 3, j, k))
             value = draw_entry(CGAUSS, val_stream)
-            mask_stream = rng.Stream.from_labels(cfg.master_seed, rng.ROLE_MASK, 3, j, k)
+            mask_stream = rng.Stream(rng.derive_key(cfg.master_seed, rng.ROLE_MASK, 3, j, k))
             kept = mask_stream.uniform() < cfg.p_n
             expected = value / math.sqrt(16 * 0.5) if kept else 0.0
             assert m.entries[j, k] == expected
@@ -224,7 +229,7 @@ class TestSampleMatrix:
         m = sample_matrix(cfg, 1)
         assert not np.any(m.entries == 0.0)
         for j, k in [(0, 0), (3, 7), (7, 7)]:
-            stream = rng.Stream.from_labels(cfg.master_seed, rng.ROLE_VALUE, 1, j, k)
+            stream = rng.Stream(rng.derive_key(cfg.master_seed, rng.ROLE_VALUE, 1, j, k))
             assert m.entries[j, k] == draw_entry(GAUSS, stream) / math.sqrt(8)
 
     def test_sparsity_observed_fraction(self):
@@ -254,8 +259,8 @@ class TestSampleMatrix:
     def test_sparse_sampler_is_the_masked_value_grid_bit_for_bit(self, dist, n, p_n):
         cfg = EnsembleConfig(n, p_n, dist, 4242)
         for t in (0, 5):
-            mask = mask_grid(cfg.master_seed, rng.ROLE_MASK, t, n, n, p_n)
-            values = draw_grid(dist, cfg.master_seed, rng.ROLE_VALUE, t, n, n)
+            mask = mask_rows(cfg.master_seed, rng.ROLE_MASK, t, range(n), n, p_n)
+            values = draw_rows(dist, cfg.master_seed, rng.ROLE_VALUE, t, range(n), n)
             expected = np.where(mask, values, 0.0) / math.sqrt(n * p_n)
             got = sample_matrix(cfg, t).entries
             assert got.dtype == expected.dtype
@@ -282,7 +287,7 @@ class TestMaskThreshold:
     def test_keyed_words_match_the_float_compare(self, p_n):
         keys = rng.grid_keys(5, rng.ROLE_MASK, 0, 100_000, 1)
         expected = rng.uniform_from_words(rng.word_grid(keys, 0)) < p_n
-        assert np.array_equal(mask_grid(5, rng.ROLE_MASK, 0, 100_000, 1, p_n), expected)
+        assert np.array_equal(mask_rows(5, rng.ROLE_MASK, 0, range(100_000), 1, p_n), expected)
 
     def test_extreme_p(self):
         words = np.array([0, 1 << 63, rng.MASK64], dtype=np.uint64)
@@ -366,7 +371,7 @@ class TestSmoothing:
         assert gaps.min(axis=0).max() < 1e-8
 
     def test_unit_disc_draw_law(self, oracle_rng):
-        stream = rng.Stream.from_labels(5, rng.ROLE_XI, 0)
+        stream = rng.Stream(rng.derive_key(5, rng.ROLE_XI, 0))
         draws = np.array([draw_unit_disc(stream) for _ in range(20_000)])
         assert np.abs(draws).max() <= 1.0
         # |xi|^2 should be U[0,1]; angles U[0, 2pi)

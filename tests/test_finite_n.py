@@ -1,4 +1,4 @@
-"""Exact finite-n laws of Gaussian matrices against the lab's own sampler and kernels.
+"""Exact finite-n laws of random matrices against the lab's own sampler and kernels.
 
 Each test has a fixed seed and a gate fixed before the run; a 2 % scale bias in
 the entries (or A + 0.1 A^T for the real-eigenvalue count) fails each of them,
@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from scipy import special
 
-from circulaw import EnsembleConfig, EntryDistribution, eigenvalues, sample_matrix
+from circulaw import EnsembleConfig, EntryDistribution, eigenvalues, sample_matrix, shift
 from circulaw.invertibility import min_sv_tail
 from circulaw.linalg import certified_log_det
 from circulaw.spectral_measures import EmpiricalCDF, ks_distance
@@ -79,4 +79,28 @@ def test_edelman_smallest_singular_value_at_zero_shift(tag, complex_):
     table = min_sv_tail([(cfg, 0j)], trials, thresholds=x / n)[0]
     law = 1.0 - np.exp(-x * x if complex_ else -x * x / 2.0 - x)
     z = (table.frequencies - law) / np.sqrt(law * (1.0 - law) / trials)
+    assert np.all(np.abs(z) <= 4.0), z
+
+
+_ALL_LAWS = [EntryDistribution(tag) for tag in ("RealGaussian", "ComplexGaussian", "Rademacher",
+                                                "ComplexRademacher", "UniformSymmetric")]
+_ALL_LAWS.append(EntryDistribution("TwoPoint", 3.0, 0.1))
+
+
+@pytest.mark.parametrize("n, theta, trials", [(32, None, 300), (64, 0.5, 600)],
+                         ids=["dense", "theta=0.5"])
+@pytest.mark.parametrize("dist", _ALL_LAWS, ids=lambda d: d.tag)
+def test_mean_squared_singular_value_is_one_plus_the_shift(dist, n, theta, trials):
+    # (1/n) sum_j s_j^2 = ||A - zI||_F^2 / n has mean exactly 1 + |z|^2 at every n, law and
+    # sparsity: E|a_jk|^2 = p_n / (n p_n) = 1/n and E tr A = 0 (the k = 1 moment of Bai &
+    # Silverstein's method). singular_values fences sum s^2 against ||A||_F^2 to 1e-8, so
+    # the Frobenius form stands for the spectrum
+    cfg = (EnsembleConfig(n, 1.0, dist, 3) if theta is None
+           else EnsembleConfig.from_theta(n, theta, dist, 3))
+    shifts = [0.5 + 0.5j, 1.0, 1.5]
+    samples = (sample_matrix(cfg, t) for t in range(trials))
+    m1 = np.array([[np.sum(np.abs(shift(sample, z).entries) ** 2) / n for z in shifts]
+                   for sample in samples])
+    exact = 1.0 + np.abs(shifts) ** 2
+    z = (m1.mean(axis=0) - exact) / (m1.std(axis=0, ddof=1) / math.sqrt(trials))
     assert np.all(np.abs(z) <= 4.0), z

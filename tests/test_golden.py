@@ -25,7 +25,7 @@ import pytest
 from circulaw import EmpiricalCDF, EnsembleConfig, EntryDistribution, MatrixSample, experiments
 from circulaw import rng, sample_matrix
 from circulaw.cli import main
-from circulaw.ensemble import draw_grid
+from circulaw.ensemble import draw_rows
 from circulaw.experiments import ExperimentSpec, run_experiment, write_report
 from circulaw.invertibility import min_sv_tail
 from circulaw.limit_theory import export_tabulation, law_for_shift
@@ -225,18 +225,18 @@ SAMPLER_DIGESTS = {
     ("sample_matrix", "UniformSymmetric", "theta=0.5"): "d09cf84a315307c925a374fcce462a057ec9071e9f7f17430efeefbbc7dc73f8",
     ("sample_matrix", "TwoPoint", "dense"): "72c0b861de6a9849d6faad2d1b50eabdca73744816aae492926e346735782106",
     ("sample_matrix", "TwoPoint", "theta=0.5"): "13396af5445ec9cf7c7965efb5e2d4dc2cde0199e09d13b18de0029a58adb578",
-    ("draw_grid", "RealGaussian", "100001x1"): "ece657360dbd9fd9e3bdd24926b4fefa65316021f79822e809a364c4793e1c37",
-    ("draw_grid", "RealGaussian", "512x10"): "4226075a46d6ffd7f929520757e898ae13ab2dba35a42ac68dc07b9bdf15056f",
-    ("draw_grid", "ComplexGaussian", "100001x1"): "71409c75ab648b85ed76935f987b765baae7dfd826e570ad0a17235391879522",
-    ("draw_grid", "ComplexGaussian", "512x10"): "04e7700d69494aa42ef2a034c65fffb6870e73e6e7ca9b8dccceefe9428db575",
-    ("draw_grid", "Rademacher", "100001x1"): "fde261e9e10d47accb984747cdc2fcf589fd773178b20df58a934ee89b4ddb5d",
-    ("draw_grid", "Rademacher", "512x10"): "57db7533ef0c3fe78e665ce221a0b7239734c6f6a2f9ae74d0654efa129ae87d",
-    ("draw_grid", "ComplexRademacher", "100001x1"): "65c98258b398db07584f718eeddd9c05941d6edf584a20475fb674dd6fd2c482",
-    ("draw_grid", "ComplexRademacher", "512x10"): "5dbc8c73186af90efc991ef70eea6e7212519db8e768fa469b7652925b9affc3",
-    ("draw_grid", "UniformSymmetric", "100001x1"): "8cd5cf32ddc5f8b58349affd912a24feefc64622252783ddd3c31c3ae481ade2",
-    ("draw_grid", "UniformSymmetric", "512x10"): "949d229d7412a64077d5a358c4f83649630e19b5d4a89437cdfe4bbf45181a7e",
-    ("draw_grid", "TwoPoint", "100001x1"): "177af1665f93943f4f3214c5ba5a41d08b2ecf1a6926dd46561ebc5c69ee93ab",
-    ("draw_grid", "TwoPoint", "512x10"): "bf569ee860e11da57530cb7e6876a8c287d58dc0fb337426bac2e89e8d3b3294",
+    ("draw_rows", "RealGaussian", "100001x1"): "ece657360dbd9fd9e3bdd24926b4fefa65316021f79822e809a364c4793e1c37",
+    ("draw_rows", "RealGaussian", "512x10"): "4226075a46d6ffd7f929520757e898ae13ab2dba35a42ac68dc07b9bdf15056f",
+    ("draw_rows", "ComplexGaussian", "100001x1"): "71409c75ab648b85ed76935f987b765baae7dfd826e570ad0a17235391879522",
+    ("draw_rows", "ComplexGaussian", "512x10"): "04e7700d69494aa42ef2a034c65fffb6870e73e6e7ca9b8dccceefe9428db575",
+    ("draw_rows", "Rademacher", "100001x1"): "fde261e9e10d47accb984747cdc2fcf589fd773178b20df58a934ee89b4ddb5d",
+    ("draw_rows", "Rademacher", "512x10"): "57db7533ef0c3fe78e665ce221a0b7239734c6f6a2f9ae74d0654efa129ae87d",
+    ("draw_rows", "ComplexRademacher", "100001x1"): "65c98258b398db07584f718eeddd9c05941d6edf584a20475fb674dd6fd2c482",
+    ("draw_rows", "ComplexRademacher", "512x10"): "5dbc8c73186af90efc991ef70eea6e7212519db8e768fa469b7652925b9affc3",
+    ("draw_rows", "UniformSymmetric", "100001x1"): "8cd5cf32ddc5f8b58349affd912a24feefc64622252783ddd3c31c3ae481ade2",
+    ("draw_rows", "UniformSymmetric", "512x10"): "949d229d7412a64077d5a358c4f83649630e19b5d4a89437cdfe4bbf45181a7e",
+    ("draw_rows", "TwoPoint", "100001x1"): "177af1665f93943f4f3214c5ba5a41d08b2ecf1a6926dd46561ebc5c69ee93ab",
+    ("draw_rows", "TwoPoint", "512x10"): "bf569ee860e11da57530cb7e6876a8c287d58dc0fb337426bac2e89e8d3b3294",
 }
 
 
@@ -247,7 +247,7 @@ def _sampler_bytes(what, tag, case) -> bytes:
                else EnsembleConfig.from_theta(512, 0.5, law, 13))
         return sample_matrix(cfg, 0).entries.tobytes()
     nrows, ncols = map(int, case.split("x"))
-    return draw_grid(law, 13, rng.ROLE_PROBE, 2, nrows, ncols).tobytes()
+    return draw_rows(law, 13, rng.ROLE_PROBE, 2, range(nrows), ncols).tobytes()
 
 
 @pytest.mark.parametrize("what,tag,case", sorted(SAMPLER_DIGESTS))

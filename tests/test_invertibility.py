@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 
 from circulaw import ConfigError, DomainError, EnsembleConfig, EntryDistribution, rng
-from circulaw import invertibility, log_moment_estimate, sample_matrix, shift, singular_values
-from circulaw.ensemble import draw_grid, mask_grid
+from circulaw import invertibility, sample_matrix, shift, singular_values
+from circulaw.ensemble import draw_rows, log_moment_estimate, mask_rows
 from circulaw.invertibility import (
     _ball_sums,
     _max_ball_fraction,
@@ -219,9 +219,10 @@ class TestSmallBall:
     ):
         n = 100
         x = oracle_rng.normal(size=n) + (1j * oracle_rng.normal(size=n) if complex_x else 0.0)
-        draws = draw_grid(dist, 3, rng.ROLE_SMALL_BALL, 0, trials, n)
+        draws = draw_rows(dist, 3, rng.ROLE_SMALL_BALL, 0, range(trials), n)
         if p_n < 1.0:
-            draws = np.where(mask_grid(3, rng.ROLE_SMALL_BALL, 1, trials, n, p_n), draws, 0.0)
+            mask = mask_rows(3, rng.ROLE_SMALL_BALL, 1, range(trials), n, p_n)
+            draws = np.where(mask, draws, 0.0)
         whole = np.sum(draws * x, axis=1)
         assert _ball_sums(x, dist, p_n, trials, 3).tobytes() == whole.tobytes()
 
@@ -306,7 +307,7 @@ class TestMaxBallFraction:
         # 10^5 samples at eta = 0.05 hit ~5.8 million lattice points; holding them
         # all peaked at 42 MB, one band of ~4096 samples' hits takes a few MB
         # role 6 is reserved in `rng`: these samples keep the stream they were first drawn from
-        draws = draw_grid(EntryDistribution("ComplexGaussian"), 0, 6, 0, 100_000, 1)[:, 0]
+        draws = draw_rows(EntryDistribution("ComplexGaussian"), 0, 6, 0, range(100_000), 1)[:, 0]
         started = not tracemalloc.is_tracing()
         tracemalloc.start()
         tracemalloc.reset_peak()

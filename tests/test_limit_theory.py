@@ -15,7 +15,6 @@ from circulaw import (
     EnsembleConfig,
     EntryDistribution,
     disc_potential,
-    g_field,
     limit_stieltjes,
     potential_from_law,
     sample_matrix,
@@ -23,7 +22,7 @@ from circulaw import (
     support_endpoints,
 )
 from circulaw import limit_theory
-from circulaw.limit_theory import LimitLaw, export_tabulation, law_for_shift
+from circulaw.limit_theory import LimitLaw, export_tabulation, g_field, law_for_shift
 from circulaw.spectral_measures import EmpiricalCDF
 
 
@@ -322,6 +321,26 @@ class TestLimitCdf:
         for az in (0.0, 0.5, 1.0, 1.5, 3.0):
             law = law_for_shift(complex(az, 0))
             assert abs(2.0 * law.cdf_positive(law.x1) - 1.0) <= 1e-6
+
+
+class TestMoments:
+    # the squared-singular-value law of A = X/sqrt(n) - z tends to that of |c - z|^2 for a
+    # circular element c, whose first two moments are 1 + |z|^2 and 2 + 4|z|^2 + |z|^4
+    # (Bai & Silverstein, "Spectral Analysis of Large Dimensional Random Matrices"); the
+    # symmetrized density puts half of it on [x2 or 0, x1]. Tolerance 1e-10, fixed in advance
+    @pytest.mark.parametrize("z", [0j, 0.5, 1.0, 1.5 + 0.5j, 0.99, 1.01])
+    def test_first_two_moments_by_quadrature(self, z):
+        law = LimitLaw.for_shift(z)
+        t = abs(z) ** 2
+
+        def moment(k):
+            value, _ = integrate.quad(lambda x: x ** (2 * k) * float(law.density(x)),
+                                      law.x2 or 0.0, law.x1, epsabs=1e-13, epsrel=1e-13,
+                                      limit=200)
+            return 2.0 * value
+
+        assert abs(moment(1) - (1.0 + t)) <= 1e-10
+        assert abs(moment(2) - (2.0 + 4.0 * t + t * t)) <= 1e-10
 
 
 class TestDiscPotential:

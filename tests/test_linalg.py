@@ -18,7 +18,6 @@ from circulaw import (
     MatrixSample,
     NumericError,
     eigenvalues,
-    hermitize,
     sample_matrix,
     shift,
     singular_values,
@@ -26,7 +25,7 @@ from circulaw import (
 from circulaw import linalg
 from circulaw.ensemble import draw_unit_disc, smoothing_stream
 from circulaw.errors import DomainError
-from circulaw.linalg import certified_log_det, truncation_window
+from circulaw.linalg import certified_log_det, hermitize, truncation_window
 from circulaw.parallel import parallel_map
 
 from conftest import ks_one_sample_critical

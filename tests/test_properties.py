@@ -45,8 +45,8 @@ def test_vector_and_scalar_rng_paths_agree(seed, role, aux, nrows, ncols, data):
             assert int(keys[j, k]) == rng.derive_key(seed, role, aux, j, k)
     j = data.draw(st.integers(0, nrows - 1))
     k = data.draw(st.integers(0, ncols - 1))
-    words = rng.Stream.from_labels(seed, role, aux, j, k)
-    uniforms = rng.Stream.from_labels(seed, role, aux, j, k)
+    words = rng.Stream(rng.derive_key(seed, role, aux, j, k))
+    uniforms = rng.Stream(rng.derive_key(seed, role, aux, j, k))
     for index in range(4):
         word = rng.word_grid(keys, index)
         assert int(word[j, k]) == words.next_word()

@@ -47,7 +47,7 @@ class TestMixerLockstep:
 
     def test_word_grid_matches_stream(self):
         keys = rng.grid_keys(7, rng.ROLE_MASK, 0, 3, 3)
-        stream = rng.Stream.from_labels(7, rng.ROLE_MASK, 0, 1, 2)
+        stream = rng.Stream(rng.derive_key(7, rng.ROLE_MASK, 0, 1, 2))
         for i in range(4):
             assert int(rng.word_grid(keys, i)[1, 2]) == stream.next_word()
 

@@ -11,15 +11,14 @@ from circulaw import (
     EntryDistribution,
     EstimationError,
     MatrixSample,
-    hermitize,
     ks_distance,
     log_potential_empirical,
     radial_angular_cdfs,
     sample_matrix,
     singular_values,
-    stieltjes_empirical,
 )
-from circulaw.linalg import LogDeterminant, Spectrum, truncation_window
+from circulaw.linalg import LogDeterminant, Spectrum, hermitize, truncation_window
+from circulaw.spectral_measures import stieltjes_empirical
 
 from conftest import ks_one_sample_critical
 
@@ -308,6 +307,17 @@ class TestCertifiedTrials:
     def test_a_c_cut_outside_zero_inf_raises(self, c_cut):
         with pytest.raises(DomainError, match="0 < c_cut < inf"):
             truncation_window(3, 1.0, 3.0, c_cut)
+
+    @pytest.mark.parametrize("n, b_exponent, c_cut", [(16, 300.0, 1.0), (16, -300.0, 1.0),
+                                                      (3, 3.0, 5e-324)],
+                             ids=["power_overflows", "power_underflows", "floor_underflows"])
+    def test_a_floor_outside_the_positive_floats_raises(self, n, b_exponent, c_cut):
+        # 16^300 raised a bare OverflowError, 16^-300 is 0 and the division raised a bare
+        # ZeroDivisionError, and 5e-324 / 27 gave the floor 0, which admits s_n = 0
+        with pytest.raises(DomainError, match="positive finite floor"):
+            truncation_window(n, 1.0, b_exponent, c_cut)
+        with pytest.raises(DomainError, match="positive finite floor"):
+            log_potential_empirical([spectrum_of([1.5] * (n - 1) + [0.0])], 1.0, b_exponent, c_cut)
 
 
 class TestRadialAngular:

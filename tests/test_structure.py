@@ -1,10 +1,12 @@
 """Structural fences: each outside resource has one owning module in circulaw."""
 
 import ast
+import re
 from pathlib import Path
 
 import circulaw
 
+README = Path(__file__).resolve().parents[1] / "README.md"
 _TREES = {path.stem: ast.parse(path.read_text(encoding="utf-8"))
           for path in sorted(Path(circulaw.__file__).resolve().parent.glob("*.py"))}
 # BLAS products, and numpy functions that form one or call LAPACK out of sight
@@ -118,6 +120,20 @@ def test_run_experiment_is_the_one_campaign_entry():
               and not fn.name.startswith("_")}
     assert {name for name in public if name.startswith("run_") or name.endswith("_check")} \
         == {"run_experiment"}
+
+
+def test_every_export_is_named_in_readme_or_used_by_a_front_end():
+    # the package root exports what a user reaches: README names it (in backticks), or
+    # the CLI or the campaign runners use it; the rest imports from its module
+    exported = {alias.name for node in _TREES["__init__"].body
+                if isinstance(node, ast.ImportFrom) for alias in node.names}
+    used = {node.id if isinstance(node, ast.Name) else node.name
+            for module in ("cli", "experiments") for node in ast.walk(_TREES[module])
+            if isinstance(node, (ast.Name, ast.alias))}
+    readme = README.read_text(encoding="utf-8")
+    unreached = {name for name in exported - used
+                 if not re.search(rf"`[^`\n]*\b{name}\b[^`\n]*`", readme)}
+    assert not unreached
 
 
 def test_only_linalg_keeps_per_thread_state_or_buffers():
