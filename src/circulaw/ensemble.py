@@ -31,7 +31,6 @@ DIST_TAGS = (
 _SQRT3 = math.sqrt(3.0)
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 _TWO_PI = 2.0 * math.pi
-_SIGN_BIT = np.uint64(1 << 63)
 
 
 def _whole(name: str, value) -> int:
@@ -232,50 +231,58 @@ def _polar(words: np.ndarray):
 def _signed(words: np.ndarray, bit: int, magnitude: float, out: np.ndarray) -> np.ndarray:
     """Write into the uint64 array `out` the float64 bits of +magnitude where bit `bit`
     of the word is 0 and of -magnitude where it is 1: that bit becomes the sign bit."""
-    np.left_shift(words, np.uint64(63 - bit), out=out)
-    out &= _SIGN_BIT
+    np.bitwise_and(words, np.uint64(1 << bit), out=out)
+    if bit != 63:
+        out <<= np.uint64(63 - bit)
     out |= np.float64(magnitude).view(np.uint64)
     return out
 
 
-def _values_from_words(dist: EntryDistribution, words: np.ndarray, out=None) -> np.ndarray:
-    """Map word arrays of shape (..., words_per_draw) to entry values.
+def _values_from_words(dist: EntryDistribution, words: np.ndarray, out=None,
+                       divisor: float = 1.0) -> np.ndarray:
+    """Map word arrays of shape (..., words_per_draw) to entry values divided by
+    `divisor`, written into `out` (a new array if None) and returned.
 
     The formulas here are the single source of truth for both the scalar
-    and the vectorized sampling paths. A ComplexGaussian writes its values
-    into `out`, if given, and returns it; every other law returns a new array.
+    and the vectorized sampling paths. An atomic law writes its constants,
+    divided once with the rounding of each value's division, into `out`.
     """
+    if out is None:
+        out = np.empty(words.shape[:-1], np.complex128 if dist.is_complex else np.float64)
     if dist.tag == "RealGaussian":
         radius, angle = _polar(words)
         radius *= np.cos(angle, out=angle)
-        return radius
+        return np.divide(radius, divisor, out=out)
     if dist.tag == "ComplexGaussian":
         # (z0 + i z1) / sqrt(2) of the pair z0 = radius cos(angle), z1 = radius sin(angle),
         # part by part: complex times real rounds each part as real times real, so these
         # are its bits without its complex temporaries
         radius, angle = _polar(words)
-        out = np.empty(words.shape[:-1], np.complex128) if out is None else out
         re, im = out.real, out.imag
         np.multiply(radius, np.cos(angle, out=re), out=re)
         re *= _INV_SQRT2
         np.multiply(radius, np.sin(angle, out=angle), out=im)
         im *= _INV_SQRT2
+        if divisor != 1.0:
+            np.divide(out, divisor, out=out)
         return out
     if dist.tag == "Rademacher":
-        signs = np.empty(words.shape[:-1], np.uint64)
-        return _signed(words[..., 0], 63, 1.0, signs).view(np.float64)
+        _signed(words[..., 0], 63, 1.0 / divisor, out.view(np.uint64))
+        return out
     if dist.tag == "ComplexRademacher":
-        pairs = np.empty((*words.shape[:-1], 2), np.uint64)  # (re, im) of each complex128
-        _signed(words[..., 0], 63, _INV_SQRT2, pairs[..., 0])
-        _signed(words[..., 0], 62, _INV_SQRT2, pairs[..., 1])
-        return pairs.view(np.complex128)[..., 0]
+        # numpy divides a complex by a real c as a product with 1 / c, part by part
+        magnitude = _INV_SQRT2 * (1.0 / divisor)
+        _signed(words[..., 0], 63, magnitude, out.real.view(np.uint64))
+        _signed(words[..., 0], 62, magnitude, out.imag.view(np.uint64))
+        return out
     if dist.tag == "UniformSymmetric":
         u = rng.uniform_from_words(words[..., 0])
-        return (2.0 * u - 1.0) * _SQRT3
-    # TwoPoint
-    u = rng.uniform_from_words(words[..., 0])
+        return np.divide((2.0 * u - 1.0) * _SQRT3, divisor, out=out)
+    # TwoPoint: +a where the uniform lies below p, else b
     b = -dist.a * dist.p / (1.0 - dist.p)
-    return np.where(u < dist.p, dist.a, b)
+    out[...] = b / divisor
+    np.copyto(out, dist.a / divisor, where=rng.uniform_below(words[..., 0], dist.p))
+    return out
 
 
 def draw_entry(dist: EntryDistribution, stream: rng.Stream):
@@ -288,34 +295,35 @@ def draw_entry(dist: EntryDistribution, stream: rng.Stream):
 
 
 def _draws(dist: EntryDistribution, keys: np.ndarray, words: np.ndarray, scratch: np.ndarray,
-           out=None):
-    """One draw per key; `words` (shape (words_per_draw, *keys.shape)) and
-    `scratch` (keys' shape) are uint64 buffers the call overwrites, and `out`
-    is passed on to `_values_from_words`."""
+           out=None, divisor: float = 1.0):
+    """One draw per key, divided by `divisor`; `words` (shape (words_per_draw,
+    *keys.shape)) and `scratch` (keys' shape) are uint64 buffers the call
+    overwrites, and `out` is passed on to `_values_from_words`."""
     for i in range(dist.words_per_draw):
         rng.word_into(keys, i, words[i], scratch)
-    return _values_from_words(dist, np.moveaxis(words, 0, -1), out)
+    return _values_from_words(dist, np.moveaxis(words, 0, -1), out, divisor)
 
 
-def _value_blocks(dist: EntryDistribution, seed, role, aux, rows: range, ncols, out):
-    """Yield (dest, values) by the row blocks of `rng.key_blocks`: `dest` is the
-    block's rows of `out` (len(rows) x ncols), and values[i, k] is the draw keyed
-    by (seed, role, aux, block[i], k); a ComplexGaussian's values are `dest`."""
+def _fill(dist: EntryDistribution, seed, role, aux, rows: range, out, divisor: float = 1.0):
+    """Write into `out` (len(rows) x ncols) the draws keyed (seed, role, aux, j, k),
+    j in `rows`, divided by `divisor`, by the blocks of `rng.key_blocks`: row
+    blocks, or column blocks if `out` is column-major, so each block is contiguous."""
+    by_columns = not out.flags.c_contiguous
+    lines, first = (out.T, 0) if by_columns else (out, rows.start)
     words = None
-    for block, keys, scratch in rng.key_blocks(seed, role, aux, rows, ncols):
+    for block, keys, scratch in rng.key_blocks(seed, role, aux, rows, out.shape[1],
+                                               by_columns=by_columns):
         if words is None:  # the first block is the tallest
             words = np.empty((dist.words_per_draw, *keys.shape), np.uint64)
-        dest = out[block.start - rows.start : block.stop - rows.start]
-        yield dest, _draws(dist, keys, words[:, : len(block)], scratch, dest)
+        dest = lines[block.start - first : block.stop - first]
+        _draws(dist, keys, words[:, : len(block)], scratch, dest, divisor)
+    return out
 
 
 def draw_rows(dist, seed, role, aux, rows: range, ncols) -> np.ndarray:
     """(len(rows), ncols) draws from `dist`, keyed (seed, role, aux, j, k) for j in `rows`."""
     out = np.empty((len(rows), ncols), np.complex128 if dist.is_complex else np.float64)
-    for dest, values in _value_blocks(dist, seed, role, aux, rows, ncols, out):
-        if values is not dest:
-            dest[...] = values
-    return out
+    return _fill(dist, seed, role, aux, rows, out)
 
 
 def mask_rows(seed, role, aux, rows: range, ncols, p_n) -> np.ndarray:
@@ -332,9 +340,10 @@ def sample_matrix(config: EnsembleConfig, trial_index: int, order: str = "C") ->
     row-major (`order` "C") or column-major ("F") with the same values.
 
     Bit-identical across repeated calls and across processes for the same
-    (config, trial_index). The grids come from the row-blocked kernel
-    (`rng.key_blocks`), which writes each block straight into its rows, a
-    ComplexGaussian block its real and imaginary parts too. For
+    (config, trial_index). The grids come from the blocked kernel
+    (`rng.key_blocks`), which writes each block straight into its rows, or its
+    columns for "F" (so "F" costs what "C" costs), a ComplexGaussian block its
+    real and imaginary parts too, an atomic law's block its scaled constants. For
     p_n < 1 the values are drawn only where the mask is set, BLOCK_KEYS kept
     entries at a time; keys are positional, so the entries equal those of
     the full value grid masked afterwards. A trial index outside [0, 2^64)
@@ -349,20 +358,18 @@ def sample_matrix(config: EnsembleConfig, trial_index: int, order: str = "C") ->
         raise ConfigError(f"sample order must be 'C' or 'F', got {order!r}")
     n, seed, dist = config.n, config.master_seed, config.dist
     dtype = np.complex128 if dist.is_complex else np.float64
+    divisor = math.sqrt(n * config.p_n)
     if config.p_n == 1.0:
         entries = np.empty((n, n), dtype, order=order)
-        for dest, values in _value_blocks(dist, seed, rng.ROLE_VALUE, trial_index, range(n), n,
-                                          entries):
-            np.divide(values, math.sqrt(n), out=dest)
-        return MatrixSample(entries)
+        return MatrixSample(_fill(dist, seed, rng.ROLE_VALUE, trial_index, range(n), entries,
+                                  divisor))
     entries = np.zeros((n, n), dtype, order=order)
     kept = np.flatnonzero(mask_rows(seed, rng.ROLE_MASK, trial_index, range(n), n, config.p_n))
     for start in range(0, len(kept), rng.BLOCK_KEYS):
         at = kept[start : start + rng.BLOCK_KEYS]
         keys = rng.keys_at(seed, rng.ROLE_VALUE, trial_index, at // n, at % n, n, n)
         words = np.empty((dist.words_per_draw, len(at)), np.uint64)
-        values = _draws(dist, keys, words, np.empty_like(keys))
-        entries.flat[at] = values / math.sqrt(n * config.p_n)
+        entries.flat[at] = _draws(dist, keys, words, np.empty_like(keys), divisor=divisor)
     return MatrixSample(entries)
 
 

@@ -120,7 +120,7 @@ _ARGTYPES = {
 # OpenBLAS's thread count is process-wide, so the hold on it is too
 _blas_lock = threading.Lock()
 _blas_depth = 0
-_blas_saved = 0
+_blas_restore = None  # restores the count of the outermost hold, if it set one
 _scratch: dict = {}  # thread ident -> that thread's LU buffer, emptied with the outermost hold
 
 
@@ -183,14 +183,15 @@ def _lapack_solve(fn, what: str, head, kinds, tail=()) -> None:
 @contextmanager
 def single_threaded_blas():
     """Hold OpenBLAS at one thread; the last of nested or concurrent holders restores
-    it and drops every thread's LU scratch (`_scratch_matrix`)."""
-    global _blas_depth, _blas_saved
+    it and drops every thread's LU scratch (`_scratch_matrix`). Only the outermost
+    hold looks the library's thread count up."""
+    global _blas_depth, _blas_restore
     with _blas_lock:
-        api = _symbol("openblas_get_num_threads64_"), _symbol("openblas_set_num_threads64_")
-        held = None not in api
-        if held and _blas_depth == 0:
-            _blas_saved = api[0]()
-            api[1](1)
+        if _blas_depth == 0:
+            get, put = (_symbol(f"openblas_{op}_num_threads64_") for op in ("get", "set"))
+            _blas_restore = None if None in (get, put) else functools.partial(put, get())
+            if _blas_restore is not None:
+                put(1)
         _blas_depth += 1
     try:
         yield
@@ -199,8 +200,8 @@ def single_threaded_blas():
             _blas_depth -= 1
             if _blas_depth == 0:
                 _scratch.clear()
-                if held:
-                    api[1](_blas_saved)
+                if _blas_restore is not None:
+                    _blas_restore()
 
 
 def _scratch_matrix(n: int, dtype) -> np.ndarray:
@@ -375,13 +376,14 @@ def _shift_plan(entries: np.ndarray, shifts):
 
 
 def _subtract_diagonal(out: np.ndarray, entries: np.ndarray, shifts) -> None:
-    """out = entries - z_1 I - z_2 I - ...: `entries` cast into `out`, then each
-    z_i subtracted from the diagonal in turn (its real part if `out` is real)."""
+    """out = entries - z_1 I - z_2 I - ...: `entries` cast into the contiguous `out`,
+    then each z_i subtracted from its diagonal, a strided view, in turn (its real
+    part if `out` is real)."""
     np.copyto(out, entries)
-    idx = np.arange(len(out))
+    diagonal = out.ravel(order="K")[:: len(out) + 1]
     is_complex = np.iscomplexobj(out)
     for z in shifts:
-        out[idx, idx] -= z if is_complex else z.real
+        diagonal -= z if is_complex else z.real
 
 
 def shift(sample: MatrixSample, *shifts: complex) -> MatrixSample:
@@ -474,9 +476,10 @@ def thresholds_below_sn(sample: MatrixSample, thresholds: np.ndarray) -> Optiona
 
 def _definite(g: np.ndarray, offset: float) -> bool:
     """Whether the Hermitian g - offset I, read from its lower triangle, is positive
-    definite: potrf of it in this thread's scratch, which it overwrites."""
+    definite: potrf of it in this thread's scratch, which it overwrites; a real g,
+    exactly symmetric (`_eigvalsh`), is copied as its column-major g.T."""
     w = _scratch_matrix(len(g), g.dtype)
-    _subtract_diagonal(w, g, [offset])
+    _subtract_diagonal(w, g if np.iscomplexobj(g) else g.T, [offset])
     potrf = _lapack("zpotrf" if np.iscomplexobj(w) else "dpotrf")
     if potrf is None:
         try:

@@ -7,12 +7,13 @@ of its (z, n, trial) tasks at once (MinSv through one
 `invertibility.min_sv_tail` call), so it waits for its slowest worker once,
 not once per shift or dimension.
 
-`parallel_map` runs the items on a ThreadPoolExecutor of min(k, len(items))
-threads and gathers them with its `map`, in item order. The first failure
-stops the hand-out: an item that starts after it returns at once without
-running. The items already running finish, and the exception of the lowest
-failing index is raised. An exception in the caller, such as an interrupt,
-stops the hand-out in the same way before the pool shuts down.
+`parallel_map` runs the items on min(k, len(items)) plain threads, which take
+the next item index from one locked counter and store each result at its
+index; the caller only starts and joins them, so it is not woken per item.
+The first failure, or an exception in the caller such as an interrupt, stops
+the hand-out: no item starts after it, the items in flight finish, and the
+exception of the lowest failing index (or the caller's) is raised. With k = 1
+the items run inline.
 
 Every linalg kernel holds numpy's bundled OpenBLAS at one thread
 (`linalg.single_threaded_blas`) for its own call, so reports do not depend
@@ -30,7 +31,6 @@ from __future__ import annotations
 
 import os
 import threading
-from concurrent.futures import ThreadPoolExecutor
 
 from .errors import ConfigError
 from .linalg import single_threaded_blas
@@ -56,20 +56,34 @@ def parallel_map(fn, items):
     with single_threaded_blas():
         if k == 1:
             return [fn(item) for item in items]
-        failed = threading.Event()
+        results, failures = [None] * len(items), {}  # failing index -> its exception
+        lock, handed, stopped = threading.Lock(), 0, False
 
-        def guarded(item):
-            if failed.is_set():  # a lower item or the caller raised, and that is what propagates
-                return None
-            try:
-                return fn(item)
-            except BaseException:
-                failed.set()
-                raise
+        def work():
+            nonlocal handed, stopped
+            while True:
+                with lock:
+                    if stopped or handed == len(items):
+                        return
+                    i, handed = handed, handed + 1
+                try:
+                    results[i] = fn(items[i])
+                except BaseException as exc:  # an interrupt in a task, too
+                    with lock:
+                        failures[i], stopped = exc, True
 
-        with ThreadPoolExecutor(max_workers=k) as pool:
-            try:
-                return list(pool.map(guarded, items))
-            except BaseException:  # an interrupt, even while the items are handed in
-                failed.set()
-                raise
+        workers = [threading.Thread(target=work) for _ in range(k)]
+        try:
+            for worker in workers:
+                worker.start()
+            for worker in workers:
+                worker.join()
+        finally:  # after an interrupt in the caller, too: the items in flight finish
+            with lock:
+                stopped = True
+            for worker in workers:
+                if worker.is_alive():
+                    worker.join()
+        if failures:
+            raise failures[min(failures)]
+        return results

@@ -25,14 +25,16 @@ Two implementations are kept in lockstep: a Python-int path (`mix64`,
 `derive_key`, `Stream`; scalar draws) and a numpy uint64 path, whose one
 mixer `_mix64_inplace` runs every pass in place; the test suite checks they
 agree bit for bit. The array path takes its row and column hashes from one
-helper over a row range (`_row_col_hashes`): `key_blocks` walks its rows in
-blocks of at most BLOCK_KEYS keys on buffers reused from block to block, so a
-sample of n^2 entries needs O(BLOCK_KEYS) scratch memory and its n row hashes
-beside its output, and `keys_at` takes the keys at given (row, column) pairs of
-a grid, the whole grid included (`grid_keys`). Keys are positional, so the
-blocking never changes a bit. A label outside [0, 2^64) raises DomainError:
-keeping its low 64 bits would alias another label's stream. So does a bool
-or a non-integer label, which `int()` would truncate onto another label's.
+helper over a row range (`_row_col_hashes`), one index hash for both if the
+range starts at row 0. `key_blocks` walks its rows, or its columns so that a
+column-major array fills in contiguous blocks, in blocks of at most BLOCK_KEYS
+keys on buffers reused from block to block, so a sample of n^2 entries needs
+O(BLOCK_KEYS) scratch memory and its n row hashes beside its output, and
+`keys_at` takes the keys at given (row, column) pairs of a grid, the whole grid
+included (`grid_keys`). Keys are positional, so neither blocks nor walk change
+a bit. A label outside [0, 2^64) raises DomainError: keeping its low 64 bits
+would alias another label's stream. So does a bool or a non-integer label,
+which `int()` would truncate onto another label's.
 The buffers belong to one call, never to the module, so several threads may
 sample at once. `uniform_below` tests `uniform < p` as one integer compare
 on the words.
@@ -115,43 +117,46 @@ def _inner(parts: np.ndarray) -> np.ndarray:
     return _mix64_inplace(x, np.empty_like(x))
 
 
-def _absorbed(h: int, parts: np.ndarray) -> np.ndarray:
-    """absorb(h, p) for each p of the uint64 array `parts`, in a new array."""
-    x = _inner(parts)
-    x ^= np.uint64(h)
-    return _mix64_inplace(x, np.empty_like(x))
-
-
 def _row_col_hashes(master_seed: int, role: int, aux: int, rows: range, ncols: int):
-    """(hr, inner_c): derive_key(seed, role, aux, rows[i], k) == mix64(hr[i] ^ inner_c[k]).
-    A row range reaching outside [0, 2^64) raises DomainError."""
+    """(hr, inner_c): derive_key(seed, role, aux, rows[i], k) == mix64(hr[i] ^ inner_c[k]),
+    from one index hash mix64(i + GOLDEN) if `rows` starts at 0. A row range reaching
+    outside [0, 2^64) raises DomainError."""
     if len(rows) and not (0 <= rows.start and rows.stop - 1 <= MASK64):
         raise DomainError(f"row range {rows} is outside [0, 2^64)")
-    h0 = derive_key(master_seed, role, aux)
-    hr = _absorbed(h0, np.arange(rows.start, rows.stop, dtype=np.uint64))
-    return hr, _inner(np.arange(ncols, dtype=np.uint64))
+    h0 = np.uint64(derive_key(master_seed, role, aux))
+    if rows.start == 0:
+        inner = _inner(np.arange(max(len(rows), ncols), dtype=np.uint64))
+        hr, inner_c = inner[: len(rows)] ^ h0, inner[:ncols]
+    else:
+        hr = _inner(np.arange(rows.start, rows.stop, dtype=np.uint64)) ^ h0
+        inner_c = _inner(np.arange(ncols, dtype=np.uint64))
+    return _mix64_inplace(hr, np.empty_like(hr)), inner_c
 
 
-def key_blocks(master_seed: int, role: int, aux: int, rows: range, ncols: int):
-    """Walk the keys derive_key(seed, role, aux, j, k), j in `rows`, 0 <= k < ncols, by row blocks.
+def key_blocks(master_seed: int, role: int, aux: int, rows: range, ncols: int,
+               by_columns: bool = False):
+    """Walk the keys derive_key(seed, role, aux, j, k), j in `rows`, 0 <= k < ncols, by row
+    blocks, or by column blocks of the transposed grid if `by_columns`.
 
     Yields (block, keys, scratch) for blocks of at most BLOCK_KEYS keys (one
-    row when a row is longer): `block` is the range of j it covers,
-    keys[i, k] is the key of (block[i], k), and `scratch` is a uint64 array
+    row, or column, when it is longer): `block` is the range of j it covers,
+    keys[i, k] is the key of (block[i], k) (by columns: of k, and (rows[j],
+    block[i]) at keys[i, j]), and `scratch` is a uint64 array
     of the same shape the caller may overwrite. Both are views of buffers
     that every block reuses, so use them before the next step. The row
     hashes are absorbed once per call, O(len(rows)) words beside the
-    O(BLOCK_KEYS) block buffers. A key does not depend on the grid's size,
-    so any row range gives the grid's bits.
+    O(BLOCK_KEYS) block buffers. A key does not depend on the grid's size
+    or on the walk, so any row range gives the grid's bits.
     """
     hr, inner_c = _row_col_hashes(master_seed, role, aux, rows, ncols)
-    height = max(1, min(len(rows), BLOCK_KEYS // max(ncols, 1)))
-    keys_buf = np.empty((height, ncols), np.uint64)
+    lines, outer, across = (range(ncols), inner_c, hr) if by_columns else (rows, hr, inner_c)
+    height = max(1, min(len(lines), BLOCK_KEYS // max(len(across), 1)))
+    keys_buf = np.empty((height, len(across)), np.uint64)
     scratch_buf = np.empty_like(keys_buf)
-    for start in range(0, len(rows), height):
-        block = range(rows.start + start, min(rows.start + start + height, rows.stop))
+    for start in range(0, len(lines), height):
+        block = lines[start : start + height]
         keys, scratch = keys_buf[: len(block)], scratch_buf[: len(block)]
-        np.bitwise_xor(hr[start : start + len(block), None], inner_c, out=keys)
+        np.bitwise_xor(outer[start : start + len(block), None], across, out=keys)
         yield block, _mix64_inplace(keys, scratch), scratch
 
 

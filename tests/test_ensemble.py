@@ -182,6 +182,26 @@ class TestSampleMatrix:
         assert rows.flags.c_contiguous and cols.flags.f_contiguous
         assert cols.dtype == rows.dtype and np.ascontiguousarray(cols).tobytes() == rows.tobytes()
 
+    @pytest.mark.parametrize("theta", [None, 0.5], ids=["dense", "theta=0.5"])
+    @pytest.mark.parametrize("dist", ALL_DISTS, ids=lambda d: d.tag)
+    def test_column_major_sample_fills_by_column_blocks(self, dist, theta, monkeypatch):
+        # n = 256 is two blocks of 2^15 keys: 128 rows each for "C", 128 columns for "F"
+        n, walks = 256, []
+        key_blocks = rng.key_blocks
+
+        def watched(*args, by_columns=False):
+            walks.append(by_columns)
+            return key_blocks(*args, by_columns)
+
+        monkeypatch.setattr(rng, "key_blocks", watched)
+        cfg = (EnsembleConfig(n, 1.0, dist, 6) if theta is None
+               else EnsembleConfig.from_theta(n, theta, dist, 6))
+        rows = sample_matrix(cfg, 1).entries
+        cols = sample_matrix(cfg, 1, order="F").entries
+        assert cols.flags.f_contiguous and np.ascontiguousarray(cols).tobytes() == rows.tobytes()
+        # the dense value grid is walked by columns for "F"; the sparse mask always by rows
+        assert walks == ([False, True] if theta is None else [False, False])
+
     def test_an_unknown_order_is_rejected(self):
         with pytest.raises(ConfigError, match="order"):
             sample_matrix(EnsembleConfig(2, 1.0, GAUSS, 1), 0, order="K")

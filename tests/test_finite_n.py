@@ -104,3 +104,40 @@ def test_mean_squared_singular_value_is_one_plus_the_shift(dist, n, theta, trial
     exact = 1.0 + np.abs(shifts) ** 2
     z = (m1.mean(axis=0) - exact) / (m1.std(axis=0, ddof=1) / math.sqrt(trials))
     assert np.all(np.abs(z) <= 4.0), z
+
+
+# E x^3 and E|x|^4 of each base law. TwoPoint(3, 0.1) is 3 with probability 0.1 and
+# -1/3 otherwise. A complex law's third-moment term is E x|x|^2, 0 for both complex laws.
+_THIRD_FOURTH = {"RealGaussian": (0.0, 3.0), "ComplexGaussian": (0.0, 2.0),
+                 "Rademacher": (0.0, 1.0), "ComplexRademacher": (0.0, 1.0),
+                 "UniformSymmetric": (0.0, 1.8),
+                 "TwoPoint": (0.1 * 3.0**3 + 0.9 * (-1 / 3) ** 3, 0.1 * 3.0**4 + 0.9 * (1 / 3) ** 4)}
+
+
+@pytest.mark.parametrize("n, theta, trials", [(32, None, 1000), (64, 0.5, 600)],
+                         ids=["dense", "theta=0.5"])
+@pytest.mark.parametrize("dist", _ALL_LAWS, ids=lambda d: d.tag)
+def test_mean_fourth_power_singular_value_has_its_finite_n_terms(dist, n, theta, trials):
+    # (1/n) sum_j s_j^4 = ||G||_F^2 / n, G = (A - z)(A - z)^*, has mean
+    # 2 + 4|z|^2 + |z|^4 + (m4 - 2 + 2 Re z^2) / n - 4 Re(z) m3 / n^(3/2) (the k = 2 moment
+    # of Bai & Silverstein's method), with m3 = E x^3 / sqrt(p_n) and m4 = E|x|^4 / p_n the
+    # moments of the sparse entry eps x / sqrt(p_n). The Re z^2 term is E tr (X/sqrt(n))^2 = 1
+    # times z^2 and its conjugate, so complex laws, with E x^2 = 0, drop it; dense
+    # ComplexGaussian is left with no 1/n term. Shifts inside, on and outside the unit
+    # circle, with Re z^2 and Re z of both signs
+    cfg = (EnsembleConfig(n, 1.0, dist, 3) if theta is None
+           else EnsembleConfig.from_theta(n, theta, dist, 3))
+    shifts = np.array([0.3 + 0.6j, 1.0, -1.5])
+    m3, m4 = _THIRD_FOURTH[dist.tag]
+    m3, m4 = m3 / math.sqrt(cfg.p_n), m4 / cfg.p_n
+    re_z2 = 0.0 if dist.is_complex else (shifts**2).real
+    exact = (2.0 + 4.0 * np.abs(shifts) ** 2 + np.abs(shifts) ** 4
+             + (m4 - 2.0 + 2.0 * re_z2) / n - 4.0 * shifts.real * m3 / n**1.5)
+    m2 = []
+    for t in range(trials):
+        sample = sample_matrix(cfg, t)
+        m2.append([np.sum(np.abs(a @ a.conj().T) ** 2) / n
+                   for a in (shift(sample, z).entries for z in shifts)])
+    m2 = np.array(m2)
+    z = (m2.mean(axis=0) - exact) / (m2.std(axis=0, ddof=1) / math.sqrt(trials))
+    assert np.all(np.abs(z) <= 4.0), z

@@ -249,6 +249,12 @@ def test_a_bad_thread_count_is_a_config_error(monkeypatch, value):
         parallel.thread_count()
 
 
+def test_import_loads_no_executor():
+    # the pool runs plain threads: importing concurrent.futures cost every campaign's setup
+    code = "import sys, circulaw.experiments\nprint('concurrent.futures' in sys.modules)"
+    assert _child_stdout(["-c", code]).decode().strip() == "False"
+
+
 def test_import_binds_no_library():
     # opening OpenBLAS at import time would count in every campaign's setup time
     env = dict(os.environ, PYTHONPATH=str(Path(circulaw.__file__).resolve().parents[1]))
@@ -315,6 +321,24 @@ class TestPoolPass:
             signal.signal(signal.SIGINT, previous)
         assert sorted(started) == [0, 1]
         assert sorted(finished) == [0, 1]
+
+    def test_an_interrupt_in_a_task_reaches_the_caller(self, blas, monkeypatch):
+        # a worker that caught only Exception let item 1's interrupt end its thread,
+        # while the other worker ran every later item and the pass returned
+        monkeypatch.setenv("CIRCULAW_THREADS", "2")
+        started = []
+
+        def task(i):
+            started.append(i)
+            if i == 1:
+                raise KeyboardInterrupt
+            time.sleep(0.2)
+            return i
+
+        with pytest.raises(KeyboardInterrupt):
+            parallel.parallel_map(task, range(20))
+        assert sorted(started) == [0, 1]
+        assert blas[0]() == 3
 
     @pytest.mark.parametrize("workers", [1, 3])
     def test_at_most_k_worker_threads_run(self, monkeypatch, workers):

@@ -45,6 +45,21 @@ class TestMixerLockstep:
         if walked:
             assert np.concatenate(walked).tobytes() == grid.tobytes()
 
+    @pytest.mark.parametrize("rows, ncols", [(range(0, 9), 5), (range(0, 300), 200),
+                                             (range(3, 40_000), 3), (range(0, 0), 4)])
+    def test_key_blocks_walk_the_columns(self, rows, ncols, monkeypatch):
+        # the transposed walk: blocks of columns, each row of a block one column's keys
+        monkeypatch.setattr(rng, "BLOCK_KEYS", 1 << 10)
+        grid = rng.grid_keys(99, rng.ROLE_VALUE, 4, rows.stop, ncols)[rows.start :]
+        walked, covered = [], []
+        for block, keys, scratch in rng.key_blocks(99, rng.ROLE_VALUE, 4, rows, ncols,
+                                                   by_columns=True):
+            assert keys.shape == scratch.shape == (len(block), len(rows))
+            walked.append(keys.copy())
+            covered.extend(block)
+        assert covered == list(range(ncols))
+        assert np.concatenate(walked).tobytes() == np.ascontiguousarray(grid.T).tobytes()
+
     def test_word_grid_matches_stream(self):
         keys = rng.grid_keys(7, rng.ROLE_MASK, 0, 3, 3)
         stream = rng.Stream(rng.derive_key(7, rng.ROLE_MASK, 0, 1, 2))
