@@ -192,28 +192,30 @@ class EnsembleConfig:
         return cls(**dict(d, dist=EntryDistribution.from_json_dict(d["dist"])))
 
 
-@dataclass
+@dataclass(frozen=True)
 class MatrixSample:
     """One n x n matrix: a sample, possibly shifted on its diagonal by `linalg`.
 
-    It holds only its entries; `sample_matrix(config, trial)` regenerates a
-    sample bit for bit, so no provenance is kept alongside.
+    The constructor holds the contract every kernel assumes: the entries are a
+    nonempty square 2-D numeric array, else DomainError, cast to float64 or
+    complex128 (no copy when they already are one of those, so a column-major
+    sample stays column-major); it is frozen, so no later binding bypasses the
+    check. It holds only its entries; `sample_matrix(config, trial)` regenerates
+    a sample bit for bit, so no provenance is kept alongside.
     """
 
     entries: np.ndarray
 
+    def __post_init__(self):
+        a = np.asarray(self.entries)
+        if not (a.ndim == 2 and a.shape[0] == a.shape[1] > 0 and a.dtype.kind in "biufc"):
+            raise DomainError(f"need a nonempty square numeric matrix, got {a.dtype} {a.shape}")
+        dtype = np.complex128 if np.iscomplexobj(a) else np.float64
+        object.__setattr__(self, "entries", a.astype(dtype, copy=False))
+
     @property
     def n(self) -> int:
         return self.entries.shape[0]
-
-    @classmethod
-    def from_array(cls, a) -> "MatrixSample":
-        """A copy of a nonempty square array in double precision (float64 or
-        complex128), the precision every kernel's contract assumes."""
-        a = np.asarray(a)
-        if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] == 0:
-            raise ConfigError(f"expected a nonempty square matrix, got shape {a.shape}")
-        return cls(a.astype(np.complex128 if np.iscomplexobj(a) else np.float64))
 
 
 def _polar(words: np.ndarray):

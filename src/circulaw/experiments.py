@@ -69,13 +69,21 @@ def _each(name: str, values, convert) -> tuple:
     return tuple(convert(name, v) for v in values)
 
 
-_READS = {  # the optional fields each kind reads besides `out`; the rest keep their defaults
-    "CircularLaw": (), "SvLaw": ("z_points", "n_values"),
-    "Potential": ("z_points", "r", "b_exponent", "c_cut"),
-    "MinSv": ("z_points", "thresholds", "n_values"), "MaxSv": ("n_values",),
-    "TailIndex": ("q", "big_r"),
-}
-KINDS = tuple(_READS)
+_RUNNERS = {}  # kind -> (report columns, optional fields read, body), filled by @_runner
+
+
+def _runner(kind: str, columns: Sequence[str], reads: Sequence[str]):
+    """Register `body(spec, report)` as the campaign of `kind`; it appends the rows.
+    `reads` names the optional spec fields the body reads besides `out`: a spec of
+    `kind` must leave every other one at its default."""
+
+    def register(body):
+        _RUNNERS[kind] = (list(columns) + ["spec_hash"], tuple(reads), body)
+        return body
+
+    return register
+
+
 _JSON_KEY = {"big_r": "R"}  # JSON key of a field, where it differs from the name
 
 
@@ -97,7 +105,7 @@ class ExperimentSpec:
     out: str = ""
 
     def __post_init__(self):
-        if self.kind not in KINDS:
+        if self.kind not in _RUNNERS:
             raise ConfigError(f"unknown experiment kind {self.kind!r}")
         for name, value in (
             ("trials", _whole("trials", self.trials)),
@@ -113,15 +121,16 @@ class ExperimentSpec:
             object.__setattr__(self, name, value)
         if not isinstance(self.out, str):
             raise ConfigError(f"out must be a string, got {self.out!r}")
+        reads = _RUNNERS[self.kind][1] + ("out",)
         for f in fields(self):
-            unread = f.default is not MISSING and f.name not in _READS[self.kind] + ("out",)
+            unread = f.default is not MISSING and f.name not in reads
             if unread and getattr(self, f.name) != f.default:
                 raise ConfigError(f"{self.kind} does not read {_JSON_KEY.get(f.name, f.name)}")
         if self.trials < 1:
             raise ConfigError(f"trials must be >= 1, got {self.trials}")
         if len(set(self.n_values)) < len(self.n_values):
             raise ConfigError(f"n_values must be distinct, got {list(self.n_values)}")
-        if "z_points" in _READS[self.kind] and not self.z_points:
+        if "z_points" in reads and not self.z_points:
             raise ConfigError(f"{self.kind} requires at least one z point")
         if self.kind in ("MinSv", "MaxSv") and self.trials < MIN_TAIL_TRIALS:
             raise ConfigError(f"{self.kind} needs trials >= {MIN_TAIL_TRIALS}, got {self.trials}")
@@ -195,19 +204,6 @@ def write_report(report: ExperimentReport, path, fmt: str = "csv") -> None:
     write_text(path, render_report(report, fmt))
 
 
-_RUNNERS = {}  # kind -> (report columns, body)
-
-
-def _runner(kind: str, columns: Sequence[str]):
-    """Register `body(spec, report)` as the campaign of `kind`; it appends the rows."""
-
-    def register(body):
-        _RUNNERS[kind] = (list(columns) + ["spec_hash"], body)
-        return body
-
-    return register
-
-
 def _trial_pass(one_trial, groups: Sequence, trials: int) -> list:
     """[[one_trial(g, t) for t in range(trials)] for g in groups], with every (group, trial)
     task in one `parallel_map` pass, so a campaign waits once for its slowest worker."""
@@ -223,7 +219,7 @@ def _uniform01_cdf(x):
 _CIRCLAW_STATS = ("ks_radial", "ks_angular", "frac_beyond_soft", "frac_beyond_1p15")
 
 
-@_runner("CircularLaw", ["row", "trial", *_CIRCLAW_STATS, "failed"])
+@_runner("CircularLaw", ["row", "trial", *_CIRCLAW_STATS, "failed"], ())
 def _circular_law(spec: ExperimentSpec, report: ExperimentReport) -> None:
     """Per-trial eigenvalue statistics against the uniform-disc law."""
     cfg = spec.ensemble
@@ -258,7 +254,8 @@ def _circular_law(spec: ExperimentSpec, report: ExperimentReport) -> None:
     report.meta["failed_trials"] = len(results) - len(ok)
 
 
-@_runner("SvLaw", ["row", "n", "z_re", "z_im", "trials", "delta", "slope"])
+@_runner("SvLaw", ["row", "n", "z_re", "z_im", "trials", "delta", "slope"],
+         ("z_points", "n_values"))
 def _sv_law(spec: ExperimentSpec, report: ExperimentReport) -> None:
     """Trial-averaged squared-singular-value law against the limit CDF.
 
@@ -300,7 +297,7 @@ def _sv_law(spec: ExperimentSpec, report: ExperimentReport) -> None:
 
 @_runner("Potential", ["row", "z_re", "z_im", "r", "trials", "included", "excluded",
                        "u_empirical", "u_stderr", "u_disc", "u_law", "gap_disc", "gap_law",
-                       "flagged"])
+                       "flagged"], ("z_points", "r", "b_exponent", "c_cut"))
 def _potential(spec: ExperimentSpec, report: ExperimentReport) -> None:
     """Empirical truncated log-determinant average vs the two exact potentials.
 
@@ -342,7 +339,7 @@ def _potential(spec: ExperimentSpec, report: ExperimentReport) -> None:
 
 
 @_runner("MinSv", ["row", "n", "p_n", "z_re", "z_im", "threshold", "frequency", "trials",
-                   "s1_violation_freq"])
+                   "s1_violation_freq"], ("z_points", "thresholds", "n_values"))
 def _minsv(spec: ExperimentSpec, report: ExperimentReport) -> None:
     """min_sv_tail over the whole (n, z) grid, in one pool pass."""
     cases = [(cfg, z) for cfg in _ladder(spec) for z in spec.z_points]
@@ -355,7 +352,7 @@ def _minsv(spec: ExperimentSpec, report: ExperimentReport) -> None:
             )
 
 
-@_runner("MaxSv", ["row", "n", "p_n", "frequency", "trials"])
+@_runner("MaxSv", ["row", "n", "p_n", "frequency", "trials"], ("n_values",))
 def _maxsv(spec: ExperimentSpec, report: ExperimentReport) -> None:
     """Frequency of s_1 >= n sqrt(p_n) (no shift) at each n of the ladder.
 
@@ -395,7 +392,7 @@ def tail_eigenvalue_index(delta: float, n: int, q: float):
 
 
 @_runner("TailIndex", ["row", "n", "delta", "k1", "k1_effective", "clamped", "R", "q",
-                       "frequency", "trials"])
+                       "frequency", "trials"], ("q", "big_r"))
 def _tail_index(spec: ExperimentSpec, report: ExperimentReport) -> None:
     """Frequency of the k1-th largest eigenvalue modulus exceeding R, where
     k1 comes from tail_eigenvalue_index at the sv-law distance Delta_n
@@ -421,7 +418,7 @@ def _tail_index(spec: ExperimentSpec, report: ExperimentReport) -> None:
 def run_experiment(spec: ExperimentSpec) -> ExperimentReport:
     """Run the campaign of `spec.kind`: open its report, let its body fill it, time it."""
     start = time.perf_counter()
-    columns, body = _RUNNERS[spec.kind]
+    columns, _, body = _RUNNERS[spec.kind]
     report = ExperimentReport(list(columns), [], {
         "kind": spec.kind,
         "spec_hash": spec.hash(),

@@ -526,7 +526,7 @@ def eigenvalues(sample: MatrixSample, overwrite: bool = False) -> Spectrum:
     of `eigvals` on one BLAS thread, so they do not depend on OPENBLAS_NUM_THREADS.
 
     The sample is only read, unless `overwrite` is set and its entries are a
-    column-major float64 or complex128 array: then geev works in that buffer,
+    writeable column-major array: then geev works in that buffer,
     which holds no eigenvalue data afterwards, and the trial holds no second
     n x n matrix. Any other sample is copied column-major first, as `eigvals`
     copies it. The trace for the check below is taken before the solve.
@@ -543,20 +543,18 @@ def eigenvalues(sample: MatrixSample, overwrite: bool = False) -> Spectrum:
 
 
 def _eigvals(a: np.ndarray, overwrite: bool) -> np.ndarray:
-    """Eigenvalues of the square `a`, as complex128 in LAPACK's order; with
-    `overwrite`, a column-major float64 or complex128 `a` is the solve's buffer.
+    """Eigenvalues of a sample's entries `a`, as complex128 in LAPACK's order; with
+    `overwrite`, a writeable column-major `a` is the solve's buffer.
 
+    `a` is what `MatrixSample` guarantees: nonempty, square, float64 or complex128.
     dgeev/zgeev (jobvl = jobvr = 'N') run on OpenBLAS's serial kernels over the
     column-major layout numpy hands LAPACK, at the workspace size LAPACK asks
     for, as numpy's `eigvals` calls them; so the result has `eigvals`'s bits on
     one BLAS thread, and the GIL is free while it runs (`eigvals` keeps it for
     one matrix of n <= 500). As there, a real spectrum with no imaginary part
     other than 0 comes back with +0.0 imaginary parts. Without the library,
-    `eigvals` runs instead, and `a` is only read. A non-square `a` raises
-    DomainError before any pointer is passed.
+    `eigvals` runs instead, and `a` is only read.
     """
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise DomainError(f"eigenvalues need a square matrix, got shape {a.shape}")
     is_complex = np.iscomplexobj(a)
     geev = _lapack("zgeev" if is_complex else "dgeev")
     if geev is None:
@@ -567,17 +565,16 @@ def _eigvals(a: np.ndarray, overwrite: bool) -> np.ndarray:
     if not np.isfinite(a).all():
         raise NumericError("eigenvalue iteration failed: matrix has non-finite entries")
     n = len(a)
-    dtype = np.complex128 if is_complex else np.float64
-    in_place = overwrite and a.dtype == dtype and a.flags.f_contiguous and a.flags.writeable
-    f = a if in_place else np.array(a, dtype=dtype, order="F")
+    in_place = overwrite and a.flags.f_contiguous and a.flags.writeable
+    f = a if in_place else np.array(a, order="F")
     vals = np.zeros(n, np.complex128)
     wr, wi = np.empty(n), np.empty(n)
-    no_vectors = np.empty(1, dtype)
+    no_vectors = np.empty(1, a.dtype)
     # jobvl jobvr n a lda, the eigenvalues, vl ldvl vr ldvr (not referenced); rwork (z) last
-    head = (b"N", b"N", n, f, max(n, 1), *((vals,) if is_complex else (wr, wi)),
+    head = (b"N", b"N", n, f, n, *((vals,) if is_complex else (wr, wi)),
             no_vectors, 1, no_vectors, 1)
     tail = (np.empty(2 * n),) if is_complex else ()
-    _lapack_solve(geev, "eigenvalue iteration", head, (dtype,), tail)
+    _lapack_solve(geev, "eigenvalue iteration", head, (a.dtype,), tail)
     if not is_complex:
         vals.real = wr
         if wi.any():  # else +0.0, as `eigvals` drops an all-zero imaginary part

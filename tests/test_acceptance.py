@@ -167,7 +167,7 @@ def test_criterion_10_structural_oracles():
         for _ in range(100):
             n = int(rng.integers(2, 65))
             a = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-            m = MatrixSample.from_array(a / math.sqrt(n))
+            m = MatrixSample(a / math.sqrt(n))
             s = singular_values(m).values
             paired = np.sort(np.concatenate([-s, s[::-1]]))
             assert np.abs(np.sort(np.linalg.eigvalsh(hermitize(m))) - paired).max() <= 1e-8
@@ -175,7 +175,7 @@ def test_criterion_10_structural_oracles():
         for _ in range(20):
             n = int(rng.integers(2, 17))
             a = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-            m = MatrixSample.from_array(a / math.sqrt(n))
+            m = MatrixSample(a / math.sqrt(n))
             alpha = complex(rng.normal(), rng.uniform(0.1, 1.5))
             resolvent = np.linalg.inv(hermitize(m) - alpha * np.eye(2 * n))
             oracle = complex(np.trace(resolvent)) / (2 * n)

@@ -10,10 +10,12 @@ of the sha256 digests of tests/test_golden.py fail: the sampler's Gaussian
 matrices, the limit-law grid, the tabulation, and the SvLaw, Potential and
 TailIndex reports. Those digests pin bits on one dispatch path. This fence pins
 the values on every path: it hashes each float at 12 significant digits, in this
-process and in a child with the AVX-512 loops disabled, and both must give the
-recorded digest.
+process, in a child with the AVX-512 loops disabled and in one child per OpenBLAS
+core (OPENBLAS_CORETYPE set in the child's environment only), and each must give
+the recorded digest.
 """
 
+import ctypes
 import hashlib
 import os
 import subprocess
@@ -21,12 +23,15 @@ import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 import circulaw
+from circulaw import linalg
 from circulaw.experiments import run_experiment
 from circulaw.limit_theory import law_for_shift
 
 from test_golden import SPECS, golden_spec
+from test_parallel import _CORES, skip_unless_this_cpu_runs
 
 try:
     from numpy._core import _multiarray_umath as _umath
@@ -64,16 +69,26 @@ def log_bits() -> str:
     return hashlib.sha256(np.log(np.linspace(0.5, 2.0, 4096)).tobytes()).hexdigest()
 
 
+def core_name() -> str:
+    """The name of the core OpenBLAS runs on, or "-" without a bundled library."""
+    corename = linalg._symbol("openblas_get_corename64_")
+    if corename is None:
+        return "-"
+    corename.restype = ctypes.c_char_p
+    return corename().decode()
+
+
 _CHILD = """
 import sys
 sys.path.insert(0, sys.argv[1])
 import test_dispatch
-print(test_dispatch.twelve_digit_digest(), test_dispatch.log_bits())
+print(test_dispatch.twelve_digit_digest(), test_dispatch.log_bits(), test_dispatch.core_name())
 """
 
 
 def _child(**env):
-    """(twelve_digit_digest, log_bits) in a child process, with `env` on top of this one's."""
+    """(twelve_digit_digest, log_bits, core_name) in a child process, with `env` on top
+    of this one's."""
     env = dict(os.environ, PYTHONPATH=str(Path(circulaw.__file__).resolve().parents[1]), **env)
     done = subprocess.run([sys.executable, "-c", _CHILD, str(Path(__file__).parent)], env=env,
                           capture_output=True, text=True, timeout=300, check=True)
@@ -81,7 +96,15 @@ def _child(**env):
 
 
 def test_values_agree_at_twelve_digits_without_the_avx512_loops():
-    digest, bits = _child(NPY_DISABLE_CPU_FEATURES=" ".join(_AVX512))
+    digest, bits, _ = _child(NPY_DISABLE_CPU_FEATURES=" ".join(_AVX512))
     if "X86_V4" in _AVX512:  # the child ran other loops: np.log's bits moved
         assert bits != log_bits()
     assert (twelve_digit_digest(), digest) == (TWELVE_DIGIT_DIGEST, TWELVE_DIGIT_DIGEST)
+
+
+@pytest.mark.parametrize("core", sorted(_CORES))
+def test_values_agree_at_twelve_digits_on_each_openblas_core(core):
+    names = skip_unless_this_cpu_runs(core)
+    digest, _, name = _child(OPENBLAS_CORETYPE=core)
+    assert name.lower() in names
+    assert digest == TWELVE_DIGIT_DIGEST

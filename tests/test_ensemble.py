@@ -463,23 +463,37 @@ class TestLogMoment:
             log_moment_estimate(GAUSS, 10_000, eta=1.0, seed=3.7)
 
 
-class TestFromArray:
+class TestMatrixSample:
     @pytest.mark.parametrize("dtype, expected", [
         (np.complex64, np.complex128), (np.float32, np.float64), (np.int64, np.float64),
         (np.complex128, np.complex128)])
     def test_entries_are_double_precision(self, dtype, expected):
         a = (np.arange(9).reshape(3, 3) + (1j if np.dtype(dtype).kind == "c" else 0)).astype(dtype)
-        entries = MatrixSample.from_array(a).entries
+        entries = MatrixSample(a).entries
         assert entries.dtype == expected and np.array_equal(entries, a)
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_double_precision_entries_are_kept_without_a_copy(self, dtype, order):
+        a = np.ones((3, 3), dtype, order=order)
+        assert MatrixSample(a).entries is a
 
     def test_single_precision_input_gets_double_precision_spectra(self):
         rng_ = np.random.default_rng(4)
         a = (rng_.normal(size=(64, 64)) + 1j * rng_.normal(size=(64, 64))).astype(np.complex64)
-        got = singular_values(MatrixSample.from_array(a)).values
+        got = singular_values(MatrixSample(a)).values
         oracle = np.linalg.svd(a.astype(np.complex128), compute_uv=False)
         assert np.max(np.abs(got - oracle)) <= 1e-12 * oracle[0]
 
     @pytest.mark.parametrize("shape", [(0, 0), (2, 3), (4,), (2, 2, 2)])
     def test_empty_or_non_square_is_rejected(self, shape):
-        with pytest.raises(ConfigError):
-            MatrixSample.from_array(np.zeros(shape))
+        with pytest.raises(DomainError, match="nonempty square"):
+            MatrixSample(np.zeros(shape))
+
+    @pytest.mark.parametrize("a", [np.array([[1 + 1j]], dtype=object), np.array([["1.5"]])],
+                             ids=["object", "str"])
+    def test_non_numeric_entries_are_rejected(self, a):
+        # an object array of complex numbers raised float()'s TypeError, and a string
+        # array was parsed as numbers
+        with pytest.raises(DomainError, match="numeric"):
+            MatrixSample(a)

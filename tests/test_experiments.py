@@ -12,8 +12,7 @@ from circulaw import MatrixSample, invertibility, singular_values
 from circulaw.ensemble import sample_matrix, smoothing_stream
 from circulaw.experiments import (
     _JSON_KEY,
-    _READS,
-    KINDS,
+    _RUNNERS,
     ExperimentReport,
     ExperimentSpec,
     format_complex,
@@ -88,7 +87,7 @@ class TestSpec:
         for key, default, kinds in rows:
             f = optional[key]
             assert json.loads(default) == json.loads(json.dumps(f.default)), key
-            readers = ", ".join(k for k in KINDS if f.name in _READS[k])
+            readers = ", ".join(k for k, (_, reads, _) in _RUNNERS.items() if f.name in reads)
             assert kinds == ("every kind" if key == "out" else readers), key
 
     def test_unknown_fields_rejected(self):

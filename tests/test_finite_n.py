@@ -3,16 +3,19 @@
 Each test has a fixed seed and a gate fixed before the run; a 2 % scale bias in
 the entries (or A + 0.1 A^T for the real-eigenvalue count) fails each of them,
 except the smallest-singular-value law, which a 20 % bias fails: at 2000 trials a
-2 % bias moves its real law at x = 1 by 0.009, under one standard error.
+2 % bias moves its real law at x = 1 by 0.009, under one standard error. Kostlan's
+potential sees the 2 % bias at its shifts inside the unit disc (z-scores of -8 to -23),
+not at z = 1.3, where log|det| is n log|z| to leading order.
 """
 
 import math
 
 import numpy as np
 import pytest
-from scipy import special
+from scipy import integrate, special
 
 from circulaw import EnsembleConfig, EntryDistribution, eigenvalues, sample_matrix, shift
+from circulaw.experiments import ExperimentSpec, run_experiment
 from circulaw.invertibility import min_sv_tail
 from circulaw.linalg import certified_log_det
 from circulaw.spectral_measures import EmpiricalCDF, ks_distance
@@ -49,6 +52,37 @@ def test_goodman_log_determinant_of_complex_ginibre():
     z = (values.mean() - mean) / (sd / math.sqrt(trials))
     assert abs(z) <= 4.0, z
     assert abs(values.std(ddof=1) / sd - 1.0) <= 0.2
+
+
+def kostlan_potential(z: complex, n: int) -> float:
+    """U_n(z) = -(1/n) sum_k E log max(|z|, sqrt(G_k / n)), G_k ~ Gamma(k, 1): the mass of
+    G_k below n|z|^2 by `gammainc`, the tail's expected log by quadrature."""
+    r2 = abs(z) ** 2
+    total = 0.0
+    for k in range(1, n + 1):
+        def tail(t, k=k):
+            return 0.5 * math.log(t / n) * math.exp((k - 1) * math.log(t) - t - special.gammaln(k))
+
+        total += 0.5 * math.log(r2) * special.gammainc(k, n * r2)
+        total += integrate.quad(tail, n * r2, math.inf)[0]
+    return -total / n
+
+
+@pytest.mark.parametrize("n, trials, seed", [(32, 2000, 1), (16, 4000, 2)])
+def test_kostlan_potential_of_complex_ginibre(n, trials, seed):
+    # the moduli of complex Ginibre are Kostlan's set, and log|w - z| averages to
+    # log max(|w|, |z|) over the circle of w, so E (1/n) log|det(X / sqrt(n) - z)| is
+    # -kostlan_potential(z, n) at every n. The n -> infinity value u_disc is off by about
+    # 1/(4n) inside the disc, which these trial counts resolve
+    zs = (0.3, 0.8j, 1.3)
+    cfg = EnsembleConfig(n, 1.0, EntryDistribution("ComplexGaussian"), seed)
+    spec = ExperimentSpec(kind="Potential", ensemble=cfg, trials=trials, z_points=zs)
+    for z, row in zip(zs, run_experiment(spec).rows):
+        assert row["included"] == trials
+        score = (row["u_empirical"] - kostlan_potential(z, n)) / row["u_stderr"]
+        assert abs(score) <= 4.0, (z, score)
+        if abs(z) < 1:
+            assert abs(row["u_empirical"] - row["u_disc"]) > 4.0 * row["u_stderr"], z
 
 
 def test_edelman_kostlan_shub_real_eigenvalue_count():

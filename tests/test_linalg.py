@@ -34,10 +34,6 @@ GAUSS = EntryDistribution("RealGaussian")
 CGAUSS = EntryDistribution("ComplexGaussian")
 
 
-def from_array(a):
-    return MatrixSample.from_array(np.asarray(a))
-
-
 def draw_matrix(oracle_rng, shape, complex_):
     a = oracle_rng.normal(size=shape)
     return a + 1j * oracle_rng.normal(size=shape) if complex_ else a
@@ -77,17 +73,17 @@ def inject_info(monkeypatch, routine, value):
 
 class TestShift:
     def test_zero_shift_is_identity(self):
-        m = from_array(np.arange(9.0).reshape(3, 3))
+        m = MatrixSample(np.arange(9.0).reshape(3, 3))
         out = shift(m, 0.0)
         assert np.array_equal(out.entries, m.entries)
 
     def test_one_by_one(self):
-        out = shift(from_array([[5.0]]), 2.0 + 1.0j)
+        out = shift(MatrixSample([[5.0]]), 2.0 + 1.0j)
         assert out.entries[0, 0] == 3.0 - 1.0j
 
     def test_trace_identity_exact(self):
         # dyadic entries and shift keep the identity exact in floating point
-        m = from_array(np.full((4, 4), 0.5))
+        m = MatrixSample(np.full((4, 4), 0.5))
         out = shift(m, 0.25)
         assert np.trace(out.entries) == np.trace(m.entries) - 4 * 0.25
 
@@ -95,12 +91,12 @@ class TestShift:
     @pytest.mark.parametrize("x", [0, 0.3, -0.7 + 0.1j], ids=["x0", "x_real", "x_complex"])
     @pytest.mark.parametrize("z", [0, 1.1, 0.5 - 0.3j], ids=["z0", "z_real", "z_complex"])
     def test_shifts_in_turn_equal_shift_after_shift(self, oracle_rng, complex_, x, z):
-        m = from_array(draw_matrix(oracle_rng, (7, 7), complex_))
+        m = MatrixSample(draw_matrix(oracle_rng, (7, 7), complex_))
         once, twice = shift(m, x, z).entries, shift(shift(m, x), z).entries
         assert once.dtype == twice.dtype and once.tobytes() == twice.tobytes()
 
     def test_all_zero_shifts_return_the_sample(self):
-        m = from_array(np.arange(9.0).reshape(3, 3))
+        m = MatrixSample(np.arange(9.0).reshape(3, 3))
         assert shift(m) is m and shift(m, 0, 0j, -0.0) is m
 
     @pytest.mark.parametrize("r", [0.0, 0.25])
@@ -118,7 +114,7 @@ class TestShift:
 
 class TestHermitize:
     def test_one_by_one(self):
-        w = hermitize(from_array(np.array([[2.0 + 1.0j]])))
+        w = hermitize(MatrixSample(np.array([[2.0 + 1.0j]])))
         assert w.shape == (2, 2)
         assert w[0, 0] == 0 and w[1, 1] == 0
         assert w[0, 1] == 2.0 + 1.0j and w[1, 0] == 2.0 - 1.0j
@@ -126,19 +122,19 @@ class TestHermitize:
         assert eigs == pytest.approx([-abs(2 + 1j), abs(2 + 1j)])
 
     def test_frobenius_doubles(self):
-        m = from_array(np.arange(16.0).reshape(4, 4))
+        m = MatrixSample(np.arange(16.0).reshape(4, 4))
         w = hermitize(m)
         assert np.sum(np.abs(w) ** 2) == pytest.approx(2 * np.sum(np.abs(m.entries) ** 2), rel=1e-14)
 
     def test_zero_blocks(self):
-        m = from_array(np.ones((3, 3)))
+        m = MatrixSample(np.ones((3, 3)))
         w = hermitize(m)
         assert not w[:3, :3].any() and not w[3:, 3:].any()
 
     def test_eigenvalues_pair_with_singular_values(self, oracle_rng):
         for n in (2, 5, 17, 32):
             a = oracle_rng.normal(size=(n, n)) + 1j * oracle_rng.normal(size=(n, n))
-            m = from_array(a)
+            m = MatrixSample(a)
             s = singular_values(m).values
             paired = np.sort(np.concatenate([-s, s[::-1]]))
             w_eigs = np.sort(np.linalg.eigvalsh(hermitize(m)))
@@ -147,21 +143,21 @@ class TestHermitize:
 
 class TestSingularValues:
     def test_identity(self):
-        s = singular_values(from_array(np.eye(5))).values
+        s = singular_values(MatrixSample(np.eye(5))).values
         assert np.allclose(s, 1.0, atol=1e-12)
 
     def test_diag(self):
-        s = singular_values(from_array(np.diag([3.0, -4.0]))).values
+        s = singular_values(MatrixSample(np.diag([3.0, -4.0]))).values
         assert s == pytest.approx([4.0, 3.0])
 
     def test_sorted_descending_nonnegative(self, oracle_rng):
         a = oracle_rng.normal(size=(12, 12))
-        s = singular_values(from_array(a)).values
+        s = singular_values(MatrixSample(a)).values
         assert np.all(np.diff(s) <= 0) and np.all(s >= 0)
 
     def test_product_matches_determinant_oracle(self, oracle_rng):
         a = oracle_rng.normal(size=(8, 8))
-        s = singular_values(from_array(a)).values
+        s = singular_values(MatrixSample(a)).values
         det = abs(np.linalg.det(a))  # LU-based oracle
         assert np.prod(s) == pytest.approx(det, rel=1e-6)
 
@@ -169,14 +165,14 @@ class TestSingularValues:
         a = np.eye(3)
         a[1, 1] = np.nan
         with pytest.raises(NumericError):
-            singular_values(from_array(a))
+            singular_values(MatrixSample(a))
 
     @pytest.mark.parametrize("kernel", [singular_values, linalg.frobenius_norm])
     @pytest.mark.parametrize("entry", [1e160, 1e160 + 1e160j])
     def test_overflowing_norm_rejected(self, kernel, entry):
         a = np.full((4, 4), entry)  # finite entries whose squares overflow
         with pytest.raises(NumericError):
-            kernel(from_array(a))
+            kernel(MatrixSample(a))
 
     def test_frobenius_norm_bounds_s1_to_the_last_bit(self, oracle_rng):
         # at n = 1, complex, s_1 = |a| = ||A||_F, and the rounded norm can sit an ulp
@@ -186,7 +182,7 @@ class TestSingularValues:
         low = np.linalg.norm(a, axis=(1, 2)) < s1
         assert low.any()
         for m, top in zip(a[low], s1[low]):
-            assert linalg.frobenius_norm(from_array(m)) >= top
+            assert linalg.frobenius_norm(MatrixSample(m)) >= top
 
     def test_constructed_bottom_within_eps_of_s1(self, oracle_rng):
         # Gram squaring clips s^2 below eps s_1^2 to 0; the SVD fallback must not
@@ -195,7 +191,7 @@ class TestSingularValues:
         truth = np.concatenate([np.sort(oracle_rng.uniform(0.1, 2.0, n - 3))[::-1], bottom])
         u, _ = np.linalg.qr(oracle_rng.normal(size=(n, n)))
         v, _ = np.linalg.qr(oracle_rng.normal(size=(n, n)))
-        s = singular_values(from_array((u * truth) @ v.T)).values
+        s = singular_values(MatrixSample((u * truth) @ v.T)).values
         eps = np.finfo(float).eps
         assert np.all(np.abs(s[-3:] - bottom) <= 10 * eps * truth[0])
         assert abs(np.sum(np.log(s)) - np.sum(np.log(truth))) <= 1e-3
@@ -206,7 +202,7 @@ class TestSingularValues:
         truth = np.append(np.linspace(2.0, 1.0, n - 1), 2.0 * ratio)
         u, _ = np.linalg.qr(oracle_rng.normal(size=(n, n)))
         v, _ = np.linalg.qr(oracle_rng.normal(size=(n, n)))
-        return from_array((u * truth) @ v.T), truth
+        return MatrixSample((u * truth) @ v.T), truth
 
     def test_bottom_just_above_the_cutoff_keeps_the_gram_contract(self, oracle_rng):
         # the Gram path gets s_n to a relative error of about eps (s_1/s_n)^2 (5.5x at most
@@ -226,7 +222,7 @@ class TestSingularValues:
     def test_lapack_failure_raises_numeric_error(self, monkeypatch, oracle_rng):
         inject_info(monkeypatch, "dsyevd", 1)  # info > 0: the tridiagonal QR did not converge
         with pytest.raises(NumericError, match="did not converge"):
-            singular_values(from_array(oracle_rng.normal(size=(8, 8))))
+            singular_values(MatrixSample(oracle_rng.normal(size=(8, 8))))
 
     @pytest.mark.parametrize("kernel", ["svd", "eigvalsh"])
     def test_numpy_failure_raises_numeric_error(self, monkeypatch, kernel):
@@ -238,7 +234,7 @@ class TestSingularValues:
         monkeypatch.setattr(linalg, "openblas", lambda: None)
         a = np.diag([1.0, 0.0]) if kernel == "svd" else np.eye(3)  # s_n = 0 takes the SVD
         with pytest.raises(NumericError):
-            singular_values(from_array(a))
+            singular_values(MatrixSample(a))
 
     def test_fallback_ratio_matches_bench_mirror(self):
         # the benchmark's `refined` counter re-derives the fallback from this ratio
@@ -261,7 +257,7 @@ def constructed(oracle_rng, n, bottom, complex_=False):
         if complex_ else (lambda: oracle_rng.normal(size=(n, n)))
     u, _ = np.linalg.qr(draw())
     v, _ = np.linalg.qr(draw())
-    return from_array((u * truth) @ v.conj().T), truth
+    return MatrixSample((u * truth) @ v.conj().T), truth
 
 
 class TestThresholdsBelowSn:
@@ -281,10 +277,10 @@ class TestThresholdsBelowSn:
                 a = (u * truth) @ v.conj().T
                 s_n = np.linalg.svd(a, compute_uv=False)[-1]
                 assert np.searchsorted(thresholds, s_n) == count
-                assert linalg.thresholds_below_sn(from_array(a), thresholds) == count
+                assert linalg.thresholds_below_sn(MatrixSample(a), thresholds) == count
 
     def test_a_threshold_below_the_cutoff_goes_back_to_the_caller(self, oracle_rng):
-        a = from_array(draw_matrix(oracle_rng, (16, 16), False))
+        a = MatrixSample(draw_matrix(oracle_rng, (16, 16), False))
         cutoff = linalg._REFINE_RATIO * np.linalg.norm(a.entries)
         s_n = np.linalg.svd(a.entries, compute_uv=False)[-1]
         assert linalg.thresholds_below_sn(a, np.array([cutoff / 2])) is None
@@ -302,11 +298,11 @@ class TestThresholdsBelowSn:
             linalg.thresholds_below_sn(a, np.array(thresholds))
 
     def test_zero_matrix_has_every_threshold_at_or_above_s_n(self):
-        assert linalg.thresholds_below_sn(from_array(np.zeros((3, 3))), np.array([1e-300])) == 0
+        assert linalg.thresholds_below_sn(MatrixSample(np.zeros((3, 3))), np.array([1e-300])) == 0
 
     def test_non_finite_entries_raise(self):
         with pytest.raises(NumericError):
-            linalg.thresholds_below_sn(from_array(np.full((3, 3), np.nan)), np.array([0.1]))
+            linalg.thresholds_below_sn(MatrixSample(np.full((3, 3), np.nan)), np.array([0.1]))
 
     def test_without_the_library_cholesky_decides_the_same(self, monkeypatch):
         thresholds = np.geomspace(1e-4, 1.0, 9)
@@ -315,6 +311,18 @@ class TestThresholdsBelowSn:
         binding = [linalg.thresholds_below_sn(a, thresholds) for a in samples]
         monkeypatch.setattr(linalg, "openblas", lambda: None)
         assert [linalg.thresholds_below_sn(a, thresholds) for a in samples] == binding
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.complex64, np.int64])
+    def test_a_single_precision_or_integer_sample_counts_as_its_double_copy(self, dtype):
+        # unit-variance entries, so the int64 copy is not the zero matrix; without the
+        # constructor's cast potrf read a float32 or complex64 scratch as doubles and
+        # counted 0 of the 6, and an int64 sample raised numpy's casting error
+        a = (8.0 * sample_matrix(EnsembleConfig(64, 1.0, GAUSS, 3), 0).entries).astype(dtype)
+        thresholds = np.geomspace(1e-4, 1.0, 9)
+        double = MatrixSample(a.astype(np.result_type(dtype, np.float64)))
+        count = linalg.thresholds_below_sn(double, thresholds)
+        assert 0 < count < len(thresholds)
+        assert linalg.thresholds_below_sn(MatrixSample(a), thresholds) == count
 
 
 class TestCertifiedLogDet:
@@ -360,7 +368,7 @@ class TestCertifiedLogDet:
             assert det.lower <= s[-1] and s[0] <= det.upper
 
     def test_ceiling_not_cleared(self, oracle_rng):
-        a = from_array(oracle_rng.normal(size=(8, 8)))
+        a = MatrixSample(oracle_rng.normal(size=(8, 8)))
         fro = np.linalg.norm(a.entries)
         assert certified_log_det(a, 0.0, 0.99 * fro, 1, 0) is None
         upper = certified_log_det(a, 0.0, math.inf, 1, 0).upper  # fro, widened by its rounding
@@ -368,7 +376,7 @@ class TestCertifiedLogDet:
         assert certified_log_det(a, 0.0, upper, 1, 0) is not None
 
     def test_floor_not_cleared(self, oracle_rng):
-        a = from_array(oracle_rng.normal(size=(8, 8)))
+        a = MatrixSample(oracle_rng.normal(size=(8, 8)))
         s_n = np.linalg.svd(a.entries, compute_uv=False)[-1]
         assert certified_log_det(a, s_n, math.inf, 1, 0) is None
 
@@ -377,12 +385,12 @@ class TestCertifiedLogDet:
         a = np.eye(4, dtype=complex)
         a[2, 1] = bad
         with pytest.raises(NumericError):
-            certified_log_det(from_array(a), 0.0, math.inf, 1, 0)
+            certified_log_det(MatrixSample(a), 0.0, math.inf, 1, 0)
 
     def test_exactly_singular_is_not_certified(self):
         a = np.arange(16.0).reshape(4, 4)  # rank 2
         a[:, 0] = 0.0
-        assert certified_log_det(from_array(a), 0.0, math.inf, 1, 0) is None
+        assert certified_log_det(MatrixSample(a), 0.0, math.inf, 1, 0) is None
 
 
 SHIFT_PAIRS = {"zero": (0, 0), "real": (0.3, 1.1), "complex": (0.02 - 0.05j, 0.5 + 0.5j)}
@@ -615,7 +623,7 @@ class TestLapackCall:
 
     def test_illegal_argument_in_the_solve_raises(self, monkeypatch, oracle_rng):
         inject_info(monkeypatch, "zgetrs", -3)
-        a = from_array(draw_matrix(oracle_rng, (8, 8), True))
+        a = MatrixSample(draw_matrix(oracle_rng, (8, 8), True))
         with pytest.raises(NumericError, match="argument 3"):
             certified_log_det(a, 0.0, math.inf, 1, 0)
 
@@ -678,17 +686,17 @@ class TestGramEigensolve:
 
 class TestEigenvalues:
     def test_diagonal(self):
-        spec = eigenvalues(from_array(np.diag([1.0 + 0j, 1j, -2.0 + 0j])))
+        spec = eigenvalues(MatrixSample(np.diag([1.0 + 0j, 1j, -2.0 + 0j])))
         assert np.allclose(spec.values, sorted([-2.0 + 0j, 1j, 1.0 + 0j], key=lambda v: (v.real, v.imag)))
 
     def test_upper_triangular(self, oracle_rng):
         a = np.triu(oracle_rng.normal(size=(6, 6)))
-        got = np.sort(eigenvalues(from_array(a)).values.real)
+        got = np.sort(eigenvalues(MatrixSample(a)).values.real)
         assert np.abs(got - np.sort(np.diag(a))).max() < 1e-10
 
     def test_companion_cube_roots_of_unity(self):
         companion = np.array([[0.0, 0.0, 1.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
-        got = eigenvalues(from_array(companion)).values
+        got = eigenvalues(MatrixSample(companion)).values
         expected = np.array(sorted((np.exp(2j * np.pi * k / 3) for k in range(3)),
                                    key=lambda v: (v.real, v.imag)))
         assert np.abs(got - expected).max() < 1e-9
@@ -697,13 +705,13 @@ class TestEigenvalues:
         # independent residual check: each returned eigenvalue must make
         # X - lambda I nearly singular
         a = oracle_rng.normal(size=(24, 24))
-        norm = singular_values(from_array(a)).values[0]
-        for lam in eigenvalues(from_array(a)).values[:6]:
-            resid = singular_values(from_array(a - lam * np.eye(24))).values[-1]
+        norm = singular_values(MatrixSample(a)).values[0]
+        for lam in eigenvalues(MatrixSample(a)).values[:6]:
+            resid = singular_values(MatrixSample(a - lam * np.eye(24))).values[-1]
             assert resid <= 1e-6 * norm
 
     def test_sorted_by_re_im(self, oracle_rng):
-        vals = eigenvalues(from_array(oracle_rng.normal(size=(16, 16)))).values
+        vals = eigenvalues(MatrixSample(oracle_rng.normal(size=(16, 16)))).values
         keys = [(v.real, v.imag) for v in vals]
         assert keys == sorted(keys)
 
@@ -763,17 +771,12 @@ class TestEigenvalues:
         a = np.eye(4)
         a[1, 2] = bad
         with pytest.raises(NumericError, match="non-finite"):
-            eigenvalues(from_array(a))
-
-    @pytest.mark.parametrize("complex_", [False, True], ids=["real", "complex"])
-    def test_an_empty_sample_has_an_empty_spectrum_as_in_eigvals(self, complex_):
-        # LAPACK rejects lda = 0
-        empty = MatrixSample(np.zeros((0, 0), complex if complex_ else float))
-        assert eigenvalues(empty).values.shape == (0,)
+            eigenvalues(MatrixSample(a))
 
     @pytest.mark.parametrize("library", [True, False], ids=["geev", "eigvals"])
     def test_a_non_square_sample_is_rejected_before_lapack(self, monkeypatch, library):
-        # geev would read n x n entries from a buffer of n x m
+        # geev would read n x n entries from a buffer of n x m; the sample's own
+        # constructor refuses the shape, so no kernel sees it
         if not library:
             monkeypatch.setattr(linalg, "openblas", lambda: None)
         with pytest.raises(DomainError, match="square"):
@@ -782,19 +785,19 @@ class TestEigenvalues:
     def test_no_convergence_raises_numeric_error(self, monkeypatch, oracle_rng):
         inject_info(monkeypatch, "zgeev", 2)
         with pytest.raises(NumericError, match="did not converge"):
-            eigenvalues(from_array(draw_matrix(oracle_rng, (8, 8), True)))
+            eigenvalues(MatrixSample(draw_matrix(oracle_rng, (8, 8), True)))
 
     def test_illegal_argument_raises(self, monkeypatch, oracle_rng):
         inject_info(monkeypatch, "dgeev", -13)
         with pytest.raises(NumericError, match="argument 13"):
-            eigenvalues(from_array(oracle_rng.normal(size=(8, 8))))
+            eigenvalues(MatrixSample(oracle_rng.normal(size=(8, 8))))
 
 
 class TestSmallestSingularValue:
     def test_exactly_singular(self, oracle_rng):
         a = oracle_rng.normal(size=(6, 6))
         a[:, 3] = a[:, 1]
-        assert singular_values(from_array(a)).values[-1] <= 1e-10
+        assert singular_values(MatrixSample(a)).values[-1] <= 1e-10
 
     @pytest.mark.parametrize("complex_", [False, True], ids=["real", "complex"])
     def test_column_distances_bracket_s_n(self, oracle_rng, complex_):
@@ -806,21 +809,21 @@ class TestSmallestSingularValue:
             if near is not None:
                 a[:, 2] = a[:, 4] + near * draw_matrix(oracle_rng, n, complex_)
             dist = min(distance_to_other_columns(a, k) for k in range(n))
-            s_n = singular_values(from_array(a)).values[-1]
+            s_n = singular_values(MatrixSample(a)).values[-1]
             assert dist / math.sqrt(n) <= s_n * (1 + 1e-8) and s_n <= dist * (1 + 1e-8)
 
     @pytest.mark.parametrize("complex_", [False, True], ids=["real", "complex"])
     def test_orthonormal_columns_have_unit_spectrum(self, oracle_rng, complex_):
         q, _ = np.linalg.qr(draw_matrix(oracle_rng, (8, 8), complex_))
-        assert np.abs(singular_values(from_array(q)).values - 1.0).max() <= 1e-12
+        assert np.abs(singular_values(MatrixSample(q)).values - 1.0).max() <= 1e-12
 
     def test_tiny_diagonal(self):
-        got = singular_values(from_array(np.diag([1.0, 1e-12]))).values[-1]
+        got = singular_values(MatrixSample(np.diag([1.0, 1e-12]))).values[-1]
         assert abs(got - 1e-12) <= 1e-14
 
     def test_inverse_norm_oracle(self, oracle_rng):
         a = oracle_rng.normal(size=(16, 16))
-        got = singular_values(from_array(a)).values[-1]
+        got = singular_values(MatrixSample(a)).values[-1]
         oracle = 1.0 / np.linalg.norm(np.linalg.inv(a), 2)
         assert got == pytest.approx(oracle, rel=1e-6)
 
@@ -844,12 +847,12 @@ class TestSmallestSingularValue:
 
 class TestOperatorNorm:
     def test_identity(self):
-        assert singular_values(from_array(np.eye(4))).values[0] == pytest.approx(1.0, abs=1e-12)
+        assert singular_values(MatrixSample(np.eye(4))).values[0] == pytest.approx(1.0, abs=1e-12)
 
     def test_rank_one(self, oracle_rng):
         u = oracle_rng.normal(size=7)
         v = oracle_rng.normal(size=7)
-        got = singular_values(from_array(np.outer(u, v))).values[0]
+        got = singular_values(MatrixSample(np.outer(u, v))).values[0]
         assert got == pytest.approx(np.linalg.norm(u) * np.linalg.norm(v), rel=1e-10)
 
 
@@ -882,18 +885,18 @@ class TestInvariants:
         a = oracle_rng.normal(size=(n, n)) + 1j * oracle_rng.normal(size=(n, n))
         u, _ = np.linalg.qr(oracle_rng.normal(size=(n, n)) + 1j * oracle_rng.normal(size=(n, n)))
         v, _ = np.linalg.qr(oracle_rng.normal(size=(n, n)) + 1j * oracle_rng.normal(size=(n, n)))
-        s = singular_values(from_array(a)).values
-        s_rot = singular_values(from_array(u @ a @ v)).values
+        s = singular_values(MatrixSample(a)).values
+        s_rot = singular_values(MatrixSample(u @ a @ v)).values
         assert np.abs(s - s_rot).max() < 1e-8
 
     def test_log_determinant_consistency(self, oracle_rng):
         n = 24
         a = oracle_rng.normal(size=(n, n))
-        s = singular_values(from_array(a)).values
+        s = singular_values(MatrixSample(a)).values
         sign, logdet = np.linalg.slogdet(a)
         assert float(np.sum(np.log(s))) == pytest.approx(logdet, abs=1e-6 * n)
 
     def test_eigenvalue_sum_matches_trace(self, oracle_rng):
         a = oracle_rng.normal(size=(30, 30))
-        spec = eigenvalues(from_array(a))
+        spec = eigenvalues(MatrixSample(a))
         assert abs(spec.values.sum() - np.trace(a)) < 1e-6 * 30

@@ -97,7 +97,7 @@ class TestLabelRange:
 
     @pytest.mark.parametrize("draw", [
         lambda: smoothing_stream(EnsembleConfig(4, 1.0, EntryDistribution("RealGaussian"), 1), -1),
-        lambda: certified_log_det(MatrixSample.from_array(np.eye(4)), 0.0, math.inf, 1, -1),
+        lambda: certified_log_det(MatrixSample(np.eye(4)), 0.0, math.inf, 1, -1),
         lambda: log_moment_estimate(EntryDistribution("RealGaussian"), 10_000, 1.0, seed=-1),
     ], ids=["smoothing_stream", "certified_log_det", "log_moment_estimate"])
     def test_callers_reject_a_negative_label(self, draw):

@@ -91,6 +91,18 @@ def test_only_linalg_forms_blas_products():
     assert _modules_where(product) == {"linalg"}
 
 
+def test_every_input_type_checks_itself():
+    # each type a caller builds and hands on raises at construction, not in a kernel:
+    # a float32 MatrixSample reached potrf as a float32 buffer it read as doubles
+    checked = {(module, node.name) for module, tree in _TREES.items()
+               for node in tree.body if isinstance(node, ast.ClassDef)
+               for fn in node.body
+               if isinstance(fn, ast.FunctionDef) and fn.name == "__post_init__"}
+    assert {("ensemble", "EntryDistribution"), ("ensemble", "EnsembleConfig"),
+            ("ensemble", "MatrixSample"), ("experiments", "ExperimentSpec"),
+            ("spectral_measures", "EmpiricalCDF")} <= checked
+
+
 def _registries(tree):
     """Module-level names that a function fills or empties, and memoized functions."""
     top = {target.id for node in tree.body if isinstance(node, (ast.Assign, ast.AnnAssign))
