@@ -101,7 +101,7 @@ def _cmd_sample(args) -> int:
 
 
 def _cmd_esd(args) -> int:
-    sample = sample_matrix(_ensemble_from_args(args), args.trial, order="F")
+    sample = sample_matrix(_ensemble_from_args(args), args.trial)
     spectrum = eigenvalues(sample, overwrite=True)
     _emit(csv_text(["re", "im"], ((v.real, v.imag) for v in spectrum.values)), args.out)
     return 0
@@ -139,7 +139,7 @@ def _cmd_report(args) -> int:
 
 def plot_spectrum(csv_in, svg_out, overlay_unit_circle: bool = True) -> None:
     """Standalone deterministic SVG scatter with an optional unit-circle overlay."""
-    points = read_float_csv(csv_in, "re,im", OSError)
+    points = read_float_csv(csv_in, "re,im")
     size = 560
     center = size / 2.0
     scale = 200.0  # pixels per unit

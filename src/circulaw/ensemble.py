@@ -197,11 +197,11 @@ class MatrixSample:
     """One n x n matrix: a sample, possibly shifted on its diagonal by `linalg`.
 
     The constructor holds the contract every kernel assumes: the entries are a
-    nonempty square 2-D numeric array, else DomainError, cast to float64 or
-    complex128 (no copy when they already are one of those, so a column-major
-    sample stays column-major); it is frozen, so no later binding bypasses the
-    check. It holds only its entries; `sample_matrix(config, trial)` regenerates
-    a sample bit for bit, so no provenance is kept alongside.
+    nonempty square 2-D numeric array, else DomainError, cast to a column-major
+    float64 or complex128 array, the layout LAPACK reads: no copy if it is one,
+    one copy otherwise. It is frozen, so no later binding bypasses the check. It
+    holds only its entries; `sample_matrix(config, trial)` regenerates a sample
+    bit for bit, so no provenance is kept alongside.
     """
 
     entries: np.ndarray
@@ -211,7 +211,7 @@ class MatrixSample:
         if not (a.ndim == 2 and a.shape[0] == a.shape[1] > 0 and a.dtype.kind in "biufc"):
             raise DomainError(f"need a nonempty square numeric matrix, got {a.dtype} {a.shape}")
         dtype = np.complex128 if np.iscomplexobj(a) else np.float64
-        object.__setattr__(self, "entries", a.astype(dtype, copy=False))
+        object.__setattr__(self, "entries", np.asfortranarray(a, dtype=dtype))
 
     @property
     def n(self) -> int:
@@ -337,35 +337,31 @@ def mask_rows(seed, role, aux, rows: range, ncols, p_n) -> np.ndarray:
     return out
 
 
-def sample_matrix(config: EnsembleConfig, trial_index: int, order: str = "C") -> MatrixSample:
-    """Draw the n x n matrix (eps_jk X_jk / sqrt(n p_n)) for one trial, stored
-    row-major (`order` "C") or column-major ("F") with the same values.
+def sample_matrix(config: EnsembleConfig, trial_index: int) -> MatrixSample:
+    """Draw the n x n matrix (eps_jk X_jk / sqrt(n p_n)) for one trial, column-major.
 
     Bit-identical across repeated calls and across processes for the same
-    (config, trial_index). The grids come from the blocked kernel
-    (`rng.key_blocks`), which writes each block straight into its rows, or its
-    columns for "F" (so "F" costs what "C" costs), a ComplexGaussian block its
-    real and imaginary parts too, an atomic law's block its scaled constants. For
-    p_n < 1 the values are drawn only where the mask is set, BLOCK_KEYS kept
-    entries at a time; keys are positional, so the entries equal those of
-    the full value grid masked afterwards. A trial index outside [0, 2^64)
-    raises ConfigError: keys keep 64 bits of each label, so it would alias
-    another trial.
+    (config, trial_index). The grid comes from the blocked kernel
+    (`rng.key_blocks`), which writes each block straight into its columns, a
+    ComplexGaussian block its real and imaginary parts too, an atomic law's
+    block its scaled constants. For p_n < 1 the values are drawn only where
+    the mask is set, BLOCK_KEYS kept entries at a time; keys are positional,
+    so the entries equal those of the full value grid masked afterwards. A
+    trial index outside [0, 2^64) raises ConfigError: keys keep 64 bits of
+    each label, so it would alias another trial.
     """
     if not isinstance(config, EnsembleConfig):
         raise ConfigError("sample_matrix expects an EnsembleConfig")
     if not 0 <= _whole("trial_index", trial_index) <= rng.MASK64:
         raise ConfigError(f"trial index must be a 64-bit unsigned integer, got {trial_index}")
-    if order not in ("C", "F"):
-        raise ConfigError(f"sample order must be 'C' or 'F', got {order!r}")
     n, seed, dist = config.n, config.master_seed, config.dist
     dtype = np.complex128 if dist.is_complex else np.float64
     divisor = math.sqrt(n * config.p_n)
     if config.p_n == 1.0:
-        entries = np.empty((n, n), dtype, order=order)
+        entries = np.empty((n, n), dtype, order="F")
         return MatrixSample(_fill(dist, seed, rng.ROLE_VALUE, trial_index, range(n), entries,
                                   divisor))
-    entries = np.zeros((n, n), dtype, order=order)
+    entries = np.zeros((n, n), dtype, order="F")
     kept = np.flatnonzero(mask_rows(seed, rng.ROLE_MASK, trial_index, range(n), n, config.p_n))
     for start in range(0, len(kept), rng.BLOCK_KEYS):
         at = kept[start : start + rng.BLOCK_KEYS]

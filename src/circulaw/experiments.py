@@ -227,7 +227,7 @@ def _circular_law(spec: ExperimentSpec, report: ExperimentReport) -> None:
 
     def one_trial(cfg, t):
         try:
-            spectrum = eigenvalues(sample_matrix(cfg, t, order="F"), overwrite=True)
+            spectrum = eigenvalues(sample_matrix(cfg, t), overwrite=True)
         except NumericError:
             return None
         radial, angular = radial_angular_cdfs(spectrum)

@@ -9,8 +9,8 @@ of pitch eta/4 in the plane.
 
 `min_sv_tail` counts the s_n tail of every (n, z) case it is given in one
 pool pass; the MinSv campaign calls it once, with its whole grid. A trial
-takes no spectrum unless it must: the Frobenius bound certifies
-s_1 <= n sqrt(p_n), and `linalg.thresholds_below_sn` places s_n among the
+takes no spectrum unless it must: `linalg.thresholds_below_sn` certifies
+s_1 <= n sqrt(p_n) by the Frobenius bound and places s_n among the
 thresholds by Cholesky factorizations of the shifted Gram matrix. The s_1
 tail of MaxSv is counted in the MaxSv campaign body in `experiments`.
 """
@@ -27,7 +27,7 @@ from . import rng
 from .ensemble import EntryDistribution, draw_rows, mask_rows, sample_matrix
 from .ensemble import _whole
 from .errors import DomainError
-from .linalg import frobenius_norm, shift, singular_values, thresholds_below_sn, truncation_window
+from .linalg import shift, singular_values, thresholds_below_sn, truncation_window
 from .parallel import parallel_map
 from .textio import csv_text, write_text
 
@@ -192,10 +192,10 @@ def min_sv_tail(cases: Sequence[tuple], trials: int, thresholds: Sequence[float]
     of {s_n(z) <= t and s_1(z) <= n sqrt(p_n)} per threshold. Every trial of
     every case runs in one pool pass.
 
-    A trial reads no spectrum when it can: s_1 <= `frobenius_norm` certifies the
-    ceiling, and `thresholds_below_sn` counts the thresholds below s_n from one
+    A trial reads no spectrum when it can: `thresholds_below_sn` certifies the
+    ceiling from one rounded ||A||_F and counts the thresholds below s_n from one
     Cholesky factorization per tested threshold. It takes `singular_values`
-    instead when the screen cannot certify the ceiling, or when the search reaches
+    instead when that norm cannot certify the ceiling, or when the search reaches
     a threshold below the Gram path's cutoff; the counts are those of s_n from
     that spectrum, within the Gram eigensolve's contract.
     """
@@ -211,10 +211,9 @@ def min_sv_tail(cases: Sequence[tuple], trials: int, thresholds: Sequence[float]
     def one_trial(task):
         (config, z, ceiling), t = task
         a = shift(sample_matrix(config, t), z)
-        if frobenius_norm(a) <= ceiling:
-            below = thresholds_below_sn(a, thresholds)
-            if below is not None:
-                return below, True
+        below = thresholds_below_sn(a, thresholds, ceiling)
+        if below is not None:
+            return below, True
         s = singular_values(a).values
         return int(np.searchsorted(thresholds, s[-1])), bool(s[0] <= ceiling)
 

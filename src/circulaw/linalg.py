@@ -20,7 +20,8 @@ of inertia). `thresholds_below_sn` forms the Gram product once, as
 potrf of the same library per tested t, `cholesky` only without it. Its
 decision is the one the Gram spectrum would give: exact whenever |s_n/t - 1|
 exceeds about eps * (s_1 / t)^2. It does not decide at t < 1e-6 ||A||_F,
-where the Gram path would not either; the caller takes `singular_values`.
+where the Gram path would not either, nor when that norm, widened, cannot
+certify s_1 below the caller's ceiling; the caller takes `singular_values`.
 
 The log-potential needs only sum_j log s_j = log|det A| and the knowledge
 that s_n and s_1 lie in a truncation window. `certified_log_det` takes the
@@ -58,26 +59,23 @@ Gram eigensolve. Where numpy ships no OpenBLAS of its own (wheels on
 Accelerate, conda and distro builds), numpy's `eigvalsh`, `eigvals`,
 `slogdet` and `solve` run instead.
 
-Who owns which buffer. The caller's sample is only read, by every kernel,
-with one exception the caller asks for: `eigenvalues(sample, overwrite=True)`
-on a column-major sample (`sample_matrix(..., order="F")`) runs geev in the
+Who owns which buffer. Every `MatrixSample` is column-major, the layout
+LAPACK reads, and `shift` keeps it so. The caller's sample is only read, by
+every kernel, with one exception the caller asks for:
+`eigenvalues(sample, overwrite=True)` on a writeable sample runs geev in the
 sample's own buffer, so an eigenvalue trial holds one n x n matrix, not the
-sample and its column-major copy; the sample is then spent.
+sample and its copy; the sample is then spent.
 The shifted matrix of a certificate is made in a scratch buffer, one per
 thread, that only this module keeps (`_scratch_matrix`), and its LU
 overwrites it there; so is each shifted Gram matrix of `thresholds_below_sn`,
 and its Cholesky factor. The scratch lives exactly as long as the outermost
 `single_threaded_blas` hold: inside `parallel_map`, whose hold spans the
 pool, each worker forms and factors all of its trials in one buffer, and a
-direct `certified_log_det` call frees its buffer when it returns. A fresh
-column-major copy per trial (4 MB, complex, at n = 512) was handed back to
-the kernel by glibc with the trial's sample and shift, and faulted in again
-by the next trial: a Potential campaign at n = 512, theta = 0.5 took ~151k
-minor page faults and a sixth of its CPU time in the kernel, against ~15k
-with the scratch. Forming the shift there as well, instead of in a complex
-copy of its own, leaves a trial one real sample and the scratch (two n x n
-arrays where there were three). `singular_values` owns its Gram product,
-and `_eigvalsh` solves a real one in place.
+direct `certified_log_det` call frees its buffer when it returns. (A fresh
+copy per trial, faulted in again by the next, cost a Potential campaign at
+n = 512 ~151k minor page faults, against ~15k with the scratch.) A shifted
+certificate's trial holds one sample and the scratch. `singular_values` owns
+its Gram product, and `_eigvalsh` solves a real one in place.
 """
 
 from __future__ import annotations
@@ -261,12 +259,17 @@ def _rounded_norm(a: np.ndarray) -> float:
     return fro
 
 
+def _s1_bound(fro: float, n: int) -> float:
+    """s_1 <= ||A||_F <= `fro` (1 + (n^2 + 1) eps) for the rounded norm `fro` of an
+    n x n A: 2n^2 squares and a root round it down by at most (n^2 + 1) eps / 2."""
+    return fro * (1.0 + (n * n + 1) * _EPS)
+
+
 @single_threaded_blas()
 def frobenius_norm(sample: MatrixSample) -> float:
-    """An upper bound on s_1: ||A||_F widened by its rounding, since a sum of
-    2n^2 squares and its root round ||A||_F down by at most (n^2 + 1) eps / 2.
+    """An upper bound on s_1: ||A||_F widened by its rounding (`_s1_bound`).
     Non-finite entries, or finite ones whose norm overflows, raise NumericError."""
-    return _rounded_norm(sample.entries) * (1.0 + (sample.n * sample.n + 1) * _EPS)
+    return _s1_bound(_rounded_norm(sample.entries), sample.n)
 
 
 @single_threaded_blas()
@@ -393,7 +396,7 @@ def shift(sample: MatrixSample, *shifts: complex) -> MatrixSample:
     shifts, dtype = _shift_plan(sample.entries, shifts)
     if not shifts:
         return sample
-    entries = np.empty(sample.entries.shape, dtype)
+    entries = np.empty_like(sample.entries, dtype=dtype)  # column-major, as the sample
     _subtract_diagonal(entries, sample.entries, shifts)
     return MatrixSample(entries)
 
@@ -439,11 +442,14 @@ def singular_values(sample: MatrixSample) -> Spectrum:
 
 
 @single_threaded_blas()
-def thresholds_below_sn(sample: MatrixSample, thresholds: np.ndarray) -> Optional[int]:
+def thresholds_below_sn(sample: MatrixSample, thresholds: np.ndarray,
+                        ceiling: float) -> Optional[int]:
     """How many of the ascending `thresholds` lie below s_n, decided without a
-    spectrum; None if the search must test a t below 1e-6 ||A||_F, where the Gram
-    path cannot decide and the caller takes `singular_values`. A NaN threshold, or
-    one below its predecessor, raises DomainError; equal neighbours are legal.
+    spectrum; None, for the caller to take `singular_values`, if the bound on s_1
+    of `frobenius_norm` exceeds `ceiling` or the search must test a t below
+    1e-6 ||A||_F, where the Gram path cannot decide: one rounded norm serves
+    both. A NaN threshold, or one below its predecessor, raises DomainError;
+    equal neighbours are legal.
 
     By Sylvester's law of inertia, s_n > t exactly when G - t^2 I is positive
     definite, with G = A A^* formed once, as `singular_values` forms it. A binary
@@ -459,13 +465,15 @@ def thresholds_below_sn(sample: MatrixSample, thresholds: np.ndarray) -> Optiona
     if np.isnan(thresholds).any() or np.any(thresholds[1:] < thresholds[:-1]):
         raise DomainError("thresholds must be ascending and not NaN")
     a = sample.entries
-    cutoff = _REFINE_RATIO * _rounded_norm(a)
+    fro = _rounded_norm(a)
+    if not _s1_bound(fro, sample.n) <= ceiling:
+        return None
     g = a @ a.conj().T
     lo, hi = 0, len(thresholds)
     while lo < hi:
         mid = (lo + hi) // 2
         t = float(thresholds[mid])
-        if t < cutoff:
+        if t < _REFINE_RATIO * fro:
             return None
         if _definite(g, t * t):
             lo = mid + 1
@@ -525,11 +533,11 @@ def eigenvalues(sample: MatrixSample, overwrite: bool = False) -> Spectrum:
     """All eigenvalues, sorted by (Re, Im) for reproducible reports, with the bits
     of `eigvals` on one BLAS thread, so they do not depend on OPENBLAS_NUM_THREADS.
 
-    The sample is only read, unless `overwrite` is set and its entries are a
-    writeable column-major array: then geev works in that buffer,
-    which holds no eigenvalue data afterwards, and the trial holds no second
-    n x n matrix. Any other sample is copied column-major first, as `eigvals`
-    copies it. The trace for the check below is taken before the solve.
+    The sample is only read, unless `overwrite` is set and its entries are
+    writeable: then geev works in that column-major buffer, which holds no
+    eigenvalue data afterwards, and the trial holds no second n x n matrix.
+    Otherwise the sample is copied first, as `eigvals` copies it. The trace for
+    the check below is taken before the solve.
     Non-finite entries, an iteration that does not converge and a spectrum
     whose sum is not the trace raise NumericError."""
     a = sample.entries
@@ -544,9 +552,9 @@ def eigenvalues(sample: MatrixSample, overwrite: bool = False) -> Spectrum:
 
 def _eigvals(a: np.ndarray, overwrite: bool) -> np.ndarray:
     """Eigenvalues of a sample's entries `a`, as complex128 in LAPACK's order; with
-    `overwrite`, a writeable column-major `a` is the solve's buffer.
+    `overwrite`, a writeable `a` is the solve's buffer.
 
-    `a` is what `MatrixSample` guarantees: nonempty, square, float64 or complex128.
+    `a` is a `MatrixSample`'s: nonempty, square, column-major, float64 or complex128.
     dgeev/zgeev (jobvl = jobvr = 'N') run on OpenBLAS's serial kernels over the
     column-major layout numpy hands LAPACK, at the workspace size LAPACK asks
     for, as numpy's `eigvals` calls them; so the result has `eigvals`'s bits on
@@ -565,8 +573,7 @@ def _eigvals(a: np.ndarray, overwrite: bool) -> np.ndarray:
     if not np.isfinite(a).all():
         raise NumericError("eigenvalue iteration failed: matrix has non-finite entries")
     n = len(a)
-    in_place = overwrite and a.flags.f_contiguous and a.flags.writeable
-    f = a if in_place else np.array(a, order="F")
+    f = a if overwrite and a.flags.writeable else np.array(a, order="F")
     vals = np.zeros(n, np.complex128)
     wr, wi = np.empty(n), np.empty(n)
     no_vectors = np.empty(1, a.dtype)

@@ -18,21 +18,22 @@ import numpy as np
 
 from .errors import DomainError, EstimationError
 from .linalg import LogDeterminant, Spectrum, truncation_window
-from .textio import csv_text, read_float_csv, write_text
+from .textio import csv_text, write_text
 
 _MASS_TOL = 1e-12  # how far rounding may take a total mass off 1, or a CDF value outside [0, 1]
 
 
-@dataclass
+@dataclass(frozen=True)
 class EmpiricalCDF:
-    """Atoms (sorted ascending, duplicates merged) with weights summing to 1."""
+    """Atoms (sorted ascending, duplicates merged) with weights summing to 1; frozen, so
+    no later binding of `xs` or `ws` leaves `_cum`, P[X < xs[i]] at i, stale."""
 
     xs: np.ndarray
     ws: np.ndarray
 
     def __post_init__(self):
-        self.xs = np.asarray(self.xs, dtype=np.float64)
-        self.ws = np.asarray(self.ws, dtype=np.float64)
+        object.__setattr__(self, "xs", np.asarray(self.xs, dtype=np.float64))
+        object.__setattr__(self, "ws", np.asarray(self.ws, dtype=np.float64))
         if self.xs.ndim != 1 or self.xs.shape != self.ws.shape or len(self.xs) == 0:
             raise DomainError("need matching nonempty atom and weight vectors")
         if not np.all(np.isfinite(self.xs)):
@@ -43,7 +44,7 @@ class EmpiricalCDF:
             raise DomainError("weights must be positive")
         if abs(float(self.ws.sum()) - 1.0) > _MASS_TOL:
             raise DomainError("weights must sum to 1")
-        self._cum = np.concatenate(([0.0], np.cumsum(self.ws)))  # P[X < xs[i]] at i
+        object.__setattr__(self, "_cum", np.concatenate(([0.0], np.cumsum(self.ws))))
 
     @classmethod
     def from_values(cls, values) -> "EmpiricalCDF":
@@ -70,11 +71,6 @@ class EmpiricalCDF:
 
     def to_csv(self, path) -> None:
         write_text(path, csv_text(["x", "weight"], zip(self.xs, self.ws)))
-
-    @classmethod
-    def from_csv(cls, path) -> "EmpiricalCDF":
-        rows = read_float_csv(path, "x,weight", DomainError)
-        return cls(np.array([x for x, _ in rows]), np.array([w for _, w in rows]))
 
 
 @dataclass

@@ -65,24 +65,24 @@ def read_text(path) -> str:
         raise OSError(f"cannot read {path}: {exc}") from exc
 
 
-def read_float_csv(path, header: str, error) -> list:
+def read_float_csv(path, header: str) -> list:
     """The rows of a CSV with the header line `header`, each a tuple of finite floats.
     Blank lines are skipped but keep their numbers; a bad header or row, a nan or
-    inf field among them, raises `error` naming the path and the line."""
+    inf field among them, raises OSError naming the path and the line."""
     lines = [(lineno, ln.strip()) for lineno, ln in enumerate(read_text(path).split("\n"), 1)
              if ln.strip()]
     if not lines or lines[0][1].lower() != header:
-        raise error(f"{path}: line {lines[0][0] if lines else 1}: expected header {header!r}")
+        raise OSError(f"{path}: line {lines[0][0] if lines else 1}: expected header {header!r}")
     width, rows = header.count(",") + 1, []
     for lineno, ln in lines[1:]:
         fields = ln.split(",")
         if len(fields) != width:
-            raise error(f"{path}: line {lineno}: expected {width} comma-separated fields")
+            raise OSError(f"{path}: line {lineno}: expected {width} comma-separated fields")
         try:
             row = tuple(map(float, fields))
         except ValueError:
-            raise error(f"{path}: line {lineno}: cannot parse {ln!r}") from None
+            raise OSError(f"{path}: line {lineno}: cannot parse {ln!r}") from None
         if not all(map(math.isfinite, row)):
-            raise error(f"{path}: line {lineno}: non-finite field in {ln!r}")
+            raise OSError(f"{path}: line {lineno}: non-finite field in {ln!r}")
         rows.append(row)
     return rows

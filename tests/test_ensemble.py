@@ -152,6 +152,16 @@ class TestConfig:
             EnsembleConfig.from_json_dict(d2)
 
 
+def _row_major_reference(cfg, trial):
+    """A trial's sample drawn another way: the value grid by rows, scaled, then
+    masked for p_n < 1."""
+    n, seed = cfg.n, cfg.master_seed
+    rows = draw_rows(cfg.dist, seed, rng.ROLE_VALUE, trial, range(n), n) / math.sqrt(n * cfg.p_n)
+    if cfg.p_n == 1.0:
+        return rows
+    return np.where(mask_rows(seed, rng.ROLE_MASK, trial, range(n), n, cfg.p_n), rows, 0.0)
+
+
 class TestSampleMatrix:
     def test_dense_rademacher_deterministic(self):
         cfg = EnsembleConfig(4, 1.0, RADEMACHER, 7)
@@ -177,15 +187,16 @@ class TestSampleMatrix:
         n = 300  # three row blocks
         cfg = (EnsembleConfig(n, 1.0, dist, 4) if theta is None
                else EnsembleConfig.from_theta(n, theta, dist, 4))
-        rows = sample_matrix(cfg, 2).entries
-        cols = sample_matrix(cfg, 2, order="F").entries
+        rows = _row_major_reference(cfg, 2)
+        cols = sample_matrix(cfg, 2).entries
         assert rows.flags.c_contiguous and cols.flags.f_contiguous
         assert cols.dtype == rows.dtype and np.ascontiguousarray(cols).tobytes() == rows.tobytes()
 
     @pytest.mark.parametrize("theta", [None, 0.5], ids=["dense", "theta=0.5"])
     @pytest.mark.parametrize("dist", ALL_DISTS, ids=lambda d: d.tag)
     def test_column_major_sample_fills_by_column_blocks(self, dist, theta, monkeypatch):
-        # n = 256 is two blocks of 2^15 keys: 128 rows each for "C", 128 columns for "F"
+        # n = 256 is two blocks of 2^15 keys: 128 columns each for the sample, 128 rows
+        # for the reference
         n, walks = 256, []
         key_blocks = rng.key_blocks
 
@@ -196,15 +207,12 @@ class TestSampleMatrix:
         monkeypatch.setattr(rng, "key_blocks", watched)
         cfg = (EnsembleConfig(n, 1.0, dist, 6) if theta is None
                else EnsembleConfig.from_theta(n, theta, dist, 6))
-        rows = sample_matrix(cfg, 1).entries
-        cols = sample_matrix(cfg, 1, order="F").entries
+        cols = sample_matrix(cfg, 1).entries
+        rows = _row_major_reference(cfg, 1)
         assert cols.flags.f_contiguous and np.ascontiguousarray(cols).tobytes() == rows.tobytes()
-        # the dense value grid is walked by columns for "F"; the sparse mask always by rows
-        assert walks == ([False, True] if theta is None else [False, False])
-
-    def test_an_unknown_order_is_rejected(self):
-        with pytest.raises(ConfigError, match="order"):
-            sample_matrix(EnsembleConfig(2, 1.0, GAUSS, 1), 0, order="K")
+        # the dense value grid is walked by columns, the sparse mask by rows (the
+        # sparse values are keyed at their positions), then the reference by rows
+        assert walks == ([True, False] if theta is None else [False, False, False])
 
     def test_a_non_config_is_rejected(self):
         with pytest.raises(ConfigError, match="expects an EnsembleConfig"):
@@ -475,8 +483,13 @@ class TestMatrixSample:
     @pytest.mark.parametrize("dtype", [np.float64, np.complex128])
     @pytest.mark.parametrize("order", ["C", "F"])
     def test_double_precision_entries_are_kept_without_a_copy(self, dtype, order):
-        a = np.ones((3, 3), dtype, order=order)
-        assert MatrixSample(a).entries is a
+        # column-major double entries are the sample's own; a row-major array is
+        # copied once, column-major, and left as it was
+        a = np.array(np.arange(9).reshape(3, 3), dtype, order=order)
+        before = a.tobytes(order="A")
+        entries = MatrixSample(a).entries
+        assert entries.flags.f_contiguous and np.array_equal(entries, a)
+        assert (entries is a) == (order == "F") and a.tobytes(order="A") == before
 
     def test_single_precision_input_gets_double_precision_spectra(self):
         rng_ = np.random.default_rng(4)

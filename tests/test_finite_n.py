@@ -1,11 +1,12 @@
 """Exact finite-n laws of random matrices against the lab's own sampler and kernels.
 
 Each test has a fixed seed and a gate fixed before the run; a 2 % scale bias in
-the entries (or A + 0.1 A^T for the real-eigenvalue count) fails each of them,
-except the smallest-singular-value law, which a 20 % bias fails: at 2000 trials a
-2 % bias moves its real law at x = 1 by 0.009, under one standard error. Kostlan's
-potential sees the 2 % bias at its shifts inside the unit disc (z-scores of -8 to -23),
-not at z = 1.3, where log|det| is n log|z| to leading order.
+the entries (or A + 0.1 A^T for the real-eigenvalue count and the angles, which no
+scale moves) fails each of them, except the smallest-singular-value law, which a
+20 % bias fails: at 2000 trials a 2 % bias moves its real law at x = 1 by 0.009,
+under one standard error. Kostlan's potential sees the 2 % bias at its shifts inside
+the unit disc (z-scores of -8 to -23), not at z = 1.3, where log|det| is n log|z| to
+leading order.
 """
 
 import math
@@ -17,8 +18,8 @@ from scipy import integrate, special
 from circulaw import EnsembleConfig, EntryDistribution, eigenvalues, sample_matrix, shift
 from circulaw.experiments import ExperimentSpec, run_experiment
 from circulaw.invertibility import min_sv_tail
-from circulaw.linalg import certified_log_det
-from circulaw.spectral_measures import EmpiricalCDF, ks_distance
+from circulaw.linalg import Spectrum, certified_log_det
+from circulaw.spectral_measures import EmpiricalCDF, ks_distance, radial_angular_cdfs
 
 
 def _samples(tag, n, trials, seed=1):
@@ -85,16 +86,80 @@ def test_kostlan_potential_of_complex_ginibre(n, trials, seed):
             assert abs(row["u_empirical"] - row["u_disc"]) > 4.0 * row["u_stderr"], z
 
 
+def expected_real_count(n: int) -> float:
+    """E_n = 1/2 + sqrt(2) 2F1(1, -1/2; n; 1/2) / B(n, 1/2), the mean number of real
+    eigenvalues of an n x n real Ginibre matrix (Edelman, Kostlan & Shub 1994)."""
+    return 0.5 + math.sqrt(2.0) * special.hyp2f1(1.0, -0.5, n, 0.5) / special.beta(n, 0.5)
+
+
 def test_edelman_kostlan_shub_real_eigenvalue_count():
-    # a real Ginibre matrix has E_n = 1/2 + sqrt(2) 2F1(1, -1/2; n; 1/2) / B(n, 1/2)
-    # real eigenvalues on average (Edelman, Kostlan & Shub 1994); LAPACK returns
-    # them with an imaginary part of exactly 0
+    # LAPACK returns the real eigenvalues with an imaginary part of exactly 0
     n, trials = 64, 200
     counts = np.array([np.count_nonzero(eigenvalues(s).values.imag == 0)
                        for s in _samples("RealGaussian", n, trials)])
-    expected = 0.5 + math.sqrt(2.0) * special.hyp2f1(1.0, -0.5, n, 0.5) / special.beta(n, 0.5)
-    z = (counts.mean() - expected) / (counts.std(ddof=1) / math.sqrt(trials))
+    z = (counts.mean() - expected_real_count(n)) / (counts.std(ddof=1) / math.sqrt(trials))
     assert abs(z) <= 4.0, z
+
+
+def real_ginibre_angle_law(n: int, points: int = 2001):
+    """The finite-n law of arg(lambda) / 2pi in [0, 1), as `radial_angular_cdfs` has
+    it, of an eigenvalue of an n x n real Ginibre matrix: cdf(x, side) is its value
+    at x ("right") or its left limit ("left").
+
+    A non-real eigenvalue x + iy, y > 0, of unscaled N(0, 1) entries has the density
+    rho_n = sqrt(2/pi) y erfcx(sqrt(2) y) gammaincc(n - 1, x^2 + y^2) (Edelman 1997,
+    "The probability that a random real Gaussian matrix has k real eigenvalues,
+    related distributions, and the circular law"); angles do not depend on the scale.
+    The real ones put atoms of E_n / 2n at 0 and 1/2, and the angle theta in (0, pi)
+    has the density (1/n) int_0^inf rho_n(r cos theta, r sin theta) r dr, mirrored on
+    (pi, 2 pi): trapezoids in r and then, cumulated, in theta on a `points` grid.
+    """
+    atom = expected_real_count(n) / (2 * n)
+    theta = np.linspace(0.0, math.pi, points)
+    r = np.linspace(0.0, math.sqrt(n) + 12.0, 4001)  # gammaincc is below 1e-40 beyond
+    y = r * np.sin(theta)[:, None]
+    rho = (math.sqrt(2.0 / math.pi) * y * special.erfcx(math.sqrt(2.0) * y)
+           * special.gammaincc(n - 1, r * r))
+    density = integrate.trapezoid(rho * r, r, axis=1) / n
+    upper = integrate.cumulative_trapezoid(density, theta, initial=0.0)
+    half, u = upper[-1], theta / (2.0 * math.pi)
+    # the discretized law misses its total mass by 2e-6 at n = 64
+    assert abs(2.0 * (atom + half) - 1.0) <= 1e-5
+
+    def cdf(x, side):
+        x = np.asarray(x, dtype=np.float64)
+        past = np.greater_equal if side == "right" else np.greater
+        smooth = np.where(x <= 0.5, np.interp(x, u, upper), 2.0 * half - np.interp(1.0 - x, u, upper))
+        return atom * (past(x, 0.0).astype(np.float64) + past(x, 0.5)) + smooth
+
+    return cdf
+
+
+def _ks_with_atoms(f: EmpiricalCDF, cdf) -> float:
+    """sup |F - G| for a G with atoms at 0 and 1/2: between the atoms of both, F is
+    flat and G continuous, so both are compared at those points and their left limits
+    (`ks_distance` assumes a continuous G)."""
+    at = np.union1d(f.xs, [0.0, 0.5])
+    return float(max(np.abs(f.evaluate(at) - cdf(at, "right")).max(),
+                     np.abs(f.evaluate_left(at) - cdf(at, "left")).max()))
+
+
+def test_edelman_angles_of_real_ginibre():
+    # at n = 64 and 200 trials the angles read 0.0036 against the finite-n law and 0.0535
+    # against the uniform law; complex Ginibre's angles, uniform with no atom on the real
+    # axis, read 0.0535 against the finite-n law, and A + 0.1 A^T 0.038
+    n, trials = 64, 200
+    law = real_ginibre_angle_law(n)
+    gate = 1.0 / math.sqrt(n * trials)
+
+    def angles(tag):
+        spectra = [eigenvalues(s).values for s in _samples(tag, n, trials, seed=3)]
+        return radial_angular_cdfs(Spectrum(np.concatenate(spectra)))[1]
+
+    real = angles("RealGaussian")
+    assert _ks_with_atoms(real, law) <= 2.0 * gate
+    assert _ks_with_atoms(real, lambda x, side: x) >= 4.0 * gate
+    assert _ks_with_atoms(angles("ComplexGaussian"), law) > 2.0 * gate
 
 
 @pytest.mark.parametrize(

@@ -411,6 +411,19 @@ class TestMinSvTail:
         assert len(calls) == 100
         assert table.s1_violation_frequency == 1.0 and table.frequencies[0] == 0.0
 
+    def test_a_campaign_takes_one_norm_per_trial(self, monkeypatch):
+        # the ceiling screen and the Gram path's cutoff share one rounded ||A||_F; a
+        # separate frobenius_norm screen took a second
+        from circulaw import linalg
+        from circulaw.experiments import ExperimentSpec, run_experiment
+
+        norms, rounded = [], linalg._rounded_norm
+        monkeypatch.setattr(linalg, "_rounded_norm", lambda a: norms.append(a.shape) or rounded(a))
+        spec = ExperimentSpec(kind="MinSv", ensemble=EnsembleConfig(16, 1.0, GAUSS, 5), trials=50,
+                              z_points=(0j,), thresholds=(1e-3, 1e-2))
+        run_experiment(spec)
+        assert norms == [(16, 16)] * 50
+
     def test_a_grid_is_one_pass_of_the_tables_of_its_cases(self, monkeypatch):
         cases = [(EnsembleConfig(8, 1.0, RADEMACHER, 14), 0j),
                  (EnsembleConfig(8, 1.0, RADEMACHER, 14), 0.5 + 0j),

@@ -328,19 +328,32 @@ class TestMoments:
     # circular element c, whose first two moments are 1 + |z|^2 and 2 + 4|z|^2 + |z|^4
     # (Bai & Silverstein, "Spectral Analysis of Large Dimensional Random Matrices"); the
     # symmetrized density puts half of it on [x2 or 0, x1]. Tolerance 1e-10, fixed in advance
+    @staticmethod
+    def _moment(law, k):
+        value, _ = integrate.quad(lambda x: x ** (2 * k) * float(law.density(x)),
+                                  law.x2 or 0.0, law.x1, epsabs=1e-13, epsrel=1e-13, limit=200)
+        return 2.0 * value
+
     @pytest.mark.parametrize("z", [0j, 0.5, 1.0, 1.5 + 0.5j, 0.99, 1.01])
     def test_first_two_moments_by_quadrature(self, z):
         law = LimitLaw.for_shift(z)
         t = abs(z) ** 2
+        assert abs(self._moment(law, 1) - (1.0 + t)) <= 1e-10
+        assert abs(self._moment(law, 2) - (2.0 + 4.0 * t + t * t)) <= 1e-10
 
-        def moment(k):
-            value, _ = integrate.quad(lambda x: x ** (2 * k) * float(law.density(x)),
-                                      law.x2 or 0.0, law.x1, epsabs=1e-13, epsrel=1e-13,
-                                      limit=200)
-            return 2.0 * value
-
-        assert abs(moment(1) - (1.0 + t)) <= 1e-10
-        assert abs(moment(2) - (2.0 + 4.0 * t + t * t)) <= 1e-10
+    @pytest.mark.parametrize("z", [0j, 0.5, 1.0, 1.5 + 0.5j, 0.99, 1.01, 0.7j, 2.0, 3.0])
+    def test_third_moment_by_quadrature(self, z):
+        # E|c - z|^6 = 5 + 15|z|^2 + 9|z|^4 + |z|^6. Expanding ((c - z)(c - z)^*)^3, a term
+        # keeps 3 - j of the c's and as many c^*'s, and the scalars give |z|^(2j); the
+        # circular element's moment counts the non-crossing pairings of each kept c with a
+        # kept c^*. All six letters kept is the alternating word, paired in 5 ways (the
+        # Catalan number C_3, the moment at z = 0); j = 2 keeps one c and one c^*, 9 ways
+        law = LimitLaw.for_shift(z)
+        t = abs(z) ** 2
+        exact = 5.0 + 15.0 * t + 9.0 * t * t + t ** 3
+        m3 = self._moment(law, 3)
+        assert abs(m3 - exact) <= 1e-10
+        assert abs(1.001 * m3 - exact) > 1e-10  # a density scaled by 1.001 fails the gate
 
 
 class TestDiscPotential:

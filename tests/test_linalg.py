@@ -277,14 +277,28 @@ class TestThresholdsBelowSn:
                 a = (u * truth) @ v.conj().T
                 s_n = np.linalg.svd(a, compute_uv=False)[-1]
                 assert np.searchsorted(thresholds, s_n) == count
-                assert linalg.thresholds_below_sn(MatrixSample(a), thresholds) == count
+                assert linalg.thresholds_below_sn(MatrixSample(a), thresholds, math.inf) == count
 
     def test_a_threshold_below_the_cutoff_goes_back_to_the_caller(self, oracle_rng):
         a = MatrixSample(draw_matrix(oracle_rng, (16, 16), False))
         cutoff = linalg._REFINE_RATIO * np.linalg.norm(a.entries)
         s_n = np.linalg.svd(a.entries, compute_uv=False)[-1]
-        assert linalg.thresholds_below_sn(a, np.array([cutoff / 2])) is None
-        assert linalg.thresholds_below_sn(a, np.array([cutoff / 2, s_n / 2])) == 2  # not reached
+        assert linalg.thresholds_below_sn(a, np.array([cutoff / 2]), math.inf) is None
+        # cutoff / 2 is not reached
+        assert linalg.thresholds_below_sn(a, np.array([cutoff / 2, s_n / 2]), math.inf) == 2
+
+    @pytest.mark.parametrize("complex_", [False, True], ids=["real", "complex"])
+    def test_a_ceiling_below_the_frobenius_bound_goes_back_to_the_caller(self, oracle_rng,
+                                                                         complex_):
+        # the ceiling is screened with frobenius_norm's bound to the last bit: at the
+        # bound the search runs, an ulp below it the caller takes singular_values
+        a = MatrixSample(draw_matrix(oracle_rng, (16, 16), complex_))
+        bound = linalg.frobenius_norm(a)
+        thresholds = np.array([1e-3, 1e-2, 1e-1, 1.0])
+        count = linalg.thresholds_below_sn(a, thresholds, math.inf)
+        assert count is not None
+        assert linalg.thresholds_below_sn(a, thresholds, bound) == count
+        assert linalg.thresholds_below_sn(a, thresholds, math.nextafter(bound, 0.0)) is None
 
     @pytest.mark.parametrize("thresholds", [[1.0, 1e-2, 1e-3], [1e-3, math.nan, 1.0],
                                             [math.nan], [1e-3, 1.0, 1.0, 0.5]],
@@ -293,24 +307,26 @@ class TestThresholdsBelowSn:
         # s_n = 0.01046 here: [1, 1e-2, 1e-3] counted 3 below s_n, and [1e-3, nan, 1] 2;
         # equal neighbours stay legal
         a = sample_matrix(EnsembleConfig(64, 1.0, GAUSS, 3), 0)
-        assert linalg.thresholds_below_sn(a, np.array([1e-3, 1e-2, 1e-2, 1.0, 1.0])) == 3
+        assert linalg.thresholds_below_sn(a, np.array([1e-3, 1e-2, 1e-2, 1.0, 1.0]), math.inf) == 3
         with pytest.raises(DomainError, match="ascending and not NaN"):
-            linalg.thresholds_below_sn(a, np.array(thresholds))
+            linalg.thresholds_below_sn(a, np.array(thresholds), math.inf)
 
     def test_zero_matrix_has_every_threshold_at_or_above_s_n(self):
-        assert linalg.thresholds_below_sn(MatrixSample(np.zeros((3, 3))), np.array([1e-300])) == 0
+        zero = MatrixSample(np.zeros((3, 3)))
+        assert linalg.thresholds_below_sn(zero, np.array([1e-300]), math.inf) == 0
 
     def test_non_finite_entries_raise(self):
         with pytest.raises(NumericError):
-            linalg.thresholds_below_sn(MatrixSample(np.full((3, 3), np.nan)), np.array([0.1]))
+            linalg.thresholds_below_sn(MatrixSample(np.full((3, 3), np.nan)), np.array([0.1]),
+                                       math.inf)
 
     def test_without_the_library_cholesky_decides_the_same(self, monkeypatch):
         thresholds = np.geomspace(1e-4, 1.0, 9)
         samples = [sample_matrix(EnsembleConfig(n, 1.0, dist, 9), t)
                    for n in (1, 2, 16, 64) for dist in (GAUSS, CGAUSS) for t in range(3)]
-        binding = [linalg.thresholds_below_sn(a, thresholds) for a in samples]
+        binding = [linalg.thresholds_below_sn(a, thresholds, math.inf) for a in samples]
         monkeypatch.setattr(linalg, "openblas", lambda: None)
-        assert [linalg.thresholds_below_sn(a, thresholds) for a in samples] == binding
+        assert [linalg.thresholds_below_sn(a, thresholds, math.inf) for a in samples] == binding
 
     @pytest.mark.parametrize("dtype", [np.float32, np.complex64, np.int64])
     def test_a_single_precision_or_integer_sample_counts_as_its_double_copy(self, dtype):
@@ -320,9 +336,9 @@ class TestThresholdsBelowSn:
         a = (8.0 * sample_matrix(EnsembleConfig(64, 1.0, GAUSS, 3), 0).entries).astype(dtype)
         thresholds = np.geomspace(1e-4, 1.0, 9)
         double = MatrixSample(a.astype(np.result_type(dtype, np.float64)))
-        count = linalg.thresholds_below_sn(double, thresholds)
+        count = linalg.thresholds_below_sn(double, thresholds, math.inf)
         assert 0 < count < len(thresholds)
-        assert linalg.thresholds_below_sn(MatrixSample(a), thresholds) == count
+        assert linalg.thresholds_below_sn(MatrixSample(a), thresholds, math.inf) == count
 
 
 class TestCertifiedLogDet:
@@ -446,6 +462,13 @@ class TestAllocations:
             finally:
                 tracemalloc.stop()
 
+    def test_a_shifted_sample_is_one_column_major_matrix(self):
+        # shift allocates its result column-major, so the sample's constructor keeps it
+        a = sample_matrix(EnsembleConfig(self.n, 1.0, GAUSS, 3), 0)
+        peak = self._peak_bytes(lambda m: shift(m, 0.5j), a)
+        assert shift(a, 0.5j).entries.flags.f_contiguous
+        assert self.n * self.n * 16 <= peak < self.n * self.n * 16 * 3 // 2
+
     def test_shifted_certificate_allocates_less_than_one_complex_matrix(self):
         bundled_openblas()
         a = sample_matrix(EnsembleConfig(self.n, 1.0, GAUSS, 3), 0)
@@ -457,7 +480,7 @@ class TestAllocations:
 
     def test_eigenvalues_in_the_sample_allocate_less_than_one_complex_matrix(self):
         bundled_openblas()
-        a = sample_matrix(EnsembleConfig(self.n, 1.0, CGAUSS, 3), 0, order="F")
+        a = sample_matrix(EnsembleConfig(self.n, 1.0, CGAUSS, 3), 0)
         peak = self._peak_bytes(lambda m: eigenvalues(m, overwrite=True), a)
         assert peak < self.n * self.n * 16 // 2
 
@@ -466,7 +489,7 @@ class TestAllocations:
         bundled_openblas()
         a = sample_matrix(EnsembleConfig(self.n, 1.0, GAUSS, 3), 0)
         thresholds = np.array([1e-4, 1e-3, 1e-2])
-        peak = self._peak_bytes(lambda m: linalg.thresholds_below_sn(m, thresholds), a)
+        peak = self._peak_bytes(lambda m: linalg.thresholds_below_sn(m, thresholds, math.inf), a)
         assert peak <= self.n * self.n * 8 + 64 * self.n * 8
 
     def test_singular_values_allocate_the_gram_product_and_o_n(self):
@@ -742,7 +765,7 @@ class TestEigenvalues:
                    for n in (1, 2, 3, 37, 64) for dist in (GAUSS, CGAUSS) for t in range(3)]
 
         def spectra():
-            return [eigenvalues(sample_matrix(cfg, t, order="F"), overwrite=overwrite)
+            return [eigenvalues(sample_matrix(cfg, t), overwrite=overwrite)
                     .values.tobytes() for cfg, t in samples]
 
         binding = spectra()
@@ -752,15 +775,27 @@ class TestEigenvalues:
     @pytest.mark.parametrize("order, overwrite", [("C", False), ("F", False), ("C", True)])
     @pytest.mark.parametrize("complex_", [False, True], ids=["real", "complex"])
     def test_the_callers_sample_is_only_read(self, oracle_rng, complex_, order, overwrite):
-        # only a column-major sample with overwrite=True is the solve's buffer
-        a = MatrixSample(np.array(draw_matrix(oracle_rng, (64, 64), complex_), order=order))
-        before = a.entries.tobytes()
+        # without overwrite the sample is only read; with it, a row-major array is
+        # copied by the sample's constructor, so the caller's array is only read
+        array = np.array(draw_matrix(oracle_rng, (64, 64), complex_), order=order)
+        before = array.tobytes()
+        a = MatrixSample(array)
         eigenvalues(a, overwrite=overwrite)
+        assert array.tobytes() == before
+        if not overwrite:
+            assert a.entries.tobytes() == before
+
+    def test_a_read_only_sample_is_only_read_with_overwrite(self, oracle_rng):
+        a = MatrixSample(draw_matrix(oracle_rng, (64, 64), True))
+        a.entries.flags.writeable = False
+        before = a.entries.tobytes()
+        eigenvalues(a, overwrite=True)
         assert a.entries.tobytes() == before
 
-    def test_overwrite_solves_in_a_column_major_sample(self, oracle_rng):
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_overwrite_solves_in_the_sample(self, oracle_rng, order):
         bundled_openblas()
-        a = MatrixSample(np.array(draw_matrix(oracle_rng, (64, 64), True), order="F"))
+        a = MatrixSample(np.array(draw_matrix(oracle_rng, (64, 64), True), order=order))
         before = a.entries.tobytes()
         expected = eigenvalues(a).values
         assert eigenvalues(a, overwrite=True).values.tobytes() == expected.tobytes()

@@ -79,7 +79,8 @@ def kernels(_):
     values = {"frobenius_norm": frobenius_norm(a), "log_det": det.value, "lower": det.lower,
               "upper": det.upper, "singular_values": singular_values(a).values,
               "eigenvalues": eigenvalues(a).values,
-              "thresholds_below_sn": np.int64(thresholds_below_sn(a, np.geomspace(1e-5, 0.1, 9)))}
+              "thresholds_below_sn": np.int64(thresholds_below_sn(a, np.geomspace(1e-5, 0.1, 9),
+                                                                   math.inf))}
     return " ".join(f"{name}={v.hex() if isinstance(v, float) else hashlib.sha256(v).hexdigest()}"
                     for name, v in values.items())
 

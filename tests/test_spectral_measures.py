@@ -18,6 +18,7 @@ from circulaw import (
     singular_values,
 )
 from circulaw.linalg import LogDeterminant, Spectrum, hermitize, truncation_window
+from circulaw.textio import read_float_csv
 from circulaw.spectral_measures import stieltjes_empirical
 
 from conftest import ks_one_sample_critical
@@ -58,23 +59,32 @@ class TestEmpiricalCDF:
         f = EmpiricalCDF.from_values([0.25, 1.0, math.pi])
         path = tmp_path / "cdf.csv"
         f.to_csv(path)
-        g = EmpiricalCDF.from_csv(path)
-        assert np.array_equal(f.xs, g.xs) and np.array_equal(f.ws, g.ws)
+        xs, ws = map(np.array, zip(*read_float_csv(path, "x,weight")))
+        assert np.array_equal(f.xs, xs) and np.array_equal(f.ws, ws)
 
     def test_csv_header_required(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("1.0,0.5\n2.0,0.5\n")
-        with pytest.raises(DomainError):
-            EmpiricalCDF.from_csv(path)
+        with pytest.raises(OSError, match=re.escape(f"{path}: line 1")):
+            read_float_csv(path, "x,weight")
 
     @pytest.mark.parametrize("row", ["0.5,0.25,0.25", "0.5,abc", "nan,0.5", "0.5,inf"])
     def test_malformed_row_names_the_path_and_line(self, tmp_path, row):
         # a bare ValueError ("too many values to unpack", "could not convert") named neither,
-        # and a non-finite field reached the constructor, whose error names no line
+        # and a non-finite field reached the caller, whose error names no line
         path = tmp_path / "bad.csv"
         path.write_text(f"x,weight\n0.5,0.5\n\n  \n{row}\n")
-        with pytest.raises(DomainError, match=re.escape(f"{path}: line 5")):
-            EmpiricalCDF.from_csv(path)
+        with pytest.raises(OSError, match=re.escape(f"{path}: line 5")):
+            read_float_csv(path, "x,weight")
+
+    @pytest.mark.parametrize("field", ["xs", "ws"])
+    def test_fields_cannot_be_rebound(self, field):
+        # rebinding ws left the cumulative weights stale: evaluate(1.0) read 0.5
+        # after ws became [0.25, 0.75]
+        f = EmpiricalCDF(np.array([1.0, 2.0]), np.array([0.5, 0.5]))
+        with pytest.raises(AttributeError):
+            setattr(f, field, np.array([0.25, 0.75]))
+        assert f.evaluate(1.0) == 0.5 and list(f.ws) == [0.5, 0.5]
 
 
 class TestSvSquaredCdf:
