@@ -468,6 +468,10 @@ class TestOnePass:
                       n_values=(12, 16)),
         "TailIndex": dict(kind="TailIndex", ensemble=small_ensemble(n=12, seed=3), trials=3),
     }
+    # an n = 32 trial uses far less CPU than parallel._PAYING_TASK_S and an n = 256 one
+    # more, so on two workers the helper parks in the first half and works in the second
+    LADDER = dict(kind="MinSv", ensemble=small_ensemble(n=32, seed=5), trials=50,
+                  z_points=(0j,), thresholds=(1e-3, 1e-2, 0.1), n_values=(32, 256))
 
     @staticmethod
     def _count_calls(monkeypatch, kind):
@@ -508,9 +512,9 @@ class TestOnePass:
             run_experiment(spec)
         assert passes == [] and samples == []
 
-    @pytest.mark.parametrize("kind", sorted(SPECS))
+    @pytest.mark.parametrize("kind", sorted(SPECS) + ["MinSv_ladder"])
     def test_reports_are_equal_bit_for_bit_at_1_2_and_8_workers(self, monkeypatch, kind):
-        spec = ExperimentSpec(**self.SPECS[kind])
+        spec = ExperimentSpec(**dict(self.SPECS, MinSv_ladder=self.LADDER)[kind])
         blobs = set()
         for workers in ("1", "2", "8"):
             monkeypatch.setenv("CIRCULAW_THREADS", workers)

@@ -257,6 +257,16 @@ def test_a_bad_thread_count_is_a_config_error(monkeypatch, value):
         parallel.thread_count()
 
 
+def test_the_default_count_is_the_cpus_this_process_may_run_on(monkeypatch):
+    # a run pinned to one CPU by taskset or a cgroup started one worker per host CPU
+    monkeypatch.delenv("CIRCULAW_THREADS", raising=False)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    assert parallel.thread_count() == 1
+    monkeypatch.delattr(os, "sched_getaffinity")
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    assert parallel.thread_count() == 3
+
+
 def test_import_loads_no_executor():
     # the pool runs plain threads: importing concurrent.futures cost every campaign's setup
     code = "import sys, circulaw.experiments\nprint('concurrent.futures' in sys.modules)"
@@ -271,6 +281,54 @@ def test_import_binds_no_library():
     done = subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True, timeout=120, check=True)
     assert done.stdout.strip() == "0"
+
+
+def _spin(seconds):
+    """Use `seconds` of this thread's CPU time."""
+    end = time.thread_time() + seconds
+    while time.thread_time() < end:
+        pass
+
+
+def _costed(costs, fail_at=None, interrupt_at=None):
+    """(task, ran) for a pass on two workers: task i is short (it sleeps for
+    parallel._PAYING_TASK_S, using almost no CPU) or long (it spins for six times
+    that), as costs[i] says; ran maps each started index to its thread."""
+    ran, caller = {}, threading.get_ident()
+
+    def task(i):
+        ran[i] = threading.current_thread()
+        if i == interrupt_at:
+            signal.pthread_kill(caller, signal.SIGINT)
+            time.sleep(0.1)
+        if costs[i] == "long":
+            _spin(6 * parallel._PAYING_TASK_S)
+        else:
+            time.sleep(parallel._PAYING_TASK_S)
+        if i == fail_at:
+            raise ValueError(f"item {i}")
+        return i
+
+    return task, ran
+
+
+def _pass_on_a_daemon(fn, items):
+    """(result, exception) of parallel_map(fn, items), run on a daemon thread that
+    must end within a minute, as must the pool threads it starts."""
+    before, out = set(threading.enumerate()), {}
+
+    def run():
+        try:
+            out["result"] = parallel.parallel_map(fn, items)
+        except BaseException as exc:
+            out["error"] = exc
+
+    runner = threading.Thread(target=run, daemon=True)  # so are its pool threads
+    runner.start()
+    runner.join(timeout=60)
+    assert not runner.is_alive(), "the pass did not end"
+    assert set(threading.enumerate()) <= before
+    return out.get("result"), out.get("error")
 
 
 class TestPoolPass:
@@ -385,3 +443,48 @@ class TestPoolPass:
             buffers.setdefault(ident, set()).add(id(buf))
         assert 1 <= len(buffers) <= 2
         assert all(len(ids) == 1 for ids in buffers.values()), buffers
+
+    # The width rule, on two workers: the helper takes items only while the first
+    # worker's last task used at least parallel._PAYING_TASK_S of thread CPU time.
+    def test_short_tasks_run_on_one_thread_after_the_first_few(self, monkeypatch):
+        monkeypatch.setenv("CIRCULAW_THREADS", "2")
+        task, ran = _costed(["short"] * 80)
+        assert _pass_on_a_daemon(task, range(80)) == (list(range(80)), None)
+        assert len({ran[i] for i in range(20, 80)}) == 1
+
+    def test_long_tasks_run_on_both_threads(self, monkeypatch):
+        monkeypatch.setenv("CIRCULAW_THREADS", "2")
+        task, ran = _costed(["long"] * 20)
+        assert _pass_on_a_daemon(task, range(20)) == (list(range(20)), None)
+        threads = list(ran.values())
+        assert len(set(threads)) == 2
+        assert min(threads.count(thread) for thread in set(threads)) >= 5
+
+    def test_a_parked_helper_takes_part_once_tasks_turn_long(self, monkeypatch):
+        monkeypatch.setenv("CIRCULAW_THREADS", "2")
+        task, ran = _costed(["short"] * 40 + ["long"] * 20)
+        assert _pass_on_a_daemon(task, range(60)) == (list(range(60)), None)
+        (first,) = {ran[i] for i in range(20, 40)}
+        assert sum(ran[i] is not first for i in range(40, 60)) >= 5
+
+    def test_a_late_failure_ends_the_pass_with_the_helper_parked(self, monkeypatch):
+        monkeypatch.setenv("CIRCULAW_THREADS", "2")
+        task, ran = _costed(["short"] * 60, fail_at=40)
+        result, error = _pass_on_a_daemon(task, range(60))
+        assert isinstance(error, ValueError) and str(error) == "item 40"
+        assert len({ran[i] for i in range(20, 41)}) == 1  # the helper was parked
+        assert sorted(ran) == list(range(41))
+
+    def test_an_interrupt_in_the_caller_ends_the_pass_with_the_helper_parked(self, monkeypatch):
+        monkeypatch.setenv("CIRCULAW_THREADS", "2")
+        before = set(threading.enumerate())
+        task, ran = _costed(["short"] * 60, interrupt_at=40)
+        previous = signal.signal(signal.SIGINT, signal.default_int_handler)
+        try:
+            with pytest.raises(KeyboardInterrupt):
+                parallel.parallel_map(task, range(60))
+        finally:
+            signal.signal(signal.SIGINT, previous)
+        assert len({ran[i] for i in range(20, 41)}) == 1  # the helper was parked
+        assert sorted(ran) == list(range(41))
+        assert set(threading.enumerate()) <= before
