@@ -305,7 +305,7 @@ def _potential(spec: ExperimentSpec, report: ExperimentReport) -> None:
     any trial; then one pool pass runs every (z, trial) task, and each shift's
     row is reduced from its trials in z order.
     Each trial's log|det| comes from `certified_log_det`, which forms the
-    smoothed shift of the sample in its own LU scratch; a trial whose
+    smoothed shift of the sample in a buffer of its own; a trial whose
     certificate does not clear the truncation window takes the whole spectrum
     of `smoothing_shift`'s copy instead, so the filter decides it exactly.
     """

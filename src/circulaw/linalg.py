@@ -25,8 +25,8 @@ certify s_1 below the caller's ceiling; the caller takes `singular_values`.
 
 The log-potential needs only sum_j log s_j = log|det A| and the knowledge
 that s_n and s_1 lie in a truncation window. `certified_log_det` takes the
-sample S and the diagonal shifts, forms A = S - z_1 I - ... in its LU
-scratch, factors it there once (LAPACK getrf from numpy's bundled OpenBLAS,
+sample S and the diagonal shifts, forms A = S - z_1 I - ... in a buffer of
+its own, factors it there once (LAPACK getrf from numpy's bundled OpenBLAS,
 `openblas`) and takes both from that LU: the first as sum_i log|u_ii|, and
 the second without the spectrum: s_1 <= ||A||_F, and s_n from k = 10 keyed
 Gaussian probes solved on the same factors (getrs; Dixon's bound), which is
@@ -65,17 +65,14 @@ every kernel, with one exception the caller asks for:
 `eigenvalues(sample, overwrite=True)` on a writeable sample runs geev in the
 sample's own buffer, so an eigenvalue trial holds one n x n matrix, not the
 sample and its copy; the sample is then spent.
-The shifted matrix of a certificate is made in a scratch buffer, one per
-thread, that only this module keeps (`_scratch_matrix`), and its LU
-overwrites it there; so is each shifted Gram matrix of `thresholds_below_sn`,
-and its Cholesky factor. The scratch lives exactly as long as the outermost
-`single_threaded_blas` hold: inside `parallel_map`, whose hold spans the
-pool, each worker forms and factors all of its trials in one buffer, and a
-direct `certified_log_det` call frees its buffer when it returns. (A fresh
-copy per trial, faulted in again by the next, cost a Potential campaign at
-n = 512 ~151k minor page faults, against ~15k with the scratch.) A shifted
-certificate's trial holds one sample and the scratch. `singular_values` owns
-its Gram product, and `_eigvalsh` solves a real one in place.
+Every other buffer belongs to the call that makes it and goes when the call
+returns; no kernel keeps one between calls. `certified_log_det` forms the
+shifted matrix in one column-major n x n buffer, and its LU overwrites it
+there, so a certificate's trial holds one sample and that buffer.
+`thresholds_below_sn` holds its Gram product and, while it tests a
+threshold, one buffer in which the shifted Gram matrix is factored.
+`singular_values` owns its Gram product, and `_eigvalsh` solves a real one
+in place.
 """
 
 from __future__ import annotations
@@ -119,7 +116,6 @@ _ARGTYPES = {
 _blas_lock = threading.Lock()
 _blas_depth = 0
 _blas_restore = None  # restores the count of the outermost hold, if it set one
-_scratch: dict = {}  # thread ident -> that thread's LU buffer, emptied with the outermost hold
 
 
 @functools.lru_cache(maxsize=None)
@@ -181,8 +177,7 @@ def _lapack_solve(fn, what: str, head, kinds, tail=()) -> None:
 @contextmanager
 def single_threaded_blas():
     """Hold OpenBLAS at one thread; the last of nested or concurrent holders restores
-    it and drops every thread's LU scratch (`_scratch_matrix`). Only the outermost
-    hold looks the library's thread count up."""
+    it. Only the outermost hold looks the library's thread count up."""
     global _blas_depth, _blas_restore
     with _blas_lock:
         if _blas_depth == 0:
@@ -196,21 +191,8 @@ def single_threaded_blas():
     finally:
         with _blas_lock:
             _blas_depth -= 1
-            if _blas_depth == 0:
-                _scratch.clear()
-                if _blas_restore is not None:
-                    _blas_restore()
-
-
-def _scratch_matrix(n: int, dtype) -> np.ndarray:
-    """This thread's column-major n x n buffer of `dtype`, kept until the outermost
-    hold ends; call it only inside `single_threaded_blas`."""
-    assert _blas_depth > 0, "the LU scratch lives only inside single_threaded_blas"
-    key = threading.get_ident()
-    buf = _scratch.get(key)
-    if buf is None or buf.shape != (n, n) or buf.dtype != dtype:
-        buf = _scratch[key] = np.empty((n, n), dtype, order="F")
-    return buf
+            if _blas_depth == 0 and _blas_restore is not None:
+                _blas_restore()
 
 
 @dataclass
@@ -281,12 +263,12 @@ def certified_log_det(
     as `shift` does it, from one LU of A, if floor <= s_n and s_1 <= ceiling are
     certified for A; else None.
 
-    A is formed once, in this thread's LU scratch (`_scratch_matrix`): S is
-    cast into it and each shift subtracted from its diagonal in `shift`'s order,
-    so A, its LU and every result below have the bits of the call on
-    `shift(sample, *shifts)`; S itself is only read.
-    Ceiling: s_1 <= ||A||_F, taken from the scratch and widened by its own
-    rounding. Floor: with k = 10
+    A is formed once, in a column-major buffer that the call allocates and drops
+    (`_shifted`): S is cast into it and each shift subtracted from its diagonal
+    in `shift`'s order, so A, its LU and every result below have the bits of the
+    call on `shift(sample, *shifts)`; S itself is only read.
+    Ceiling: s_1 <= ||A||_F, taken from that buffer before the LU and widened by
+    its own rounding (`_s1_bound`). Floor: with k = 10
     Gaussian probes w_i keyed by (seed, ROLE_PROBE, trial_index) and X = A^-1 W,
     solved on the same LU, ||A^-1|| <= 10 sqrt(2/pi) max_i ||A^-1 w_i|| except
     with probability 10^-k (Dixon 1983; Halko, Martinsson & Tropp 2011,
@@ -304,10 +286,8 @@ def certified_log_det(
     """
     s = sample.entries
     n = sample.n
-    shifts, dtype = _shift_plan(s, shifts)
-    a = _scratch_matrix(n, dtype)
-    _subtract_diagonal(a, s, shifts)
-    upper = frobenius_norm(MatrixSample(a))
+    a = _shifted(s, *_shift_plan(s, shifts))
+    upper = _s1_bound(_rounded_norm(a), n)
     if not upper <= ceiling:
         return None
     is_complex = np.iscomplexobj(a)
@@ -340,7 +320,7 @@ def certified_log_det(
 
 def _log_det_and_solve(a: np.ndarray, b: np.ndarray):
     """(log|det A|, A^-1 B) from one LU of the column-major A, or None if A is
-    exactly singular. The LU overwrites A (in `certified_log_det`, the scratch).
+    exactly singular. The LU overwrites A (in `certified_log_det`, its own buffer).
 
     getrf and getrs run on OpenBLAS's serial kernels over A, in the layout
     numpy hands LAPACK, and the log sums log|u_ii| in diagonal order as
@@ -378,15 +358,17 @@ def _shift_plan(entries: np.ndarray, shifts):
     return shifts, np.complex128 if is_complex else np.float64
 
 
-def _subtract_diagonal(out: np.ndarray, entries: np.ndarray, shifts) -> None:
-    """out = entries - z_1 I - z_2 I - ...: `entries` cast into the contiguous `out`,
-    then each z_i subtracted from its diagonal, a strided view, in turn (its real
-    part if `out` is real)."""
+def _shifted(entries: np.ndarray, shifts, dtype) -> np.ndarray:
+    """entries - z_1 I - z_2 I - ..., in a new column-major buffer of `dtype`:
+    `entries` cast into it, then each z_i subtracted from its diagonal, a strided
+    view, in turn (its real part if `dtype` is real)."""
+    out = np.empty(entries.shape, dtype, order="F")
     np.copyto(out, entries)
     diagonal = out.ravel(order="K")[:: len(out) + 1]
     is_complex = np.iscomplexobj(out)
     for z in shifts:
         diagonal -= z if is_complex else z.real
+    return out
 
 
 def shift(sample: MatrixSample, *shifts: complex) -> MatrixSample:
@@ -396,9 +378,7 @@ def shift(sample: MatrixSample, *shifts: complex) -> MatrixSample:
     shifts, dtype = _shift_plan(sample.entries, shifts)
     if not shifts:
         return sample
-    entries = np.empty_like(sample.entries, dtype=dtype)  # column-major, as the sample
-    _subtract_diagonal(entries, sample.entries, shifts)
-    return MatrixSample(entries)
+    return MatrixSample(_shifted(sample.entries, shifts, dtype))
 
 
 def smoothing_shift(
@@ -454,8 +434,9 @@ def thresholds_below_sn(sample: MatrixSample, thresholds: np.ndarray,
     By Sylvester's law of inertia, s_n > t exactly when G - t^2 I is positive
     definite, with G = A A^* formed once, as `singular_values` forms it. A binary
     search tests at most ceil(log2(k + 1)) of the k thresholds: each test casts G
-    into this thread's scratch (`_scratch_matrix`), subtracts t^2 from its diagonal
-    and factors the lower triangle by potrf, whose info = 0 means definite.
+    into a new column-major buffer, subtracts t^2 from its diagonal and factors
+    the lower triangle there by potrf, whose info = 0 means definite; the buffer
+    goes with the test, so the call holds G and one factor at a time.
     Without the library, `cholesky` raising LinAlgError means not definite. The
     decision is that of G's rounded spectrum, as the Gram eigensolve sees it: it
     is exact whenever |s_n / t - 1| exceeds about eps (s_1 / t)^2. Non-finite
@@ -484,10 +465,10 @@ def thresholds_below_sn(sample: MatrixSample, thresholds: np.ndarray,
 
 def _definite(g: np.ndarray, offset: float) -> bool:
     """Whether the Hermitian g - offset I, read from its lower triangle, is positive
-    definite: potrf of it in this thread's scratch, which it overwrites; a real g,
-    exactly symmetric (`_eigvalsh`), is copied as its column-major g.T."""
-    w = _scratch_matrix(len(g), g.dtype)
-    _subtract_diagonal(w, g if np.iscomplexobj(g) else g.T, [offset])
+    definite: potrf of it in a buffer of this call's own (`_shifted`), which it
+    overwrites; a real g, exactly symmetric (`_eigvalsh`), is copied as its
+    column-major g.T."""
+    w = _shifted(g if np.iscomplexobj(g) else g.T, [offset], g.dtype)
     potrf = _lapack("zpotrf" if np.iscomplexobj(w) else "dpotrf")
     if potrf is None:
         try:

@@ -24,19 +24,18 @@ GIL, so a second thread running such tasks costs about a third more CPU and
 buys no wall time. The measure is the task's cost, not n: at n = 128 a MinSv
 task does not pay for a helper, a SvLaw or CircularLaw task does. Helpers that
 do not take an item wait on the pass's condition rather than exit, so they
-keep their thread and their LU scratch, and they resume as soon as the first
-worker finishes a task that pays, as when a ladder moves from small n to large.
+keep their thread, and they resume as soon as the first worker finishes a
+task that pays, as when a ladder moves from small n to large. No worker keeps
+a buffer between tasks: each kernel call allocates its own.
 
 Every linalg kernel holds numpy's bundled OpenBLAS at one thread
 (`linalg.single_threaded_blas`) for its own call, so reports do not depend
 on OPENBLAS_NUM_THREADS, and the pool's workers do not oversubscribe the
 cores (CIRCULAW_THREADS=1 means one core). `parallel_map` also holds it for
-the whole pass, for two reasons. The thread count changes once per pass
-instead of twice per kernel call, with the caller's count restored when the
-outermost `parallel_map` returns or raises. And each worker keeps one LU
-scratch buffer (`linalg`) for all of its tasks, as the buffers live until
-the outermost hold ends. If no OpenBLAS library is found, BLAS threading is
-left alone.
+the whole pass, so the thread count changes once per pass instead of twice
+per kernel call, with the caller's count restored when the outermost
+`parallel_map` returns or raises. If no OpenBLAS library is found, BLAS
+threading is left alone.
 """
 
 from __future__ import annotations

@@ -331,7 +331,7 @@ class TestThresholdsBelowSn:
     @pytest.mark.parametrize("dtype", [np.float32, np.complex64, np.int64])
     def test_a_single_precision_or_integer_sample_counts_as_its_double_copy(self, dtype):
         # unit-variance entries, so the int64 copy is not the zero matrix; without the
-        # constructor's cast potrf read a float32 or complex64 scratch as doubles and
+        # constructor's cast potrf read a float32 or complex64 buffer as doubles and
         # counted 0 of the 6, and an int64 sample raised numpy's casting error
         a = (8.0 * sample_matrix(EnsembleConfig(64, 1.0, GAUSS, 3), 0).entries).astype(dtype)
         thresholds = np.geomspace(1e-4, 1.0, 9)
@@ -413,7 +413,7 @@ SHIFT_PAIRS = {"zero": (0, 0), "real": (0.3, 1.1), "complex": (0.02 - 0.05j, 0.5
 
 
 class TestShiftedCertificate:
-    """certified_log_det(sample, ..., shifts) forms shift(sample, *shifts) in its LU scratch."""
+    """certified_log_det(sample, ..., shifts) forms shift(sample, *shifts) in a buffer of its own."""
 
     @pytest.mark.parametrize("pair", SHIFT_PAIRS)
     @pytest.mark.parametrize("theta", [None, 0.5], ids=["dense", "sparse"])
@@ -447,14 +447,14 @@ class TestShiftedCertificate:
 
 
 class TestAllocations:
-    """Inside a warm hold, a kernel allocates no n x n matrix it does not hand back."""
+    """Inside a warm hold, a kernel allocates only the n x n buffers its docstring names."""
 
     n = 256
 
     @staticmethod
     def _peak_bytes(kernel, sample):
         with linalg.single_threaded_blas():
-            kernel(sample)  # the LU scratch is made once per thread and hold
+            kernel(sample)  # opens the library and types its LAPACK routines
             tracemalloc.start()
             try:
                 kernel(sample)
@@ -469,13 +469,14 @@ class TestAllocations:
         assert shift(a, 0.5j).entries.flags.f_contiguous
         assert self.n * self.n * 16 <= peak < self.n * self.n * 16 * 3 // 2
 
-    def test_shifted_certificate_allocates_less_than_one_complex_matrix(self):
+    def test_shifted_certificate_allocates_one_complex_matrix(self):
+        # the shifted matrix is formed and factored in one buffer of the call's own
         bundled_openblas()
         a = sample_matrix(EnsembleConfig(self.n, 1.0, GAUSS, 3), 0)
         before = a.entries.tobytes()
         peak = self._peak_bytes(
             lambda m: certified_log_det(m, 0.0, math.inf, 3, 0, SHIFT_PAIRS["complex"]), a)
-        assert peak < self.n * self.n * 16
+        assert self.n * self.n * 16 <= peak < self.n * self.n * 16 * 3 // 2
         assert a.entries.tobytes() == before
 
     def test_eigenvalues_in_the_sample_allocate_less_than_one_complex_matrix(self):
@@ -484,13 +485,13 @@ class TestAllocations:
         peak = self._peak_bytes(lambda m: eigenvalues(m, overwrite=True), a)
         assert peak < self.n * self.n * 16 // 2
 
-    def test_threshold_count_factors_in_the_scratch(self):
-        # one Gram product and O(n): each tested threshold is factored in the LU scratch
+    def test_threshold_count_holds_the_gram_product_and_one_factor(self):
+        # each tested threshold is factored in a buffer that goes before the next test
         bundled_openblas()
         a = sample_matrix(EnsembleConfig(self.n, 1.0, GAUSS, 3), 0)
         thresholds = np.array([1e-4, 1e-3, 1e-2])
         peak = self._peak_bytes(lambda m: linalg.thresholds_below_sn(m, thresholds, math.inf), a)
-        assert peak <= self.n * self.n * 8 + 64 * self.n * 8
+        assert peak <= 2 * self.n * self.n * 8 + 64 * self.n * 8
 
     def test_singular_values_allocate_the_gram_product_and_o_n(self):
         bundled_openblas()
@@ -541,8 +542,9 @@ class TestOneLU:
             assert linalg._symbol(name) is not None, name
 
 
-class TestLUScratch:
-    """Each thread factors in a scratch buffer of its own, kept until the outermost hold ends."""
+class TestPooledKernels:
+    """A kernel called in the pool gives the bits of the same call made serially, and
+    factors in a buffer that belongs to the call."""
 
     @staticmethod
     def _samples(count):
@@ -550,16 +552,43 @@ class TestLUScratch:
 
     @staticmethod
     def _watch(monkeypatch):
-        """Weak references to every scratch buffer handed out from now on."""
-        refs, scratch = [], linalg._scratch_matrix
+        """Weak references to every factor buffer made from now on."""
+        refs, shifted = [], linalg._shifted
 
-        def watched(n, dtype):
-            buf = scratch(n, dtype)
+        def watched(entries, shifts, dtype):
+            buf = shifted(entries, shifts, dtype)
             refs.append(weakref.ref(buf))
             return buf
 
-        monkeypatch.setattr(linalg, "_scratch_matrix", watched)
+        monkeypatch.setattr(linalg, "_shifted", watched)
         return refs
+
+    def test_each_call_factors_in_a_buffer_of_its_own(self, monkeypatch):
+        bundled_openblas()
+        a, b = self._samples(2)
+        buffers = self._watch(monkeypatch)
+        with linalg.single_threaded_blas():
+            certified_log_det(a, 0.0, math.inf, 5, 0)
+            assert len(buffers) == 1 and buffers[0]() is None  # gone inside the hold
+            certified_log_det(b, 0.0, math.inf, 5, 1)
+            worker = threading.Thread(target=certified_log_det, args=(b, 0.0, math.inf, 5, 1))
+            worker.start()
+            worker.join(timeout=60)
+            assert len(buffers) == 3 and all(ref() is None for ref in buffers)
+
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_no_buffer_outlives_the_pool(self, monkeypatch, workers):
+        bundled_openblas()
+        monkeypatch.setenv("CIRCULAW_THREADS", workers)
+        buffers = self._watch(monkeypatch)
+        parallel_map(lambda a: certified_log_det(a, 0.0, math.inf, 5, 0), self._samples(4))
+        assert len(buffers) == 4 and all(ref() is None for ref in buffers)
+
+    def test_no_buffer_outlives_a_direct_call(self, monkeypatch):
+        bundled_openblas()
+        buffers = self._watch(monkeypatch)
+        certified_log_det(self._samples(1)[0], 0.0, math.inf, 5, 0)
+        assert len(buffers) == 1 and buffers[0]() is None
 
     @pytest.mark.parametrize("workers", ["2", "4"])
     def test_pool_results_equal_serial_calls_bit_for_bit(self, monkeypatch, oracle_rng, workers):
@@ -585,41 +614,6 @@ class TestLUScratch:
         for (det, (value, x)), (serial_det, (serial_value, serial_x)) in zip(pooled, serial):
             assert det == serial_det
             assert value == serial_value and x.tobytes() == serial_x.tobytes()
-
-    def test_a_thread_reuses_its_buffer_and_threads_do_not_share(self):
-        bundled_openblas()
-        a, b = self._samples(2)
-        with linalg.single_threaded_blas():
-            certified_log_det(a, 0.0, math.inf, 5, 0)
-            mine = linalg._scratch[threading.get_ident()]
-            certified_log_det(b, 0.0, math.inf, 5, 1)
-            assert linalg._scratch[threading.get_ident()] is mine
-            theirs = []
-
-            def other():
-                certified_log_det(b, 0.0, math.inf, 5, 1)
-                theirs.append(linalg._scratch[threading.get_ident()])
-
-            worker = threading.Thread(target=other)
-            worker.start()
-            worker.join(timeout=60)
-            assert len(theirs) == 1 and not np.shares_memory(theirs[0], mine)
-            assert len(linalg._scratch) == 2
-
-    @pytest.mark.parametrize("workers", ["1", "2"])
-    def test_no_buffer_outlives_the_pool(self, monkeypatch, workers):
-        bundled_openblas()
-        monkeypatch.setenv("CIRCULAW_THREADS", workers)
-        buffers = self._watch(monkeypatch)
-        parallel_map(lambda a: certified_log_det(a, 0.0, math.inf, 5, 0), self._samples(4))
-        assert len(buffers) == 4 and linalg._scratch == {}
-        assert all(ref() is None for ref in buffers)
-
-    def test_no_buffer_outlives_a_direct_call(self, monkeypatch):
-        bundled_openblas()
-        buffers = self._watch(monkeypatch)
-        certified_log_det(self._samples(1)[0], 0.0, math.inf, 5, 0)
-        assert len(buffers) == 1 and linalg._scratch == {} and buffers[0]() is None
 
 
 class TestLapackCall:

@@ -9,6 +9,7 @@ import subprocess
 import sys
 import threading
 import time
+import weakref
 from pathlib import Path
 
 import pytest
@@ -419,30 +420,29 @@ class TestPoolPass:
         parallel.parallel_map(task, range(40))
         assert 1 <= len(threads) <= workers
 
-    def test_each_worker_keeps_one_lu_scratch_for_a_whole_potential_campaign(self, monkeypatch):
-        # three shifts are one pass, so no worker's buffer is dropped and made again
+    def test_no_worker_carries_a_buffer_from_one_potential_task_to_the_next(self, monkeypatch):
+        # three shifts are one pass; each task's factor buffer goes when its call returns
         from circulaw import EnsembleConfig, EntryDistribution
         from circulaw.experiments import ExperimentSpec, run_experiment
 
         monkeypatch.setenv("CIRCULAW_THREADS", "2")
-        handed, scratch = [], linalg._scratch_matrix
+        handed, shifted = [], linalg._shifted
 
-        def watched(n, dtype):
-            buf = scratch(n, dtype)
-            handed.append((threading.get_ident(), buf))  # kept alive, so ids stay distinct
+        def watched(entries, shifts, dtype):
+            ident = threading.get_ident()
+            assert all(ref() is None for who, ref in handed if who == ident)
+            buf = shifted(entries, shifts, dtype)
+            handed.append((ident, weakref.ref(buf)))
             return buf
 
-        monkeypatch.setattr(linalg, "_scratch_matrix", watched)
+        monkeypatch.setattr(linalg, "_shifted", watched)
         ensemble = EnsembleConfig(24, 1.0, EntryDistribution("ComplexGaussian"), 4)
         spec = ExperimentSpec(kind="Potential", ensemble=ensemble, trials=6, r=0.1,
                               z_points=(0j, 0.5 + 0.5j, 2 + 0j))
         run_experiment(spec)
         assert len(handed) == 3 * 6
-        buffers = {}
-        for ident, buf in handed:
-            buffers.setdefault(ident, set()).add(id(buf))
-        assert 1 <= len(buffers) <= 2
-        assert all(len(ids) == 1 for ids in buffers.values()), buffers
+        assert 1 <= len({ident for ident, _ in handed}) <= 2
+        assert all(ref() is None for _, ref in handed)
 
     # The width rule, on two workers: the helper takes items only while the first
     # worker's last task used at least parallel._PAYING_TASK_S of thread CPU time.

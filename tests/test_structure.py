@@ -148,14 +148,13 @@ def test_every_export_is_named_in_readme_or_used_by_a_front_end():
     assert not unreached
 
 
-def test_only_linalg_keeps_per_thread_state_or_buffers():
-    # the LU scratch, one buffer per thread, lives in linalg for the life of the BLAS hold
+def test_no_module_keeps_per_thread_state():
+    # every buffer belongs to the call that makes it, so nothing is kept per thread
     assert _modules_where(lambda node: _name(node) in _THREAD_STATE
                           or isinstance(node, ast.alias) and node.name in _THREAD_STATE) \
-        == {"linalg"}
+        == set()
     held = {(module, name) for module, tree in _TREES.items() for name in _registries(tree)}
     assert held == {
-        ("linalg", "_scratch"),  # the LU scratch
         ("linalg", "openblas"),  # the library handle
         ("experiments", "_RUNNERS"),  # the runner of each kind, filled at import
         ("rng", "_uniform_count"),  # an int per Bernoulli p
