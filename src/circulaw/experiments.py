@@ -402,7 +402,7 @@ def _tail_index(spec: ExperimentSpec, report: ExperimentReport) -> None:
     def one_trial(cfg, t):
         sample = sample_matrix(cfg, t)
         sv2 = np.asarray(singular_values(sample).values) ** 2
-        return sv2, np.sort(np.abs(eigenvalues(sample).values))[::-1]
+        return sv2, np.sort(np.abs(eigenvalues(sample, overwrite=True).values))[::-1]
 
     (results,) = _trial_pass(one_trial, [cfg], spec.trials)
     pooled = EmpiricalCDF.from_values(np.concatenate([sv2 for sv2, _ in results]))

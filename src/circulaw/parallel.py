@@ -13,20 +13,21 @@ the next item index from one locked counter and store each result at its
 index; the caller only starts and joins them, so it is not woken per item.
 The first failure, or an exception in the caller such as an interrupt, stops
 the hand-out: no item starts after it, the items in flight finish, and the
-exception of the lowest failing index (or the caller's) is raised. With k = 1
-the items run inline.
+exception of the lowest failing index (or the caller's) is raised. k = 1 runs
+the same loop on one thread, so these rules hold at every width.
 
 k is the pool's cap, not its width. The first worker runs items throughout;
 the other k - 1, its helpers, take an item only while the first worker's last
-task used at least `_PAYING_TASK_S` of thread CPU time. A shorter task is
-mostly short numpy and LAPACK calls, each of which releases and retakes the
-GIL, so a second thread running such tasks costs about a third more CPU and
-buys no wall time. The measure is the task's cost, not n: at n = 128 a MinSv
-task does not pay for a helper, a SvLaw or CircularLaw task does. Helpers that
-do not take an item wait on the pass's condition rather than exit, so they
-keep their thread, and they resume as soon as the first worker finishes a
-task that pays, as when a ladder moves from small n to large. No worker keeps
-a buffer between tasks: each kernel call allocates its own.
+two tasks each used at least `_PAYING_TASK_S` of thread CPU time. A shorter
+task is mostly short numpy and LAPACK calls, each of which releases and
+retakes the GIL, so a second thread running such tasks costs about a third
+more CPU and buys no wall time. The measure is the task's cost, not n: at
+n = 128 a MinSv task does not pay for a helper, a SvLaw or CircularLaw task
+does. Helpers that do not take an item wait on the pass's condition rather
+than exit, so they keep their thread. One task that does not pay parks them,
+and one slow task does not wake them: they resume after two paying tasks in a
+row, as when a ladder moves from small n to large. No worker keeps a buffer
+between tasks: each kernel call allocates its own.
 
 Every linalg kernel holds numpy's bundled OpenBLAS at one thread
 (`linalg.single_threaded_blas`) for its own call, so reports do not depend
@@ -76,16 +77,15 @@ def parallel_map(fn, items):
     """[fn(item) for item in items], on min(CIRCULAW_THREADS, len(items)) workers,
     of which all but the first take items only while its tasks pay for them."""
     items = list(items)
-    k = min(thread_count(), max(len(items), 1))
+    k = min(thread_count(), len(items))
     with single_threaded_blas():
-        if k == 1:
-            return [fn(item) for item in items]
         results, failures = [None] * len(items), {}  # failing index -> its exception
         turn, handed, stopped = threading.Condition(), 0, False
-        paying = True  # the first worker's last task used _PAYING_TASK_S (or none has ended)
+        paying = True  # the first worker's last two tasks used _PAYING_TASK_S (or none has ended)
 
         def work(first):
             nonlocal handed, stopped, paying
+            paid = True  # this worker's previous task used _PAYING_TASK_S (or none has ended)
             while True:
                 with turn:
                     while not (first or paying or stopped or handed == len(items)):
@@ -102,10 +102,11 @@ def parallel_map(fn, items):
                         failures[i], stopped = exc, True
                 if first:
                     pays = time.thread_time() - start >= _PAYING_TASK_S
-                    if pays != paying:
+                    if (pays and paid) != paying:
                         with turn:
-                            paying = pays
+                            paying = pays and paid
                             turn.notify_all()
+                    paid = pays
 
         workers = [threading.Thread(target=work, args=(j == 0,)) for j in range(k)]
         try:

@@ -35,14 +35,13 @@ included (`grid_keys`). Keys are positional, so neither blocks nor walk change
 a bit. A label outside [0, 2^64) raises DomainError: keeping its low 64 bits
 would alias another label's stream. So does a bool or a non-integer label,
 which `int()` would truncate onto another label's.
-The buffers belong to one call, never to the module, so several threads may
-sample at once. `uniform_below` tests `uniform < p` as one integer compare
-on the words.
+The buffers belong to one call and the module keeps no state, so several
+threads may sample at once. `uniform_below` tests `uniform < p` as one integer
+compare on the words, its threshold bisected anew per call (53 steps).
 """
 
 from __future__ import annotations
 
-import functools
 import operator
 
 import numpy as np
@@ -201,7 +200,6 @@ def uniform_from_words(words: np.ndarray) -> np.ndarray:
     return u
 
 
-@functools.lru_cache(maxsize=64)
 def _uniform_count(p: float) -> int:
     """How many m in [0, 2^53) have (m + 0.5) * 2^-53 < p, with the rounding of
     `uniform_from_words`. That expression is monotone in m, so these m are a

@@ -353,6 +353,19 @@ class TestTailIndex:
         assert row["frequency"] == 0.0
         assert 1 <= row["k1_effective"] < 128
 
+    def test_a_trial_takes_its_eigenvalues_in_its_own_sample(self, monkeypatch):
+        # singular_values only reads the sample, so the eigen call may spend it
+        calls, eigenvalues = [], experiments.eigenvalues
+
+        def watched(sample, overwrite=False):
+            calls.append(overwrite)
+            return eigenvalues(sample, overwrite=overwrite)
+
+        monkeypatch.setattr(experiments, "eigenvalues", watched)
+        run_experiment(ExperimentSpec(kind="TailIndex", ensemble=small_ensemble(n=12, seed=3),
+                                      trials=3))
+        assert calls == [True] * 3
+
     def test_degenerate_clamp(self):
         from circulaw.experiments import tail_eigenvalue_index
 

@@ -365,10 +365,11 @@ class TestPoolPass:
             parallel.parallel_map(task, range(20))
         assert sorted(started) == [0, 1, 2]
 
-    def test_an_interrupt_in_the_caller_starts_no_further_item(self, monkeypatch):
-        # item 1 interrupts the caller while items 0 and 1 run and 2.. wait; those two
-        # finish before parallel_map raises, and none of the rest may start
-        monkeypatch.setenv("CIRCULAW_THREADS", "2")
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_an_interrupt_in_the_caller_starts_no_further_item(self, monkeypatch, workers):
+        # item 1 interrupts the caller while 2.. wait; items 0 and 1 finish before
+        # parallel_map raises, and none of the rest may start, on one worker too
+        monkeypatch.setenv("CIRCULAW_THREADS", workers)
         previous = signal.signal(signal.SIGINT, signal.default_int_handler)
         caller, started, finished = threading.get_ident(), [], []
 
@@ -466,6 +467,13 @@ class TestPoolPass:
         assert _pass_on_a_daemon(task, range(60)) == (list(range(60)), None)
         (first,) = {ran[i] for i in range(20, 40)}
         assert sum(ran[i] is not first for i in range(40, 60)) >= 5
+
+    def test_one_slow_task_does_not_wake_a_parked_helper(self, monkeypatch):
+        # the helper resumes only after two paying tasks in a row
+        monkeypatch.setenv("CIRCULAW_THREADS", "2")
+        task, ran = _costed(["short"] * 30 + ["long"] + ["short"] * 29)
+        assert _pass_on_a_daemon(task, range(60)) == (list(range(60)), None)
+        assert len({ran[i] for i in range(31, 60)}) == 1
 
     def test_a_late_failure_ends_the_pass_with_the_helper_parked(self, monkeypatch):
         monkeypatch.setenv("CIRCULAW_THREADS", "2")

@@ -157,5 +157,4 @@ def test_no_module_keeps_per_thread_state():
     assert held == {
         ("linalg", "openblas"),  # the library handle
         ("experiments", "_RUNNERS"),  # the runner of each kind, filled at import
-        ("rng", "_uniform_count"),  # an int per Bernoulli p
     }
