@@ -219,13 +219,13 @@ class MatrixSample:
 
 
 def _polar(words: np.ndarray):
-    """Box-Muller radius sqrt(-2 ln u1) and angle 2 pi u2 from words 0 and 1,
+    """Box-Muller radius sqrt(-2 ln u1) and angle 2 pi u2 from words[0] and words[1],
     formed in place to keep a row block's temporaries few."""
-    radius = rng.uniform_from_words(words[..., 0])
+    radius = rng.uniform_from_words(words[0])
     np.log(radius, out=radius)
     radius *= -2.0
     np.sqrt(radius, out=radius)
-    angle = rng.uniform_from_words(words[..., 1])
+    angle = rng.uniform_from_words(words[1])
     angle *= _TWO_PI
     return radius, angle
 
@@ -242,15 +242,16 @@ def _signed(words: np.ndarray, bit: int, magnitude: float, out: np.ndarray) -> n
 
 def _values_from_words(dist: EntryDistribution, words: np.ndarray, out=None,
                        divisor: float = 1.0) -> np.ndarray:
-    """Map word arrays of shape (..., words_per_draw) to entry values divided by
-    `divisor`, written into `out` (a new array if None) and returned.
+    """Map a word array of shape (words_per_draw, ...), word i of each draw at
+    words[i], to entry values divided by `divisor`, written into `out` (a new
+    array of shape words.shape[1:] if None) and returned.
 
     The formulas here are the single source of truth for both the scalar
     and the vectorized sampling paths. An atomic law writes its constants,
     divided once with the rounding of each value's division, into `out`.
     """
     if out is None:
-        out = np.empty(words.shape[:-1], np.complex128 if dist.is_complex else np.float64)
+        out = np.empty(words.shape[1:], np.complex128 if dist.is_complex else np.float64)
     if dist.tag == "RealGaussian":
         radius, angle = _polar(words)
         radius *= np.cos(angle, out=angle)
@@ -269,21 +270,21 @@ def _values_from_words(dist: EntryDistribution, words: np.ndarray, out=None,
             np.divide(out, divisor, out=out)
         return out
     if dist.tag == "Rademacher":
-        _signed(words[..., 0], 63, 1.0 / divisor, out.view(np.uint64))
+        _signed(words[0], 63, 1.0 / divisor, out.view(np.uint64))
         return out
     if dist.tag == "ComplexRademacher":
         # numpy divides a complex by a real c as a product with 1 / c, part by part
         magnitude = _INV_SQRT2 * (1.0 / divisor)
-        _signed(words[..., 0], 63, magnitude, out.real.view(np.uint64))
-        _signed(words[..., 0], 62, magnitude, out.imag.view(np.uint64))
+        _signed(words[0], 63, magnitude, out.real.view(np.uint64))
+        _signed(words[0], 62, magnitude, out.imag.view(np.uint64))
         return out
     if dist.tag == "UniformSymmetric":
-        u = rng.uniform_from_words(words[..., 0])
+        u = rng.uniform_from_words(words[0])
         return np.divide((2.0 * u - 1.0) * _SQRT3, divisor, out=out)
     # TwoPoint: +a where the uniform lies below p, else b
     b = -dist.a * dist.p / (1.0 - dist.p)
     out[...] = b / divisor
-    np.copyto(out, dist.a / divisor, where=rng.uniform_below(words[..., 0], dist.p))
+    np.copyto(out, dist.a / divisor, where=rng.uniform_below(words[0], dist.p))
     return out
 
 
@@ -292,18 +293,18 @@ def draw_entry(dist: EntryDistribution, stream: rng.Stream):
     words = np.array(
         [stream.next_word() for _ in range(dist.words_per_draw)], dtype=np.uint64
     )
-    value = _values_from_words(dist, words[None, :])[0]
+    value = _values_from_words(dist, words[:, None])[0]
     return complex(value) if dist.is_complex else float(value)
 
 
 def _draws(dist: EntryDistribution, keys: np.ndarray, words: np.ndarray, scratch: np.ndarray,
            out=None, divisor: float = 1.0):
-    """One draw per key, divided by `divisor`; `words` (shape (words_per_draw,
-    *keys.shape)) and `scratch` (keys' shape) are uint64 buffers the call
-    overwrites, and `out` is passed on to `_values_from_words`."""
+    """One draw per key, divided by `divisor`; `words` (word i of every key at
+    words[i]) and `scratch` (keys' shape) are uint64 buffers the call overwrites,
+    and `out` is passed on to `_values_from_words`, which reads `words` as filled."""
     for i in range(dist.words_per_draw):
         rng.word_into(keys, i, words[i], scratch)
-    return _values_from_words(dist, np.moveaxis(words, 0, -1), out, divisor)
+    return _values_from_words(dist, words, out, divisor)
 
 
 def _fill(dist: EntryDistribution, seed, role, aux, rows: range, out, divisor: float = 1.0):

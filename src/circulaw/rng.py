@@ -25,8 +25,8 @@ Two implementations are kept in lockstep: a Python-int path (`mix64`,
 `derive_key`, `Stream`; scalar draws) and a numpy uint64 path, whose one
 mixer `_mix64_inplace` runs every pass in place; the test suite checks they
 agree bit for bit. The array path takes its row and column hashes from one
-helper over a row range (`_row_col_hashes`), one index hash for both if the
-range starts at row 0. `key_blocks` walks its rows, or its columns so that a
+helper over a row range (`_row_col_hashes`), the same two index hashes wherever
+the range starts. `key_blocks` walks its rows, or its columns so that a
 column-major array fills in contiguous blocks, in blocks of at most BLOCK_KEYS
 keys on buffers reused from block to block, so a sample of n^2 entries needs
 O(BLOCK_KEYS) scratch memory and its n row hashes beside its output, and
@@ -117,19 +117,13 @@ def _inner(parts: np.ndarray) -> np.ndarray:
 
 
 def _row_col_hashes(master_seed: int, role: int, aux: int, rows: range, ncols: int):
-    """(hr, inner_c): derive_key(seed, role, aux, rows[i], k) == mix64(hr[i] ^ inner_c[k]),
-    from one index hash mix64(i + GOLDEN) if `rows` starts at 0. A row range reaching
-    outside [0, 2^64) raises DomainError."""
+    """(hr, inner_c): derive_key(seed, role, aux, rows[i], k) == mix64(hr[i] ^ inner_c[k]).
+    A row range reaching outside [0, 2^64) raises DomainError."""
     if len(rows) and not (0 <= rows.start and rows.stop - 1 <= MASK64):
         raise DomainError(f"row range {rows} is outside [0, 2^64)")
-    h0 = np.uint64(derive_key(master_seed, role, aux))
-    if rows.start == 0:
-        inner = _inner(np.arange(max(len(rows), ncols), dtype=np.uint64))
-        hr, inner_c = inner[: len(rows)] ^ h0, inner[:ncols]
-    else:
-        hr = _inner(np.arange(rows.start, rows.stop, dtype=np.uint64)) ^ h0
-        inner_c = _inner(np.arange(ncols, dtype=np.uint64))
-    return _mix64_inplace(hr, np.empty_like(hr)), inner_c
+    hr = _inner(np.arange(rows.start, rows.stop, dtype=np.uint64))
+    hr ^= np.uint64(derive_key(master_seed, role, aux))
+    return _mix64_inplace(hr, np.empty_like(hr)), _inner(np.arange(ncols, dtype=np.uint64))
 
 
 def key_blocks(master_seed: int, role: int, aux: int, rows: range, ncols: int,

@@ -46,7 +46,7 @@ ALL_DISTS = [
 
 def _bulk_draws(dist, m, seed=0):
     keys = rng.grid_keys(seed, rng.ROLE_VALUE, 0, m, 1)
-    words = np.stack([rng.word_grid(keys, i) for i in range(dist.words_per_draw)], axis=-1)
+    words = np.stack([rng.word_grid(keys, i) for i in range(dist.words_per_draw)], axis=0)
     from circulaw.ensemble import _values_from_words
 
     return _values_from_words(dist, words)[:, 0]
@@ -69,7 +69,7 @@ class TestEntryDistribution:
         re = np.where(words[:, 0] >> np.uint64(63) == 0, 1.0, -1.0)
         im = np.where((words[:, 0] >> np.uint64(62)) & np.uint64(1) == 0, 1.0, -1.0)
         expected = re if tag == "Rademacher" else (re + 1j * im) * (1.0 / math.sqrt(2.0))
-        got = _values_from_words(EntryDistribution(tag), words)
+        got = _values_from_words(EntryDistribution(tag), words.T)
         assert got.dtype == expected.dtype and got.tobytes() == expected.tobytes()
 
     def test_twopoint_constructor_contract(self):
